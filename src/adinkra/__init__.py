@@ -8,6 +8,7 @@ forward-error-correcting block code.
 """
 
 from .codes import (
+    AffineCode,
     DoublyEvenCode,
     LinearBinaryCode,
     bit_string,
@@ -47,6 +48,7 @@ from .graph import (
     neighbor,
     normalize_heights,
     plaquette_count,
+    plaquette_masks,
     plaquettes,
     to_json,
     valise_heights,
@@ -102,6 +104,7 @@ from .codec import (
     correct,
     decode,
     encode,
+    family_code,
     fill_erasures,
     format_wire,
     inject_errors,

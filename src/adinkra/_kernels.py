@@ -1,46 +1,30 @@
-"""Exhaustive-enumeration kernels with numba and numpy backends.
+"""Size guard for exhaustive walks over a code's words.
 
-Both backends compute identical results; the active one is chosen per
-call from the ADINKRA_BACKEND environment variable ("numba" or
-"numpy"), defaulting to numba when it imports.  The numba functions are
-cached to disk so repeat runs skip compilation.  See
-benchmarks/bench_kernels.py for a timing comparison.
+Counting valid dashings is exact linear algebra and never guarded;
+listing codewords and searching the minimum distance walk all 2**dim
+kernel words of a family's affine code, so they refuse dimensions above
+ADINKRA_SIZE_GUARD bits instead of hanging.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import InputError, SizeGuardError
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency here
-    HAS_NUMBA = False
+# perfbench/run.py records these in its environment block; the library
+# has a single pure-Python path and no numba backend.
+HAS_NUMBA = False
 
 DEFAULT_GUARD_BITS = 20
 
 
 def active_backend() -> str:
-    """Backend selected by ADINKRA_BACKEND, defaulting to numba."""
-    choice = os.environ.get("ADINKRA_BACKEND", "").strip().lower()
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise InputError("ADINKRA_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice:
-        raise InputError(f"unknown ADINKRA_BACKEND {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
+    return "python"
 
 
 def guard_bits() -> int:
-    """Maximum bit width for exhaustive enumeration."""
+    """Maximum kernel dimension for exhaustive walks."""
     raw = os.environ.get("ADINKRA_SIZE_GUARD", "").strip()
     if not raw:
         return DEFAULT_GUARD_BITS
@@ -54,96 +38,6 @@ def check_guard(n_bits: int, what: str) -> None:
     limit = guard_bits()
     if n_bits > limit:
         raise SizeGuardError(
-            f"{what} needs 2**{n_bits} assignments, above the guard of "
+            f"{what} needs 2**{n_bits} words, above the guard of "
             f"2**{limit}; set ADINKRA_SIZE_GUARD to raise the limit"
         )
-
-
-# ---------- numpy backend ----------
-
-
-def enumerate_valid_numpy(masks: np.ndarray, n_bits: int) -> np.ndarray:
-    """All n_bits-wide assignments with odd parity on every mask."""
-    total = 1 << n_bits
-    a = np.arange(total, dtype=np.uint64)
-    ok = np.ones(total, dtype=bool)
-    for m in masks:
-        ok &= (np.bitwise_count(a & np.uint64(m)) & 1).astype(bool)
-    return a[ok]
-
-
-def min_pairwise_hamming_numpy(words: np.ndarray) -> int:
-    x = words[:, None] ^ words[None, :]
-    d = np.bitwise_count(x)
-    iu = np.triu_indices(len(words), k=1)
-    return int(d[iu].min())
-
-
-# ---------- numba backend ----------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _enumerate_valid_numba(masks, n_bits):
-        total = np.uint64(1) << np.uint64(n_bits)
-        out = np.empty(total, dtype=np.uint64)
-        count = 0
-        for a in range(total):
-            av = np.uint64(a)
-            good = True
-            for m in masks:
-                v = av & m
-                parity = 0
-                while v:
-                    v &= v - np.uint64(1)
-                    parity ^= 1
-                if parity == 0:
-                    good = False
-                    break
-            if good:
-                out[count] = av
-                count += 1
-        return out[:count].copy()
-
-    @njit(cache=True)
-    def _min_pairwise_hamming_numba(words):
-        best = 65
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                v = words[i] ^ words[j]
-                d = 0
-                while v:
-                    v &= v - np.uint64(1)
-                    d += 1
-                if d < best:
-                    best = d
-        return best
-
-
-# ---------- dispatchers ----------
-
-
-def enumerate_valid(masks, n_bits: int) -> np.ndarray:
-    """All assignments of n_bits bits with odd popcount on every mask.
-
-    Masks select the four edge slots of each plaquette, so a surviving
-    assignment dashes an odd number of edges in every plaquette
-    (a set bit means plain, a clear bit means dashed; a four-bit mask
-    has odd ones exactly when it has odd zeros).
-    """
-    if n_bits < 0 or n_bits > 63:
-        raise InputError(f"n_bits out of range: {n_bits}")
-    arr = np.asarray(list(masks), dtype=np.uint64)
-    if active_backend() == "numba":
-        return _enumerate_valid_numba(arr, n_bits)
-    return enumerate_valid_numpy(arr, n_bits)
-
-
-def min_pairwise_hamming(words) -> int:
-    """Minimum Hamming distance between distinct words."""
-    arr = np.asarray(list(words), dtype=np.uint64)
-    if len(arr) < 2:
-        raise InputError("need at least two words for a pairwise distance")
-    if active_backend() == "numba":
-        return int(_min_pairwise_hamming_numba(arr))
-    return min_pairwise_hamming_numpy(arr)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from . import _kernels
-from .codes import bit_string, color_bit, parse_bit_string
+from .codes import AffineCode, bit_string, color_bit, parse_bit_string
 from .errors import (
     ContradictionError,
     InputError,
@@ -29,7 +28,10 @@ from .graph import (
     Adinkra,
     Edge,
     Plaquette,
+    json_object_rows,
+    load_json_object,
     normalize_heights,
+    plaquette_masks,
     plaquettes,
     verify_heights,
     verify_odd_dashing,
@@ -461,16 +463,17 @@ class Baobab:
 
     @classmethod
     def from_json(cls, text: str) -> "Baobab":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from None
-        for key in ("n", "code_generators", "tree_edges", "cycle_edges",
-                    "bits", "pinned"):
-            if key not in obj:
-                raise InputError(f"missing key {key!r}")
-        gens = tuple(obj["code_generators"])
+        obj = load_json_object(text, ("n", "code_generators", "tree_edges",
+                                      "cycle_edges", "bits", "pinned"))
         n = obj["n"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"invalid n: {n!r}")
+        gens = obj["code_generators"]
+        if not isinstance(gens, list):
+            raise InputError(f"code_generators must be a list, got {gens!r}")
+        for g in gens:
+            parse_bit_string(g)
+        gens = tuple(gens)
         length = None
 
         def parse_edge(row) -> Edge:
@@ -483,14 +486,31 @@ class Baobab:
                 raise InputError("inconsistent label lengths in baobab")
             if u >= v:
                 raise InputError(f"edge endpoints must satisfy u < v: {row}")
-            return Edge(u, v, row["color"])
+            color = row["color"]
+            if not isinstance(color, int):
+                raise InputError(
+                    f"edge color must be an integer, got {color!r}"
+                )
+            return Edge(u, v, color)
 
-        tree = tuple(parse_edge(r) for r in obj["tree_edges"])
+        edge_fields = ("u", "v", "color")
+        tree = tuple(
+            parse_edge(r)
+            for r in json_object_rows(obj, "tree_edges", edge_fields)
+        )
         cycles = []
         odd_sets = []
-        for r in obj["cycle_edges"]:
+        cycle_rows = json_object_rows(
+            obj, "cycle_edges", edge_fields + ("odd_colors",)
+        )
+        for r in cycle_rows:
             cycles.append(parse_edge(r))
-            odd_sets.append(frozenset(r["odd_colors"]))
+            colors = r["odd_colors"]
+            if not isinstance(colors, list) or not all(
+                isinstance(c, int) for c in colors
+            ):
+                raise InputError(f"odd_colors must list integers: {colors!r}")
+            odd_sets.append(frozenset(colors))
         if length is None:
             raise InputError("baobab has no edges")
         bits_text = obj["bits"]
@@ -504,7 +524,7 @@ class Baobab:
             )
         bits = dict(zip(slots, (int(c) for c in bits_text)))
         pinned = {}
-        for r in obj["pinned"]:
+        for r in json_object_rows(obj, "pinned", edge_fields + ("toward",)):
             e = parse_edge(r)
             toward, lt = parse_bit_string(r["toward"])
             if lt != length or toward not in (e.u, e.v):
@@ -831,19 +851,13 @@ def reconstruct_adinkra(
     return out, dash_trace, dir_trace
 
 
-# ---------- exhaustive counting ----------
+# ---------- counting ----------
 
 
 def count_valid_dashings(skeleton: Adinkra) -> int:
-    """Number of dashings with odd parity on every plaquette, counted
-    by exhaustive enumeration (guarded; see ADINKRA_SIZE_GUARD)."""
-    n_edges = len(skeleton.edges)
-    _kernels.check_guard(n_edges, "dashing enumeration")
-    index = {e: i for i, e in enumerate(skeleton.edges)}
-    masks = []
-    for p in plaquettes(skeleton):
-        m = 0
-        for e in p.edges:
-            m |= 1 << index[e]
-        masks.append(m)
-    return int(len(_kernels.enumerate_valid(masks, n_edges)))
+    """Number of dashings with odd parity on every plaquette: 2**dim of
+    the plaquette checks' affine code, found by row reduction."""
+    code = AffineCode.from_checks(
+        plaquette_masks(skeleton), len(skeleton.edges)
+    )
+    return 0 if code is None else code.count()

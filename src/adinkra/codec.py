@@ -17,7 +17,7 @@ from itertools import combinations
 from . import _kernels
 from .algebra import check_quaternion
 from .baobab import propagate_dashing, skeleton_baobab_edges, skeleton_tree
-from .codes import DoublyEvenCode, bit_string
+from .codes import AffineCode, DoublyEvenCode, bit_string
 from .errors import (
     AmbiguousCorrectionError,
     ContradictionError,
@@ -25,10 +25,9 @@ from .errors import (
     UncorrectableError,
     UnderDeterminedError,
 )
-from .graph import Adinkra, build_chromotopology, plaquettes
+from .graph import Adinkra, build_chromotopology, plaquette_masks, plaquettes
 from .quaternion import (
     matrices_from_directions,
-    quaternion_baobab_completions,
     quaternion_skeleton,
     valid_direction_vectors,
 )
@@ -190,9 +189,11 @@ def encode(message, family: Family) -> EdgeBitVector:
             f"got {len(bits)}"
         )
     skeleton = family_skeleton(family)
-    seeds = {skeleton.edges[pos]: b for pos, b in zip(slots, bits)}
+    seeds = dict(zip(slots, bits))
     if family.scheme == DASHING:
-        full, _trace = propagate_dashing(skeleton, seeds)
+        full, _trace = propagate_dashing(
+            skeleton, {skeleton.edges[pos]: b for pos, b in seeds.items()}
+        )
         missing = [e for e in skeleton.edges if e not in full]
         if missing:
             raise UnderDeterminedError(
@@ -200,12 +201,12 @@ def encode(message, family: Family) -> EdgeBitVector:
                 unresolved=missing,
             )
         return EdgeBitVector(family, tuple(full[e] for e in skeleton.edges))
-    valid = [c for c in quaternion_baobab_completions(seeds) if c.valid]
+    valid = _completions(family, seeds)
     if len(valid) != 1:
         raise ContradictionError(
             f"{len(valid)} completions satisfy the quaternion relations"
         )
-    return EdgeBitVector(family, valid[0].directions)
+    return EdgeBitVector(family, valid[0])
 
 
 # ---------- syndromes ----------
@@ -243,17 +244,10 @@ class PlaquetteCheck:
 @lru_cache(maxsize=64)
 def _parity_checks(family: Family):
     skeleton = family_skeleton(family)
-    index = {e: i for i, e in enumerate(skeleton.edges)}
-    checks = []
-    for p in plaquettes(skeleton):
-        mask = 0
-        for e in p.edges:
-            mask |= 1 << index[e]
-        checks.append(
-            (PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length)),
-             mask)
-        )
-    return tuple(checks)
+    return tuple(
+        (PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length)), mask)
+        for p, mask in zip(plaquettes(skeleton), plaquette_masks(skeleton))
+    )
 
 
 def _relation_edge_positions(family: Family) -> dict[str, frozenset[int]]:
@@ -387,8 +381,8 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
 
     Dashing blocks propagate parity from the survivors; the fill
     succeeds exactly when the survivors pin down every erased edge (in
-    particular whenever they cover a baobab).  Direction blocks try all
-    completions of the erased arrows.
+    particular whenever they cover a baobab).  Direction blocks keep the
+    valid words that agree with every survivor.
     """
     family = vector.family
     erased = tuple(sorted(set(int(p) for p in erased)))
@@ -399,12 +393,12 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
     skeleton = family_skeleton(family)
     erased_set = set(erased)
     known = {
-        e: vector.bits[i]
-        for i, e in enumerate(skeleton.edges)
-        if i not in erased_set
+        i: b for i, b in enumerate(vector.bits) if i not in erased_set
     }
     if family.scheme == DASHING:
-        full, _trace = propagate_dashing(skeleton, known)
+        full, _trace = propagate_dashing(
+            skeleton, {skeleton.edges[i]: b for i, b in known.items()}
+        )
         missing = [
             i for i, e in enumerate(skeleton.edges) if e not in full
         ]
@@ -414,7 +408,7 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
                 unresolved=missing,
             )
         return EdgeBitVector(family, tuple(full[e] for e in skeleton.edges))
-    valid = [c for c in quaternion_baobab_completions(known) if c.valid]
+    valid = _completions(family, known)
     if not valid:
         raise ContradictionError(
             "no completion of the erased arrows satisfies the relations"
@@ -424,31 +418,65 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
             f"{len(valid)} completions satisfy the relations",
             unresolved=erased,
         )
-    return EdgeBitVector(family, valid[0].directions)
+    return EdgeBitVector(family, valid[0])
+
+
+# ---------- the family's affine code ----------
+
+
+def _word_bits(word: int, n_bits: int) -> tuple[int, ...]:
+    return tuple(word >> i & 1 for i in range(n_bits))
+
+
+@lru_cache(maxsize=64)
+def family_code(family: Family) -> AffineCode:
+    """The valid blocks as an affine GF(2) code; bit i is position i.
+
+    Dashing blocks solve one odd-parity check per plaquette; the eight
+    valid quaternion orientations are collected once and spanned.
+    """
+    n_bits = block_length(family)
+    if family.scheme == DASHING:
+        masks = [mask for _, mask in _parity_checks(family)]
+        code = AffineCode.from_checks(masks, n_bits)
+        if code is None:
+            raise ContradictionError(
+                f"no block of {family.header()} satisfies every plaquette"
+            )
+        return code
+    vectors = valid_direction_vectors()
+    return AffineCode.from_words(
+        (sum(b << i for i, b in enumerate(v)) for v in vectors), n_bits
+    )
+
+
+def _completions(family: Family, known) -> list[tuple[int, ...]]:
+    """Valid blocks agreeing with `known` (position -> bit), ascending."""
+    code = family_code(family)
+    return [
+        _word_bits(w, code.n_bits)
+        for w in code.words()
+        if all(w >> i & 1 == b for i, b in known.items())
+    ]
 
 
 # ---------- distance and channel ----------
 
 
 def codewords(family: Family) -> tuple[tuple[int, ...], ...]:
-    """Every valid block, enumerated exhaustively (guarded)."""
-    skeleton = family_skeleton(family)
-    n_bits = len(skeleton.edges)
-    if family.scheme == DASHING:
-        _kernels.check_guard(n_bits, "codeword enumeration")
-        masks = [mask for _, mask in _parity_checks(family)]
-        words = _kernels.enumerate_valid(masks, n_bits)
-        return tuple(
-            tuple(int(w) >> i & 1 for i in range(n_bits)) for w in words
-        )
-    return valid_direction_vectors()
+    """Every valid block, ascending as integers with bit i = position i
+    (guarded: walks the 2**dim words of the family's code)."""
+    code = family_code(family)
+    _kernels.check_guard(code.dim, "codeword enumeration")
+    return tuple(_word_bits(w, code.n_bits) for w in code.words())
 
 
 def min_distance(family: Family) -> int:
-    """Minimum pairwise Hamming distance between valid blocks."""
-    words = codewords(family)
-    ints = [sum(b << i for i, b in enumerate(w)) for w in words]
-    return _kernels.min_pairwise_hamming(ints)
+    """Minimum pairwise Hamming distance between valid blocks (guarded:
+    walks the 2**dim kernel words of the family's code)."""
+    code = family_code(family)
+    _kernels.check_guard(code.dim, "minimum-distance search")
+    return code.min_distance()
 
 
 def inject_errors(

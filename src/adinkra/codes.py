@@ -1,4 +1,5 @@
-"""Binary linear codes used to quotient hypercubes.
+"""Binary linear codes used to quotient hypercubes, and the affine
+GF(2) codes formed by valid dashings and orientations.
 
 Codewords are stored as integers: a length-L bit vector maps color 1 to
 the most significant bit, so the string "1100" with L = 4 is 0b1100.
@@ -37,7 +38,8 @@ def bit_string(word: int, length: int) -> str:
 
 def parse_bit_string(text: str) -> tuple[int, int]:
     """Parse an MSB-first bitstring; returns (value, length)."""
-    if not text or any(c not in "01" for c in text):
+    if (not isinstance(text, str) or not text
+            or any(c not in "01" for c in text)):
         raise InputError(f"not a bitstring: {text!r}")
     return int(text, 2), len(text)
 
@@ -69,6 +71,89 @@ def gf2_rref(rows) -> tuple[int, ...]:
             if q > p and pivots[q] & (1 << p):
                 pivots[q] ^= pivots[p]
     return tuple(pivots[p] for p in order)
+
+
+@dataclass(frozen=True)
+class AffineCode:
+    """The affine GF(2) code offset + span(basis) over n_bits-wide words.
+
+    Word bit i is coordinate i.  Valid dashings of a skeleton form such a
+    code (one odd-parity check per plaquette), and so do the valid
+    quaternion orientations.  `basis` spans the kernel: the differences
+    between codewords.
+    """
+
+    n_bits: int
+    offset: int
+    basis: tuple[int, ...]
+
+    @classmethod
+    def from_checks(cls, masks, n_bits: int) -> "AffineCode | None":
+        """Words with odd parity on every mask (H·x = 1), or None when
+        no word satisfies them all."""
+        masks = [int(m) for m in masks]
+        for m in masks:
+            if m < 0 or m >> n_bits:
+                raise InputError(
+                    f"check {bin(m)} does not fit in {n_bits} bits"
+                )
+        # bit 0 of each augmented row is the right-hand side
+        rows = gf2_rref((m << 1) | 1 for m in masks)
+        if rows and rows[-1] == 1:
+            return None
+        pivot_of = {r.bit_length() - 2: r for r in rows}
+        offset = sum(1 << p for p, r in pivot_of.items() if r & 1)
+        # one kernel word per free coordinate f: x_f = 1, other free ones 0
+        basis = tuple(
+            (1 << f)
+            | sum(1 << p for p, r in pivot_of.items() if r >> (f + 1) & 1)
+            for f in range(n_bits)
+            if f not in pivot_of
+        )
+        return cls(n_bits, offset, basis)
+
+    @classmethod
+    def from_words(cls, words, n_bits: int) -> "AffineCode":
+        """The affine code whose words are exactly `words`."""
+        words = [int(w) for w in words]
+        if not words:
+            raise InputError("an affine code needs at least one word")
+        offset = words[0]
+        basis = gf2_rref(w ^ offset for w in words)
+        if 1 << len(basis) != len(set(words)):
+            raise InputError(
+                f"{len(words)} words do not form an affine space "
+                f"(their differences have rank {len(basis)})"
+            )
+        return cls(n_bits, offset, basis)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def count(self) -> int:
+        return 1 << self.dim
+
+    def words(self) -> tuple[int, ...]:
+        """All 2**dim codewords, ascending."""
+        return tuple(sorted(self.offset ^ w for w in gf2_span(self.basis)))
+
+    def min_distance(self) -> int:
+        """Least weight of a nonzero kernel word, which for an affine
+        code is the minimum distance between distinct codewords.
+
+        Walks the 2**dim kernel words in Gray-code order, one XOR each.
+        """
+        if not self.basis:
+            raise InputError("a 0-dimensional code has no two distinct words")
+        best = self.n_bits + 1
+        word = 0
+        for i in range(1, 1 << self.dim):
+            word ^= self.basis[(i & -i).bit_length() - 1]
+            w = word.bit_count()
+            if w < best:
+                best = w
+        return best
 
 
 def gf2_span(generators) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ class InputError(AdinkraError, ValueError):
 class SizeGuardError(AdinkraError):
     """Instance is too large for exhaustive enumeration.
 
-    The guard defaults to 20 edge bits and can be raised explicitly via
-    the ADINKRA_SIZE_GUARD environment variable.
+    The guard caps the dimension of the enumerated code kernel; it
+    defaults to 20 bits and can be raised explicitly via the
+    ADINKRA_SIZE_GUARD environment variable.
     """
 
 

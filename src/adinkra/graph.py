@@ -234,6 +234,19 @@ def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     return tuple(out)
 
 
+def plaquette_masks(adinkra: Adinkra) -> tuple[int, ...]:
+    """One parity-check mask per plaquette, in `plaquettes` order: bit i
+    is set when edge i (canonical edge order) lies on the plaquette."""
+    index = {e: i for i, e in enumerate(adinkra.edges)}
+    masks = []
+    for p in plaquettes(adinkra):
+        mask = 0
+        for e in p.edges:
+            mask |= 1 << index[e]
+        masks.append(mask)
+    return tuple(masks)
+
+
 def plaquette_count(adinkra: Adinkra) -> int:
     length, n = adinkra.length, adinkra.n
     if n < 2:
@@ -336,19 +349,43 @@ def to_json(adinkra: Adinkra) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def from_json(text: str) -> Adinkra:
-    """Parse and fully validate the canonical JSON form."""
+def load_json_object(text: str, keys) -> dict:
+    """Decode a JSON object that carries every one of `keys`."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
-    for key in ("n", "code_generators", "nodes", "edges"):
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
         if key not in obj:
             raise InputError(f"missing key {key!r}")
+    return obj
+
+
+def json_object_rows(obj: dict, key: str, fields) -> list[dict]:
+    """obj[key] as a list of JSON objects that each carry `fields`."""
+    rows = obj[key]
+    if not isinstance(rows, list):
+        raise InputError(f"{key!r} must be a list, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise InputError(f"{key!r} entries must be objects, got {row!r}")
+        for field in fields:
+            if field not in row:
+                raise InputError(f"{key!r} entry {row!r} lacks {field!r}")
+    return rows
+
+
+def from_json(text: str) -> Adinkra:
+    """Parse and fully validate the canonical JSON form."""
+    obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"invalid n: {n!r}")
     gens = obj["code_generators"]
+    if not isinstance(gens, list):
+        raise InputError(f"code_generators must be a list, got {gens!r}")
     code = (
         DoublyEvenCode.from_strings(gens) if gens else DoublyEvenCode(n, ())
     )
@@ -358,7 +395,7 @@ def from_json(text: str) -> Adinkra:
     labels = []
     heights = {}
     height_seen = set()
-    for row in obj["nodes"]:
+    for row in json_object_rows(obj, "nodes", ("label",)):
         label, got = parse_bit_string(row["label"])
         if got != length:
             raise InputError(f"label {row['label']!r} is not {length} bits")
@@ -378,7 +415,7 @@ def from_json(text: str) -> Adinkra:
     edges = []
     dashing = {}
     dash_seen = set()
-    for row in obj["edges"]:
+    for row in json_object_rows(obj, "edges", ("u", "v", "color")):
         u, gu = parse_bit_string(row["u"])
         v, gv = parse_bit_string(row["v"])
         if gu != length or gv != length:

@@ -15,12 +15,11 @@ from typing import Mapping
 
 from .algebra import MINUS_ONE, ONE, MonomialMatrix, check_quaternion
 from .codes import LinearBinaryCode
-from .errors import ContradictionError, InputError
+from .errors import InputError
 from .graph import Adinkra, Edge, build_quotient_skeleton
 
 QUATERNION_CODE = LinearBinaryCode(3, (0b111,))
 COLOR_UNITS = {1: "k", 2: "j", 3: "i"}
-UNIT_COLORS = {"k": 1, "j": 2, "i": 3}
 
 
 def quaternion_skeleton() -> Adinkra:
@@ -93,11 +92,6 @@ def valid_direction_vectors() -> tuple[tuple[int, ...], ...]:
 CANONICAL_DIRECTIONS = (1, 1, 1, 0, 1, 0)
 
 
-def canonical_directions() -> dict[Edge, int]:
-    """The direction assignment reproducing the standard i, j, k."""
-    return directions_from_vector(CANONICAL_DIRECTIONS)
-
-
 @dataclass(frozen=True)
 class QuaternionCompletion:
     """One way to orient the free edges; valid when the relations hold."""
@@ -133,36 +127,3 @@ def quaternion_baobab_completions(
             QuaternionCompletion(direction_vector(directions), mats, report.ok)
         )
     return tuple(out)
-
-
-def unique_valid_completion(fixed: Mapping[Edge, int]) -> tuple[int, ...]:
-    """The single valid orientation extending `fixed`.
-
-    Raises when no completion or more than one completion validates.
-    """
-    valid = [c for c in quaternion_baobab_completions(fixed) if c.valid]
-    if not valid:
-        raise ContradictionError(
-            "no orientation of the free edges satisfies the quaternion "
-            "relations"
-        )
-    if len(valid) > 1:
-        raise InputError(
-            f"{len(valid)} orientations satisfy the relations; the fixed "
-            "set does not determine the rest"
-        )
-    return valid[0].directions
-
-
-def relation_edges(relation: str) -> tuple[Edge, ...]:
-    """Edges whose direction bits enter a given relation."""
-    skeleton = quaternion_skeleton()
-    involved = {
-        "i^2": ("i",), "j^2": ("j",), "k^2": ("k",),
-        "{i,j}": ("i", "j"), "{i,k}": ("i", "k"), "{j,k}": ("j", "k"),
-        "ijk": ("i", "j", "k"),
-    }
-    if relation not in involved:
-        raise InputError(f"unknown quaternion relation {relation!r}")
-    colors = {UNIT_COLORS[u] for u in involved[relation]}
-    return tuple(e for e in skeleton.edges if e.color in colors)

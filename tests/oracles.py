@@ -99,6 +99,18 @@ def brute_force_dashings(n_edges, quads):
     return good
 
 
+def min_even_flip_set(n_edges, quads, max_weight):
+    """Size of the smallest nonempty edge set, at most max_weight edges,
+    that meets every quad in an even number of edges (flipping it keeps
+    every parity), or None if there is none that small."""
+    for size in range(1, max_weight + 1):
+        for subset in combinations(range(n_edges), size):
+            chosen = set(subset)
+            if all(len(chosen.intersection(q)) % 2 == 0 for q in quads):
+                return size
+    return None
+
+
 def naive_min_distance(words):
     best = None
     for a, b in combinations(words, 2):

@@ -42,6 +42,7 @@ from adinkra.baobab import (
     propagate_dashing,
     propagate_directions,
 )
+from adinkra.codec import DASHING, Family, codewords
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 
@@ -366,8 +367,12 @@ def test_count_matches_pure_python_brute_force(n):
 
 
 def test_count_respects_size_guard(monkeypatch):
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "10")
+    # Counting is row reduction and never enumerates; listing the cube's
+    # codewords walks its 2**7 kernel words, so that is what is guarded.
+    cube = Family(3, (), DASHING)
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "6")
     with pytest.raises(SizeGuardError):
-        count_valid_dashings(skeleton_for(3, ()))  # 12 edges > 10 bits
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "12")
+        codewords(cube)  # kernel dimension 7 > 6 bits
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "7")
+    assert len(codewords(cube)) == 128
     assert count_valid_dashings(skeleton_for(3, ())) == 128

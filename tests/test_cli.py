@@ -3,6 +3,7 @@
 import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -185,6 +186,34 @@ def test_malformed_input_exits_two(capsys, monkeypatch):
     assert err.startswith("error: input:")
 
 
+# command that reads the document, and the damage done to it
+MALFORMED = {
+    "node without label": (
+        "verify", lambda doc: doc["nodes"][0].pop("label")),
+    "non-string generator": (
+        "verify", lambda doc: doc.update(code_generators=[5])),
+    "non-integer color": (
+        "reconstruct", lambda doc: doc["tree_edges"][0].update(color="x")),
+    "edge without u": (
+        "reconstruct", lambda doc: doc["tree_edges"][0].pop("u")),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED))
+def test_malformed_fields_exit_two_with_one_line(capsys, monkeypatch, probe):
+    command, damage = MALFORMED[probe]
+    _, text, _ = invoke(capsys, monkeypatch, ["build", "--n", "2"])
+    if command == "reconstruct":
+        _, text, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=text)
+    doc = json.loads(text)
+    damage(doc)
+    code, out, err = invoke(
+        capsys, monkeypatch, [command], stdin=json.dumps(doc)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: input:") and err.count("\n") == 1
+
+
 def test_size_guard_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("ADINKRA_SIZE_GUARD", "4")
     code, _, err = invoke(
@@ -234,3 +263,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_cli_import_pulls_in_no_numeric_stack():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, adinkra.cli; "
+         "print(sorted({'numpy', 'numba'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
