@@ -14,7 +14,6 @@ from .codes import (
     bit_string,
     canonical_representative,
     color_bit,
-    coset_table,
     gf2_rref,
     gf2_span,
     is_doubly_even,

@@ -1,9 +1,10 @@
-"""Size guard for exhaustive walks over a code's words.
+"""Size guard for exhaustive walks over a code's words and for graphs.
 
 Counting valid dashings is exact linear algebra and never guarded;
 listing codewords and searching the minimum distance walk all 2**dim
-kernel words of a family's affine code, so they refuse dimensions above
-ADINKRA_SIZE_GUARD bits instead of hanging.
+kernel words of a family's affine code, and a quotient of the n-cube
+has 2**n nodes, so they refuse dim or n above ADINKRA_SIZE_GUARD bits
+instead of hanging.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def active_backend() -> str:
 
 
 def guard_bits() -> int:
-    """Maximum kernel dimension for exhaustive walks."""
+    """Largest exponent allowed: a kernel dimension or a graph's n."""
     raw = os.environ.get("ADINKRA_SIZE_GUARD", "").strip()
     if not raw:
         return DEFAULT_GUARD_BITS

@@ -168,6 +168,15 @@ def parse_wire(line: str) -> EdgeBitVector:
 # ---------- encoding ----------
 
 
+def _word_bits(word: int, n_bits: int) -> tuple[int, ...]:
+    return tuple(word >> i & 1 for i in range(n_bits))
+
+
+def _bits_word(bits) -> int:
+    """Inverse of `_word_bits`: bit i of the word is bits[i]."""
+    return sum(b << i for i, b in enumerate(bits))
+
+
 def _parse_bits(bits) -> tuple[int, ...]:
     if isinstance(bits, str):
         if any(c not in "01" for c in bits):
@@ -250,33 +259,11 @@ def _parity_checks(family: Family):
     )
 
 
-def _relation_edge_positions(family: Family) -> dict[str, frozenset[int]]:
-    skeleton = family_skeleton(family)
-    by_color: dict[int, list[int]] = {}
-    for i, e in enumerate(skeleton.edges):
-        by_color.setdefault(e.color, []).append(i)
-    units = {1: "k", 2: "j", 3: "i"}
-    colors_of = {
-        "i^2": "i", "j^2": "j", "k^2": "k",
-        "{i,j}": "ij", "{i,k}": "ik", "{j,k}": "jk", "ijk": "ijk",
-    }
-    out = {}
-    for rel, letters in colors_of.items():
-        positions: set[int] = set()
-        for color, unit in units.items():
-            if unit in letters:
-                positions.update(by_color[color])
-        out[rel] = frozenset(positions)
-    return out
-
-
 def syndrome(vector: EdgeBitVector) -> Syndrome:
     """Every violated check for the given block."""
     family = vector.family
     if family.scheme == DASHING:
-        value = 0
-        for i, b in enumerate(vector.bits):
-            value |= b << i
+        value = _bits_word(vector.bits)
         violated = tuple(
             check for check, mask in _parity_checks(family)
             if (value & mask).bit_count() % 2 == 0
@@ -297,57 +284,34 @@ class Correction:
     flips: tuple[int, ...]
 
 
-def _single_flip_candidates(vector: EdgeBitVector, syn: Syndrome):
-    family = vector.family
-    if family.scheme == DASHING:
-        skeleton = family_skeleton(family)
-        index = {e: i for i, e in enumerate(skeleton.edges)}
-        sets = []
-        by_desc = {
-            check: mask for check, mask in _parity_checks(family)
-        }
-        for check in syn.violated:
-            mask = by_desc[check]
-            sets.append({i for i in index.values() if mask >> i & 1})
-        common = set.intersection(*sets)
-        return sorted(common)
-    rel_edges = _relation_edge_positions(family)
-    sets = [set(rel_edges[name]) for name in syn.violated]
-    return sorted(set.intersection(*sets))
-
-
 def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
-    """Smallest flip set clearing the syndrome.
+    """Smallest flip set that makes the block a codeword.
 
-    Single-bit candidates are localized to the intersection of the
-    violated checks (a valid single flip must touch every one); larger
-    sizes are searched exhaustively.  All corrections of the winning
-    size are collected: more than one is an ambiguity error, none
-    within the budget is detected-uncorrectable.
+    Flip sets are tried by size, each checked by membership in the
+    family's affine code.  All corrections of the winning size are
+    collected: more than one is an ambiguity error, none within the
+    budget is detected-uncorrectable.
     """
     if max_flips < 0:
         raise InputError(f"max_flips must be >= 0, got {max_flips}")
     syn = syndrome(vector)
     if syn.ok:
         return Correction(vector, ())
+    code = family_code(vector.family)
+    value = _bits_word(vector.bits)
     n_bits = len(vector.bits)
     for size in range(1, max_flips + 1):
-        if size == 1:
-            pool = [(i,) for i in _single_flip_candidates(vector, syn)]
-        else:
-            pool = combinations(range(n_bits), size)
-        hits = []
-        for flips in pool:
-            candidate = vector.flip(flips)
-            if syndrome(candidate).ok:
-                hits.append((candidate, tuple(flips)))
+        hits = [
+            flips for flips in combinations(range(n_bits), size)
+            if code.contains(value ^ sum(1 << i for i in flips))
+        ]
         if len(hits) == 1:
-            return Correction(*hits[0])
+            return Correction(vector.flip(hits[0]), hits[0])
         if len(hits) > 1:
             raise AmbiguousCorrectionError(
                 f"{len(hits)} distinct {size}-bit corrections clear the "
                 "syndrome",
-                candidates=tuple(h[1] for h in hits),
+                candidates=tuple(hits),
             )
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
@@ -424,10 +388,6 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
 # ---------- the family's affine code ----------
 
 
-def _word_bits(word: int, n_bits: int) -> tuple[int, ...]:
-    return tuple(word >> i & 1 for i in range(n_bits))
-
-
 @lru_cache(maxsize=64)
 def family_code(family: Family) -> AffineCode:
     """The valid blocks as an affine GF(2) code; bit i is position i.
@@ -445,9 +405,7 @@ def family_code(family: Family) -> AffineCode:
             )
         return code
     vectors = valid_direction_vectors()
-    return AffineCode.from_words(
-        (sum(b << i for i, b in enumerate(v)) for v in vectors), n_bits
-    )
+    return AffineCode.from_words((_bits_word(v) for v in vectors), n_bits)
 
 
 def _completions(family: Family, known) -> list[tuple[int, ...]]:

@@ -10,7 +10,7 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import InputError
 
@@ -73,6 +73,15 @@ def gf2_rref(rows) -> tuple[int, ...]:
     return tuple(pivots[p] for p in order)
 
 
+def _clear_pivots(word: int, rows) -> int:
+    """Clear each RREF row's pivot (leading) bit from `word` with that
+    row.  The result is zero exactly when `word` lies in the rows' span."""
+    for row in rows:
+        if word >> (row.bit_length() - 1) & 1:
+            word ^= row
+    return word
+
+
 @dataclass(frozen=True)
 class AffineCode:
     """The affine GF(2) code offset + span(basis) over n_bits-wide words.
@@ -131,6 +140,14 @@ class AffineCode:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _kernel_rref(self) -> tuple[int, ...]:
+        return gf2_rref(self.basis)
+
+    def contains(self, word: int) -> bool:
+        """Whether `word` is a codeword: O(dim) pivot clearing."""
+        return not _clear_pivots(word ^ self.offset, self._kernel_rref)
+
     def count(self) -> int:
         return 1 << self.dim
 
@@ -164,15 +181,29 @@ def gf2_span(generators) -> tuple[int, ...]:
     return tuple(sorted(words))
 
 
+def _doubly_even_witness(generators) -> int | None:
+    """The first generator of weight not 0 mod 4, else the first pair
+    sum of weight 2 mod 4, else None.  As wt(a ^ b) = wt(a) + wt(b) -
+    2 wt(a & b), None means the whole span is doubly even: O(k^2) work."""
+    for g in generators:
+        if weight(g) % 4:
+            return g
+    for i, a in enumerate(generators):
+        for b in generators[i + 1:]:
+            if weight(a & b) % 2:
+                return a ^ b
+    return None
+
+
 def is_doubly_even(generators) -> bool:
     """True iff every nonzero word spanned by the generators has weight
     divisible by four.
 
-    Accepts integers or bitstrings; linear dependence is tolerated (the
-    span is what gets checked).
+    Accepts integers or bitstrings; linear dependence is tolerated (any
+    generating set gives the same answer).
     """
     gens = [parse_bit_string(g)[0] if isinstance(g, str) else int(g) for g in generators]
-    return all(weight(w) % 4 == 0 for w in gf2_span(gens) if w)
+    return _doubly_even_witness(gens) is None
 
 
 # ---------- code objects ----------
@@ -232,8 +263,8 @@ class LinearBinaryCode:
         return len(self.generators)
 
     def span(self) -> tuple[int, ...]:
-        """All 2**k codewords, ascending."""
-        return _span_cached(self.generators)
+        """All 2**k codewords, ascending (exhaustive; for small codes)."""
+        return gf2_span(self.generators)
 
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(bit_string(g, self.length) for g in self.generators)
@@ -244,29 +275,20 @@ class DoublyEvenCode(LinearBinaryCode):
 
     def __post_init__(self):
         super().__post_init__()
-        for w in self.span():
-            if w and weight(w) % 4 != 0:
-                raise InputError(
-                    f"codeword {bit_string(w, self.length)} has weight "
-                    f"{weight(w)}, not divisible by 4"
-                )
-
-
-@lru_cache(maxsize=256)
-def _span_cached(generators: tuple[int, ...]) -> tuple[int, ...]:
-    return gf2_span(generators)
-
-
-@lru_cache(maxsize=64)
-def coset_table(code: LinearBinaryCode) -> tuple[int, ...]:
-    """Map every length-L label to its canonical (minimum) coset member."""
-    span = code.span()
-    table = [0] * (1 << code.length)
-    for x in range(1 << code.length):
-        table[x] = min(x ^ w for w in span)
-    return tuple(table)
+        bad = _doubly_even_witness(self.generators)
+        if bad is not None:
+            raise InputError(
+                f"codeword {bit_string(bad, self.length)} has weight "
+                f"{weight(bad)}, not divisible by 4"
+            )
 
 
 def canonical_representative(label: int, code: LinearBinaryCode) -> int:
-    """Smallest integer in the coset of `label`."""
-    return coset_table(code)[label]
+    """Smallest integer in the coset of `label`.
+
+    Clearing every pivot bit with its RREF row is a linear map onto the
+    coset member that is zero on all pivots.  Any other member differs
+    from it by a nonzero codeword, whose highest bit is a pivot where
+    that member has a 1, so it is larger.
+    """
+    return _clear_pivots(label, code.generators)

@@ -2,9 +2,11 @@
 
 Nodes are canonical coset representatives (minimum label in the coset),
 kept as integers over length-L bitstrings with color 1 flipping the most
-significant bit.  Edge color I joins x to the representative of
-x XOR e_I.  Dashing is a sign per edge (+1 plain, -1 dashed) and heights
-are integers per node with adjacent nodes differing by exactly one.
+significant bit.  With the code in RREF these are exactly the labels
+that are zero on every pivot bit, and edge color I joins x to
+x XOR d_I, where d_I is the representative of e_I.  Dashing is a sign
+per edge (+1 plain, -1 dashed) and heights are integers per node with
+adjacent nodes differing by exactly one.
 """
 
 from __future__ import annotations
@@ -14,18 +16,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
+from . import _kernels
 from .codes import (
     DoublyEvenCode,
     LinearBinaryCode,
     bit_string,
+    canonical_representative,
     color_bit,
-    coset_table,
     parse_bit_string,
     weight,
 )
 from .errors import InputError
-
-_MAX_LENGTH = 22  # keeps the coset table comfortably in memory
 
 
 class Edge(NamedTuple):
@@ -112,34 +113,43 @@ class VerificationReport:
 # ---------- construction ----------
 
 
+def _color_steps(code: LinearBinaryCode) -> tuple[int, ...]:
+    """d_I, the representative of e_I, at index I (index 0 is unused):
+    color I moves node x to x ^ d_I, again a representative."""
+    length = code.length
+    return (0,) + tuple(
+        canonical_representative(color_bit(c, length), code)
+        for c in range(1, length + 1)
+    )
+
+
 def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
     length = code.length
     if length != n + code.k:
         raise InputError(
             f"code length {length} must equal n + k = {n} + {code.k}"
         )
-    if length > _MAX_LENGTH:
-        raise InputError(f"label length {length} exceeds supported {_MAX_LENGTH}")
-    table = coset_table(code)
-    nodes = tuple(sorted(x for x in range(1 << length) if table[x] == x))
-    if len(nodes) != 1 << n:
+    _kernels.check_guard(n, "quotient construction")
+    steps = _color_steps(code)
+    if 0 in steps[1:]:
         raise InputError(
-            f"quotient has {len(nodes)} cosets, expected {1 << n}"
+            f"color {steps.index(0, 1)} fixes node {bit_string(0, length)}; "
+            "generator equals a coordinate vector"
         )
-    edges = []
-    for u in nodes:
-        for color in range(1, length + 1):
-            v = table[u ^ color_bit(color, length)]
-            if u == v:
-                raise InputError(
-                    f"color {color} fixes node {bit_string(u, length)}; "
-                    "generator equals a coordinate vector"
-                )
-            if u < v:
-                edges.append(Edge(u, v, color))
-    edges.sort(key=lambda e: (e.u, e.color))
-    assert len(edges) == length * (1 << (n - 1))
-    return nodes, tuple(edges)
+    # deposit the bits of a counter into the non-pivot positions, low
+    # position first, which lists the representatives in ascending order
+    pivots = {g.bit_length() - 1 for g in code.generators}
+    nodes = [0]
+    for p in range(length):
+        if p not in pivots:
+            nodes += [x | 1 << p for x in nodes]
+    edges = [
+        Edge(u, u ^ steps[color], color)
+        for u in nodes
+        for color in range(1, length + 1)
+        if u < u ^ steps[color]
+    ]
+    return tuple(nodes), tuple(edges)
 
 
 def build_chromotopology(n: int, code) -> Adinkra:
@@ -194,8 +204,9 @@ def fermion_nodes(adinkra: Adinkra) -> tuple[int, ...]:
 
 
 def neighbor(adinkra: Adinkra, node: int, color: int) -> int:
-    table = coset_table(adinkra.code)
-    return table[node ^ color_bit(color, adinkra.length)]
+    return canonical_representative(
+        node ^ color_bit(color, adinkra.length), adinkra.code
+    )
 
 
 def edge_between(adinkra: Adinkra, a: int, b: int, color: int) -> Edge:
@@ -203,34 +214,37 @@ def edge_between(adinkra: Adinkra, a: int, b: int, color: int) -> Edge:
 
 
 def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
-    """All two-color four-cycles in canonical (I, J, base) order."""
-    table = coset_table(adinkra.code)
+    """All two-color four-cycles in canonical (I, J, base) order.
+
+    The cycle of colors I, J through x is {x, x^d_I, x^d_I^d_J, x^d_J};
+    each is listed once, from its minimum node.
+    """
+    steps = _color_steps(adinkra.code)
     length = adinkra.length
+    nodes = adinkra.nodes
     out = []
     for ci, cj in combinations(range(1, length + 1), 2):
-        ei, ej = color_bit(ci, length), color_bit(cj, length)
-        seen = set()
-        for base in adinkra.nodes:
-            if base in seen:
-                continue
-            a = table[base ^ ei]
-            b = table[base ^ ei ^ ej]
-            c = table[base ^ ej]
-            orbit = {base, a, b, c}
-            if len(orbit) != 4:
-                raise InputError(
-                    f"colors ({ci}, {cj}) do not span a four-cycle at "
-                    f"{bit_string(base, length)}"
-                )
-            seen |= orbit
-            corners = (base, a, b, c)
-            edges = (
-                edge_between(adinkra, base, a, ci),
-                edge_between(adinkra, a, b, cj),
-                edge_between(adinkra, b, c, ci),
-                edge_between(adinkra, c, base, cj),
+        di, dj = steps[ci], steps[cj]
+        if len({0, di, dj, di ^ dj}) != 4:
+            raise InputError(
+                f"colors ({ci}, {cj}) do not span a four-cycle at "
+                f"{bit_string(nodes[0], length)}"
             )
-            out.append(Plaquette(base, (ci, cj), corners, edges))
+        colors = (ci, cj)
+        for base in nodes:
+            a = base ^ di
+            b = a ^ dj
+            c = base ^ dj
+            if a < base or b < base or c < base:
+                continue
+            # base is the least corner, so only the far edges need sorting
+            edges = (
+                Edge(base, a, ci),
+                Edge(a, b, cj) if a < b else Edge(b, a, cj),
+                Edge(b, c, ci) if b < c else Edge(c, b, ci),
+                Edge(base, c, cj),
+            )
+            out.append(Plaquette(base, colors, (base, a, b, c), edges))
     return tuple(out)
 
 

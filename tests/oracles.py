@@ -24,6 +24,28 @@ def doubly_even(generators):
     return all(bin(w).count("1") % 4 == 0 for w in xor_span(generators) if w)
 
 
+def doubly_even_codes(length):
+    """Every nonzero doubly even code of the given length, each as the
+    sorted list of its words; found by growing {0} one weight-0-mod-4
+    word at a time and keeping the spans that stay doubly even."""
+    good = [w for w in range(1, 1 << length) if bin(w).count("1") % 4 == 0]
+    codes, frontier = set(), {frozenset({0})}
+    while frontier:
+        grown = set()
+        for code in frontier:
+            for w in good:
+                if w in code:
+                    continue
+                bigger = frozenset(code | {x ^ w for x in code})
+                if bigger not in codes and all(
+                    bin(x).count("1") % 4 == 0 for x in bigger
+                ):
+                    codes.add(bigger)
+                    grown.add(bigger)
+        frontier = grown
+    return sorted(sorted(c) for c in codes)
+
+
 def gf2_rank(rows):
     rows = list(rows)
     rank = 0
@@ -78,6 +100,50 @@ def cube_plaquette_quads(n):
                     quad.append(index[(min(a, b), max(a, b), color)])
                 quads.append(tuple(quad))
     return quads
+
+
+def naive_quotient(length, code_words):
+    """Nodes, edges and plaquettes of the length-bit cube quotiented by
+    the code whose words are listed: every label maps to the minimum of
+    its coset, taken over the whole span.  Edges are (u, v, color);
+    plaquettes are (base, (I, J), corners, edges) in (I, J, base) order,
+    each listed from the first node of its four-cycle."""
+    rep = [min(x ^ w for w in code_words) for x in range(1 << length)]
+    nodes = [x for x in range(1 << length) if rep[x] == x]
+
+    def bit(color):
+        return 1 << (length - color)
+
+    edges = []
+    for u in nodes:
+        for color in range(1, length + 1):
+            v = rep[u ^ bit(color)]
+            if u < v:
+                edges.append((u, v, color))
+    edges.sort(key=lambda e: (e[0], e[2]))
+    plaqs = []
+    for ci, cj in combinations(range(1, length + 1), 2):
+        seen = set()
+        for base in nodes:
+            if base in seen:
+                continue
+            corners = (
+                base,
+                rep[base ^ bit(ci)],
+                rep[base ^ bit(ci) ^ bit(cj)],
+                rep[base ^ bit(cj)],
+            )
+            seen.update(corners)
+            sides = tuple(
+                (
+                    min(corners[s], corners[(s + 1) % 4]),
+                    max(corners[s], corners[(s + 1) % 4]),
+                    ci if s % 2 == 0 else cj,
+                )
+                for s in range(4)
+            )
+            plaqs.append((base, (ci, cj), corners, sides))
+    return nodes, edges, plaqs
 
 
 # ---------- dashings ----------

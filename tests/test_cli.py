@@ -225,6 +225,12 @@ def test_size_guard_exits_two(capsys, monkeypatch):
     assert err.startswith("error: size-guard:")
 
 
+def test_oversized_build_exits_two_with_one_line(capsys, monkeypatch):
+    code, out, err = invoke(capsys, monkeypatch, ["build", "--n", "40"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: size-guard:") and err.count("\n") == 1
+
+
 @pytest.mark.skipif(
     shutil.which("adinkra") is None,
     reason="no 'adinkra' executable on PATH; the console script exists "

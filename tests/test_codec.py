@@ -10,8 +10,10 @@ from adinkra import (
     AmbiguousCorrectionError,
     ContradictionError,
     InputError,
+    SizeGuardError,
     UncorrectableError,
     UnderDeterminedError,
+    plaquettes,
 )
 from adinkra.codec import (
     DASHING,
@@ -35,6 +37,7 @@ from adinkra.codec import (
     parse_wire,
     syndrome,
 )
+from adinkra.quaternion import COLOR_UNITS
 
 SQUARE = Family(2, (), DASHING)
 CUBE = Family(3, (), DASHING)
@@ -231,6 +234,58 @@ def test_quaternion_opposite_double_flip_is_ambiguous_at_two():
             correct(v.flip(pair), max_flips=2)
         assert len(err.value.candidates) == 3
         assert tuple(pair) in err.value.candidates
+
+
+def oracle_words(family):
+    """Every valid block of a family, from the naive oracles."""
+    skeleton = family_skeleton(family)
+    if family.scheme == DIRECTION:
+        return oracles.quaternion_direction_words(
+            [(e.u, e.v, COLOR_UNITS[e.color]) for e in skeleton.edges]
+        )
+    index = {e: i for i, e in enumerate(skeleton.edges)}
+    quads = [tuple(index[e] for e in p.edges) for p in plaquettes(skeleton)]
+    return oracles.brute_force_dashings(len(skeleton.edges), quads)
+
+
+@pytest.mark.parametrize("family", [CUBE, QUATERNION_FAMILY])
+def test_correct_is_nearest_codeword_decoding(family):
+    words = oracle_words(family)
+    n_bits = block_length(family)
+    patterns = [
+        flips for size in range(3)
+        for flips in itertools.combinations(range(n_bits), size)
+    ]
+    for word in words:
+        sent = EdgeBitVector(family, word)
+        for pattern in patterns:
+            received = sent.flip(pattern)
+            # the flip set leading to each codeword within distance 2
+            repairs = [
+                tuple(i for i, (x, y) in enumerate(zip(c, received.bits))
+                      if x != y)
+                for c in oracles.codewords_within(received.bits, words, 2)
+            ]
+            for max_flips in (1, 2):
+                within = [f for f in repairs if len(f) <= max_flips]
+                least = min(map(len, within), default=None)
+                nearest = sorted(f for f in within if len(f) == least)
+                if not nearest:
+                    with pytest.raises(UncorrectableError):
+                        correct(received, max_flips)
+                elif len(nearest) > 1:
+                    with pytest.raises(AmbiguousCorrectionError) as err:
+                        correct(received, max_flips)
+                    assert err.value.candidates == tuple(nearest)
+                else:
+                    fixed = correct(received, max_flips)
+                    assert fixed.flips == nearest[0]
+                    assert fixed.vector == received.flip(nearest[0])
+
+
+def test_oversized_family_is_refused_before_building():
+    with pytest.raises(SizeGuardError):
+        parse_family("n=40;code=;scheme=dashing")
 
 
 def test_correct_rejects_bad_budget():

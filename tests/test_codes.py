@@ -1,5 +1,8 @@
 """GF(2) linear algebra and binary code validation."""
 
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +14,6 @@ from adinkra import (
     bit_string,
     canonical_representative,
     color_bit,
-    coset_table,
     gf2_rref,
     gf2_span,
     is_doubly_even,
@@ -105,12 +107,10 @@ def test_code_from_strings_and_back():
     assert sorted(code.span()) == oracles.xor_span([0b1111])
 
 
-def test_coset_table_square_code():
+def test_canonical_representative_square_code():
     code = DoublyEvenCode(4, (0b1111,))
-    table = coset_table(code)
-    assert table[0b0000] == 0
-    assert table[0b1111] == 0
-    assert table[0b1110] == 0b0001
+    assert canonical_representative(0b0000, code) == 0
+    assert canonical_representative(0b1111, code) == 0
     assert canonical_representative(0b1110, code) == 0b0001
 
 
@@ -121,3 +121,41 @@ def test_canonical_representative_is_coset_invariant(label):
     for word in code.span():
         assert canonical_representative(label ^ word, code) == rep
     assert rep == min(label ^ w for w in code.span())
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda length: st.tuples(
+            st.just(length),
+            st.lists(st.integers(0, (1 << length) - 1), max_size=5),
+            st.integers(0, (1 << length) - 1),
+        )
+    )
+)
+def test_canonical_representative_is_the_coset_minimum(case):
+    length, rows, label = case
+    code = LinearBinaryCode(length, gf2_rref(rows))
+    assert canonical_representative(label, code) == min(
+        label ^ w for w in oracles.xor_span(rows)
+    )
+
+
+def test_doubly_even_check_does_not_walk_the_span():
+    # 40 disjoint weight-4 blocks span a doubly even code of 2**40
+    # words; moving one bit of the last block into the first leaves
+    # every generator at weight 4 but makes one pair overlap oddly
+    from adinkra.codec import parse_family
+
+    blocks = [0b1111 << (4 * i) for i in range(40)]
+    assert is_doubly_even(blocks)
+    blocks[-1] ^= (1 << 156) | 1
+    assert not is_doubly_even(blocks)
+    gens = ",".join(bit_string(g, 160) for g in blocks)
+    start = time.perf_counter()
+    with pytest.raises(InputError) as err:
+        parse_family(f"n=120;code={gens};scheme=dashing")
+    assert time.perf_counter() - start < 0.1
+    assert re.fullmatch(
+        r"codeword [01]{160} has weight \d+, not divisible by 4",
+        str(err.value),
+    )

@@ -3,19 +3,23 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from adinkra import (
     Adinkra,
+    AffineCode,
     DoublyEvenCode,
     Edge,
     InputError,
+    SizeGuardError,
     boson_nodes,
     build_chromotopology,
     color_bit,
     edge_between,
     fermion_nodes,
     from_json,
+    gf2_rref,
     is_boson,
     neighbor,
     normalize_heights,
@@ -88,6 +92,84 @@ def test_quotient_nodes_are_minimal_coset_representatives():
     for u, v, c in a.edges:
         assert rep(u ^ color_bit(c, a.length)) == v
         assert rep(v ^ color_bit(c, a.length)) == u
+
+
+def assert_matches_naive_quotient(length, words):
+    gens = gf2_rref(words)
+    a = build_chromotopology(length - len(gens), DoublyEvenCode(length, gens))
+    nodes, edges, plaqs = oracles.naive_quotient(length, words)
+    assert list(a.nodes) == nodes
+    assert list(a.edges) == edges  # Edge tuples equal plain tuples
+    assert [
+        (p.base, p.colors, p.corners, p.edges) for p in plaquettes(a)
+    ] == plaqs
+
+
+def test_quotient_matches_naive_oracle_for_every_code_up_to_length_8():
+    codes = [
+        (length, words)
+        for length in range(1, 9)
+        for words in oracles.doubly_even_codes(length)
+    ]
+    assert len(codes) == 1107
+    for length, words in codes:
+        assert_matches_naive_quotient(length, words)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cube_matches_naive_oracle(n):
+    assert_matches_naive_quotient(n, [0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(9, 12).flatmap(
+        lambda length: st.tuples(
+            st.just(length),
+            st.lists(
+                st.sets(st.integers(0, length - 1), min_size=4, max_size=8)
+                .filter(lambda s: len(s) % 4 == 0),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_quotient_matches_naive_oracle_at_lengths_9_to_12(case):
+    # keep each drawn weight-4 or weight-8 word that leaves the span
+    # doubly even
+    length, supports = case
+    gens = []
+    for support in supports:
+        word = sum(1 << i for i in support)
+        if oracles.doubly_even(gens + [word]):
+            gens.append(word)
+    assert_matches_naive_quotient(length, oracles.xor_span(gens))
+
+
+# Extended binary Golay code [24, 12, 8] as (I | B).
+GOLAY_B = (
+    "011111111111", "111011100010", "110111000101", "101110001011",
+    "111100010110", "111000101101", "110001011011", "100010110111",
+    "100101101110", "101011011100", "110110111000", "101101110001",
+)
+GOLAY = tuple(
+    format(1 << (11 - i), "012b") + row for i, row in enumerate(GOLAY_B)
+)
+
+
+def test_golay_quotient_builds():
+    a = build_chromotopology(12, GOLAY)
+    assert a.length == 24 and a.code.k == 12
+    assert AffineCode(24, 0, a.code.generators).min_distance() == 8
+    assert len(a.nodes) == 4096 and len(a.edges) == 49152
+    assert a.nodes == tuple(sorted(a.nodes))
+    assert all(neighbor(a, e.u, e.color) == e.v for e in a.edges[:500])
+
+
+def test_quotient_size_is_guarded_by_n():
+    with pytest.raises(SizeGuardError):
+        build_chromotopology(40, ())
 
 
 def test_quotient_edge_count_formula():
