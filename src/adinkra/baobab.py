@@ -45,7 +45,7 @@ from .quaternion import (  # noqa: F401  (part of the public surface here)
 
 
 def _check_bit(value, what: str) -> int:
-    if value not in (0, 1):
+    if not isinstance(value, int) or value not in (0, 1):
         raise InputError(f"{what} must be 0 or 1, got {value!r}")
     return value
 
@@ -147,24 +147,10 @@ class GateTrace:
                 continue
             try:
                 row = json.loads(line)
+                base, length = parse_bit_string(row["base"])
+                steps.append(_parse_step(row, base, length))
             except json.JSONDecodeError as exc:
                 raise InputError(f"trace line {lineno}: invalid JSON ({exc})")
-            try:
-                base, length = parse_bit_string(row["base"])
-                corners = tuple(parse_bit_string(c)[0] for c in row["corners"])
-                inputs = tuple(
-                    (Edge(parse_bit_string(i["u"])[0],
-                          parse_bit_string(i["v"])[0], i["color"]), i["bit"])
-                    for i in row["inputs"]
-                )
-                out = row["output"]
-                output = (Edge(parse_bit_string(out["u"])[0],
-                               parse_bit_string(out["v"])[0], out["color"]),
-                          out["bit"])
-                steps.append(GateStep(
-                    row["gate"], tuple(row["colors"]), base, corners,
-                    inputs, output,
-                ))
             except (KeyError, TypeError) as exc:
                 raise InputError(f"trace line {lineno}: missing field {exc}")
         return cls(length, tuple(steps))
@@ -221,16 +207,12 @@ class GateTrace:
                         f"step {num}: input {e} reads {got}, trace says {b}"
                     )
                 vals.append(b)
-            if len(vals) == 3:
+            if len(vals) == 3 and len(set(vals)) == 2:
                 want = dxor(*vals)
-            elif len(vals) == 2:
-                if vals[0] != vals[1]:
-                    raise ReplayError(
-                        f"step {num}: two-input DXOR needs equal inputs"
-                    )
+            elif len(vals) == 2 and vals[0] == vals[1]:
                 want = 1 - vals[0]
             else:
-                raise ReplayError(f"step {num}: DXOR needs 2 or 3 inputs")
+                raise ReplayError(f"step {num}: DXOR inputs {vals} force no bit")
             e, b = s.output
             if want != b:
                 raise ReplayError(
@@ -244,6 +226,30 @@ class GateTrace:
                 raise ReplayError(f"step {num}: output {e} already oriented")
             heads[e] = head
         return heads
+
+
+def _parse_step(row, base: int, length: int) -> GateStep:
+    """One trace row as a GateStep, with every field replay reads checked."""
+    gate, colors = row["gate"], row["colors"]
+    if gate not in ("NDXOR", "DXOR"):
+        raise InputError(f"unknown gate {gate!r}")
+    if len(colors) != 2 or not all(isinstance(c, int) for c in colors):
+        raise InputError(f"colors must be two integers, got {colors!r}")
+    corners = [parse_bit_string(c) for c in row["corners"]]
+    if len(corners) != 4 or any(n != length for _, n in corners):
+        raise InputError(f"need four {length}-bit corners, got {row['corners']!r}")
+
+    def edge_bit(r) -> tuple[Edge, int]:
+        if not isinstance(r["color"], int):
+            raise InputError(f"edge color must be an integer, got {r['color']!r}")
+        edge = Edge(parse_bit_string(r["u"])[0], parse_bit_string(r["v"])[0],
+                    r["color"])
+        return edge, _check_bit(r["bit"], f"bit for {edge}")
+
+    return GateStep(
+        gate, tuple(colors), base, tuple(c for c, _ in corners),
+        tuple(edge_bit(i) for i in row["inputs"]), edge_bit(row["output"]),
+    )
 
 
 def _trail_from_corners(corners, colors):

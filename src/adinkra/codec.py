@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import xor
 
 from . import _kernels
 from .algebra import check_quaternion
-from .baobab import propagate_dashing, skeleton_baobab_edges, skeleton_tree
+from .baobab import skeleton_baobab_edges, skeleton_tree
 from .codes import AffineCode, DoublyEvenCode, bit_string
 from .errors import (
     AmbiguousCorrectionError,
@@ -197,25 +198,26 @@ def encode(message, family: Family) -> EdgeBitVector:
             f"message must be {len(slots)} bits for {family.header()}, "
             f"got {len(bits)}"
         )
-    skeleton = family_skeleton(family)
-    seeds = dict(zip(slots, bits))
-    if family.scheme == DASHING:
-        full, _trace = propagate_dashing(
-            skeleton, {skeleton.edges[pos]: b for pos, b in seeds.items()}
-        )
-        missing = [e for e in skeleton.edges if e not in full]
-        if missing:
-            raise UnderDeterminedError(
-                "free bits did not determine the full block",
-                unresolved=missing,
-            )
-        return EdgeBitVector(family, tuple(full[e] for e in skeleton.edges))
-    valid = _completions(family, seeds)
-    if len(valid) != 1:
+    word = sum(b << i for i, b in zip(slots, bits))
+    return _complete(family, word, sum(1 << i for i in slots))
+
+
+def _complete(family: Family, word: int, known_mask: int) -> EdgeBitVector:
+    """The one valid block agreeing with `word` on `known_mask`."""
+    code = family_code(family)
+    fill = code.complete(word, known_mask)
+    if fill is None:
         raise ContradictionError(
-            f"{len(valid)} completions satisfy the quaternion relations"
+            f"no valid block of {family.header()} agrees with the known bits"
         )
-    return EdgeBitVector(family, valid[0])
+    block, varying = fill
+    if varying:
+        unresolved = [i for i in range(code.n_bits) if varying >> i & 1]
+        raise UnderDeterminedError(
+            f"the known bits leave positions {unresolved} undetermined",
+            unresolved=unresolved,
+        )
+    return EdgeBitVector(family, _word_bits(block, code.n_bits))
 
 
 # ---------- syndromes ----------
@@ -287,23 +289,23 @@ class Correction:
 def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     """Smallest flip set that makes the block a codeword.
 
-    Flip sets are tried by size, each checked by membership in the
+    Flip sets are tried by size; a set repairs the block when the XOR
+    of its bits' unit residues equals the block's residue in the
     family's affine code.  All corrections of the winning size are
     collected: more than one is an ambiguity error, none within the
     budget is detected-uncorrectable.
     """
     if max_flips < 0:
         raise InputError(f"max_flips must be >= 0, got {max_flips}")
-    syn = syndrome(vector)
-    if syn.ok:
-        return Correction(vector, ())
     code = family_code(vector.family)
-    value = _bits_word(vector.bits)
-    n_bits = len(vector.bits)
+    target = code.residue(_bits_word(vector.bits))
+    if not target:
+        return Correction(vector, ())
+    columns = code.unit_residues
     for size in range(1, max_flips + 1):
         hits = [
-            flips for flips in combinations(range(n_bits), size)
-            if code.contains(value ^ sum(1 << i for i in flips))
+            flips for flips in combinations(range(code.n_bits), size)
+            if reduce(xor, map(columns.__getitem__, flips)) == target
         ]
         if len(hits) == 1:
             return Correction(vector.flip(hits[0]), hits[0])
@@ -315,7 +317,7 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
             )
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
-        f"violated: {', '.join(syn.describe())}"
+        f"violated: {', '.join(syndrome(vector).describe())}"
     )
 
 
@@ -343,46 +345,17 @@ def decode(vector: EdgeBitVector, max_flips: int = 1) -> DecodeResult:
 def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
     """Recover erased positions, trusting every surviving bit.
 
-    Dashing blocks propagate parity from the survivors; the fill
-    succeeds exactly when the survivors pin down every erased edge (in
-    particular whenever they cover a baobab).  Direction blocks keep the
-    valid words that agree with every survivor.
+    No valid block agrees with the survivors: ContradictionError.
+    Several do: UnderDeterminedError, whose `unresolved` lists the
+    positions where they differ.  Exactly one: that block.
     """
-    family = vector.family
-    erased = tuple(sorted(set(int(p) for p in erased)))
     n_bits = len(vector.bits)
+    erased = {int(p) for p in erased}
     for p in erased:
         if not 0 <= p < n_bits:
             raise InputError(f"erased position {p} out of range")
-    skeleton = family_skeleton(family)
-    erased_set = set(erased)
-    known = {
-        i: b for i, b in enumerate(vector.bits) if i not in erased_set
-    }
-    if family.scheme == DASHING:
-        full, _trace = propagate_dashing(
-            skeleton, {skeleton.edges[i]: b for i, b in known.items()}
-        )
-        missing = [
-            i for i, e in enumerate(skeleton.edges) if e not in full
-        ]
-        if missing:
-            raise UnderDeterminedError(
-                f"surviving bits leave positions {missing} undetermined",
-                unresolved=missing,
-            )
-        return EdgeBitVector(family, tuple(full[e] for e in skeleton.edges))
-    valid = _completions(family, known)
-    if not valid:
-        raise ContradictionError(
-            "no completion of the erased arrows satisfies the relations"
-        )
-    if len(valid) > 1:
-        raise UnderDeterminedError(
-            f"{len(valid)} completions satisfy the relations",
-            unresolved=erased,
-        )
-    return EdgeBitVector(family, valid[0])
+    known_mask = sum(1 << i for i in range(n_bits) if i not in erased)
+    return _complete(vector.family, _bits_word(vector.bits), known_mask)
 
 
 # ---------- the family's affine code ----------
@@ -406,16 +379,6 @@ def family_code(family: Family) -> AffineCode:
         return code
     vectors = valid_direction_vectors()
     return AffineCode.from_words((_bits_word(v) for v in vectors), n_bits)
-
-
-def _completions(family: Family, known) -> list[tuple[int, ...]]:
-    """Valid blocks agreeing with `known` (position -> bit), ascending."""
-    code = family_code(family)
-    return [
-        _word_bits(w, code.n_bits)
-        for w in code.words()
-        if all(w >> i & 1 == b for i, b in known.items())
-    ]
 
 
 # ---------- distance and channel ----------

@@ -47,6 +47,21 @@ def parse_bit_string(text: str) -> tuple[int, int]:
 # ---------- GF(2) row reduction ----------
 
 
+def _echelon(rows) -> tuple[int, ...]:
+    """Independent GF(2) rows with distinct leading bits and the same
+    span, sorted by leading bit from most significant down."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        cur = int(row)
+        while cur:
+            p = cur.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = cur
+                break
+            cur ^= pivots[p]
+    return tuple(pivots[p] for p in sorted(pivots, reverse=True))
+
+
 def gf2_rref(rows) -> tuple[int, ...]:
     """Reduced row echelon form of GF(2) row vectors.
 
@@ -54,28 +69,20 @@ def gf2_rref(rows) -> tuple[int, ...]:
     with every pivot column cleared in all other rows.  Dependent and
     zero rows vanish, so the result length is the rank.
     """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        cur = int(row)
-        while cur:
-            p = cur.bit_length() - 1
-            if p in pivots:
-                cur ^= pivots[p]
-            else:
-                pivots[p] = cur
-                break
+    reduced = list(_echelon(rows))
     # back-substitute so each pivot appears in exactly one row
-    order = sorted(pivots, reverse=True)
-    for p in order:
-        for q in order:
-            if q > p and pivots[q] & (1 << p):
-                pivots[q] ^= pivots[p]
-    return tuple(pivots[p] for p in order)
+    for j, row in enumerate(reduced):
+        pivot = 1 << (row.bit_length() - 1)
+        for i in range(j):
+            if reduced[i] & pivot:
+                reduced[i] ^= row
+    return tuple(reduced)
 
 
 def _clear_pivots(word: int, rows) -> int:
-    """Clear each RREF row's pivot (leading) bit from `word` with that
-    row.  The result is zero exactly when `word` lies in the rows' span."""
+    """Clear each echelon row's pivot (leading) bit from `word` with that
+    row, from the highest pivot down.  The result is zero exactly when
+    `word` lies in the rows' span."""
     for row in rows:
         if word >> (row.bit_length() - 1) & 1:
             word ^= row
@@ -144,9 +151,35 @@ class AffineCode:
     def _kernel_rref(self) -> tuple[int, ...]:
         return gf2_rref(self.basis)
 
-    def contains(self, word: int) -> bool:
-        """Whether `word` is a codeword: O(dim) pivot clearing."""
-        return not _clear_pivots(word ^ self.offset, self._kernel_rref)
+    def residue(self, word: int) -> int:
+        """`word ^ offset` with every kernel pivot cleared: O(dim).  Linear
+        in `word ^ offset` and zero exactly on codewords."""
+        return _clear_pivots(word ^ self.offset, self._kernel_rref)
+
+    @cached_property
+    def unit_residues(self) -> tuple[int, ...]:
+        """Entry i is `residue(offset ^ (1 << i))`: flipping a set of bits
+        changes the residue by the XOR of their entries."""
+        return tuple(self.residue(self.offset ^ 1 << i) for i in range(self.n_bits))
+
+    def complete(self, word: int, known_mask: int) -> tuple[int, int] | None:
+        """A codeword equal to `word` on `known_mask`, and the mask of
+        positions where such codewords differ; None when there is none.
+
+        Row-reduces each kernel word b as (b & known_mask, b), restricted
+        part high.  Rows whose restricted part vanishes span the
+        differences between agreeing codewords.
+        """
+        n = self.n_bits
+        rows = _echelon((b & known_mask) << n | b for b in self.basis)
+        left = _clear_pivots(((word ^ self.offset) & known_mask) << n, rows)
+        if left >> n:
+            return None
+        varying = 0
+        for row in rows:
+            if not row >> n:
+                varying |= row
+        return self.offset ^ left, varying
 
     def count(self) -> int:
         return 1 << self.dim

@@ -23,10 +23,10 @@ class GradedSumError(AdinkraError):
 
 
 class ContradictionError(AdinkraError):
-    """Constraint propagation derived two incompatible values.
+    """Constraints derived two incompatible values, or admit no value.
 
     Carries the plaquette (or constraint description) where the clash
-    surfaced, when available.
+    surfaced, when propagation found it.
     """
 
     def __init__(self, message, plaquette=None):
@@ -35,7 +35,7 @@ class ContradictionError(AdinkraError):
 
 
 class UnderDeterminedError(AdinkraError):
-    """Propagation reached a fixpoint with edges still unknown."""
+    """The known values leave some edges or positions undetermined."""
 
     def __init__(self, message, unresolved=()):
         super().__init__(message)

@@ -78,17 +78,6 @@ def directions_from_vector(bits) -> dict[Edge, int]:
     return dict(zip(edges, bits))
 
 
-def valid_direction_vectors() -> tuple[tuple[int, ...], ...]:
-    """All direction assignments whose matrices satisfy the relations."""
-    edges = quaternion_edges()
-    good = []
-    for bits in product((0, 1), repeat=len(edges)):
-        mats = matrices_from_directions(dict(zip(edges, bits)))
-        if check_quaternion(mats).ok:
-            good.append(bits)
-    return tuple(good)
-
-
 CANONICAL_DIRECTIONS = (1, 1, 1, 0, 1, 0)
 
 
@@ -127,3 +116,10 @@ def quaternion_baobab_completions(
             QuaternionCompletion(direction_vector(directions), mats, report.ok)
         )
     return tuple(out)
+
+
+def valid_direction_vectors() -> tuple[tuple[int, ...], ...]:
+    """All direction assignments whose matrices satisfy the relations."""
+    return tuple(
+        c.directions for c in quaternion_baobab_completions({}) if c.valid
+    )

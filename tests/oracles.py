@@ -254,3 +254,13 @@ def codewords_within(word, codewords, radius):
         for c in codewords
         if sum(x != y for x, y in zip(word, c)) <= radius
     ]
+
+
+def codewords_agreeing(word, erased, codewords):
+    """The codewords equal to ``word`` at every position not erased."""
+    return [
+        c
+        for c in codewords
+        if all(x == y for i, (x, y) in enumerate(zip(word, c))
+               if i not in erased)
+    ]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from adinkra import (
     weight_heights,
 )
 from adinkra.baobab import (
+    _trail_from_corners,
     cycle_color_set,
     heights_from_directions,
     propagate_dashing,
@@ -201,6 +203,21 @@ def test_replay_rejects_tampered_traces():
     partial.pop(next(iter(partial)))
     with pytest.raises(ReplayError):
         trace.replay_dashing(partial)
+
+
+def test_direction_replay_of_equal_inputs_is_replay_error():
+    # three known trail bits that agree leave no fourth bit; replay
+    # reports that as a bad trace, not as a propagation contradiction
+    a = skeleton_for(3, ("1111",))
+    pinned = choose_pinned_arrows(a.with_heights(valise_heights(a)))
+    _, _, trace = reconstruct_directions(a, pinned)
+    step = trace.steps[0]
+    trail = _trail_from_corners(step.corners, step.colors)
+    seeds = {e: to for _, to, e in trail}
+    inputs = tuple((e, 0) for _, _, e in trail if e != step.output[0])
+    bad = GateTrace(trace.length, (replace(step, inputs=inputs),))
+    with pytest.raises(ReplayError):
+        bad.replay_directions(seeds)
 
 
 def test_full_plaquette_contradiction():

@@ -26,6 +26,7 @@ from adinkra.codec import (
     correct,
     decode,
     encode,
+    family_code,
     family_skeleton,
     fill_erasures,
     format_wire,
@@ -43,6 +44,22 @@ SQUARE = Family(2, (), DASHING)
 CUBE = Family(3, (), DASHING)
 QUOTIENT31 = Family(3, ("1111",), DASHING)
 DASHING_FAMILIES = [SQUARE, CUBE, QUOTIENT31]
+ALL_FAMILIES = DASHING_FAMILIES + [QUATERNION_FAMILY]
+
+
+def oracle_words(family):
+    """Every valid block of a family, from the naive oracles."""
+    skeleton = family_skeleton(family)
+    if family.scheme == DIRECTION:
+        return oracles.quaternion_direction_words(
+            [(e.u, e.v, COLOR_UNITS[e.color]) for e in skeleton.edges]
+        )
+    index = {e: i for i, e in enumerate(skeleton.edges)}
+    quads = [tuple(index[e] for e in p.edges) for p in plaquettes(skeleton)]
+    return oracles.brute_force_dashings(len(skeleton.edges), quads)
+
+
+ORACLE_WORDS = {family: oracle_words(family) for family in ALL_FAMILIES}
 
 
 # ---------- families and wire format ----------
@@ -82,7 +99,7 @@ def test_parse_family_rejects_bad_headers(text):
 )
 def test_block_and_message_lengths(family, block, message):
     assert block_length(family) == block
-    assert message_length(family) == message
+    assert message_length(family) == message == family_code(family).dim
     slots = message_slots(family)
     assert len(slots) == message
     assert len(set(slots)) == message
@@ -112,7 +129,21 @@ def test_parse_wire_rejects_malformed_lines(line):
 # ---------- encoding ----------
 
 
-@pytest.mark.parametrize("family", DASHING_FAMILIES + [QUATERNION_FAMILY])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_encode_is_the_unique_oracle_word_with_the_message_on_the_slots(
+    family,
+):
+    slots = message_slots(family)
+    for m in itertools.product((0, 1), repeat=len(slots)):
+        matches = [
+            w for w in ORACLE_WORDS[family]
+            if tuple(w[i] for i in slots) == m
+        ]
+        assert len(matches) == 1
+        assert encode(m, family).bits == matches[0]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_encode_puts_message_bits_on_the_slots(family):
     m = tuple(i % 2 for i in range(message_length(family)))
     v = encode(m, family)
@@ -236,21 +267,9 @@ def test_quaternion_opposite_double_flip_is_ambiguous_at_two():
         assert tuple(pair) in err.value.candidates
 
 
-def oracle_words(family):
-    """Every valid block of a family, from the naive oracles."""
-    skeleton = family_skeleton(family)
-    if family.scheme == DIRECTION:
-        return oracles.quaternion_direction_words(
-            [(e.u, e.v, COLOR_UNITS[e.color]) for e in skeleton.edges]
-        )
-    index = {e: i for i, e in enumerate(skeleton.edges)}
-    quads = [tuple(index[e] for e in p.edges) for p in plaquettes(skeleton)]
-    return oracles.brute_force_dashings(len(skeleton.edges), quads)
-
-
 @pytest.mark.parametrize("family", [CUBE, QUATERNION_FAMILY])
 def test_correct_is_nearest_codeword_decoding(family):
-    words = oracle_words(family)
+    words = ORACLE_WORDS[family]
     n_bits = block_length(family)
     patterns = [
         flips for size in range(3)
@@ -348,6 +367,52 @@ def test_direction_erasures():
     broken = v.flip([0])
     with pytest.raises((ContradictionError, UnderDeterminedError)):
         fill_erasures(broken, [3, 4])
+
+
+def assert_fill_matches_oracle(received, erased):
+    """fill_erasures follows the agreeing-codewords oracle: none is a
+    contradiction, several leave the positions where they differ
+    unresolved, exactly one is the fill."""
+    agree = oracles.codewords_agreeing(
+        received.bits, set(erased), ORACLE_WORDS[received.family]
+    )
+    if not agree:
+        with pytest.raises(ContradictionError):
+            fill_erasures(received, erased)
+    elif len(agree) > 1:
+        with pytest.raises(UnderDeterminedError) as err:
+            fill_erasures(received, erased)
+        differ = tuple(
+            i for i in range(len(received.bits))
+            if len({w[i] for w in agree}) > 1
+        )
+        assert err.value.unresolved == differ
+    else:
+        assert fill_erasures(received, erased).bits == agree[0]
+
+
+@pytest.mark.parametrize("family", [SQUARE, CUBE, QUATERNION_FAMILY])
+def test_fill_erasures_matches_oracle_on_every_pattern(family):
+    sent = encode(tuple(i % 2 for i in range(message_length(family))), family)
+    n_bits = len(sent.bits)
+    for mask in range(1 << n_bits):
+        assert_fill_matches_oracle(
+            sent, [i for i in range(n_bits) if mask >> i & 1]
+        )
+
+
+@given(
+    message=st.integers(0, 255),
+    mask=st.integers(0, (1 << 16) - 1),
+    flip=st.none() | st.integers(0, 15),
+)
+@settings(max_examples=150, deadline=None)
+def test_fill_erasures_matches_oracle_on_sampled_patterns(message, mask, flip):
+    sent = encode([message >> i & 1 for i in range(8)], QUOTIENT31)
+    received = sent if flip is None else sent.flip([flip])
+    assert_fill_matches_oracle(
+        received, [i for i in range(16) if mask >> i & 1]
+    )
 
 
 def test_fill_erasures_validates_positions():

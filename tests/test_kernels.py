@@ -113,6 +113,54 @@ def test_from_checks_matches_brute_force(case):
     assert AffineCode.from_words(brute, n_bits).words() == tuple(brute)
 
 
+checked_codes = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=6),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(checked_codes)
+def test_residue_is_linear_and_zero_exactly_on_codewords(case):
+    n_bits, masks, x, y = case
+    brute = set(brute_force_solutions(masks, n_bits))
+    code = AffineCode.from_checks(masks, n_bits)
+    if code is None:
+        return
+    assert {w for w in range(1 << n_bits) if not code.residue(w)} == brute
+    # linear in the distance from the offset, one column per unit vector
+    o = code.offset
+    assert code.residue(o ^ x ^ y) == code.residue(o ^ x) ^ code.residue(o ^ y)
+    for i in range(n_bits):
+        assert code.unit_residues[i] == code.residue(o ^ 1 << i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(checked_codes)
+def test_complete_matches_the_agreeing_codewords(case):
+    n_bits, masks, word, known = case
+    code = AffineCode.from_checks(masks, n_bits)
+    if code is None:
+        return
+    agree = [
+        w for w in brute_force_solutions(masks, n_bits)
+        if not (w ^ word) & known
+    ]
+    got = code.complete(word, known)
+    if not agree:
+        assert got is None
+        return
+    fill, varying = got
+    assert fill in agree
+    assert varying == sum(
+        1 << i for i in range(n_bits) if len({w >> i & 1 for w in agree}) > 1
+    )
+
+
 # ---------- families ----------
 
 

@@ -1,5 +1,5 @@
-"""Malformed adinkra and baobab JSON ends in InputError, never a raw
-KeyError or TypeError."""
+"""Malformed adinkra and baobab JSON, gate traces, wire lines and family
+headers end in InputError, never a raw KeyError or TypeError."""
 
 import copy
 import json
@@ -9,10 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from adinkra import (
     Baobab,
+    GateTrace,
     InputError,
+    ReplayError,
+    SizeGuardError,
     build_chromotopology,
     extract_baobab,
     from_json,
+    parse_family,
+    parse_wire,
+    reconstruct_adinkra,
     reconstruct_dashing,
     skeleton_baobab_edges,
     to_json,
@@ -34,6 +40,16 @@ ADINKRA_DOCS = [
 BAOBAB_DOCS = [
     json.loads(extract_baobab(full_adinkra(n, gens)).to_json())
     for n, gens in [(2, ()), (3, ("1111",))]
+]
+
+
+BAOBAB = Baobab.from_json(json.dumps(BAOBAB_DOCS[1]))
+_, *_TRACES = reconstruct_adinkra(
+    build_chromotopology(BAOBAB.n, BAOBAB.code_generators), BAOBAB
+)
+# the dashing and the direction trace of n=3 code=1111, one dict per step
+TRACE_DOCS = [
+    [json.loads(line) for line in t.to_jsonl().splitlines()] for t in _TRACES
 ]
 
 
@@ -81,6 +97,37 @@ def test_baobab_edge_without_u_is_input_error():
 def test_non_object_json_is_input_error(parse, text):
     with pytest.raises(InputError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gate", "XOR"),
+        ("colors", [1, 2, 3]),
+        ("colors", []),
+        ("colors", [1, "2"]),
+        ("corners", {}),
+        ("corners", ["0000", "0011", "0110"]),
+        ("corners", ["0000", "0011", "0110", "101"]),
+        ("output", {"u": "0000", "v": "1000", "color": ["000"], "bit": 1}),
+        ("output", {"u": "0000", "v": "1000", "color": 1, "bit": 2}),
+        ("output", {"u": "0000", "v": "1000", "color": 1, "bit": 1.0}),
+    ],
+)
+@pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])
+def test_malformed_trace_row_is_input_error(doc, field, value):
+    rows = copy.deepcopy(doc)
+    rows[0][field] = value
+    with pytest.raises(InputError):
+        GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+
+
+def test_trace_rows_roundtrip_and_replay():
+    for doc, trace in zip(TRACE_DOCS, _TRACES):
+        text = "\n".join(json.dumps(r) for r in doc) + "\n"
+        assert GateTrace.from_jsonl(text) == trace
+    assert _TRACES[0].replay_dashing(BAOBAB.bits)
+    assert _TRACES[1].replay_directions(BAOBAB.pinned)
 
 
 # ---------- property: parse or InputError ----------
@@ -148,3 +195,49 @@ def test_from_json_parses_or_raises_input_error(doc):
 @given(documents(BAOBAB_DOCS))
 def test_baobab_from_json_parses_or_raises_input_error(doc):
     parses_or_input_error(Baobab.from_json, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(TRACE_DOCS))
+def test_trace_parses_and_replays_or_raises_input_or_replay_error(rows):
+    text = "\n".join(json.dumps(r) for r in rows)
+    try:
+        trace = GateTrace.from_jsonl(text)
+    except InputError:
+        return
+    for replay, seeds in ((trace.replay_dashing, BAOBAB.bits),
+                          (trace.replay_directions, BAOBAB.pinned)):
+        try:
+            replay(seeds)
+        except (InputError, ReplayError):
+            pass
+
+
+HEADER_PARTS = st.sampled_from([
+    "n=", "n=2", "n=3", "n=-1", "n=0", "n=x", "n=99", "code=", "code=1111",
+    "code=111", "code=11110000", "code=1111,1111", "scheme=dashing",
+    "scheme=direction", "scheme=", "quaternion", "=", ";", ",", " ", "1",
+])
+# Free text draws only the digits 0 and 1, so n is 0, 1, 10, 11 or above
+# the size guard: no header asks for a large graph the guard lets through.
+headers = st.lists(HEADER_PARTS, max_size=5).map(";".join) | st.text(
+    alphabet="n=;code,scheme01dashingdirectionquaternion ", max_size=24
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(headers)
+def test_parse_family_parses_or_raises_input_error(text):
+    try:
+        parse_family(text)
+    except (InputError, SizeGuardError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(headers, st.text(alphabet="01x2 ", max_size=20))
+def test_parse_wire_parses_or_raises_input_error(header, payload):
+    try:
+        parse_wire(f"{header} {payload}")
+    except (InputError, SizeGuardError):
+        pass
