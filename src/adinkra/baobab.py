@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
@@ -117,25 +117,19 @@ class GateTrace:
     steps: tuple[GateStep, ...]
 
     def to_jsonl(self) -> str:
-        rows = []
-        for s in self.steps:
-            rows.append(json.dumps({
-                "gate": s.gate,
-                "colors": list(s.colors),
-                "base": bit_string(s.base, self.length),
-                "corners": [bit_string(c, self.length) for c in s.corners],
-                "inputs": [
-                    {"u": bit_string(e.u, self.length),
-                     "v": bit_string(e.v, self.length),
-                     "color": e.color, "bit": b}
-                    for e, b in s.inputs
-                ],
-                "output": {
-                    "u": bit_string(s.output[0].u, self.length),
-                    "v": bit_string(s.output[0].v, self.length),
-                    "color": s.output[0].color, "bit": s.output[1],
-                },
-            }))
+        def edge_row(e: Edge, b: int) -> dict:
+            return {"u": bit_string(e.u, self.length),
+                    "v": bit_string(e.v, self.length),
+                    "color": e.color, "bit": b}
+
+        rows = [json.dumps({
+            "gate": s.gate,
+            "colors": list(s.colors),
+            "base": bit_string(s.base, self.length),
+            "corners": [bit_string(c, self.length) for c in s.corners],
+            "inputs": [edge_row(e, b) for e, b in s.inputs],
+            "output": edge_row(*s.output),
+        }) for s in self.steps]
         return "\n".join(rows) + ("\n" if rows else "")
 
     @classmethod
@@ -147,11 +141,13 @@ class GateTrace:
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise InputError(f"trace line {lineno}: not an object")
                 base, length = parse_bit_string(row["base"])
                 steps.append(_parse_step(row, base, length))
             except json.JSONDecodeError as exc:
                 raise InputError(f"trace line {lineno}: invalid JSON ({exc})")
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise InputError(f"trace line {lineno}: missing field {exc}")
         return cls(length, tuple(steps))
 
@@ -233,22 +229,31 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     gate, colors = row["gate"], row["colors"]
     if gate not in ("NDXOR", "DXOR"):
         raise InputError(f"unknown gate {gate!r}")
-    if len(colors) != 2 or not all(isinstance(c, int) for c in colors):
+    if (not isinstance(colors, list) or len(colors) != 2
+            or not all(isinstance(c, int) for c in colors)):
         raise InputError(f"colors must be two integers, got {colors!r}")
-    corners = [parse_bit_string(c) for c in row["corners"]]
-    if len(corners) != 4 or any(n != length for _, n in corners):
-        raise InputError(f"need four {length}-bit corners, got {row['corners']!r}")
+    corners = row["corners"]
+    parsed = [parse_bit_string(c) for c in corners] if isinstance(
+        corners, list) else []
+    if len(parsed) != 4 or any(n != length for _, n in parsed):
+        raise InputError(f"need four {length}-bit corners, got {corners!r}")
 
-    def edge_bit(r) -> tuple[Edge, int]:
+    def edge_bit(r, field: str) -> tuple[Edge, int]:
+        if not isinstance(r, dict):
+            raise InputError(f"{field} must be an edge object, got {r!r}")
         if not isinstance(r["color"], int):
             raise InputError(f"edge color must be an integer, got {r['color']!r}")
         edge = Edge(parse_bit_string(r["u"])[0], parse_bit_string(r["v"])[0],
                     r["color"])
         return edge, _check_bit(r["bit"], f"bit for {edge}")
 
+    inputs = row["inputs"]
+    if not isinstance(inputs, list):
+        raise InputError(f"inputs must be a list, got {inputs!r}")
     return GateStep(
-        gate, tuple(colors), base, tuple(c for c, _ in corners),
-        tuple(edge_bit(i) for i in row["inputs"]), edge_bit(row["output"]),
+        gate, tuple(colors), base, tuple(c for c, _ in parsed),
+        tuple(edge_bit(i, "inputs entry") for i in inputs),
+        edge_bit(row["output"], "output"),
     )
 
 
@@ -265,6 +270,96 @@ def _trail_from_corners(corners, colors):
 # ---------- constraint propagation ----------
 
 
+def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
+    return ContradictionError(
+        f"plaquette colors {p.colors} at {bit_string(p.base, length)} {what}",
+        plaquette=p,
+    )
+
+
+def _ndxor_rule(p: Plaquette, bits: dict, length: int):
+    """(step, bit) for the one unknown dashing bit of a plaquette."""
+    vals = [bits.get(e) for e in p.edges]
+    if vals.count(None) == 1:
+        i = vals.index(None)
+        inputs = tuple((p.edges[j], vals[j]) for j in range(4) if j != i)
+        out = (p.edges[i], ndxor(*(b for _, b in inputs)))
+        step = GateStep("NDXOR", p.colors, p.base, p.corners, inputs, out)
+        return ((step, out[1]),)
+    if None not in vals and vals[0] ^ vals[1] ^ vals[2] ^ vals[3] != 1:
+        raise _contradiction(p, length, "has even dashing parity")
+    return ()
+
+
+def _dxor_rule(p: Plaquette, heads: dict, length: int):
+    """(step, head) for every unknown arrow a plaquette forces."""
+    trail = p.trail()
+    tvals = [None if e not in heads else (0 if heads[e] == to else 1)
+             for _, to, e in trail]
+    unknown = [i for i, v in enumerate(tvals) if v is None]
+    need = 2 - sum(v for v in tvals if v)
+    if not unknown and need:
+        raise _contradiction(p, length, f"has {2 - need} counter-traversal "
+                             "arrows, needs exactly 2")
+    if not 0 <= need <= len(unknown):
+        raise _contradiction(p, length, "cannot reach exactly 2 "
+                             "counter-traversal arrows")
+    if need not in (0, len(unknown)):
+        return ()
+    bit = 1 if need else 0
+    inputs = tuple((e, v) for (_, _, e), v in zip(trail, tvals)
+                   if v is not None)
+    return tuple(
+        (GateStep("DXOR", p.colors, p.base, p.corners, inputs, (e, bit)),
+         frm if bit else to)
+        for frm, to, e in (trail[i] for i in unknown)
+    )
+
+
+def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order):
+    """Run a gate rule over the plaquettes to its fixpoint.
+
+    A min-heap holds canonical plaquette indices, all at first.  The
+    least is popped, `rule` raises or returns the (step, value) pairs
+    it forces, and the plaquettes on each newly known edge are queued
+    again.  A verdict changes only when an edge becomes known, so the
+    popped plaquette is the first one a scan from plaquette 0 would act
+    on: traces match a scan restarted after every inference.
+    """
+    plaqs = plaquettes(skeleton) if order is None else order
+    edge_set = set(skeleton.edges)
+    known = {}
+    for e, value in given.items():
+        if e not in edge_set:
+            raise InputError(f"unknown edge {e}")
+        known[e] = check(e, value)
+    incident: dict[Edge, list[int]] = {}
+    for i, p in enumerate(plaqs):
+        for e in p.edges:
+            incident.setdefault(e, []).append(i)
+    heap = list(range(len(plaqs)))
+    queued = [True] * len(plaqs)
+    steps = []
+    while heap:
+        i = heappop(heap)
+        queued[i] = False
+        for step, value in rule(plaqs[i], known, skeleton.length):
+            edge = step.output[0]
+            known[edge] = value
+            steps.append(step)
+            for j in incident[edge]:
+                if not queued[j]:
+                    queued[j] = True
+                    heappush(heap, j)
+    return known, GateTrace(skeleton.length, tuple(steps))
+
+
+def _check_head(e: Edge, head) -> int:
+    if head not in (e.u, e.v):
+        raise InputError(f"head {head} is not an endpoint of {e}")
+    return head
+
+
 def propagate_dashing(
     skeleton: Adinkra,
     known: Mapping[Edge, int],
@@ -272,49 +367,13 @@ def propagate_dashing(
 ) -> tuple[dict[Edge, int], GateTrace]:
     """Extend known dashing bits over all edges via NDXOR inference.
 
-    Scans plaquettes in canonical order, restarting after every
-    inference, so equal inputs always give the identical trace; the
-    private `_order` hook exists so tests can confirm the fixpoint is
-    order-independent.
+    Plaquettes fire in canonical order, so equal inputs always give the
+    identical trace; the private `_order` hook exists so tests can
+    confirm the fixpoint is order-independent.
     """
-    plaqs = plaquettes(skeleton) if _order is None else _order
-    edge_set = set(skeleton.edges)
-    bits = {}
-    for e, b in known.items():
-        if e not in edge_set:
-            raise InputError(f"unknown edge {e}")
-        bits[e] = _check_bit(b, f"bit for {e}")
-    steps = []
-    progress = True
-    while progress:
-        progress = False
-        for p in plaqs:
-            vals = [bits.get(e) for e in p.edges]
-            unknown = [i for i, v in enumerate(vals) if v is None]
-            if not unknown:
-                if vals[0] ^ vals[1] ^ vals[2] ^ vals[3] != 1:
-                    raise ContradictionError(
-                        f"plaquette colors {p.colors} at "
-                        f"{bit_string(p.base, skeleton.length)} has even "
-                        "dashing parity",
-                        plaquette=p,
-                    )
-                continue
-            if len(unknown) == 1:
-                i = unknown[0]
-                inputs = tuple(
-                    (p.edges[j], vals[j]) for j in range(4) if j != i
-                )
-                out_bit = ndxor(*(b for _, b in inputs))
-                bits[p.edges[i]] = out_bit
-                steps.append(GateStep(
-                    "NDXOR", p.colors, p.base, p.corners, inputs,
-                    (p.edges[i], out_bit),
-                ))
-                progress = True
-                break
-    trace = GateTrace(skeleton.length, tuple(steps))
-    return bits, trace
+    return _propagate(skeleton, known,
+                      lambda e, b: _check_bit(b, f"bit for {e}"),
+                      _ndxor_rule, _order)
 
 
 def propagate_directions(
@@ -325,71 +384,11 @@ def propagate_directions(
     """Extend pinned arrows (edge -> head node) to all edges.
 
     Around every plaquette exactly two arrows run against the
-    traversal; three known trail bits force the fourth (DXOR), and two
-    equal known bits force both remaining bits to the complement.
+    traversal (trail bit 1).  With `need` such arrows still missing,
+    need 0 forces every unknown trail bit to 0 and need equal to their
+    number forces them all to 1 (DXOR); anything between forces nothing.
     """
-    plaqs = plaquettes(skeleton) if _order is None else _order
-    edge_set = set(skeleton.edges)
-    heads = {}
-    for e, h in pinned.items():
-        if e not in edge_set:
-            raise InputError(f"unknown edge {e}")
-        if h not in (e.u, e.v):
-            raise InputError(f"head {h} is not an endpoint of {e}")
-        heads[e] = h
-    steps = []
-    progress = True
-    while progress:
-        progress = False
-        for p in plaqs:
-            trail = p.trail()
-            tvals = []
-            for frm, to, e in trail:
-                h = heads.get(e)
-                tvals.append(None if h is None else (0 if h == to else 1))
-            unknown = [i for i, v in enumerate(tvals) if v is None]
-            ones = sum(v for v in tvals if v)
-            if not unknown:
-                if ones != 2:
-                    raise ContradictionError(
-                        f"plaquette colors {p.colors} at "
-                        f"{bit_string(p.base, skeleton.length)} has {ones} "
-                        "counter-traversal arrows, needs exactly 2",
-                        plaquette=p,
-                    )
-                continue
-            solutions = [
-                c for c in product((0, 1), repeat=len(unknown))
-                if ones + sum(c) == 2
-            ]
-            if not solutions:
-                raise ContradictionError(
-                    f"plaquette colors {p.colors} at "
-                    f"{bit_string(p.base, skeleton.length)} cannot reach "
-                    "exactly 2 counter-traversal arrows",
-                    plaquette=p,
-                )
-            inputs = tuple(
-                (trail[i][2], tvals[i]) for i in range(4)
-                if tvals[i] is not None
-            )
-            fired = False
-            for pos, i in enumerate(unknown):
-                seen = {sol[pos] for sol in solutions}
-                if len(seen) > 1:
-                    continue
-                bit = seen.pop()
-                frm, to, e = trail[i]
-                heads[e] = to if bit == 0 else frm
-                steps.append(GateStep(
-                    "DXOR", p.colors, p.base, p.corners, inputs, (e, bit),
-                ))
-                fired = True
-            if fired:
-                progress = True
-                break
-    trace = GateTrace(skeleton.length, tuple(steps))
-    return heads, trace
+    return _propagate(skeleton, pinned, _check_head, _dxor_rule, _order)
 
 
 def heights_from_directions(

@@ -26,7 +26,13 @@ from .errors import (
     UncorrectableError,
     UnderDeterminedError,
 )
-from .graph import Adinkra, build_chromotopology, plaquette_masks, plaquettes
+from .graph import (
+    Adinkra,
+    build_chromotopology,
+    chromotopology_code,
+    plaquette_masks,
+    plaquettes,
+)
 from .quaternion import (
     matrices_from_directions,
     quaternion_skeleton,
@@ -74,24 +80,22 @@ def parse_family(text: str) -> Family:
     except ValueError:
         raise InputError(f"family n must be an integer: {fields['n']!r}")
     gens = tuple(g for g in fields["code"].split(",") if g)
-    scheme = fields["scheme"]
-    if scheme not in (DASHING, DIRECTION):
-        raise InputError(f"unknown scheme {scheme!r}")
-    family = Family(n, gens, scheme)
-    family_skeleton(family)  # validate eagerly
+    family = Family(n, gens, fields["scheme"])
+    _quotient_code(family)  # validate eagerly, without building the graph
     return family
 
 
 @lru_cache(maxsize=64)
-def family_skeleton(family: Family) -> Adinkra:
-    """The graph a family's bit vectors live on."""
+def _quotient_code(family: Family) -> DoublyEvenCode | None:
+    """The quotient code of a dashing family (None for the quaternion
+    family), after every check that building its graph would make."""
     if family.scheme == DIRECTION:
         if family != QUATERNION_FAMILY:
             raise InputError(
                 "the direction scheme is only supported for the quaternion "
                 "family (n=2;code=111;scheme=direction)"
             )
-        return quaternion_skeleton()
+        return None
     if family.scheme != DASHING:
         raise InputError(f"unknown scheme {family.scheme!r}")
     code = (
@@ -99,11 +103,22 @@ def family_skeleton(family: Family) -> Adinkra:
         if family.code_generators
         else DoublyEvenCode(family.n, ())
     )
+    return chromotopology_code(family.n, code)
+
+
+@lru_cache(maxsize=64)
+def family_skeleton(family: Family) -> Adinkra:
+    """The graph a family's bit vectors live on."""
+    code = _quotient_code(family)
+    if code is None:
+        return quaternion_skeleton()
     return build_chromotopology(family.n, code)
 
 
 def block_length(family: Family) -> int:
-    return len(family_skeleton(family).edges)
+    """Edges of the family's graph: 2**n nodes of degree L = n + k."""
+    _quotient_code(family)
+    return (family.n + len(family.code_generators)) << (family.n - 1)
 
 
 @lru_cache(maxsize=64)

@@ -123,7 +123,8 @@ def _color_steps(code: LinearBinaryCode) -> tuple[int, ...]:
     )
 
 
-def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
+def _quotient_steps(n: int, code: LinearBinaryCode) -> tuple[int, ...]:
+    """The color steps, once L = n + k and the size guard hold."""
     length = code.length
     if length != n + code.k:
         raise InputError(
@@ -136,6 +137,12 @@ def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
             f"color {steps.index(0, 1)} fixes node {bit_string(0, length)}; "
             "generator equals a coordinate vector"
         )
+    return steps
+
+
+def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
+    steps = _quotient_steps(n, code)
+    length = code.length
     # deposit the bits of a counter into the non-pivot positions, low
     # position first, which lists the representatives in ascending order
     pivots = {g.bit_length() - 1 for g in code.generators}
@@ -159,6 +166,15 @@ def build_chromotopology(n: int, code) -> Adinkra:
     bitstrings (length n + k each).  The result is a bare skeleton:
     no dashing, no heights.
     """
+    code = chromotopology_code(n, code)
+    nodes, edges = _quotient_nodes_edges(n, code)
+    return Adinkra(n, code, nodes, edges)
+
+
+def chromotopology_code(n: int, code) -> DoublyEvenCode:
+    """The code `build_chromotopology(n, code)` quotients by, after every
+    check it makes (n, doubly evenness, L = n + k, size guard), but
+    without building the graph."""
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if not isinstance(code, LinearBinaryCode):
@@ -171,8 +187,8 @@ def build_chromotopology(n: int, code) -> Adinkra:
     if not isinstance(code, DoublyEvenCode):
         # Re-validate plain linear codes through the doubly even gate.
         code = DoublyEvenCode(code.length, code.generators)
-    nodes, edges = _quotient_nodes_edges(n, code)
-    return Adinkra(n, code, nodes, edges)
+    _quotient_steps(n, code)
+    return code
 
 
 def build_quotient_skeleton(n: int, code: LinearBinaryCode) -> Adinkra:

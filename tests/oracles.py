@@ -2,12 +2,20 @@
 
 Everything here is deliberately written from first principles — plain
 loops, plain integers, numpy for the matrix oracle — so test
-expectations never come from the code under test.
+expectations never come from the code under test.  The restart-scan
+propagators at the end are the exception: they reuse the package's
+plaquettes and step records so their traces compare field for field.
 """
 
 from itertools import combinations, product
+from typing import Mapping
 
 import numpy as np
+
+from adinkra.baobab import GateStep, GateTrace, _check_bit, ndxor
+from adinkra.codes import bit_string
+from adinkra.errors import ContradictionError, InputError
+from adinkra.graph import Adinkra, Edge, Plaquette, plaquettes
 
 
 # ---------- GF(2) ----------
@@ -264,3 +272,139 @@ def codewords_agreeing(word, erased, codewords):
         if all(x == y for i, (x, y) in enumerate(zip(word, c))
                if i not in erased)
     ]
+
+
+# ---------- restart-scan propagation ----------
+#
+# The library's NDXOR and DXOR propagation as first written: scan the
+# plaquettes from the first after every inference, and enumerate every
+# completion of a plaquette's unknown trail bits.  Quadratic, but its
+# traces, fixpoints and contradictions are the reference the worklist
+# engine must reproduce.
+
+
+def naive_propagate_dashing(
+    skeleton: Adinkra,
+    known: Mapping[Edge, int],
+    _order: tuple[Plaquette, ...] | None = None,
+) -> tuple[dict[Edge, int], GateTrace]:
+    """Extend known dashing bits over all edges via NDXOR inference.
+
+    Scans plaquettes in canonical order, restarting after every
+    inference, so equal inputs always give the identical trace; the
+    private `_order` hook exists so tests can confirm the fixpoint is
+    order-independent.
+    """
+    plaqs = plaquettes(skeleton) if _order is None else _order
+    edge_set = set(skeleton.edges)
+    bits = {}
+    for e, b in known.items():
+        if e not in edge_set:
+            raise InputError(f"unknown edge {e}")
+        bits[e] = _check_bit(b, f"bit for {e}")
+    steps = []
+    progress = True
+    while progress:
+        progress = False
+        for p in plaqs:
+            vals = [bits.get(e) for e in p.edges]
+            unknown = [i for i, v in enumerate(vals) if v is None]
+            if not unknown:
+                if vals[0] ^ vals[1] ^ vals[2] ^ vals[3] != 1:
+                    raise ContradictionError(
+                        f"plaquette colors {p.colors} at "
+                        f"{bit_string(p.base, skeleton.length)} has even "
+                        "dashing parity",
+                        plaquette=p,
+                    )
+                continue
+            if len(unknown) == 1:
+                i = unknown[0]
+                inputs = tuple(
+                    (p.edges[j], vals[j]) for j in range(4) if j != i
+                )
+                out_bit = ndxor(*(b for _, b in inputs))
+                bits[p.edges[i]] = out_bit
+                steps.append(GateStep(
+                    "NDXOR", p.colors, p.base, p.corners, inputs,
+                    (p.edges[i], out_bit),
+                ))
+                progress = True
+                break
+    trace = GateTrace(skeleton.length, tuple(steps))
+    return bits, trace
+
+
+def naive_propagate_directions(
+    skeleton: Adinkra,
+    pinned: Mapping[Edge, int],
+    _order: tuple[Plaquette, ...] | None = None,
+) -> tuple[dict[Edge, int], GateTrace]:
+    """Extend pinned arrows (edge -> head node) to all edges.
+
+    Around every plaquette exactly two arrows run against the
+    traversal; three known trail bits force the fourth (DXOR), and two
+    equal known bits force both remaining bits to the complement.
+    """
+    plaqs = plaquettes(skeleton) if _order is None else _order
+    edge_set = set(skeleton.edges)
+    heads = {}
+    for e, h in pinned.items():
+        if e not in edge_set:
+            raise InputError(f"unknown edge {e}")
+        if h not in (e.u, e.v):
+            raise InputError(f"head {h} is not an endpoint of {e}")
+        heads[e] = h
+    steps = []
+    progress = True
+    while progress:
+        progress = False
+        for p in plaqs:
+            trail = p.trail()
+            tvals = []
+            for frm, to, e in trail:
+                h = heads.get(e)
+                tvals.append(None if h is None else (0 if h == to else 1))
+            unknown = [i for i, v in enumerate(tvals) if v is None]
+            ones = sum(v for v in tvals if v)
+            if not unknown:
+                if ones != 2:
+                    raise ContradictionError(
+                        f"plaquette colors {p.colors} at "
+                        f"{bit_string(p.base, skeleton.length)} has {ones} "
+                        "counter-traversal arrows, needs exactly 2",
+                        plaquette=p,
+                    )
+                continue
+            solutions = [
+                c for c in product((0, 1), repeat=len(unknown))
+                if ones + sum(c) == 2
+            ]
+            if not solutions:
+                raise ContradictionError(
+                    f"plaquette colors {p.colors} at "
+                    f"{bit_string(p.base, skeleton.length)} cannot reach "
+                    "exactly 2 counter-traversal arrows",
+                    plaquette=p,
+                )
+            inputs = tuple(
+                (trail[i][2], tvals[i]) for i in range(4)
+                if tvals[i] is not None
+            )
+            fired = False
+            for pos, i in enumerate(unknown):
+                seen = {sol[pos] for sol in solutions}
+                if len(seen) > 1:
+                    continue
+                bit = seen.pop()
+                frm, to, e = trail[i]
+                heads[e] = to if bit == 0 else frm
+                steps.append(GateStep(
+                    "DXOR", p.colors, p.base, p.corners, inputs, (e, bit),
+                ))
+                fired = True
+            if fired:
+                progress = True
+                break
+    trace = GateTrace(skeleton.length, tuple(steps))
+    return heads, trace

@@ -47,6 +47,7 @@ from adinkra.baobab import (
 from adinkra.codec import DASHING, Family, codewords
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
+E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 
 
 def skeleton_for(n, gens):
@@ -278,6 +279,117 @@ def test_insufficient_pinning_reports_whole_color_classes():
     unresolved = set(err.value.unresolved)
     for color in (2, 3):
         assert {e for e in cube.edges if e.color == color} <= unresolved
+
+
+# ---------- propagation against the restart-scan oracle ----------
+
+
+def outcome(propagate, skeleton, given):
+    """(result, trace) or (error type, message, violating plaquette)."""
+    try:
+        result, trace = propagate(skeleton, given)
+    except (ContradictionError, InputError) as exc:
+        return type(exc), str(exc), getattr(exc, "plaquette", None)
+    return result, trace.to_jsonl()
+
+
+def assert_matches_oracle(skeleton, known, pinned):
+    assert outcome(propagate_dashing, skeleton, known) == outcome(
+        oracles.naive_propagate_dashing, skeleton, known
+    )
+    assert outcome(propagate_directions, skeleton, pinned) == outcome(
+        oracles.naive_propagate_directions, skeleton, pinned
+    )
+
+
+@pytest.mark.parametrize(
+    "n, gens",
+    [(2, ()), (3, ()), (4, ()), (5, ()), (6, ()), (3, ("1111",)),
+     (4, E8_CODE)],
+)
+def test_propagation_matches_restart_scan_on_baobabs(n, gens):
+    a = skeleton_for(n, gens)
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    rng = random.Random(n)
+    seed = {e: rng.randint(0, 1) for e in tree + cycles}
+    bits, trace = propagate_dashing(a, seed)
+    assert len(bits) == len(a.edges) and trace.steps
+    signs = {e: 1 if b else -1 for e, b in bits.items()}
+    heights = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
+    for h in heights:
+        pinned = choose_pinned_arrows(a.with_dashing(signs).with_heights(h))
+        heads, _ = propagate_directions(a, pinned)
+        assert len(heads) == len(a.edges)
+        assert_matches_oracle(a, seed, pinned)
+
+
+@st.composite
+def known_and_pinned(draw):
+    """A skeleton with random dashing bits and arrows on random edges;
+    many such sets contradict somewhere."""
+    n, gens = draw(st.sampled_from(FAMILIES))
+    a = skeleton_for(n, gens)
+    edges = st.lists(st.sampled_from(a.edges), unique=True)
+    known = {e: draw(st.integers(0, 1)) for e in draw(edges)}
+    pinned = {e: draw(st.sampled_from((e.u, e.v))) for e in draw(edges)}
+    return a, known, pinned
+
+
+@given(known_and_pinned())
+@settings(max_examples=150, deadline=None)
+def test_propagation_matches_restart_scan_on_sampled_sets(case):
+    assert_matches_oracle(*case)
+
+
+def test_propagation_input_errors_match_restart_scan():
+    a = skeleton_for(2, ())
+    good, stranger = a.edges[0], Edge(0, 3, 1)
+    for given in (
+        {stranger: 1},
+        {good: 2},
+        {good: 1, stranger: 2},
+        {good: 2, stranger: 1},
+        {good: good.u, a.edges[1]: 3},
+    ):
+        assert_matches_oracle(a, given, given)
+
+
+def test_dxor_closed_rule_on_all_81_trail_states():
+    # one plaquette, so propagation is a single application of the rule;
+    # compare it against enumerating the completions with exactly two ones
+    a = skeleton_for(2, ())
+    (p,) = plaquettes(a)
+    trail = p.trail()
+    for state in itertools.product((None, 0, 1), repeat=4):
+        pinned = {
+            e: (to if v == 0 else frm)
+            for (frm, to, e), v in zip(trail, state) if v is not None
+        }
+        unknown = [i for i, v in enumerate(state) if v is None]
+        ones = sum(v for v in state if v)
+        completions = [
+            c for c in itertools.product((0, 1), repeat=len(unknown))
+            if ones + sum(c) == 2
+        ]
+        if not completions:
+            with pytest.raises(ContradictionError) as err:
+                propagate_directions(a, pinned)
+            assert err.value.plaquette == p
+            continue
+        heads, trace = propagate_directions(a, pinned)
+        forced = {}
+        for pos, i in enumerate(unknown):
+            seen = {sol[pos] for sol in completions}
+            if len(seen) == 1:
+                forced[i] = seen.pop()
+        assert len(trace.steps) == len(forced)
+        for i, (frm, to, e) in enumerate(trail):
+            if state[i] is not None:
+                assert heads[e] == pinned[e]
+            elif i in forced:
+                assert heads[e] == (to if forced[i] == 0 else frm)
+            else:
+                assert e not in heads
 
 
 # ---------- roundtrips ----------

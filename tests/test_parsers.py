@@ -122,6 +122,34 @@ def test_malformed_trace_row_is_input_error(doc, field, value):
         GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("colors", 5), ("corners", 7), ("inputs", [3]), ("inputs", 3),
+     ("output", 7)],
+)
+def test_mistyped_trace_field_is_named(field, value):
+    rows = copy.deepcopy(TRACE_DOCS[1])
+    rows[0][field] = value
+    with pytest.raises(InputError) as err:
+        GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+    assert field in str(err.value)
+    assert "missing field" not in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["base", "colors", "inputs", "output"])
+def test_absent_trace_field_is_missing_field(field):
+    rows = copy.deepcopy(TRACE_DOCS[0])
+    del rows[0][field]
+    with pytest.raises(InputError, match=f"missing field '{field}'"):
+        GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+
+
+@pytest.mark.parametrize("line", ["5", "[]", '"row"', "null"])
+def test_non_object_trace_line_is_input_error(line):
+    with pytest.raises(InputError, match="trace line 1: not an object"):
+        GateTrace.from_jsonl(line)
+
+
 def test_trace_rows_roundtrip_and_replay():
     for doc, trace in zip(TRACE_DOCS, _TRACES):
         text = "\n".join(json.dumps(r) for r in doc) + "\n"
@@ -241,3 +269,13 @@ def test_parse_wire_parses_or_raises_input_error(header, payload):
         parse_wire(f"{header} {payload}")
     except (InputError, SizeGuardError):
         pass
+
+
+def test_wire_line_length_is_checked_without_building_the_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("graph built for a wire header")
+
+    monkeypatch.setattr("adinkra.graph.build_chromotopology", refuse)
+    monkeypatch.setattr("adinkra.codec.build_chromotopology", refuse)
+    with pytest.raises(InputError, match="need 524288 bits"):
+        parse_wire("n=16;code=;scheme=dashing 0101")
