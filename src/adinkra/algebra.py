@@ -210,44 +210,88 @@ class MonomialMatrix:
         return f"MonomialMatrix(dim={self.dim})\n{self.to_text()}"
 
 
-def _accumulate(rows: list[dict[int, Monomial]], r: int, c: int,
-                term: Monomial) -> None:
-    if term.is_zero:
-        return
-    cur = rows[r].get(c)
-    try:
-        acc = term if cur is None else cur.add(term)
-    except GradedSumError:
-        raise GradedSumError(
-            f"mixed derivative powers at entry ({r}, {c}): "
-            f"{cur} + {term}"
-        ) from None
-    if acc.is_zero:
-        rows[r].pop(c, None)
-    else:
-        rows[r][c] = acc
+# ---------- exact arithmetic on integer triples ----------
+#
+# Products and sums run on rows that map a column to its entry as a
+# plain (re, im, dpow) triple, never a zero one.  Monomial objects are
+# built only for the entries of a returned matrix and for reported
+# violations.
+
+_Rows = list[dict[int, tuple[int, int, int]]]
+
+
+def _triples(m: MonomialMatrix) -> _Rows:
+    return [{c: (x.re, x.im, x.dpow) for c, x in row.items()}
+            for row in m._rows]
+
+
+def _matrix(rows: _Rows) -> MonomialMatrix:
+    out = MonomialMatrix(len(rows))
+    out._rows = [{c: Monomial(*t) for c, t in row.items()} for row in rows]
+    return out
+
+
+def _accumulate_terms(dim: int, terms) -> _Rows:
+    """Sum (row, col, re, im, dpow) terms into triple rows, in order;
+    entries that cancel are dropped, and adding entries of different
+    derivative power raises."""
+    rows = [{} for _ in range(dim)]
+    for r, c, re, im, dpow in terms:
+        row = rows[r]
+        cur = row.get(c)
+        if cur is not None:
+            if cur[2] != dpow:
+                raise GradedSumError(
+                    f"mixed derivative powers at entry ({r}, {c}): "
+                    f"{Monomial(*cur)} + {Monomial(re, im, dpow)}"
+                )
+            re += cur[0]
+            im += cur[1]
+            if not (re or im):
+                del row[c]
+                continue
+        row[c] = (re, im, dpow)
+    return rows
+
+
+def _check_dims(a, b) -> None:
+    if len(a) != len(b):
+        raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
+
+
+def _product(a, b) -> _Rows:
+    _check_dims(a, b)
+    return _accumulate_terms(len(a), (
+        (t, s, re1 * re2 - im1 * im2, re1 * im2 + im1 * re2, p1 + p2)
+        for t, row in enumerate(a)
+        for u, (re1, im1, p1) in row.items()
+        for s, (re2, im2, p2) in b[u].items()
+    ))
+
+
+def _sum(a, b) -> _Rows:
+    """Entrywise a + b: a's entries, then b's, each in row-major order."""
+    _check_dims(a, b)
+    return _accumulate_terms(len(a), (
+        (r, c, *t)
+        for m in (a, b)
+        for r, row in enumerate(m)
+        for c, t in sorted(row.items())
+    ))
+
+
+def _anticommutator(a, b) -> _Rows:
+    ab = _product(a, b)
+    # for {A, A} the second product would repeat the first exactly
+    return _sum(ab, ab if a is b else _product(b, a))
 
 
 def mat_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out = MonomialMatrix(a.dim)
-    for t in range(a.dim):
-        for u, m1 in a._rows[t].items():
-            for s, m2 in b._rows[u].items():
-                _accumulate(out._rows, t, s, m1.mul(m2))
-    return out
+    return _matrix(_product(_triples(a), _triples(b)))
 
 
 def mat_add(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out = MonomialMatrix(a.dim)
-    for r, c, m in a.iter_entries():
-        _accumulate(out._rows, r, c, m)
-    for r, c, m in b.iter_entries():
-        _accumulate(out._rows, r, c, m)
-    return out
+    return _matrix(_sum(_triples(a), _triples(b)))
 
 
 def mat_neg(a: MonomialMatrix) -> MonomialMatrix:
@@ -255,7 +299,7 @@ def mat_neg(a: MonomialMatrix) -> MonomialMatrix:
 
 
 def anticommutator(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
+    return _matrix(_anticommutator(_triples(a), _triples(b)))
 
 
 # ---------- transformation matrices from an adinkra ----------
@@ -363,27 +407,29 @@ class AlgebraReport:
         return tuple(seen)
 
 
-def _compare(relation: str, got: MonomialMatrix,
-             want: MonomialMatrix, out: list) -> None:
-    for r in range(got.dim):
-        cols = set(got._rows[r]) | set(want._rows[r])
-        for c in sorted(cols):
-            g, w = got.entry(r, c), want.entry(r, c)
+def _compare(relation: str, got, want, out: list) -> None:
+    """Report every entry where triple rows `got` and `want` differ."""
+    for r, (grow, wrow) in enumerate(zip(got, want)):
+        if grow == wrow:
+            continue
+        for c in sorted(grow.keys() | wrow.keys()):
+            g, w = grow.get(c, (0, 0, 0)), wrow.get(c, (0, 0, 0))
             if g != w:
-                out.append(AlgebraViolation(relation, r, c, g, w))
+                out.append(AlgebraViolation(relation, r, c, Monomial(*g),
+                                            Monomial(*w)))
 
 
 def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
     """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ."""
     colors = sorted(gammas.matrices)
-    dim = gammas.dim
-    diag = MonomialMatrix.identity(dim, Monomial(0, 2, 1))
-    zero = MonomialMatrix(dim)
+    rows = {c: _triples(gammas.matrices[c]) for c in colors}
+    diag = [{r: (0, 2, 1)} for r in range(gammas.dim)]
+    zero = [{} for _ in range(gammas.dim)]
     violations: list[AlgebraViolation] = []
     for i, ci in enumerate(colors):
         for cj in colors[i:]:
             try:
-                got = anticommutator(gammas.matrices[ci], gammas.matrices[cj])
+                got = _anticommutator(rows[ci], rows[cj])
             except GradedSumError as exc:
                 violations.append(
                     AlgebraViolation(
@@ -405,6 +451,14 @@ def strip_derivatives(m: MonomialMatrix) -> MonomialMatrix:
     return m.map_entries(Monomial.drop_phase_and_derivative)
 
 
+def _transpose(rows) -> _Rows:
+    out = [{} for _ in rows]
+    for r, row in enumerate(rows):
+        for c, t in row.items():
+            out[c][r] = t
+    return out
+
+
 def check_block_transpose(gammas: GammaSet) -> AlgebraReport:
     """Off-diagonal blocks of each Gamma are mutual transposes, and
     cross-color products of opposite blocks are antisymmetric, once
@@ -415,20 +469,21 @@ def check_block_transpose(gammas: GammaSet) -> AlgebraReport:
         c: strip_derivatives(m) for c, m in sorted(gammas.matrices.items())
     }
     blocks = {
-        c: (m.block(br, fr), m.block(fr, br)) for c, m in stripped.items()
+        c: (_triples(m.block(br, fr)), _triples(m.block(fr, br)))
+        for c, m in stripped.items()
     }
     for c, (upper, lower) in blocks.items():
-        if upper.transpose() != lower:
-            _compare(f"G{c} block transpose", upper.transpose(), lower,
-                     violations)
+        _compare(f"G{c} block transpose", _transpose(upper), lower,
+                 violations)
     for ci, (_, lower_i) in blocks.items():
         for cj, (upper_j, _) in blocks.items():
             if ci == cj:
                 continue
-            prod = mat_mul(lower_i, upper_j)
-            if prod.transpose() != mat_neg(prod):
-                _compare(f"G{ci}·G{cj} antisymmetry", prod.transpose(),
-                         mat_neg(prod), violations)
+            prod = _product(lower_i, upper_j)
+            neg = [{c: (-re, -im, p) for c, (re, im, p) in row.items()}
+                   for row in prod]
+            _compare(f"G{ci}·G{cj} antisymmetry", _transpose(prod), neg,
+                     violations)
     return AlgebraReport("block-transpose", tuple(violations))
 
 
@@ -477,14 +532,15 @@ def check_quaternion(matrices: Mapping[str, MonomialMatrix]) -> AlgebraReport:
                     f"matrix {name!r} entry ({r}, {c}) = {mono} is not a "
                     "plain sign"
                 )
-    neg_id = MonomialMatrix.identity(4, MINUS_ONE)
-    zero = MonomialMatrix(4)
+    i, j, k = (_triples(m) for m in (mi, mj, mk))
+    neg_id = [{r: (-1, 0, 0)} for r in range(4)]
+    zero = [{} for _ in range(4)]
     violations: list[AlgebraViolation] = []
-    _compare("i^2", mat_mul(mi, mi), neg_id, violations)
-    _compare("j^2", mat_mul(mj, mj), neg_id, violations)
-    _compare("k^2", mat_mul(mk, mk), neg_id, violations)
-    _compare("ijk", mat_mul(mat_mul(mi, mj), mk), neg_id, violations)
-    _compare("{i,j}", anticommutator(mi, mj), zero, violations)
-    _compare("{i,k}", anticommutator(mi, mk), zero, violations)
-    _compare("{j,k}", anticommutator(mj, mk), zero, violations)
+    _compare("i^2", _product(i, i), neg_id, violations)
+    _compare("j^2", _product(j, j), neg_id, violations)
+    _compare("k^2", _product(k, k), neg_id, violations)
+    _compare("ijk", _product(_product(i, j), k), neg_id, violations)
+    _compare("{i,j}", _anticommutator(i, j), zero, violations)
+    _compare("{i,k}", _anticommutator(i, k), zero, violations)
+    _compare("{j,k}", _anticommutator(j, k), zero, violations)
     return AlgebraReport("quaternion", tuple(violations))

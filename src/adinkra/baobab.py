@@ -28,6 +28,8 @@ from .graph import (
     Adinkra,
     Edge,
     Plaquette,
+    _incidence,
+    _plaquette_incidence,
     json_object_rows,
     load_json_object,
     normalize_heights,
@@ -142,13 +144,15 @@ class GateTrace:
             try:
                 row = json.loads(line)
                 if not isinstance(row, dict):
-                    raise InputError(f"trace line {lineno}: not an object")
+                    raise InputError("not an object")
                 base, length = parse_bit_string(row["base"])
                 steps.append(_parse_step(row, base, length))
             except json.JSONDecodeError as exc:
                 raise InputError(f"trace line {lineno}: invalid JSON ({exc})")
             except KeyError as exc:
                 raise InputError(f"trace line {lineno}: missing field {exc}")
+            except InputError as exc:
+                raise InputError(f"trace line {lineno}: {exc}") from None
         return cls(length, tuple(steps))
 
     # -- replay --
@@ -324,19 +328,20 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order):
     it forces, and the plaquettes on each newly known edge are queued
     again.  A verdict changes only when an edge becomes known, so the
     popped plaquette is the first one a scan from plaquette 0 would act
-    on: traces match a scan restarted after every inference.
+    on: traces match a scan restarted after every inference.  The
+    plaquettes and their incidence come from the skeleton's shared
+    table; only a custom `order` gets an incidence of its own.
     """
-    plaqs = plaquettes(skeleton) if order is None else order
+    if order is None:
+        plaqs, incident = plaquettes(skeleton), _plaquette_incidence(skeleton)
+    else:
+        plaqs, incident = order, _incidence(order)
     edge_set = set(skeleton.edges)
     known = {}
     for e, value in given.items():
         if e not in edge_set:
             raise InputError(f"unknown edge {e}")
         known[e] = check(e, value)
-    incident: dict[Edge, list[int]] = {}
-    for i, p in enumerate(plaqs):
-        for e in p.edges:
-            incident.setdefault(e, []).append(i)
     heap = list(range(len(plaqs)))
     queued = [True] * len(plaqs)
     steps = []
@@ -851,9 +856,7 @@ def reconstruct_adinkra(
     heights, _heads, dir_trace = reconstruct_directions(
         skeleton, baobab.pinned
     )
-    out = Adinkra(skeleton.n, skeleton.code, skeleton.nodes, skeleton.edges,
-                  signs, heights)
-    return out, dash_trace, dir_trace
+    return skeleton._decorated(signs, heights), dash_trace, dir_trace
 
 
 # ---------- counting ----------

@@ -81,8 +81,17 @@ def parse_family(text: str) -> Family:
         raise InputError(f"family n must be an integer: {fields['n']!r}")
     gens = tuple(g for g in fields["code"].split(",") if g)
     family = Family(n, gens, fields["scheme"])
-    _quotient_code(family)  # validate eagerly, without building the graph
+    _guarded_code(family)  # validate eagerly, without building the graph
     return family
+
+
+def _guarded_code(family: Family) -> DoublyEvenCode | None:
+    """`_quotient_code`, with the size guard applied on every call: the
+    guard reads the environment, so a cached answer must not skip it."""
+    code = _quotient_code(family)
+    if code is not None:
+        _kernels.check_guard(family.n, "quotient construction")
+    return code
 
 
 @lru_cache(maxsize=64)
@@ -106,9 +115,14 @@ def _quotient_code(family: Family) -> DoublyEvenCode | None:
     return chromotopology_code(family.n, code)
 
 
-@lru_cache(maxsize=64)
 def family_skeleton(family: Family) -> Adinkra:
     """The graph a family's bit vectors live on."""
+    _guarded_code(family)
+    return _family_skeleton(family)
+
+
+@lru_cache(maxsize=64)
+def _family_skeleton(family: Family) -> Adinkra:
     code = _quotient_code(family)
     if code is None:
         return quaternion_skeleton()

@@ -12,7 +12,7 @@ adjacent nodes differing by exactly one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
@@ -59,6 +59,17 @@ class Plaquette:
         )
 
 
+class _PlaquetteTable:
+    """A graph's plaquettes and edge -> plaquette-index incidence, each
+    built on first use.  Adinkras on the same graph share one table."""
+
+    __slots__ = ("plaquettes", "incidence", "__weakref__")
+
+    def __init__(self):
+        self.plaquettes = None
+        self.incidence = None
+
+
 @dataclass(frozen=True)
 class Adinkra:
     """A chromotopology with optional dashing and heights."""
@@ -69,6 +80,12 @@ class Adinkra:
     edges: tuple[Edge, ...]
     dashing: Mapping[Edge, int] | None = None
     heights: Mapping[int, int] | None = None
+    # Shared with the adinkras `_decorated` makes; outside equality,
+    # hashing and repr, and `dataclasses.replace` starts a fresh one.
+    _table: _PlaquetteTable = field(
+        init=False, default_factory=_PlaquetteTable, repr=False,
+        compare=False, hash=False,
+    )
 
     @property
     def length(self) -> int:
@@ -78,16 +95,22 @@ class Adinkra:
     def colors(self) -> range:
         return range(1, self.length + 1)
 
+    def _decorated(self, dashing, heights) -> "Adinkra":
+        """The same graph with other dashing and heights; it shares this
+        graph's plaquette table."""
+        out = Adinkra(self.n, self.code, self.nodes, self.edges,
+                      dashing, heights)
+        object.__setattr__(out, "_table", self._table)
+        return out
+
     def with_dashing(self, dashing) -> "Adinkra":
-        return Adinkra(self.n, self.code, self.nodes, self.edges,
-                       dict(dashing), self.heights)
+        return self._decorated(dict(dashing), self.heights)
 
     def with_heights(self, heights) -> "Adinkra":
-        return Adinkra(self.n, self.code, self.nodes, self.edges,
-                       self.dashing, dict(heights))
+        return self._decorated(self.dashing, dict(heights))
 
     def skeleton(self) -> "Adinkra":
-        return Adinkra(self.n, self.code, self.nodes, self.edges)
+        return self._decorated(None, None)
 
 
 @dataclass(frozen=True)
@@ -233,8 +256,34 @@ def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     """All two-color four-cycles in canonical (I, J, base) order.
 
     The cycle of colors I, J through x is {x, x^d_I, x^d_I^d_J, x^d_J};
-    each is listed once, from its minimum node.
+    each is listed once, from its minimum node.  They are built once per
+    graph and shared by every adinkra on it (see `Adinkra._decorated`).
     """
+    table = adinkra._table
+    if table.plaquettes is None:
+        table.plaquettes = _build_plaquettes(adinkra)
+    return table.plaquettes
+
+
+def _plaquette_incidence(adinkra: Adinkra) -> dict[Edge, tuple[int, ...]]:
+    """Edge -> indices of the plaquettes through it, ascending; built
+    once per graph like `plaquettes`."""
+    table = adinkra._table
+    if table.incidence is None:
+        table.incidence = _incidence(plaquettes(adinkra))
+    return table.incidence
+
+
+def _incidence(plaqs) -> dict[Edge, tuple[int, ...]]:
+    """Edge -> positions in `plaqs` of the plaquettes through it."""
+    out: dict[Edge, list[int]] = {}
+    for i, p in enumerate(plaqs):
+        for e in p.edges:
+            out.setdefault(e, []).append(i)
+    return {e: tuple(ids) for e, ids in out.items()}
+
+
+def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     steps = _color_steps(adinkra.code)
     length = adinkra.length
     nodes = adinkra.nodes
@@ -469,11 +518,7 @@ def from_json(text: str) -> Adinkra:
         raise InputError("dashed flags must be given for all edges or none")
     has_dashing = dash_seen == {True}
 
-    return Adinkra(
-        n,
-        code,
-        expect.nodes,
-        expect.edges,
+    return expect._decorated(
         dashing if has_dashing else None,
         heights if has_heights else None,
     )

@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles — plain
 loops, plain integers, numpy for the matrix oracle — so test
 expectations never come from the code under test.  The restart-scan
-propagators at the end are the exception: they reuse the package's
-plaquettes and step records so their traces compare field for field.
+propagators and the Monomial-object algebra at the end are the
+exception: they reuse the package's plaquettes, step records and
+Monomial types so their results compare field for field.
 """
 
 from itertools import combinations, product
@@ -12,9 +13,20 @@ from typing import Mapping
 
 import numpy as np
 
+from adinkra.algebra import (
+    MINUS_ONE,
+    ZERO,
+    AlgebraReport,
+    AlgebraViolation,
+    GammaSet,
+    Monomial,
+    MonomialMatrix,
+    mat_neg,
+    strip_derivatives,
+)
 from adinkra.baobab import GateStep, GateTrace, _check_bit, ndxor
 from adinkra.codes import bit_string
-from adinkra.errors import ContradictionError, InputError
+from adinkra.errors import ContradictionError, GradedSumError, InputError
 from adinkra.graph import Adinkra, Edge, Plaquette, plaquettes
 
 
@@ -408,3 +420,154 @@ def naive_propagate_directions(
                 break
     trace = GateTrace(skeleton.length, tuple(steps))
     return heads, trace
+
+
+# ---------- exact algebra on Monomial objects ----------
+#
+# The library's matrix products, sums and relation checks as first
+# written: every intermediate entry is a validated Monomial and every
+# sum goes through Monomial.add.  The triple-based arithmetic must give
+# the same matrices, errors and violation lists, in the same order.
+
+
+def naive_accumulate(rows: list[dict[int, Monomial]], r: int, c: int,
+                     term: Monomial) -> None:
+    if term.is_zero:
+        return
+    cur = rows[r].get(c)
+    try:
+        acc = term if cur is None else cur.add(term)
+    except GradedSumError:
+        raise GradedSumError(
+            f"mixed derivative powers at entry ({r}, {c}): "
+            f"{cur} + {term}"
+        ) from None
+    if acc.is_zero:
+        rows[r].pop(c, None)
+    else:
+        rows[r][c] = acc
+
+
+def naive_mat_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+    if a.dim != b.dim:
+        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    out = MonomialMatrix(a.dim)
+    for t in range(a.dim):
+        for u, m1 in a._rows[t].items():
+            for s, m2 in b._rows[u].items():
+                naive_accumulate(out._rows, t, s, m1.mul(m2))
+    return out
+
+
+def naive_mat_add(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+    if a.dim != b.dim:
+        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    out = MonomialMatrix(a.dim)
+    for r, c, m in a.iter_entries():
+        naive_accumulate(out._rows, r, c, m)
+    for r, c, m in b.iter_entries():
+        naive_accumulate(out._rows, r, c, m)
+    return out
+
+
+def naive_anticommutator(a: MonomialMatrix,
+                         b: MonomialMatrix) -> MonomialMatrix:
+    return naive_mat_add(naive_mat_mul(a, b), naive_mat_mul(b, a))
+
+
+def naive_compare(relation: str, got: MonomialMatrix,
+                  want: MonomialMatrix, out: list) -> None:
+    for r in range(got.dim):
+        cols = set(got._rows[r]) | set(want._rows[r])
+        for c in sorted(cols):
+            g, w = got.entry(r, c), want.entry(r, c)
+            if g != w:
+                out.append(AlgebraViolation(relation, r, c, g, w))
+
+
+def naive_check_garden(gammas: GammaSet,
+                       stop_early: bool = True) -> AlgebraReport:
+    """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ."""
+    colors = sorted(gammas.matrices)
+    dim = gammas.dim
+    diag = MonomialMatrix.identity(dim, Monomial(0, 2, 1))
+    zero = MonomialMatrix(dim)
+    violations: list[AlgebraViolation] = []
+    for i, ci in enumerate(colors):
+        for cj in colors[i:]:
+            try:
+                got = naive_anticommutator(gammas.matrices[ci],
+                                           gammas.matrices[cj])
+            except GradedSumError as exc:
+                violations.append(
+                    AlgebraViolation(
+                        f"{{G{ci}, G{cj}}}: {exc}", -1, -1, ZERO, ZERO
+                    )
+                )
+                if stop_early:
+                    return AlgebraReport("garden", tuple(violations))
+                continue
+            want = diag if ci == cj else zero
+            naive_compare(f"{{G{ci}, G{cj}}}", got, want, violations)
+            if violations and stop_early:
+                return AlgebraReport("garden", tuple(violations))
+    return AlgebraReport("garden", tuple(violations))
+
+
+def naive_check_block_transpose(gammas: GammaSet) -> AlgebraReport:
+    """Off-diagonal blocks of each Gamma are mutual transposes, and
+    cross-color products of opposite blocks are antisymmetric, once
+    entries are stripped to bare signs."""
+    br, fr = gammas.boson_range(), gammas.fermion_range()
+    violations: list[AlgebraViolation] = []
+    stripped = {
+        c: strip_derivatives(m) for c, m in sorted(gammas.matrices.items())
+    }
+    blocks = {
+        c: (m.block(br, fr), m.block(fr, br)) for c, m in stripped.items()
+    }
+    for c, (upper, lower) in blocks.items():
+        if upper.transpose() != lower:
+            naive_compare(f"G{c} block transpose", upper.transpose(), lower,
+                          violations)
+    for ci, (_, lower_i) in blocks.items():
+        for cj, (upper_j, _) in blocks.items():
+            if ci == cj:
+                continue
+            prod = naive_mat_mul(lower_i, upper_j)
+            if prod.transpose() != mat_neg(prod):
+                naive_compare(f"G{ci}·G{cj} antisymmetry", prod.transpose(),
+                              mat_neg(prod), violations)
+    return AlgebraReport("block-transpose", tuple(violations))
+
+
+def naive_check_quaternion(
+    matrices: Mapping[str, MonomialMatrix]
+) -> AlgebraReport:
+    """Verify i^2 = j^2 = k^2 = ijk = -1 and pairwise anticommutation."""
+    for name in ("i", "j", "k"):
+        if name not in matrices:
+            raise InputError(f"missing quaternion matrix {name!r}")
+    mi, mj, mk = matrices["i"], matrices["j"], matrices["k"]
+    dims = {m.dim for m in (mi, mj, mk)}
+    if dims != {4}:
+        raise InputError(f"quaternion matrices must be 4x4, got dims {dims}")
+    for name, m in (("i", mi), ("j", mj), ("k", mk)):
+        for r, c, mono in m.iter_entries():
+            if mono.dpow != 0 or mono.im != 0 or mono.re not in (1, -1):
+                raise InputError(
+                    f"matrix {name!r} entry ({r}, {c}) = {mono} is not a "
+                    "plain sign"
+                )
+    neg_id = MonomialMatrix.identity(4, MINUS_ONE)
+    zero = MonomialMatrix(4)
+    violations: list[AlgebraViolation] = []
+    naive_compare("i^2", naive_mat_mul(mi, mi), neg_id, violations)
+    naive_compare("j^2", naive_mat_mul(mj, mj), neg_id, violations)
+    naive_compare("k^2", naive_mat_mul(mk, mk), neg_id, violations)
+    naive_compare("ijk", naive_mat_mul(naive_mat_mul(mi, mj), mk), neg_id,
+                  violations)
+    naive_compare("{i,j}", naive_anticommutator(mi, mj), zero, violations)
+    naive_compare("{i,k}", naive_anticommutator(mi, mk), zero, violations)
+    naive_compare("{j,k}", naive_anticommutator(mj, mk), zero, violations)
+    return AlgebraReport("quaternion", tuple(violations))

@@ -1,12 +1,15 @@
 """Monomial arithmetic, transformation matrices, algebra checks."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from adinkra import (
     DT,
+    GammaSet,
     GradedSumError,
     I_UNIT,
     InputError,
@@ -22,10 +25,15 @@ from adinkra import (
     check_block_transpose,
     check_garden,
     check_quaternion,
+    mat_add,
     mat_mul,
+    mat_neg,
+    reconstruct_dashing,
+    skeleton_baobab_edges,
     valise_heights,
     verify_heights,
     verify_odd_dashing,
+    weight_heights,
 )
 from adinkra.quaternion import (
     COLOR_UNITS,
@@ -293,3 +301,133 @@ def test_check_quaternion_rejects_malformed_inputs():
     bad["k"] = MonomialMatrix.identity(4, DT)
     with pytest.raises(InputError):
         check_quaternion(bad)
+
+
+# ---------- triple arithmetic against the Monomial-object oracles ----------
+
+E8_CODE = ("11110000", "00001111", "11001100", "10101010")
+GARDEN_FAMILIES = [(2, ()), (3, ()), (4, ()), (5, ()), (6, ()),
+                   (3, ("1111",)), (4, E8_CODE)]
+
+
+def outcome(fn, *args):
+    """A matrix as its rows in insertion order, or the error raised."""
+    try:
+        out = fn(*args)
+    except (GradedSumError, InputError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, MonomialMatrix):
+        return out.dim, [list(row.items()) for row in out._rows]
+    return out
+
+
+def assert_checks_match(gammas):
+    for stop_early in (True, False):
+        assert outcome(check_garden, gammas, stop_early) == outcome(
+            oracles.naive_check_garden, gammas, stop_early)
+    assert outcome(check_block_transpose, gammas) == outcome(
+        oracles.naive_check_block_transpose, gammas)
+
+
+def valid_adinkras(n, gens):
+    """A random valid dashing with valise and, for k = 0, weight heights."""
+    a = build_chromotopology(n, gens)
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    rng = random.Random(n * 10 + len(gens))
+    signs, _ = reconstruct_dashing(
+        a, {e: rng.randint(0, 1) for e in tree + cycles})
+    heights = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
+    return [a.with_dashing(signs).with_heights(h) for h in heights]
+
+
+VALID = {(n, gens): valid_adinkras(n, gens) for n, gens in GARDEN_FAMILIES}
+
+
+@pytest.mark.parametrize("n, gens", GARDEN_FAMILIES)
+def test_garden_matches_oracle_on_valid_and_stretched_adinkras(n, gens):
+    for adk in VALID[(n, gens)]:
+        gammas = adinkra_to_gamma(adk)
+        assert check_garden(gammas).ok
+        assert_checks_match(gammas)
+        # doubled heights keep every arrow, so the relations still hold
+        stretched = adk.with_heights(
+            {x: 2 * h for x, h in adk.heights.items()})
+        assert not verify_heights(stretched).ok
+        gammas = adinkra_to_gamma(stretched, validate=False)
+        assert check_garden(gammas).ok
+        assert_checks_match(gammas)
+
+
+@st.composite
+def decorated_gammas(draw):
+    """Γ of a valid adinkra with some dashing signs flipped and, half
+    the time, arbitrary heights, which mix derivative powers."""
+    n, gens = draw(st.sampled_from(GARDEN_FAMILIES[:3] + GARDEN_FAMILIES[5:6]))
+    adk = draw(st.sampled_from(VALID[(n, gens)]))
+    flips = draw(st.lists(st.sampled_from(adk.edges), unique=True,
+                          max_size=4))
+    dashing = {e: -s if e in flips else s for e, s in adk.dashing.items()}
+    heights = adk.heights
+    if draw(st.booleans()):
+        heights = {x: draw(st.integers(0, 3)) for x in adk.nodes}
+    return adinkra_to_gamma(
+        adk.with_dashing(dashing).with_heights(heights), validate=False)
+
+
+@given(decorated_gammas())
+@settings(max_examples=150, deadline=None)
+def test_garden_matches_oracle_on_flipped_signs_and_heights(gammas):
+    assert_checks_match(gammas)
+
+
+# few values, so sums cancel often and mix derivative powers often
+ENTRIES = st.builds(
+    lambda re, im, dpow: Monomial(re, im, dpow) if re or im else ZERO,
+    st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1),
+)
+
+
+@st.composite
+def monomial_matrices(draw, dim):
+    """Arbitrary entries, set in a drawn column order per row."""
+    m = MonomialMatrix(dim)
+    for r in range(dim):
+        cols = draw(st.lists(st.integers(0, dim - 1), unique=True,
+                             max_size=dim))
+        for c in cols:
+            m.set_entry(r, c, draw(ENTRIES))
+    return m
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.lists(monomial_matrices(dim), min_size=3, max_size=3)))
+@settings(max_examples=300, deadline=None)
+def test_triple_arithmetic_matches_oracle_on_cancelling_mixed_entries(mats):
+    a, b, c = mats
+    for ours, theirs in ((mat_mul, oracles.naive_mat_mul),
+                         (mat_add, oracles.naive_mat_add),
+                         (anticommutator, oracles.naive_anticommutator)):
+        assert outcome(ours, a, b) == outcome(theirs, a, b)
+        assert outcome(ours, b, b) == outcome(theirs, b, b)
+    assert outcome(mat_add, a, mat_neg(a)) == (a.dim, [[]] * a.dim)
+    try:
+        ab = oracles.naive_mat_mul(a, b)
+    except GradedSumError:
+        ab = None
+    if ab is not None:  # a product's insertion order feeds the next one
+        assert outcome(mat_mul, ab, c) == outcome(oracles.naive_mat_mul, ab, c)
+    dim = a.dim
+    assert_checks_match(GammaSet({1: a, 2: b, 3: c}, tuple(range(dim)),
+                                 dim // 2))
+
+
+def test_triple_arithmetic_rejects_mismatched_dimensions():
+    for fn in (mat_mul, mat_add, anticommutator):
+        got = outcome(fn, MonomialMatrix(2), MonomialMatrix(3))
+        assert got == (InputError, "dimension mismatch: 2 vs 3")
+
+
+def test_quaternion_check_matches_oracle_on_all_64_vectors():
+    for bits in itertools.product((0, 1), repeat=6):
+        mats = matrices_from_directions(directions_from_vector(bits))
+        assert check_quaternion(mats) == oracles.naive_check_quaternion(mats)

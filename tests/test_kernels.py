@@ -21,6 +21,7 @@ from adinkra.codec import (
     codewords,
     family_skeleton,
     min_distance,
+    parse_family,
 )
 from adinkra.quaternion import COLOR_UNITS
 
@@ -222,6 +223,23 @@ def test_size_guard(monkeypatch):
         guard_bits()
     monkeypatch.delenv("ADINKRA_SIZE_GUARD")
     assert guard_bits() == 20
+
+
+def test_size_guard_applies_to_cached_family_headers(monkeypatch):
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    header = "n=12;code=;scheme=dashing"
+    parse_family(header)  # accepted, and its quotient code cached
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "10")
+    with pytest.raises(SizeGuardError):
+        parse_family("n=11;code=;scheme=dashing")
+    with pytest.raises(SizeGuardError) as want:
+        check_guard(12, "quotient construction")
+    with pytest.raises(SizeGuardError) as cached:
+        parse_family(header)
+    assert str(cached.value) == str(want.value)
+    with pytest.raises(SizeGuardError) as skeleton:
+        family_skeleton(Family(12, (), DASHING))
+    assert str(skeleton.value) == str(want.value)
 
 
 def test_distance_walk_is_guarded(monkeypatch):

@@ -118,8 +118,23 @@ def test_non_object_json_is_input_error(parse, text):
 def test_malformed_trace_row_is_input_error(doc, field, value):
     rows = copy.deepcopy(doc)
     rows[0][field] = value
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^trace line 1: "):
         GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+
+
+@pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])
+def test_trace_row_error_names_its_line(doc):
+    rows = copy.deepcopy(doc)
+    rows[2]["gate"] = "XOR"
+    text = "\n".join(json.dumps(r) for r in rows)
+    with pytest.raises(InputError) as err:
+        GateTrace.from_jsonl(text)
+    assert str(err.value) == "trace line 3: unknown gate 'XOR'"
+    rows[2]["gate"] = doc[2]["gate"]
+    rows[4]["base"] = "01x"
+    with pytest.raises(InputError) as err:
+        GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+    assert str(err.value) == "trace line 5: not a bitstring: '01x'"
 
 
 @pytest.mark.parametrize(
@@ -132,6 +147,7 @@ def test_mistyped_trace_field_is_named(field, value):
     rows[0][field] = value
     with pytest.raises(InputError) as err:
         GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+    assert str(err.value).startswith("trace line 1: ")
     assert field in str(err.value)
     assert "missing field" not in str(err.value)
 
