@@ -193,9 +193,13 @@ class MonomialMatrix:
         if len(rows) != len(cols):
             raise InputError("block must be square")
         out = MonomialMatrix(len(rows))
+        position = {c: j for j, c in enumerate(cols)}
         for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                out.set_entry(i, j, self.entry(r, c))
+            # the stored (nonzero) entries only, in ascending block column
+            out._rows[i] = dict(sorted(
+                (position[c], m) for c, m in self._rows[r].items()
+                if c in position
+            ))
         return out
 
     def to_text(self) -> str:

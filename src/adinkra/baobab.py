@@ -30,6 +30,7 @@ from .graph import (
     Plaquette,
     _incidence,
     _plaquette_incidence,
+    _plaquette_trails,
     json_object_rows,
     load_json_object,
     normalize_heights,
@@ -281,7 +282,7 @@ def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
     )
 
 
-def _ndxor_rule(p: Plaquette, bits: dict, length: int):
+def _ndxor_rule(p: Plaquette, _trail, bits: dict, length: int):
     """(step, bit) for the one unknown dashing bit of a plaquette."""
     vals = [bits.get(e) for e in p.edges]
     if vals.count(None) == 1:
@@ -295,9 +296,9 @@ def _ndxor_rule(p: Plaquette, bits: dict, length: int):
     return ()
 
 
-def _dxor_rule(p: Plaquette, heads: dict, length: int):
-    """(step, head) for every unknown arrow a plaquette forces."""
-    trail = p.trail()
+def _dxor_rule(p: Plaquette, trail, heads: dict, length: int):
+    """(step, head) for every unknown arrow a plaquette forces; `trail`
+    is `p.trail()`."""
     tvals = [None if e not in heads else (0 if heads[e] == to else 1)
              for _, to, e in trail]
     unknown = [i for i, v in enumerate(tvals) if v is None]
@@ -320,7 +321,8 @@ def _dxor_rule(p: Plaquette, heads: dict, length: int):
     )
 
 
-def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order):
+def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order,
+               trails: bool = False):
     """Run a gate rule over the plaquettes to its fixpoint.
 
     A min-heap holds canonical plaquette indices, all at first.  The
@@ -328,14 +330,21 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order):
     it forces, and the plaquettes on each newly known edge are queued
     again.  A verdict changes only when an edge becomes known, so the
     popped plaquette is the first one a scan from plaquette 0 would act
-    on: traces match a scan restarted after every inference.  The
-    plaquettes and their incidence come from the skeleton's shared
-    table; only a custom `order` gets an incidence of its own.
+    on: traces match a scan restarted after every inference.  `rule`
+    gets each plaquette with its trail when `trails` is set, else with
+    None.  The plaquettes, trails and incidence come from the skeleton's
+    shared table; only a custom `order` gets its own.
     """
     if order is None:
         plaqs, incident = plaquettes(skeleton), _plaquette_incidence(skeleton)
     else:
         plaqs, incident = order, _incidence(order)
+    if not trails:
+        paths = (None,) * len(plaqs)
+    elif order is None:
+        paths = _plaquette_trails(skeleton)
+    else:
+        paths = tuple(p.trail() for p in order)
     edge_set = set(skeleton.edges)
     known = {}
     for e, value in given.items():
@@ -348,7 +357,7 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order):
     while heap:
         i = heappop(heap)
         queued[i] = False
-        for step, value in rule(plaqs[i], known, skeleton.length):
+        for step, value in rule(plaqs[i], paths[i], known, skeleton.length):
             edge = step.output[0]
             known[edge] = value
             steps.append(step)
@@ -393,7 +402,8 @@ def propagate_directions(
     need 0 forces every unknown trail bit to 0 and need equal to their
     number forces them all to 1 (DXOR); anything between forces nothing.
     """
-    return _propagate(skeleton, pinned, _check_head, _dxor_rule, _order)
+    return _propagate(skeleton, pinned, _check_head, _dxor_rule, _order,
+                      trails=True)
 
 
 def heights_from_directions(

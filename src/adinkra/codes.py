@@ -38,8 +38,8 @@ def bit_string(word: int, length: int) -> str:
 
 def parse_bit_string(text: str) -> tuple[int, int]:
     """Parse an MSB-first bitstring; returns (value, length)."""
-    if (not isinstance(text, str) or not text
-            or any(c not in "01" for c in text)):
+    # strip leaves a non-empty rest exactly when some character is not 0/1
+    if not isinstance(text, str) or not text or text.strip("01"):
         raise InputError(f"not a bitstring: {text!r}")
     return int(text, 2), len(text)
 

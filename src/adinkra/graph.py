@@ -60,13 +60,15 @@ class Plaquette:
 
 
 class _PlaquetteTable:
-    """A graph's plaquettes and edge -> plaquette-index incidence, each
-    built on first use.  Adinkras on the same graph share one table."""
+    """A graph's plaquettes, their trails and the edge -> plaquette-index
+    incidence, each built on first use.  Adinkras on the same graph share
+    one table."""
 
-    __slots__ = ("plaquettes", "incidence", "__weakref__")
+    __slots__ = ("plaquettes", "trails", "incidence", "__weakref__")
 
     def __init__(self):
         self.plaquettes = None
+        self.trails = None
         self.incidence = None
 
 
@@ -274,6 +276,15 @@ def _plaquette_incidence(adinkra: Adinkra) -> dict[Edge, tuple[int, ...]]:
     return table.incidence
 
 
+def _plaquette_trails(adinkra: Adinkra) -> tuple:
+    """`p.trail()` for each plaquette, in `plaquettes` order; built once
+    per graph like `plaquettes`."""
+    table = adinkra._table
+    if table.trails is None:
+        table.trails = tuple(p.trail() for p in plaquettes(adinkra))
+    return table.trails
+
+
 def _incidence(plaqs) -> dict[Edge, tuple[int, ...]]:
     """Edge -> positions in `plaqs` of the plaquettes through it."""
     out: dict[Edge, list[int]] = {}
@@ -287,6 +298,11 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     steps = _color_steps(adinkra.code)
     length = adinkra.length
     nodes = adinkra.nodes
+    # at[color][x] is the graph's own edge of that color at node x
+    at: list[dict[int, Edge]] = [{} for _ in range(length + 1)]
+    for e in adinkra.edges:
+        side = at[e.color]
+        side[e.u] = side[e.v] = e
     out = []
     for ci, cj in combinations(range(1, length + 1), 2):
         di, dj = steps[ci], steps[cj]
@@ -295,21 +311,25 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
                 f"colors ({ci}, {cj}) do not span a four-cycle at "
                 f"{bit_string(nodes[0], length)}"
             )
+        # x < x ^ d exactly when x is zero at the leading bit of d.  Two of
+        # di, dj, di ^ dj share the leading bit of the largest and the
+        # smallest has a lower one (the pair is an echelon basis of the
+        # span), so x is the least corner of its cycle exactly when it is
+        # zero on both of those bits.
+        span = (di, dj, di ^ dj)
+        lead = 1 << (max(span).bit_length() - 1)
+        lead |= 1 << (min(span).bit_length() - 1)
         colors = (ci, cj)
+        on_i, on_j = at[ci], at[cj]
         for base in nodes:
-            a = base ^ di
-            b = a ^ dj
-            c = base ^ dj
-            if a < base or b < base or c < base:
+            if base & lead:
                 continue
-            # base is the least corner, so only the far edges need sorting
-            edges = (
-                Edge(base, a, ci),
-                Edge(a, b, cj) if a < b else Edge(b, a, cj),
-                Edge(b, c, ci) if b < c else Edge(c, b, ci),
-                Edge(base, c, cj),
-            )
-            out.append(Plaquette(base, colors, (base, a, b, c), edges))
+            a = base ^ di
+            c = base ^ dj
+            out.append(Plaquette(
+                base, colors, (base, a, a ^ dj, c),
+                (on_i[base], on_j[a], on_i[c], on_j[base]),
+            ))
     return tuple(out)
 
 
@@ -400,32 +420,48 @@ def normalize_heights(heights: Mapping[int, int]) -> dict[int, int]:
 # ---------- serialization ----------
 
 
+def _json_rows(rows: list[str]) -> str:
+    """A top-level value's array in the `json.dumps(indent=2)` layout,
+    from rows already indented to depth 2."""
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def to_json(adinkra: Adinkra) -> str:
-    """Canonical JSON form; byte-stable for equal adinkras."""
-    length = adinkra.length
-    heights = adinkra.heights
-    dashing = adinkra.dashing
-    obj = {
-        "n": adinkra.n,
-        "code_generators": list(adinkra.code.generator_strings()),
-        "nodes": [
-            {
-                "label": bit_string(x, length),
-                "height": None if heights is None else heights[x],
-            }
-            for x in adinkra.nodes
-        ],
-        "edges": [
-            {
-                "u": bit_string(e.u, length),
-                "v": bit_string(e.v, length),
-                "color": e.color,
-                "dashed": None if dashing is None else dashing[e] == -1,
-            }
-            for e in adinkra.edges
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON form; byte-stable for equal adinkras.
+
+    The text is `json.dumps(indent=2)` of {n, code_generators, nodes,
+    edges} plus a newline, written row by row without the encoder.
+    """
+    fmt = f"0{adinkra.length}b"
+    label = {x: format(x, fmt) for x in adinkra.nodes}
+    if adinkra.heights is None:
+        heights = ["null"] * len(adinkra.nodes)
+    else:
+        # a bool height, which from_json accepts, renders as in json.dumps
+        heights = [adinkra.heights[x] for x in adinkra.nodes]
+        heights = [str(h) if type(h) is int else json.dumps(h)
+                   for h in heights]
+    dashed = (
+        ["null"] * len(adinkra.edges) if adinkra.dashing is None
+        else ["true" if adinkra.dashing[e] == -1 else "false"
+              for e in adinkra.edges]
+    )
+    gens = [f'    "{g}"' for g in adinkra.code.generator_strings()]
+    nodes = [
+        f'    {{\n      "label": "{label[x]}",\n      "height": {h}\n    }}'
+        for x, h in zip(adinkra.nodes, heights)
+    ]
+    edges = [
+        f'    {{\n      "u": "{label[e.u]}",\n      "v": "{label[e.v]}",\n'
+        f'      "color": {e.color},\n      "dashed": {d}\n    }}'
+        for e, d in zip(adinkra.edges, dashed)
+    ]
+    return (
+        f'{{\n  "n": {adinkra.n},\n'
+        f'  "code_generators": {_json_rows(gens)},\n'
+        f'  "nodes": {_json_rows(nodes)},\n'
+        f'  "edges": {_json_rows(edges)}\n}}\n'
+    )
 
 
 def load_json_object(text: str, keys) -> dict:
@@ -492,8 +528,7 @@ def from_json(text: str) -> Adinkra:
     has_heights = height_seen == {True}
 
     edges = []
-    dashing = {}
-    dash_seen = set()
+    flags = []
     for row in json_object_rows(obj, "edges", ("u", "v", "color")):
         u, gu = parse_bit_string(row["u"])
         v, gv = parse_bit_string(row["v"])
@@ -504,21 +539,18 @@ def from_json(text: str) -> Adinkra:
             raise InputError(f"edge color must be an integer, got {color!r}")
         if u >= v:
             raise InputError(f"edge endpoints must satisfy u < v, got {row}")
-        e = Edge(u, v, color)
-        edges.append(e)
+        edges.append((u, v, color))
         d = row.get("dashed")
-        if d is not None:
-            if not isinstance(d, bool):
-                raise InputError(f"dashed flag must be boolean, got {d!r}")
-            dashing[e] = -1 if d else 1
-        dash_seen.add(d is not None)
-    if tuple(edges) != expect.edges:
+        if d is not None and not isinstance(d, bool):
+            raise InputError(f"dashed flag must be boolean, got {d!r}")
+        flags.append(d)
+    if tuple(edges) != expect.edges:  # Edge tuples equal plain tuples
         raise InputError("edge list does not match the canonical quotient order")
-    if len(dash_seen) > 1:
+    if len({d is None for d in flags}) > 1:
         raise InputError("dashed flags must be given for all edges or none")
-    has_dashing = dash_seen == {True}
+    # keyed by the skeleton's own edges, as its plaquettes are
+    dashing = None if flags[0] is None else {
+        e: -1 if d else 1 for e, d in zip(expect.edges, flags)
+    }
 
-    return expect._decorated(
-        dashing if has_dashing else None,
-        heights if has_heights else None,
-    )
+    return expect._decorated(dashing, heights if has_heights else None)

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from first principles — plain
 loops, plain integers, numpy for the matrix oracle — so test
-expectations never come from the code under test.  The restart-scan
-propagators and the Monomial-object algebra at the end are the
-exception: they reuse the package's plaquettes, step records and
-Monomial types so their results compare field for field.
+expectations never come from the code under test.  The graph-layer
+builders, the restart-scan propagators and the Monomial-object algebra
+at the end are the exception: they reuse the package's color steps,
+plaquettes, step records and Monomial types so their results compare
+field for field.
 """
 
+import json
 from itertools import combinations, product
 from typing import Mapping
 
@@ -27,7 +29,7 @@ from adinkra.algebra import (
 from adinkra.baobab import GateStep, GateTrace, _check_bit, ndxor
 from adinkra.codes import bit_string
 from adinkra.errors import ContradictionError, GradedSumError, InputError
-from adinkra.graph import Adinkra, Edge, Plaquette, plaquettes
+from adinkra.graph import Adinkra, Edge, Plaquette, _color_steps, plaquettes
 
 
 # ---------- GF(2) ----------
@@ -164,6 +166,69 @@ def naive_quotient(length, code_words):
             )
             plaqs.append((base, (ci, cj), corners, sides))
     return nodes, edges, plaqs
+
+
+# ---------- graph layer ----------
+
+
+def naive_build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
+    """Every (pair, node) combination, kept when the node is the least
+    corner of its cycle; each plaquette gets four new Edge tuples."""
+    steps = _color_steps(adinkra.code)
+    length = adinkra.length
+    nodes = adinkra.nodes
+    out = []
+    for ci, cj in combinations(range(1, length + 1), 2):
+        di, dj = steps[ci], steps[cj]
+        if len({0, di, dj, di ^ dj}) != 4:
+            raise InputError(
+                f"colors ({ci}, {cj}) do not span a four-cycle at "
+                f"{bit_string(nodes[0], length)}"
+            )
+        colors = (ci, cj)
+        for base in nodes:
+            a = base ^ di
+            b = a ^ dj
+            c = base ^ dj
+            if a < base or b < base or c < base:
+                continue
+            # base is the least corner, so only the far edges need sorting
+            edges = (
+                Edge(base, a, ci),
+                Edge(a, b, cj) if a < b else Edge(b, a, cj),
+                Edge(b, c, ci) if b < c else Edge(c, b, ci),
+                Edge(base, c, cj),
+            )
+            out.append(Plaquette(base, colors, (base, a, b, c), edges))
+    return tuple(out)
+
+
+def naive_to_json(adinkra: Adinkra) -> str:
+    """The canonical JSON form through `json.dumps(indent=2)`."""
+    length = adinkra.length
+    heights = adinkra.heights
+    dashing = adinkra.dashing
+    obj = {
+        "n": adinkra.n,
+        "code_generators": list(adinkra.code.generator_strings()),
+        "nodes": [
+            {
+                "label": bit_string(x, length),
+                "height": None if heights is None else heights[x],
+            }
+            for x in adinkra.nodes
+        ],
+        "edges": [
+            {
+                "u": bit_string(e.u, length),
+                "v": bit_string(e.v, length),
+                "color": e.color,
+                "dashed": None if dashing is None else dashing[e] == -1,
+            }
+            for e in adinkra.edges
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------- dashings ----------
@@ -514,6 +579,17 @@ def naive_check_garden(gammas: GammaSet,
     return AlgebraReport("garden", tuple(violations))
 
 
+def naive_block(m: MonomialMatrix, rows: range, cols: range) -> MonomialMatrix:
+    """Square sub-block read cell by cell."""
+    if len(rows) != len(cols):
+        raise InputError("block must be square")
+    out = MonomialMatrix(len(rows))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            out.set_entry(i, j, m.entry(r, c))
+    return out
+
+
 def naive_check_block_transpose(gammas: GammaSet) -> AlgebraReport:
     """Off-diagonal blocks of each Gamma are mutual transposes, and
     cross-color products of opposite blocks are antisymmetric, once
@@ -524,7 +600,8 @@ def naive_check_block_transpose(gammas: GammaSet) -> AlgebraReport:
         c: strip_derivatives(m) for c, m in sorted(gammas.matrices.items())
     }
     blocks = {
-        c: (m.block(br, fr), m.block(fr, br)) for c, m in stripped.items()
+        c: (naive_block(m, br, fr), naive_block(m, fr, br))
+        for c, m in stripped.items()
     }
     for c, (upper, lower) in blocks.items():
         if upper.transpose() != lower:

@@ -421,6 +421,33 @@ def test_triple_arithmetic_matches_oracle_on_cancelling_mixed_entries(mats):
                                  dim // 2))
 
 
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(
+    monomial_matrices(dim),
+    st.integers(0, dim - 1), st.integers(0, dim - 1),
+    st.integers(0, dim), st.booleans())))
+@settings(max_examples=300, deadline=None)
+def test_block_matches_cell_by_cell_oracle(case):
+    m, r0, c0, size, reverse = case
+    # cols may run out first, which makes the block non-square
+    rows = range(r0, min(r0 + size, m.dim))
+    cols = range(c0, min(c0 + len(rows), m.dim))
+    if reverse:
+        rows, cols = rows[::-1], cols[::-1]
+    assert outcome(m.block, rows, cols) == outcome(
+        oracles.naive_block, m, rows, cols)
+
+
+@pytest.mark.parametrize("n, gens", GARDEN_FAMILIES)
+def test_gamma_blocks_match_cell_by_cell_oracle(n, gens):
+    for adk in VALID[(n, gens)]:
+        gammas = adinkra_to_gamma(adk)
+        br, fr = gammas.boson_range(), gammas.fermion_range()
+        for m in gammas.matrices.values():
+            for rows, cols in ((br, fr), (fr, br), (br, br)):
+                assert outcome(m.block, rows, cols) == outcome(
+                    oracles.naive_block, m, rows, cols)
+
+
 def test_triple_arithmetic_rejects_mismatched_dimensions():
     for fn in (mat_mul, mat_add, anticommutator):
         got = outcome(fn, MonomialMatrix(2), MonomialMatrix(3))

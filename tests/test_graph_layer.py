@@ -1,0 +1,169 @@
+"""The graph layer against the builders it replaced: plaquettes from
+`naive_build_plaquettes`, JSON text from `naive_to_json`, and the label
+errors of `parse_bit_string` and `from_json`."""
+
+import json
+import random
+
+import pytest
+
+import oracles
+from adinkra import (
+    InputError,
+    build_chromotopology,
+    from_json,
+    plaquettes,
+    reconstruct_dashing,
+    skeleton_baobab_edges,
+    to_json,
+    valise_heights,
+    weight_heights,
+)
+from adinkra.codes import LinearBinaryCode, gf2_rref, parse_bit_string
+from adinkra.graph import build_quotient_skeleton
+
+E8_CODE = ("11110000", "00001111", "11001100", "10101010")
+RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
+        "0011001100110011", "0101010101010101")
+
+
+def rm14_permutation(seed):
+    """RM(1,4) with its 16 coordinates shuffled: an L=16, k=5 code."""
+    perm = list(range(16))
+    random.Random(seed).shuffle(perm)
+    return tuple("".join(g[p] for p in perm) for g in RM14)
+
+
+def assert_plaquettes_match_oracle(sk):
+    got = plaquettes(sk)
+    assert got == oracles.naive_build_plaquettes(sk)
+    own = {e: e for e in sk.edges}
+    assert all(own[e] is e for p in got for e in p.edges)
+
+
+def test_plaquettes_match_oracle_on_every_code_up_to_length_8():
+    codes = [
+        gf2_rref(words)
+        for length in range(1, 9)
+        for words in oracles.doubly_even_codes(length)
+    ]
+    assert len(codes) == 1107
+    for gens in codes:
+        length = max(gens).bit_length()
+        sk = build_chromotopology(length - len(gens), [
+            format(g, f"0{length}b") for g in gens])
+        assert_plaquettes_match_oracle(sk)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_plaquettes_match_oracle_on_cubes(n):
+    assert_plaquettes_match_oracle(build_chromotopology(n, ()))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_plaquettes_match_oracle_at_length_16(seed):
+    sk = build_chromotopology(11, rm14_permutation(seed))
+    assert_plaquettes_match_oracle(sk)
+    assert len(plaquettes(sk)) == 120 * 2 ** 9
+
+
+def test_plaquettes_refuse_colors_without_a_four_cycle():
+    # the weight-2 word 110 makes colors 1 and 2 step alike
+    sk = build_quotient_skeleton(2, LinearBinaryCode(3, (0b110,)))
+    errors = []
+    for build in (plaquettes, oracles.naive_build_plaquettes):
+        with pytest.raises(InputError) as info:
+            build(sk)
+        errors.append(str(info.value))
+    assert errors == ["colors (1, 2) do not span a four-cycle at 000"] * 2
+
+
+# ---------- JSON ----------
+
+FAMILIES = [(n, ()) for n in range(1, 9)] + [(3, ("1111",)), (4, E8_CODE)]
+
+
+def json_cases(n, gens):
+    """The skeleton, and a valid dashing with valise heights and, for
+    k = 0, weight heights."""
+    sk = build_chromotopology(n, gens)
+    tree, cycles, _ = skeleton_baobab_edges(sk)
+    rng = random.Random(n)
+    signs, _ = reconstruct_dashing(
+        sk, {e: rng.randint(0, 1) for e in tree + cycles})
+    heights = [valise_heights(sk)] + ([] if gens else [weight_heights(sk)])
+    return [sk] + [sk.with_dashing(signs).with_heights(h) for h in heights]
+
+
+def assert_json_matches_oracle(adk):
+    text = to_json(adk)
+    assert text == oracles.naive_to_json(adk)
+    back = from_json(text)
+    assert back == adk
+    if adk.dashing is not None:
+        # the parsed dashing is keyed by the skeleton's own edges
+        own = {e: e for e in back.edges}
+        assert all(own[e] is e for e in back.dashing)
+
+
+@pytest.mark.parametrize("n, gens", FAMILIES)
+def test_to_json_matches_json_dumps(n, gens):
+    for adk in json_cases(n, gens):
+        assert_json_matches_oracle(adk)
+
+
+def test_to_json_matches_json_dumps_at_length_16():
+    sk = build_chromotopology(11, rm14_permutation(1))
+    # the writer renders any ±1 map; a valid dashing is not needed here
+    rng = random.Random(16)
+    signs = {e: rng.choice((1, -1)) for e in sk.edges}
+    for adk in (sk, sk.with_dashing(signs).with_heights(valise_heights(sk))):
+        assert_json_matches_oracle(adk)
+
+
+def test_to_json_renders_bool_heights_like_json_dumps():
+    doc = json.loads(to_json(build_chromotopology(1, ())))
+    for row, h in zip(doc["nodes"], (True, 1)):
+        row["height"] = h
+    adk = from_json(json.dumps(doc))
+    assert [adk.heights[x] for x in adk.nodes] == [True, 1]
+    text = to_json(adk)
+    assert text == oracles.naive_to_json(adk)
+    assert '"height": true' in text and '"height": 1\n' in text
+
+
+# ---------- label checks ----------
+
+BAD_LABELS = ["", "012", "01a", " 01", "01 ", "0 1", "01\n", "\t01",
+              "0_1", "_01", "+01", "-01", "0b1", "１", 5, None, ["01"]]
+
+
+@pytest.mark.parametrize("text", BAD_LABELS)
+def test_parse_bit_string_rejects_non_binary_text(text):
+    with pytest.raises(InputError) as info:
+        parse_bit_string(text)
+    assert str(info.value) == f"not a bitstring: {text!r}"
+
+
+def test_parse_bit_string_reads_binary_text():
+    assert parse_bit_string("0") == (0, 1)
+    assert parse_bit_string("0101") == (5, 4)
+    assert parse_bit_string("1" * 40) == (2 ** 40 - 1, 40)
+
+
+@pytest.mark.parametrize("text", BAD_LABELS[:11])
+def test_from_json_names_the_bad_label(text):
+    base = json.loads(to_json(build_chromotopology(2, ())))
+    for rows, key in (("nodes", "label"), ("edges", "u"), ("edges", "v")):
+        doc = json.loads(json.dumps(base))
+        doc[rows][1][key] = text
+        with pytest.raises(InputError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == f"not a bitstring: {text!r}"
+
+
+def test_from_json_names_a_label_of_the_wrong_length():
+    doc = json.loads(to_json(build_chromotopology(2, ())))
+    doc["nodes"][1]["label"] = "011"
+    with pytest.raises(InputError, match=r"^label '011' is not 2 bits$"):
+        from_json(json.dumps(doc))

@@ -99,6 +99,7 @@ def test_replace_starts_with_an_empty_table(builds):
     copy = replace(adk, heights=None)
     assert copy._table is not adk._table
     assert copy._table.plaquettes is None and copy._table.incidence is None
+    assert copy._table.trails is None
     assert plaquettes(copy) == plaquettes(adk)
     assert len(builds) == 2
 
@@ -123,6 +124,30 @@ def test_incidence_is_built_on_first_propagation():
     plaqs = plaquettes(sk)
     for e, ids in incidence.items():
         assert ids == tuple(i for i, p in enumerate(plaqs) if e in p.edges)
+
+
+@pytest.mark.parametrize("n, gens, heights", RUNGS)
+def test_trails_are_built_once_per_table(monkeypatch, n, gens, heights):
+    calls = []
+    real = graph.Plaquette.trail
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(graph.Plaquette, "trail", counted)
+    sk = build_chromotopology(n, gens)
+    adk = dashed(sk, heights)
+    tree, cycles, _ = skeleton_baobab_edges(sk)
+    propagate_dashing(sk, {e: 1 for e in tree + cycles})
+    assert sk._table.trails is None and not calls
+    rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
+    assert rebuilt == adk
+    trails = sk._table.trails
+    assert trails == tuple(real(p) for p in plaquettes(sk))
+    assert calls == list(plaquettes(sk))
+    propagate_directions(adk, choose_pinned_arrows(adk))
+    assert adk._table.trails is trails and len(calls) == len(trails)
 
 
 def test_dropped_skeleton_frees_its_table():
@@ -155,8 +180,10 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
             want, want_trace = theirs(fresh, given, _order=order)
             assert got == want
             assert trace.to_jsonl() == want_trace.to_jsonl()
-    # a custom order builds its own incidence and leaves the table alone
+    # a custom order builds its own incidence and trails and leaves the
+    # table alone
     assert fresh._table.plaquettes is None and fresh._table.incidence is None
+    assert fresh._table.trails is None
     assert len(builds) == 1 and builds[0] is sk
 
 
