@@ -14,6 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Mapping
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
@@ -29,8 +30,10 @@ from .graph import (
     Edge,
     Plaquette,
     _incidence,
+    _plaquette_heads,
     _plaquette_incidence,
     _plaquette_trails,
+    _trail_heads,
     json_object_rows,
     load_json_object,
     normalize_heights,
@@ -321,50 +324,80 @@ def _dxor_rule(p: Plaquette, trail, heads: dict, length: int):
     )
 
 
-def _propagate(skeleton: Adinkra, given: Mapping, check, rule, order,
-               trails: bool = False):
+# A plaquette's counters form one state s = 5 * unknown + ones: its
+# unknown edges, and its known edges whose value differs from the
+# plaquette's mark for that edge.  NDXOR marks every edge 0, so the ones
+# are dashing bits of 1; DXOR marks each edge with the node its trail
+# steps onto, so the ones are trail bits of 1.  _*_READY[s] says whether
+# the rule can force a bit or raise in state s: NDXOR on one unknown bit
+# or a complete plaquette of even parity, DXOR (need = 2 - ones) unless
+# 0 < need < unknown or the plaquette is complete with need 0.
+_NDXOR_READY = tuple(u == 1 or (u == 0 and t % 2 == 0)
+                     for u in range(5) for t in range(5))
+_DXOR_READY = tuple(not (0 < 2 - t < u) and (u, t) != (0, 2)
+                    for u in range(5) for t in range(5))
+
+
+def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
+               order, trails: bool = False):
     """Run a gate rule over the plaquettes to its fixpoint.
 
-    A min-heap holds canonical plaquette indices, all at first.  The
-    least is popped, `rule` raises or returns the (step, value) pairs
-    it forces, and the plaquettes on each newly known edge are queued
-    again.  A verdict changes only when an edge becomes known, so the
-    popped plaquette is the first one a scan from plaquette 0 would act
-    on: traces match a scan restarted after every inference.  `rule`
-    gets each plaquette with its trail when `trails` is set, else with
-    None.  The plaquettes, trails and incidence come from the skeleton's
-    shared table; only a custom `order` gets its own.
+    Each plaquette keeps its counters (see `_NDXOR_READY`), set from the
+    given edges and updated as edges become known, and goes on a
+    min-heap of canonical indices when they become ready.  The least is
+    popped and skipped if an edge filled since left it idle; otherwise
+    `rule` raises or returns the (step, value) pairs it forces.  A
+    plaquette's verdict changes only when one of its edges becomes
+    known, so each popped plaquette is the first one a scan from
+    plaquette 0 would act on: traces match a scan restarted after every
+    inference, and the rule is never called in vain.  With `trails` set,
+    `rule` gets each plaquette's trail and the marks are trail heads;
+    else it gets None and the marks are 0.  The plaquettes, trails,
+    incidence and heads come from the skeleton's shared table; only a
+    custom `order` builds its own.
     """
     if order is None:
         plaqs, incident = plaquettes(skeleton), _plaquette_incidence(skeleton)
     else:
         plaqs, incident = order, _incidence(order)
     if not trails:
-        paths = (None,) * len(plaqs)
+        paths, tos = (None,) * len(plaqs), None
     elif order is None:
-        paths = _plaquette_trails(skeleton)
+        paths, tos = _plaquette_trails(skeleton), _plaquette_heads(skeleton)
     else:
         paths = tuple(p.trail() for p in order)
+        tos = _trail_heads(paths)
     edge_set = set(skeleton.edges)
     known = {}
     for e, value in given.items():
         if e not in edge_set:
             raise InputError(f"unknown edge {e}")
         known[e] = check(e, value)
-    heap = list(range(len(plaqs)))
-    queued = [True] * len(plaqs)
+    state = [20] * len(plaqs)
+    zeros = repeat(0)
+    heap = []
     steps = []
-    while heap:
+    fresh = list(known)
+    while True:
+        for e in fresh:
+            value = known[e]
+            for j, mark in zip(incident.get(e, ()),
+                               zeros if tos is None else tos.get(e, ())):
+                old = state[j]
+                state[j] = new = old - 5 + (value != mark)
+                if ready[new] and not ready[old]:
+                    heappush(heap, j)
+        while heap and not ready[state[heap[0]]]:
+            heappop(heap)
+        if not heap:
+            break
         i = heappop(heap)
-        queued[i] = False
+        fresh = []
         for step, value in rule(plaqs[i], paths[i], known, skeleton.length):
             edge = step.output[0]
             known[edge] = value
             steps.append(step)
-            for j in incident[edge]:
-                if not queued[j]:
-                    queued[j] = True
-                    heappush(heap, j)
+            fresh.append(edge)
     return known, GateTrace(skeleton.length, tuple(steps))
 
 
@@ -387,7 +420,7 @@ def propagate_dashing(
     """
     return _propagate(skeleton, known,
                       lambda e, b: _check_bit(b, f"bit for {e}"),
-                      _ndxor_rule, _order)
+                      _ndxor_rule, _NDXOR_READY, _order)
 
 
 def propagate_directions(
@@ -402,8 +435,8 @@ def propagate_directions(
     need 0 forces every unknown trail bit to 0 and need equal to their
     number forces them all to 1 (DXOR); anything between forces nothing.
     """
-    return _propagate(skeleton, pinned, _check_head, _dxor_rule, _order,
-                      trails=True)
+    return _propagate(skeleton, pinned, _check_head, _dxor_rule,
+                      _DXOR_READY, _order, trails=True)
 
 
 def heights_from_directions(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Mapping, NamedTuple
 
 from . import _kernels
@@ -37,8 +37,7 @@ class Edge(NamedTuple):
     color: int
 
 
-@dataclass(frozen=True)
-class Plaquette:
+class Plaquette(NamedTuple):
     """Two-color four-cycle, traversed base -> I -> J -> I -> J -> base.
 
     `corners` lists the four nodes in traversal order starting at the
@@ -60,16 +59,17 @@ class Plaquette:
 
 
 class _PlaquetteTable:
-    """A graph's plaquettes, their trails and the edge -> plaquette-index
-    incidence, each built on first use.  Adinkras on the same graph share
-    one table."""
+    """A graph's plaquettes, their trails, the edge -> plaquette-index
+    incidence and the edge -> trail-head data beside it, each built on
+    first use.  Adinkras on the same graph share one table."""
 
-    __slots__ = ("plaquettes", "trails", "incidence", "__weakref__")
+    __slots__ = ("plaquettes", "trails", "incidence", "heads", "__weakref__")
 
     def __init__(self):
         self.plaquettes = None
         self.trails = None
         self.incidence = None
+        self.heads = None
 
 
 @dataclass(frozen=True)
@@ -285,6 +285,15 @@ def _plaquette_trails(adinkra: Adinkra) -> tuple:
     return table.trails
 
 
+def _plaquette_heads(adinkra: Adinkra) -> dict[Edge, tuple[int, ...]]:
+    """`_trail_heads` of the graph's plaquette trails; built once per
+    graph like `plaquettes`."""
+    table = adinkra._table
+    if table.heads is None:
+        table.heads = _trail_heads(_plaquette_trails(adinkra))
+    return table.heads
+
+
 def _incidence(plaqs) -> dict[Edge, tuple[int, ...]]:
     """Edge -> positions in `plaqs` of the plaquettes through it."""
     out: dict[Edge, list[int]] = {}
@@ -292,6 +301,16 @@ def _incidence(plaqs) -> dict[Edge, tuple[int, ...]]:
         for e in p.edges:
             out.setdefault(e, []).append(i)
     return {e: tuple(ids) for e, ids in out.items()}
+
+
+def _trail_heads(trails) -> dict[Edge, tuple[int, ...]]:
+    """Edge -> the node each trail through it steps onto, in trail
+    order: for `p.trail()` over `plaqs`, that of `_incidence(plaqs)`."""
+    out: dict[Edge, list[int]] = {}
+    for trail in trails:
+        for _, to, e in trail:
+            out.setdefault(e, []).append(to)
+    return {e: tuple(tos) for e, tos in out.items()}
 
 
 def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
@@ -506,20 +525,29 @@ def from_json(text: str) -> Adinkra:
     )
     expect = build_chromotopology(n, code)
     length = expect.length
+    label = {x: format(x, f"0{length}b") for x in expect.nodes}
+
+    def parse_label(text, want) -> tuple[int, int]:
+        # the skeleton's own label for `want` needs no parse; any other
+        # text is parsed, which raises the same errors in the same order
+        if want is not None and text == label[want]:
+            return want, length
+        return parse_bit_string(text)
 
     labels = []
     heights = {}
     height_seen = set()
-    for row in json_object_rows(obj, "nodes", ("label",)):
-        label, got = parse_bit_string(row["label"])
+    for row, want in zip(json_object_rows(obj, "nodes", ("label",)),
+                         chain(expect.nodes, repeat(None))):
+        x, got = parse_label(row["label"], want)
         if got != length:
             raise InputError(f"label {row['label']!r} is not {length} bits")
-        labels.append(label)
+        labels.append(x)
         h = row.get("height")
         if h is not None:
             if not isinstance(h, int):
                 raise InputError(f"height for {row['label']!r} must be an integer")
-            heights[label] = h
+            heights[x] = h
         height_seen.add(h is not None)
     if tuple(labels) != expect.nodes:
         raise InputError("node list does not match the canonical quotient order")
@@ -529,9 +557,11 @@ def from_json(text: str) -> Adinkra:
 
     edges = []
     flags = []
-    for row in json_object_rows(obj, "edges", ("u", "v", "color")):
-        u, gu = parse_bit_string(row["u"])
-        v, gv = parse_bit_string(row["v"])
+    ends = chain(((e.u, e.v) for e in expect.edges), repeat((None, None)))
+    for row, (want_u, want_v) in zip(
+            json_object_rows(obj, "edges", ("u", "v", "color")), ends):
+        u, gu = parse_label(row["u"], want_u)
+        v, gv = parse_label(row["v"], want_v)
         if gu != length or gv != length:
             raise InputError(f"edge endpoints must be {length}-bit labels")
         color = row["color"]

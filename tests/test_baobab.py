@@ -37,6 +37,7 @@ from adinkra import (
     verify_odd_dashing,
     weight_heights,
 )
+from adinkra import baobab
 from adinkra.baobab import (
     _trail_from_corners,
     cycle_color_set,
@@ -305,7 +306,7 @@ def assert_matches_oracle(skeleton, known, pinned):
 @pytest.mark.parametrize(
     "n, gens",
     [(2, ()), (3, ()), (4, ()), (5, ()), (6, ()), (3, ("1111",)),
-     (4, E8_CODE)],
+     (4, E8_CODE), (7, ()), (8, ())],
 )
 def test_propagation_matches_restart_scan_on_baobabs(n, gens):
     a = skeleton_for(n, gens)
@@ -352,6 +353,113 @@ def test_propagation_input_errors_match_restart_scan():
         {good: good.u, a.edges[1]: 3},
     ):
         assert_matches_oracle(a, given, given)
+
+
+def test_propagation_on_edges_without_plaquettes_matches_restart_scan():
+    # n = 1 has one edge and no plaquette: given bits and pins stand as
+    # they are and no gate fires
+    a = skeleton_for(1, ())
+    (edge,) = a.edges
+    assert plaquettes(a) == ()
+    for given in ({}, {edge: 0}, {edge: 1}, {edge: edge.u}, {edge: edge.v}):
+        assert_matches_oracle(a, given, given)
+    assert propagate_dashing(a, {edge: 1})[0] == {edge: 1}
+    heads, trace = propagate_directions(a, {edge: edge.v})
+    assert heads == {edge: edge.v} and trace.steps == ()
+
+
+# ---------- rule calls ----------
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Every NDXOR and DXOR rule call as (gate, steps forced), or (gate,
+    None) when it raised; a call that forces nothing fails the test."""
+    calls = []
+    for gate, name in (("NDXOR", "_ndxor_rule"), ("DXOR", "_dxor_rule")):
+        def counted(p, *args, real=getattr(baobab, name), gate=gate):
+            try:
+                out = real(p, *args)
+            except ContradictionError:
+                calls.append((gate, None))
+                raise
+            assert out, f"idle {gate} rule call on {p}"
+            calls.append((gate, len(out)))
+            return out
+
+        monkeypatch.setattr(baobab, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, gens",
+    [(n, ()) for n in range(2, 9)] + [(3, ("1111",)), (4, E8_CODE)],
+)
+def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
+    a = skeleton_for(n, gens)
+    rng = random.Random(n)
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    signs, _ = reconstruct_dashing(
+        a, {e: rng.randint(0, 1) for e in tree + cycles})
+    heights = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
+    for h in heights:
+        adk = a.with_dashing(signs).with_heights(h)
+        rebuilt, _, _ = reconstruct_adinkra(a, extract_baobab(adk))
+        assert rebuilt == adk
+    assert {gate for gate, _ in rule_calls} == {"NDXOR", "DXOR"}
+    assert all(forced for _, forced in rule_calls)
+
+
+def test_partial_and_contradicting_runs_make_no_idle_rule_calls(rule_calls):
+    a = skeleton_for(4, ())
+    tree = skeleton_tree(a)
+    bits, _ = propagate_dashing(a, {e: 1 for e in tree[:6]})
+    assert 0 < len(bits) < len(a.edges)
+    heights = weight_heights(a)
+    pinned = choose_pinned_arrows(a.with_heights(heights))
+    part = dict(list(pinned.items())[:2])
+    heads, _ = propagate_directions(a, part)
+    assert len(part) < len(heads) < len(a.edges)
+    assert rule_calls and all(forced for _, forced in rule_calls)
+    # one wrong extra bit or arrow off the baobab contradicts only after
+    # many inferences
+    full, _ = propagate_dashing(a, {e: 1 for e in tree})
+    extra = [e for e in a.edges if e not in tree and e not in pinned][-1]
+    for propagate, given in (
+        (propagate_dashing, {**{e: 1 for e in tree}, extra: 1 - full[extra]}),
+        (propagate_directions,
+         {**pinned, extra: min(extra.u, extra.v, key=heights.get)}),
+    ):
+        rule_calls.clear()
+        with pytest.raises(ContradictionError):
+            propagate(a, given)
+        assert len(rule_calls) > 1 and rule_calls[-1][1] is None
+        assert all(forced for _, forced in rule_calls[:-1])
+
+
+def test_rule_calls_per_inference_stay_at_most_one(rule_calls):
+    # each call forces at least one bit, so calls per inference stay at
+    # or below 1 as P grows; a worklist that queues every plaquette made
+    # up to 6.4 on these rungs, more the larger P
+    ratios = []
+    for n in range(4, 9):
+        a = skeleton_for(n, ())
+        rng = random.Random(n)
+        tree, cycles, _ = skeleton_baobab_edges(a)
+        rule_calls.clear()
+        bits, trace = propagate_dashing(
+            a, {e: rng.randint(0, 1) for e in tree + cycles})
+        assert len(rule_calls) == len(trace.steps) == len(a.edges) - len(
+            tree + cycles)
+        signs = {e: 1 if b else -1 for e, b in bits.items()}
+        for h in (valise_heights(a), weight_heights(a)):
+            pinned = choose_pinned_arrows(a.with_dashing(signs).with_heights(h))
+            rule_calls.clear()
+            heads, trace = propagate_directions(a, pinned)
+            assert len(heads) == len(a.edges)
+            assert sum(f for _, f in rule_calls) == len(trace.steps)
+            ratios.append(len(rule_calls) / len(trace.steps))
+    assert max(ratios) <= 1
 
 
 def test_dxor_closed_rule_on_all_81_trail_states():

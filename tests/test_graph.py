@@ -221,6 +221,21 @@ def test_plaquette_trail_alternates_colors():
         assert p.corners[0] == p.base == min(p.corners)
 
 
+def test_plaquette_is_a_named_tuple_of_its_fields():
+    for p in plaquettes(cube()):
+        fields = (p.base, p.colors, p.corners, p.edges)
+        # like Edge, a plaquette equals (and hashes as) the plain tuple
+        assert p == fields and hash(p) == hash(fields)
+        assert repr(p) == (
+            f"Plaquette(base={p.base!r}, colors={p.colors!r}, "
+            f"corners={p.corners!r}, edges={p.edges!r})"
+        )
+        assert p.trail() == tuple(
+            (p.corners[i], p.corners[(i + 1) % 4], p.edges[i])
+            for i in range(4)
+        )
+
+
 def test_plaquette_order_is_canonical():
     a = cube()
     keys = [(p.colors, p.base) for p in plaquettes(a)]

@@ -20,6 +20,7 @@ from adinkra import (
     weight_heights,
 )
 from adinkra.codes import LinearBinaryCode, gf2_rref, parse_bit_string
+from adinkra import graph
 from adinkra.graph import build_quotient_skeleton
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -167,3 +168,52 @@ def test_from_json_names_a_label_of_the_wrong_length():
     doc["nodes"][1]["label"] = "011"
     with pytest.raises(InputError, match=r"^label '011' is not 2 bits$"):
         from_json(json.dumps(doc))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The label texts `from_json` hands to `parse_bit_string`."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_bit_string(text)
+
+    monkeypatch.setattr(graph, "parse_bit_string", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, gens", [(3, ("1111",)), (4, E8_CODE)])
+def test_from_json_parses_no_label_of_a_canonical_document(parses, n, gens):
+    for adk in json_cases(n, gens):
+        assert from_json(to_json(adk)) == adk
+    assert parses == []
+
+
+def test_from_json_parses_only_the_labels_that_differ(parses):
+    base = json.loads(to_json(build_chromotopology(3, ())))
+    cases = [
+        (("nodes", 2, "label"), "011",
+         "node list does not match the canonical quotient order"),
+        (("edges", 4, "u"), "000",
+         "edge list does not match the canonical quotient order"),
+        (("edges", 4, "v"), "1111", "edge endpoints must be 3-bit labels"),
+        (("edges", 0, "v"), "000",
+         "edge endpoints must satisfy u < v, got {'u': '000', 'v': '000', "
+         "'color': 1, 'dashed': None}"),
+    ]
+    for (rows, i, key), text, message in cases:
+        doc = json.loads(json.dumps(base))
+        doc[rows][i][key] = text
+        parses.clear()
+        with pytest.raises(InputError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == message
+        assert parses == [text]
+    # rows past the skeleton's end are parsed too
+    doc = json.loads(json.dumps(base))
+    doc["nodes"].append(dict(doc["nodes"][0]))
+    parses.clear()
+    with pytest.raises(InputError, match="^node list does not match"):
+        from_json(json.dumps(doc))
+    assert parses == ["000"]

@@ -49,6 +49,11 @@ def builds(monkeypatch):
     return calls
 
 
+def table_fields(skeleton):
+    t = skeleton._table
+    return [t.plaquettes, t.trails, t.incidence, t.heads]
+
+
 def dashed(skeleton, heights):
     tree, cycles, _ = skeleton_baobab_edges(skeleton)
     rng = random.Random(len(skeleton.edges))
@@ -99,7 +104,7 @@ def test_replace_starts_with_an_empty_table(builds):
     copy = replace(adk, heights=None)
     assert copy._table is not adk._table
     assert copy._table.plaquettes is None and copy._table.incidence is None
-    assert copy._table.trails is None
+    assert copy._table.trails is None and copy._table.heads is None
     assert plaquettes(copy) == plaquettes(adk)
     assert len(builds) == 2
 
@@ -150,6 +155,25 @@ def test_trails_are_built_once_per_table(monkeypatch, n, gens, heights):
     assert adk._table.trails is trails and len(calls) == len(trails)
 
 
+@pytest.mark.parametrize("n, gens, heights", RUNGS)
+def test_heads_are_built_once_beside_the_incidence(n, gens, heights):
+    sk = build_chromotopology(n, gens)
+    adk = dashed(sk, heights)
+    assert sk._table.heads is None
+    rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
+    assert rebuilt == adk
+    heads, incidence = sk._table.heads, sk._table.incidence
+    assert set(heads) == set(incidence) == set(sk.edges)
+    trails = sk._table.trails
+    for e, ids in incidence.items():
+        # one tuple per edge: the node each trail through e steps onto
+        assert isinstance(heads[e], tuple)
+        assert heads[e] == tuple(to for i in ids
+                                 for _, to, f in trails[i] if f == e)
+    propagate_directions(adk, choose_pinned_arrows(adk))
+    assert adk._table.heads is heads
+
+
 def test_dropped_skeleton_frees_its_table():
     sk = build_chromotopology(4, ())
     tree, cycles, _ = skeleton_baobab_edges(sk)
@@ -180,10 +204,19 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
             want, want_trace = theirs(fresh, given, _order=order)
             assert got == want
             assert trace.to_jsonl() == want_trace.to_jsonl()
-    # a custom order builds its own incidence and trails and leaves the
-    # table alone
+            # on a skeleton whose table is built, a custom order gives
+            # the same and leaves every field of the table as it was
+            ours(sk, given)
+            fields = table_fields(sk)
+            # the tuples are immutable; copy the two dicts
+            copies = [dict(f) if isinstance(f, dict) else f for f in fields]
+            assert ours(sk, given, _order=order) == (got, trace)
+            assert all(f is g for f, g in zip(fields, table_fields(sk)))
+            assert fields == copies
+    # a custom order builds its own incidence, trails and heads and
+    # leaves the table alone
     assert fresh._table.plaquettes is None and fresh._table.incidence is None
-    assert fresh._table.trails is None
+    assert fresh._table.trails is None and fresh._table.heads is None
     assert len(builds) == 1 and builds[0] is sk
 
 
