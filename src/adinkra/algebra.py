@@ -328,6 +328,16 @@ class GammaSet:
         return range(self.boson_count, self.dim)
 
 
+# Every entry a ±1 dashing gives, keyed by (sign, fermionic target,
+# source above target): the sign, times i for a fermionic target, times
+# d/dt when the source sits higher.
+_GAMMA_ENTRIES = {
+    (sign, fermionic, up): Monomial(*((0, sign) if fermionic else (sign, 0)),
+                                    int(up))
+    for sign in (1, -1) for fermionic in (False, True) for up in (False, True)
+}
+
+
 def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
     """Read the per-color transformation matrices off the graph.
 
@@ -346,26 +356,28 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
         if not height_report:
             raise InputError(f"invalid adinkra: {height_report.summary()}")
     bosons = boson_nodes(adinkra)
-    fermions = fermion_nodes(adinkra)
-    basis = bosons + fermions
+    basis = bosons + fermion_nodes(adinkra)
     index = {label: i for i, label in enumerate(basis)}
-    heights = adinkra.heights
-    dim = len(basis)
+    dashing, heights = adinkra.dashing, adinkra.heights
+    first_fermion = len(bosons)
 
-    matrices = {}
-    for color in adinkra.colors():
-        m = MonomialMatrix(dim)
-        for e in adinkra.edges:
-            if e.color != color:
-                continue
-            sign = adinkra.dashing[e]
-            for s, t in ((e.u, e.v), (e.v, e.u)):
-                fermionic_target = index[t] >= len(bosons)
-                coeff = (0, sign) if fermionic_target else (sign, 0)
-                dpow = 1 if heights[s] > heights[t] else 0
-                m.set_entry(index[t], index[s], Monomial(*coeff, dpow))
-        matrices[color] = m
-    return GammaSet(matrices, basis, len(bosons))
+    matrices = {color: MonomialMatrix(len(basis))
+                for color in adinkra.colors()}
+    for e in adinkra.edges:
+        m = matrices.get(e.color)
+        if m is None:
+            continue
+        sign = dashing[e]
+        for s, t in ((e.u, e.v), (e.v, e.u)):
+            row, col = index[t], index[s]
+            key = (sign, row >= first_fermion, heights[s] > heights[t])
+            entry = _GAMMA_ENTRIES.get(key) if type(sign) is int else None
+            if entry is None:  # not a ±1 sign: validate as a fresh entry
+                coeff = (0, sign) if key[1] else (sign, 0)
+                m.set_entry(row, col, Monomial(*coeff, 1 if key[2] else 0))
+            else:
+                m._rows[row][col] = entry
+    return GammaSet(matrices, basis, first_fermion)
 
 
 # ---------- algebra checks ----------
@@ -423,17 +435,59 @@ def _compare(relation: str, got, want, out: list) -> None:
                                             Monomial(*w)))
 
 
+def _unit_rows(m: MonomialMatrix):
+    """Each row's one entry as (col, re, im, dpow), or None unless every
+    row of `m` holds exactly one entry."""
+    rows = m._rows
+    if not all(rows) or sum(map(len, rows)) != len(rows):
+        return None
+    return [(c, x.re, x.im, x.dpow) for row in rows for c, x in row.items()]
+
+
+def _unit_pair_holds(a, b, same: bool) -> bool:
+    """Whether {A, B} = 2i·d/dt·1 (`same`, A is B) or {A, B} = 0 for
+    unit rows a and b.  Row t of each product is one two-step walk, so
+    {A, A} holds iff every walk t -> a[t] -> a[a[t]] returns to t with
+    coefficient i and one derivative, and {A, B} iff the A-then-B and
+    B-then-A walks end on one column at one grade with opposite
+    coefficients.  A pair that holds here holds in the triple rows too.
+    """
+    if same:
+        for t, (u, re1, im1, p1) in enumerate(a):
+            s, re2, im2, p2 = a[u]
+            if (s != t or p1 + p2 != 1 or re1 * re2 != im1 * im2
+                    or re1 * im2 + im1 * re2 != 1):
+                return False
+        return True
+    for (u, re1, im1, p1), (v, re2, im2, p2) in zip(a, b):
+        s, re3, im3, p3 = b[u]
+        w, re4, im4, p4 = a[v]
+        if (s != w or p1 + p3 != p2 + p4
+                or re1 * re3 - im1 * im3 + re2 * re4 - im2 * im4
+                or re1 * im3 + im1 * re3 + re2 * im4 + im2 * re4):
+            return False
+    return True
+
+
 def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
-    """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ."""
+    """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ.
+
+    A pair of matrices with one entry in every row is decided on unit
+    rows in one pass; a pair that fails there, and any other pair, goes
+    through the triple-row arithmetic, which writes the violations."""
     colors = sorted(gammas.matrices)
-    rows = {c: _triples(gammas.matrices[c]) for c in colors}
-    diag = [{r: (0, 2, 1)} for r in range(gammas.dim)]
-    zero = [{} for _ in range(gammas.dim)]
+    units = {c: _unit_rows(gammas.matrices[c]) for c in colors}
     violations: list[AlgebraViolation] = []
     for i, ci in enumerate(colors):
         for cj in colors[i:]:
+            ua, ub = units[ci], units[cj]
+            if (ua is not None and ub is not None and len(ua) == len(ub)
+                    and _unit_pair_holds(ua, ub, ci == cj)):
+                continue
+            a = _triples(gammas.matrices[ci])
+            b = a if ci == cj else _triples(gammas.matrices[cj])
             try:
-                got = _anticommutator(rows[ci], rows[cj])
+                got = _anticommutator(a, b)
             except GradedSumError as exc:
                 violations.append(
                     AlgebraViolation(
@@ -443,7 +497,8 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
                 if stop_early:
                     return AlgebraReport("garden", tuple(violations))
                 continue
-            want = diag if ci == cj else zero
+            want = ([{r: (0, 2, 1)} for r in range(gammas.dim)] if ci == cj
+                    else [{}] * gammas.dim)
             _compare(f"{{G{ci}, G{cj}}}", got, want, violations)
             if violations and stop_early:
                 return AlgebraReport("garden", tuple(violations))

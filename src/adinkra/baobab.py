@@ -196,16 +196,14 @@ class GateTrace:
         for num, s in enumerate(self.steps, 1):
             if s.gate != "DXOR":
                 raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
-            trail = _trail_from_corners(s.corners, s.colors)
-            by_edge = {e: (frm, to) for frm, to, e in trail}
             vals = []
             for e, b in s.inputs:
-                if e not in by_edge:
+                ends = _trail_ends(e, s.corners, s.colors)
+                if ends is None:
                     raise ReplayError(f"step {num}: input {e} not on the cycle")
-                frm, to = by_edge[e]
                 if e not in heads:
                     raise ReplayError(f"step {num}: input {e} not yet known")
-                got = 0 if heads[e] == to else 1
+                got = 0 if heads[e] == ends[1] else 1
                 if got != b:
                     raise ReplayError(
                         f"step {num}: input {e} reads {got}, trace says {b}"
@@ -222,10 +220,10 @@ class GateTrace:
                 raise ReplayError(
                     f"step {num}: recomputed {want} but trace wrote {b}"
                 )
-            if e not in by_edge:
+            ends = _trail_ends(e, s.corners, s.colors)
+            if ends is None:
                 raise ReplayError(f"step {num}: output {e} not on the cycle")
-            frm, to = by_edge[e]
-            head = to if b == 0 else frm
+            head = ends[1] if b == 0 else ends[0]
             if e in heads and heads[e] != head:
                 raise ReplayError(f"step {num}: output {e} already oriented")
             heads[e] = head
@@ -265,14 +263,18 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     )
 
 
-def _trail_from_corners(corners, colors):
-    ci, cj = colors
-    out = []
-    for i in range(4):
+def _trail_ends(edge: Edge, corners, colors):
+    """(from, to) of `edge` on the trail corners[0] -> ... -> corners[3]
+    -> corners[0], whose steps alternate colors[0] and colors[1], or None
+    when no step runs along it.  Should two steps share the edge, the
+    last one counts."""
+    u, v, color = edge
+    for i in (3, 2, 1, 0):
         a, b = corners[i], corners[(i + 1) % 4]
-        color = ci if i % 2 == 0 else cj
-        out.append((a, b, Edge(min(a, b), max(a, b), color)))
-    return tuple(out)
+        if colors[i % 2] == color and (
+                (u == a and v == b) if a < b else (u == b and v == a)):
+            return a, b
+    return None
 
 
 # ---------- constraint propagation ----------
@@ -291,7 +293,8 @@ def _ndxor_rule(p: Plaquette, _trail, bits: dict, length: int):
     if vals.count(None) == 1:
         i = vals.index(None)
         inputs = tuple((p.edges[j], vals[j]) for j in range(4) if j != i)
-        out = (p.edges[i], ndxor(*(b for _, b in inputs)))
+        # the bits were checked on entry or written by this gate
+        out = (p.edges[i], 1 ^ inputs[0][1] ^ inputs[1][1] ^ inputs[2][1])
         step = GateStep("NDXOR", p.colors, p.base, p.corners, inputs, out)
         return ((step, out[1]),)
     if None not in vals and vals[0] ^ vals[1] ^ vals[2] ^ vals[3] != 1:

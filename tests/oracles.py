@@ -26,10 +26,23 @@ from adinkra.algebra import (
     mat_neg,
     strip_derivatives,
 )
-from adinkra.baobab import GateStep, GateTrace, _check_bit, ndxor
+from adinkra.baobab import GateStep, GateTrace, _check_bit, dxor, ndxor
 from adinkra.codes import bit_string
-from adinkra.errors import ContradictionError, GradedSumError, InputError
-from adinkra.graph import Adinkra, Edge, Plaquette, _color_steps, plaquettes
+from adinkra.errors import (
+    ContradictionError,
+    GradedSumError,
+    InputError,
+    ReplayError,
+)
+from adinkra.graph import (
+    Adinkra,
+    Edge,
+    Plaquette,
+    _color_steps,
+    boson_nodes,
+    fermion_nodes,
+    plaquettes,
+)
 
 
 # ---------- GF(2) ----------
@@ -487,6 +500,62 @@ def naive_propagate_directions(
     return heads, trace
 
 
+def trail_from_corners(corners, colors):
+    """Steps (from, to, edge) around a recorded plaquette: corners in
+    traversal order, steps alternating the two colors."""
+    ci, cj = colors
+    out = []
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+        color = ci if i % 2 == 0 else cj
+        out.append((a, b, Edge(min(a, b), max(a, b), color)))
+    return tuple(out)
+
+
+def naive_replay_directions(trace: GateTrace,
+                            seeds: Mapping[Edge, int]) -> dict[Edge, int]:
+    """`GateTrace.replay_directions` with each step's trail rebuilt and
+    looked up by edge, as first written."""
+    heads = dict(seeds)
+    for num, s in enumerate(trace.steps, 1):
+        if s.gate != "DXOR":
+            raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
+        trail = trail_from_corners(s.corners, s.colors)
+        by_edge = {e: (frm, to) for frm, to, e in trail}
+        vals = []
+        for e, b in s.inputs:
+            if e not in by_edge:
+                raise ReplayError(f"step {num}: input {e} not on the cycle")
+            frm, to = by_edge[e]
+            if e not in heads:
+                raise ReplayError(f"step {num}: input {e} not yet known")
+            got = 0 if heads[e] == to else 1
+            if got != b:
+                raise ReplayError(
+                    f"step {num}: input {e} reads {got}, trace says {b}"
+                )
+            vals.append(b)
+        if len(vals) == 3 and len(set(vals)) == 2:
+            want = dxor(*vals)
+        elif len(vals) == 2 and vals[0] == vals[1]:
+            want = 1 - vals[0]
+        else:
+            raise ReplayError(f"step {num}: DXOR inputs {vals} force no bit")
+        e, b = s.output
+        if want != b:
+            raise ReplayError(
+                f"step {num}: recomputed {want} but trace wrote {b}"
+            )
+        if e not in by_edge:
+            raise ReplayError(f"step {num}: output {e} not on the cycle")
+        frm, to = by_edge[e]
+        head = to if b == 0 else frm
+        if e in heads and heads[e] != head:
+            raise ReplayError(f"step {num}: output {e} already oriented")
+        heads[e] = head
+    return heads
+
+
 # ---------- exact algebra on Monomial objects ----------
 #
 # The library's matrix products, sums and relation checks as first
@@ -548,6 +617,29 @@ def naive_compare(relation: str, got: MonomialMatrix,
             g, w = got.entry(r, c), want.entry(r, c)
             if g != w:
                 out.append(AlgebraViolation(relation, r, c, g, w))
+
+
+def naive_adinkra_to_gamma(adinkra: Adinkra) -> GammaSet:
+    """Γ matrices one color at a time, each entry a fresh Monomial set
+    through `set_entry`; no validation of the adinkra."""
+    bosons = boson_nodes(adinkra)
+    basis = bosons + fermion_nodes(adinkra)
+    index = {label: i for i, label in enumerate(basis)}
+    heights = adinkra.heights
+    matrices = {}
+    for color in adinkra.colors():
+        m = MonomialMatrix(len(basis))
+        for e in adinkra.edges:
+            if e.color != color:
+                continue
+            sign = adinkra.dashing[e]
+            for s, t in ((e.u, e.v), (e.v, e.u)):
+                fermionic_target = index[t] >= len(bosons)
+                coeff = (0, sign) if fermionic_target else (sign, 0)
+                dpow = 1 if heights[s] > heights[t] else 0
+                m.set_entry(index[t], index[s], Monomial(*coeff, dpow))
+        matrices[color] = m
+    return GammaSet(matrices, basis, len(bosons))
 
 
 def naive_check_garden(gammas: GammaSet,

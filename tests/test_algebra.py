@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from adinkra import algebra
 from adinkra import (
     DT,
     GammaSet,
@@ -458,3 +459,158 @@ def test_quaternion_check_matches_oracle_on_all_64_vectors():
     for bits in itertools.product((0, 1), repeat=6):
         mats = matrices_from_directions(directions_from_vector(bits))
         assert check_quaternion(mats) == oracles.naive_check_quaternion(mats)
+
+
+# ---------- the unit-row verdict ----------
+
+NONZERO_ENTRIES = ENTRIES.filter(lambda m: not m.is_zero)
+
+
+def gamma_outcome(gammas):
+    """Γ matrices as their rows in insertion order, entries by repr."""
+    return ([(c, m.dim, [[(col, repr(x)) for col, x in row.items()]
+                         for row in m._rows])
+             for c, m in gammas.matrices.items()],
+            gammas.basis, gammas.boson_count)
+
+
+def with_row(m, r, entries):
+    """A copy of `m` whose row r holds exactly `entries` (col -> value)."""
+    out = MonomialMatrix(m.dim)
+    out._rows = [dict(row) for row in m._rows]
+    out._rows[r] = {}
+    for c, x in entries.items():
+        out.set_entry(r, c, x)
+    return out
+
+
+@st.composite
+def unit_row_gammas(draw):
+    """Γ sets whose every row holds one entry: free columns and entries
+    from ENTRIES, or a valid Γ with a few rows redrawn, so pairs that
+    hold, pairs that cancel to a wrong column and mixed grades occur."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        colors = draw(st.lists(st.integers(1, 9), unique=True, min_size=1,
+                               max_size=4))
+        matrices = {}
+        for c in colors:
+            m = MonomialMatrix(dim)
+            for r in range(dim):
+                m.set_entry(r, draw(st.integers(0, dim - 1)),
+                            draw(NONZERO_ENTRIES))
+            matrices[c] = m
+        return GammaSet(matrices, tuple(range(dim)), dim // 2)
+    n, gens = draw(st.sampled_from(GARDEN_FAMILIES[:4] + GARDEN_FAMILIES[5:]))
+    gammas = adinkra_to_gamma(draw(st.sampled_from(VALID[(n, gens)])))
+    matrices = dict(gammas.matrices)
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.sampled_from(sorted(matrices)))
+        r = draw(st.integers(0, gammas.dim - 1))
+        col = draw(st.integers(0, gammas.dim - 1))
+        matrices[c] = with_row(matrices[c], r, {col: draw(NONZERO_ENTRIES)})
+    return GammaSet(matrices, gammas.basis, gammas.boson_count)
+
+
+@given(unit_row_gammas())
+@settings(max_examples=300, deadline=None)
+def test_unit_row_garden_matches_oracle(gammas):
+    assert all(len(row) == 1 for m in gammas.matrices.values()
+               for row in m._rows)
+    for stop_early in (True, False):
+        assert outcome(check_garden, gammas, stop_early) == outcome(
+            oracles.naive_check_garden, gammas, stop_early)
+
+
+class CountedAnticommutator:
+    """Stands in for `algebra._anticommutator` and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.real = algebra._anticommutator
+        monkeypatch.setattr(algebra, "_anticommutator", self)
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.real(a, b)
+
+
+@pytest.mark.parametrize("n, gens", GARDEN_FAMILIES)
+def test_triple_rows_run_only_for_failing_pairs(n, gens, monkeypatch):
+    counted = CountedAnticommutator(monkeypatch)
+    adk = VALID[(n, gens)][0]
+    assert check_garden(adinkra_to_gamma(adk), stop_early=False).ok
+    assert counted.calls == 0
+    # one flipped sign breaks {G_c, G_d} for every d != c, not {G_c, G_c}
+    e = adk.edges[len(adk.edges) // 2]
+    flipped = adk.with_dashing({**adk.dashing, e: -adk.dashing[e]})
+    report = check_garden(adinkra_to_gamma(flipped, validate=False),
+                          stop_early=False)
+    want = tuple(f"{{G{min(c, e.color)}, G{max(c, e.color)}}}"
+                 for c in adk.colors() if c != e.color)
+    assert report.violated_relations() == want
+    assert counted.calls == len(want)
+
+
+def test_rows_not_holding_one_entry_take_the_triple_path(monkeypatch):
+    gammas = adinkra_to_gamma(VALID[(3, ())][0])
+    g2 = gammas.matrices[2]
+    (c0, x0), = g2._rows[0].items()
+    g2 = with_row(g2, 0, {})                       # an empty row
+    g2 = with_row(g2, 1, {**g2._rows[1], c0: x0})  # a two-entry row
+    broken = GammaSet({**gammas.matrices, 2: g2}, gammas.basis,
+                      gammas.boson_count)
+    for stop_early in (True, False):
+        assert outcome(check_garden, broken, stop_early) == outcome(
+            oracles.naive_check_garden, broken, stop_early)
+    counted = CountedAnticommutator(monkeypatch)
+    report = check_garden(broken, stop_early=False)
+    assert report.violated_relations() == ("{G1, G2}", "{G2, G2}",
+                                           "{G2, G3}")
+    assert counted.calls == 3
+
+
+@pytest.mark.parametrize("n, gens", GARDEN_FAMILIES)
+def test_gamma_matches_one_color_at_a_time_oracle(n, gens):
+    for adk in VALID[(n, gens)]:
+        assert gamma_outcome(adinkra_to_gamma(adk)) == gamma_outcome(
+            oracles.naive_adinkra_to_gamma(adk))
+        # signs a dashing verifier would reject: zero, two, a bool, a float
+        edges = adk.edges
+        for bad in (0, 2, True, 1.0):
+            for dashing in ({**adk.dashing, edges[0]: bad},
+                            {**adk.dashing, edges[-1]: bad}):
+                odd = adk.with_dashing(dashing)
+                assert outcome(
+                    lambda: gamma_outcome(adinkra_to_gamma(odd, False))
+                ) == outcome(
+                    lambda: gamma_outcome(oracles.naive_adinkra_to_gamma(odd)))
+
+
+RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
+        "0011001100110011", "0101010101010101")  # RM(1,4), doubly even
+
+
+def test_l16_valise_garden_holds_and_names_a_flipped_color():
+    a = build_chromotopology(11, RM14)
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    signs, _ = reconstruct_dashing(a, {e: 1 for e in tree + cycles})
+    adk = a.with_dashing(signs).with_heights(valise_heights(a))
+    assert check_garden(adinkra_to_gamma(adk)).ok
+    e = next(e for e in adk.edges if e.color == 7)
+    flipped = adk.with_dashing({**signs, e: -signs[e]})
+    report = check_garden(adinkra_to_gamma(flipped, validate=False))
+    assert report.violated_relations() == ("{G1, G7}",)
+
+
+def test_unit_rows_of_unequal_dimension_raise_as_before():
+    # {A, A} holds, and the two rows of A agree with B's first two, yet
+    # B is 3x3: the pair must still raise the dimension mismatch
+    a = MonomialMatrix.from_rows([[0, DT], [I_UNIT, 0]])
+    b = MonomialMatrix.from_rows([[0, Monomial(0, 1, 1), 0], [ONE, 0, 0],
+                                  [0, 0, ONE]])
+    gammas = GammaSet({1: a, 2: b}, (0, 1), 1)
+    for stop_early in (True, False):
+        got = outcome(check_garden, gammas, stop_early)
+        assert got == (InputError, "dimension mismatch: 2 vs 3")
+        assert got == outcome(oracles.naive_check_garden, gammas, stop_early)

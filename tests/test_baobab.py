@@ -39,7 +39,6 @@ from adinkra import (
 )
 from adinkra import baobab
 from adinkra.baobab import (
-    _trail_from_corners,
     cycle_color_set,
     heights_from_directions,
     propagate_dashing,
@@ -214,12 +213,78 @@ def test_direction_replay_of_equal_inputs_is_replay_error():
     pinned = choose_pinned_arrows(a.with_heights(valise_heights(a)))
     _, _, trace = reconstruct_directions(a, pinned)
     step = trace.steps[0]
-    trail = _trail_from_corners(step.corners, step.colors)
+    trail = oracles.trail_from_corners(step.corners, step.colors)
     seeds = {e: to for _, to, e in trail}
     inputs = tuple((e, 0) for _, _, e in trail if e != step.output[0])
     bad = GateTrace(trace.length, (replace(step, inputs=inputs),))
     with pytest.raises(ReplayError):
         bad.replay_directions(seeds)
+
+
+def direction_case(n, gens):
+    a = skeleton_for(n, gens)
+    pinned = choose_pinned_arrows(a.with_heights(valise_heights(a)))
+    _, _, trace = reconstruct_directions(a, pinned)
+    return a, pinned, trace
+
+
+DIRECTION_CASES = [direction_case(n, gens)
+                   for n, gens in ((2, ()), (3, ()), (3, ("1111",)))]
+
+
+@st.composite
+def tampered_direction_replays(draw):
+    """A direction trace with up to three steps changed or dropped:
+    corners redrawn (repeats and foreign nodes too), colors redrawn
+    (equal ones too), an input or the output moved to another edge or
+    given the other bit; half the time one seed arrow is missing."""
+    a, pinned, trace = draw(st.sampled_from(DIRECTION_CASES))
+    steps = list(trace.steps)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(steps) - 1))
+        s = steps[i]
+        what = draw(st.sampled_from(
+            ("corners", "colors", "input", "output", "drop")))
+        if what == "drop" and len(steps) > 1:
+            del steps[i]
+            continue
+        if what == "corners":
+            pool = s.corners + a.nodes[:4]
+            s = replace(s, corners=tuple(draw(st.sampled_from(pool))
+                                         for _ in range(4)))
+        elif what == "colors":
+            color = st.sampled_from(list(a.colors()))
+            s = replace(s, colors=(draw(color), draw(color)))
+        elif what == "input" and s.inputs:
+            j = draw(st.integers(0, len(s.inputs) - 1))
+            e, b = s.inputs[j]
+            new = ((draw(st.sampled_from(a.edges)), b) if draw(st.booleans())
+                   else (e, b ^ 1))
+            s = replace(s, inputs=s.inputs[:j] + (new,) + s.inputs[j + 1:])
+        elif what == "output":
+            e, b = s.output
+            s = replace(s, output=(draw(st.sampled_from(a.edges)), b)
+                        if draw(st.booleans()) else (e, b ^ 1))
+        steps[i] = s
+    seeds = dict(pinned)
+    if draw(st.booleans()):
+        del seeds[draw(st.sampled_from(sorted(seeds)))]
+    return GateTrace(trace.length, tuple(steps)), seeds
+
+
+def replay_outcome(replay, *args):
+    try:
+        return replay(*args)
+    except ReplayError as exc:
+        return str(exc)
+
+
+@given(tampered_direction_replays())
+@settings(max_examples=300, deadline=None)
+def test_direction_replay_matches_trail_table_oracle(case):
+    trace, seeds = case
+    assert replay_outcome(trace.replay_directions, seeds) == replay_outcome(
+        oracles.naive_replay_directions, trace, seeds)
 
 
 def test_full_plaquette_contradiction():
