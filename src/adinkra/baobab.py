@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
 from .errors import (
@@ -29,11 +29,8 @@ from .graph import (
     Adinkra,
     Edge,
     Plaquette,
-    _incidence,
-    _plaquette_heads,
-    _plaquette_incidence,
-    _plaquette_trails,
-    _trail_heads,
+    _plaquette_ids,
+    _PlaquetteTable,
     json_object_rows,
     load_json_object,
     normalize_heights,
@@ -96,15 +93,15 @@ def directed_dof_bounds(n: int) -> tuple[int, int]:
 # ---------- gate traces ----------
 
 
-@dataclass(frozen=True)
-class GateStep:
+class GateStep(NamedTuple):
     """One inference: `inputs` were known, `output` was forced.
 
     For NDXOR steps the bits are dashing bits of the edges.  For DXOR
     steps the bits are trail bits — 0 when the arrow agrees with the
     plaquette traversal recorded in `corners` — and two equal inputs
     force the complementary output (the four trail bits must hold
-    exactly two ones).
+    exactly two ones).  Like `Plaquette`, a step equals the plain tuple
+    of its fields.
     """
 
     gate: str
@@ -287,28 +284,33 @@ def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
     )
 
 
-def _ndxor_rule(p: Plaquette, _trail, bits: dict, length: int):
-    """(step, bit) for the one unknown dashing bit of a plaquette."""
-    vals = [bits.get(e) for e in p.edges]
-    if vals.count(None) == 1:
-        i = vals.index(None)
-        inputs = tuple((p.edges[j], vals[j]) for j in range(4) if j != i)
+def _ndxor_rule(p: Plaquette, quad, vals: list, length: int):
+    """(step, edge id, bit) for the one unknown dashing bit of a
+    plaquette whose edge ids are `quad`."""
+    known = [vals[i] for i in quad]
+    if known.count(None) == 1:
+        k = known.index(None)
+        inputs = tuple((p.edges[j], known[j]) for j in range(4) if j != k)
         # the bits were checked on entry or written by this gate
-        out = (p.edges[i], 1 ^ inputs[0][1] ^ inputs[1][1] ^ inputs[2][1])
-        step = GateStep("NDXOR", p.colors, p.base, p.corners, inputs, out)
-        return ((step, out[1]),)
-    if None not in vals and vals[0] ^ vals[1] ^ vals[2] ^ vals[3] != 1:
+        bit = 1 ^ inputs[0][1] ^ inputs[1][1] ^ inputs[2][1]
+        step = GateStep("NDXOR", p.colors, p.base, p.corners, inputs,
+                        (p.edges[k], bit))
+        return ((step, quad[k], bit),)
+    if None not in known and known[0] ^ known[1] ^ known[2] ^ known[3] != 1:
         raise _contradiction(p, length, "has even dashing parity")
     return ()
 
 
-def _dxor_rule(p: Plaquette, trail, heads: dict, length: int):
-    """(step, head) for every unknown arrow a plaquette forces; `trail`
-    is `p.trail()`."""
-    tvals = [None if e not in heads else (0 if heads[e] == to else 1)
-             for _, to, e in trail]
-    unknown = [i for i, v in enumerate(tvals) if v is None]
-    need = 2 - sum(v for v in tvals if v)
+def _dxor_rule(p: Plaquette, quad, vals: list, length: int):
+    """(step, edge id, head) for every unknown arrow a plaquette forces.
+    Edge k of the traversal runs from corners[k] to corners[k + 1]; its
+    trail bit is 0 when the arrow points that way."""
+    c = p.corners
+    tos = (c[1], c[2], c[3], c[0])
+    tvals = [None if h is None else (0 if h == to else 1)
+             for h, to in zip([vals[i] for i in quad], tos)]
+    unknown = [k for k in range(4) if tvals[k] is None]
+    need = 2 - tvals.count(1)
     if not unknown and need:
         raise _contradiction(p, length, f"has {2 - need} counter-traversal "
                              "arrows, needs exactly 2")
@@ -318,13 +320,11 @@ def _dxor_rule(p: Plaquette, trail, heads: dict, length: int):
     if need not in (0, len(unknown)):
         return ()
     bit = 1 if need else 0
-    inputs = tuple((e, v) for (_, _, e), v in zip(trail, tvals)
-                   if v is not None)
-    return tuple(
-        (GateStep("DXOR", p.colors, p.base, p.corners, inputs, (e, bit)),
-         frm if bit else to)
-        for frm, to, e in (trail[i] for i in unknown)
-    )
+    edges = p.edges
+    inputs = tuple([(edges[k], tvals[k]) for k in range(4)
+                    if tvals[k] is not None])
+    return [(GateStep("DXOR", p.colors, p.base, c, inputs, (edges[k], bit)),
+             quad[k], c[k] if bit else tos[k]) for k in unknown]
 
 
 # A plaquette's counters form one state s = 5 * unknown + ones: its
@@ -342,50 +342,59 @@ _DXOR_READY = tuple(not (0 < 2 - t < u) and (u, t) != (0, 2)
 
 
 def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
-               order, trails: bool = False):
+               order, directions: bool = False):
     """Run a gate rule over the plaquettes to its fixpoint.
 
-    Each plaquette keeps its counters (see `_NDXOR_READY`), set from the
-    given edges and updated as edges become known, and goes on a
-    min-heap of canonical indices when they become ready.  The least is
-    popped and skipped if an edge filled since left it idle; otherwise
-    `rule` raises or returns the (step, value) pairs it forces.  A
+    Known values live in a list indexed by edge id.  Each plaquette
+    keeps its counters (see `_NDXOR_READY`), set from the given edges
+    and updated as edges become known, and goes on a min-heap of
+    canonical indices when they become ready.  The least is popped and
+    skipped if an edge filled since left it idle; otherwise `rule`
+    raises or returns the (step, edge id, value) triples it forces.  A
     plaquette's verdict changes only when one of its edges becomes
     known, so each popped plaquette is the first one a scan from
     plaquette 0 would act on: traces match a scan restarted after every
-    inference, and the rule is never called in vain.  With `trails` set,
-    `rule` gets each plaquette's trail and the marks are trail heads;
-    else it gets None and the marks are 0.  The plaquettes, trails,
-    incidence and heads come from the skeleton's shared table; only a
-    custom `order` builds its own.
+    inference, and the rule is never called in vain.  For `directions`
+    the marks are the table's heads; for dashing they are 0, and when
+    the given edges are exactly the baobab slots the plaquettes fire in
+    the order of the skeleton's NDXOR program (the order the heap would
+    pop them) with no counter kept.  The id tables come from the
+    skeleton's shared table; a custom `order` builds its own.
     """
     if order is None:
-        plaqs, incident = plaquettes(skeleton), _plaquette_incidence(skeleton)
+        table = _plaquette_ids(skeleton)
     else:
-        plaqs, incident = order, _incidence(order)
-    if not trails:
-        paths, tos = (None,) * len(plaqs), None
-    elif order is None:
-        paths, tos = _plaquette_trails(skeleton), _plaquette_heads(skeleton)
-    else:
-        paths = tuple(p.trail() for p in order)
-        tos = _trail_heads(paths)
-    edge_set = set(skeleton.edges)
+        table = _PlaquetteTable(order).fill_ids(skeleton.edges)
+    plaqs, quads, length = table.plaquettes, table.quads, skeleton.length
+    index = table.index
+    vals = [None] * len(skeleton.edges)
     known = {}
+    fresh = []
     for e, value in given.items():
-        if e not in edge_set:
+        i = index.get(e)
+        if i is None:
             raise InputError(f"unknown edge {e}")
-        known[e] = check(e, value)
+        known[e] = vals[i] = check(e, value)
+        fresh.append(i)
+    steps = []
+    program = None if directions or order is not None else (
+        _ndxor_program(skeleton, fresh))
+    if program is not None:
+        for j in program.order:
+            ((step, i, value),) = rule(plaqs[j], quads[j], vals, length)
+            vals[i] = known[step.output[0]] = value
+            steps.append(step)
+        return known, GateTrace(length, tuple(steps))
+    incident = table.incidence
+    heads = table.heads if directions else None
     state = [20] * len(plaqs)
     zeros = repeat(0)
     heap = []
-    steps = []
-    fresh = list(known)
     while True:
-        for e in fresh:
-            value = known[e]
-            for j, mark in zip(incident.get(e, ()),
-                               zeros if tos is None else tos.get(e, ())):
+        for i in fresh:
+            value = vals[i]
+            for j, mark in zip(incident[i],
+                               zeros if heads is None else heads[i]):
                 old = state[j]
                 state[j] = new = old - 5 + (value != mark)
                 if ready[new] and not ready[old]:
@@ -394,14 +403,112 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
             heappop(heap)
         if not heap:
             break
-        i = heappop(heap)
+        j = heappop(heap)
         fresh = []
-        for step, value in rule(plaqs[i], paths[i], known, skeleton.length):
-            edge = step.output[0]
-            known[edge] = value
+        for step, i, value in rule(plaqs[j], quads[j], vals, length):
+            vals[i] = known[step.output[0]] = value
             steps.append(step)
-            fresh.append(edge)
-    return known, GateTrace(skeleton.length, tuple(steps))
+            fresh.append(i)
+    return known, GateTrace(length, tuple(steps))
+
+
+class _NdxorProgram(NamedTuple):
+    """The NDXOR schedule of a skeleton's baobab slots.
+
+    NDXOR fires on a plaquette with exactly one unknown edge, so which
+    plaquettes fire, in what order, and which edge each one writes
+    depend only on which edges are known.  `order` lists the fired
+    plaquettes; `flat` holds, per step, (output id, input ids).
+    """
+
+    slots: frozenset[int]
+    order: tuple[int, ...]
+    flat: tuple[tuple[int, int, int, int], ...]
+
+    def run(self, vals: list) -> list:
+        """Fill `vals`, which holds a bit on every slot id, in place."""
+        for out, a, b, c in self.flat:
+            vals[out] = 1 ^ vals[a] ^ vals[b] ^ vals[c]
+        return vals
+
+
+def _ndxor_program(skeleton: Adinkra, ids=None) -> _NdxorProgram | None:
+    """The skeleton's compiled NDXOR program, built on first use and kept
+    in its plaquette table; None when the skeleton has none, or when
+    `ids` (edge ids, if given) are not exactly its slots.  A known set
+    of another size never builds it."""
+    if ids is not None and len(ids) != (
+            len(skeleton.nodes) - 1 + skeleton.code.k):
+        return None
+    table = _plaquette_ids(skeleton)
+    if table.program is None:
+        table.program = _compile_ndxor(skeleton, table)
+    program = table.program or None
+    if program is None or ids is None or program.slots.issuperset(ids):
+        return program
+    return None
+
+
+def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
+    """Run NDXOR on the baobab slots without values, as the engine's heap
+    would pop it.  The program stands in for the engine only if, for
+    every slot assignment, it reaches every edge and leaves no plaquette
+    of even parity: each edge's bit is tracked as an affine form in the
+    slot bits (bit 0 the constant, bit k + 1 slot k), and every
+    plaquette's four forms must sum to the constant 1.  Else False."""
+    try:
+        tree, cycles, _ = skeleton_baobab_edges(skeleton)
+    except (InputError, UnderDeterminedError):
+        return False
+    quads, incidence = table.quads, table.incidence
+    slots = [table.index[e] for e in tree + cycles]
+    form = [None] * len(skeleton.edges)
+    unknown = [4] * len(quads)
+    for k, i in enumerate(slots):
+        form[i] = 2 << k
+        for j in incidence[i]:
+            unknown[j] -= 1
+    heap = [j for j, u in enumerate(unknown) if u == 1]  # ascending: a heap
+    order, flat = [], []
+    while heap:
+        j = heappop(heap)
+        if unknown[j] != 1:
+            continue
+        q0, q1, q2, q3 = quads[j]
+        if form[q0] is None:
+            step = q0, q1, q2, q3
+        elif form[q1] is None:
+            step = q1, q0, q2, q3
+        elif form[q2] is None:
+            step = q2, q0, q1, q3
+        else:
+            step = q3, q0, q1, q2
+        out, a, b, c = step
+        form[out] = 1 ^ form[a] ^ form[b] ^ form[c]
+        order.append(j)
+        flat.append(step)
+        for t in incidence[out]:
+            unknown[t] -= 1
+            if unknown[t] == 1:
+                heappush(heap, t)
+    if None in form or any(form[a] ^ form[b] ^ form[c] ^ form[d] != 1
+                           for a, b, c, d in quads):
+        return False
+    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat))
+
+
+def _slot_dashing(skeleton: Adinkra, bits: Mapping[Edge, int]):
+    """`propagate_dashing(skeleton, bits)[0]` for bits on exactly the
+    baobab slots, from the compiled program's values alone when the
+    skeleton has one."""
+    program = _ndxor_program(skeleton)
+    if program is None:
+        return propagate_dashing(skeleton, bits)[0]
+    index = skeleton._table.index
+    vals = [None] * len(skeleton.edges)
+    for e, b in bits.items():
+        vals[index[e]] = b
+    return dict(zip(skeleton.edges, program.run(vals)))
 
 
 def _check_head(e: Edge, head) -> int:
@@ -419,7 +526,8 @@ def propagate_dashing(
 
     Plaquettes fire in canonical order, so equal inputs always give the
     identical trace; the private `_order` hook exists so tests can
-    confirm the fixpoint is order-independent.
+    confirm the fixpoint is order-independent.  Known bits on exactly
+    the baobab slots run the skeleton's compiled NDXOR program.
     """
     return _propagate(skeleton, known,
                       lambda e, b: _check_bit(b, f"bit for {e}"),
@@ -439,7 +547,7 @@ def propagate_directions(
     number forces them all to 1 (DXOR); anything between forces nothing.
     """
     return _propagate(skeleton, pinned, _check_head, _dxor_rule,
-                      _DXOR_READY, _order, trails=True)
+                      _DXOR_READY, _order, directions=True)
 
 
 def heights_from_directions(
@@ -785,7 +893,7 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
             for e in tree + cycles}
 
     skeleton = adinkra.skeleton()
-    full_bits, _trace = propagate_dashing(skeleton, bits)
+    full_bits = _slot_dashing(skeleton, bits)
     missing = [e for e in adinkra.edges if e not in full_bits]
     if missing:
         raise UnderDeterminedError(

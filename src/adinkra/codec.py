@@ -17,7 +17,7 @@ from operator import xor
 
 from . import _kernels
 from .algebra import check_quaternion
-from .baobab import skeleton_baobab_edges, skeleton_tree
+from .baobab import _ndxor_program, skeleton_baobab_edges, skeleton_tree
 from .codes import AffineCode, DoublyEvenCode, bit_string
 from .errors import (
     AmbiguousCorrectionError,
@@ -219,7 +219,9 @@ def _parse_bits(bits) -> tuple[int, ...]:
 
 
 def encode(message, family: Family) -> EdgeBitVector:
-    """Spread message bits over the baobab slots and complete the rest."""
+    """Spread message bits over the baobab slots and complete the rest:
+    by the family skeleton's compiled NDXOR program for dashing
+    families, by the affine code otherwise."""
     bits = _parse_bits(message)
     slots = message_slots(family)
     if len(bits) != len(slots):
@@ -227,6 +229,13 @@ def encode(message, family: Family) -> EdgeBitVector:
             f"message must be {len(slots)} bits for {family.header()}, "
             f"got {len(bits)}"
         )
+    if family.scheme == DASHING:
+        program = _ndxor_program(family_skeleton(family))
+        if program is not None:
+            vals = [None] * block_length(family)
+            for i, b in zip(slots, bits):
+                vals[i] = b
+            return EdgeBitVector(family, tuple(program.run(vals)))
     word = sum(b << i for i, b in zip(slots, bits))
     return _complete(family, word, sum(1 << i for i in slots))
 

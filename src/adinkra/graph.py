@@ -59,17 +59,48 @@ class Plaquette(NamedTuple):
 
 
 class _PlaquetteTable:
-    """A graph's plaquettes, their trails, the edge -> plaquette-index
-    incidence and the edge -> trail-head data beside it, each built on
-    first use.  Adinkras on the same graph share one table."""
+    """A graph's plaquettes, built on first use, and the integer tables
+    propagation reads, built on the first propagation.
 
-    __slots__ = ("plaquettes", "trails", "incidence", "heads", "__weakref__")
+    An edge's id is its position in the graph's `edges`.  `index` maps
+    each `Edge` to its id; `quads[j]` holds the ids of plaquette j's
+    edges in traversal order; `incidence[i]` lists the plaquettes
+    through edge i, ascending, and `heads[i]` beside it the corner each
+    of their traversals steps onto along edge i.  `program` is the
+    compiled NDXOR schedule of the baobab slots (see
+    `baobab._ndxor_program`).  Adinkras on the same graph share one
+    table."""
 
-    def __init__(self):
-        self.plaquettes = None
-        self.trails = None
-        self.incidence = None
-        self.heads = None
+    __slots__ = ("plaquettes", "index", "quads", "incidence", "heads",
+                 "program", "__weakref__")
+
+    def __init__(self, plaqs=None):
+        self.plaquettes = plaqs
+        self.index = self.quads = self.incidence = self.heads = None
+        self.program = None
+
+    def fill_ids(self, edges) -> "_PlaquetteTable":
+        """Build the id tables of `self.plaquettes` over `edges`."""
+        index = {e: i for i, e in enumerate(edges)}
+        plaqs = self.plaquettes
+        quads = [(index[a], index[b], index[c], index[d])
+                 for _, _, _, (a, b, c, d) in plaqs]
+        incidence = [[] for _ in edges]
+        heads = [[] for _ in edges]
+        # edge k of a plaquette runs from corners[k] to corners[k + 1]
+        for j, (i0, i1, i2, i3), (_, _, (c0, c1, c2, c3), _) in zip(
+                range(len(plaqs)), quads, plaqs):
+            incidence[i0].append(j)
+            heads[i0].append(c1)
+            incidence[i1].append(j)
+            heads[i1].append(c2)
+            incidence[i2].append(j)
+            heads[i2].append(c3)
+            incidence[i3].append(j)
+            heads[i3].append(c0)
+        self.index, self.quads = index, quads
+        self.incidence, self.heads = incidence, heads
+        return self
 
 
 @dataclass(frozen=True)
@@ -267,50 +298,14 @@ def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     return table.plaquettes
 
 
-def _plaquette_incidence(adinkra: Adinkra) -> dict[Edge, tuple[int, ...]]:
-    """Edge -> indices of the plaquettes through it, ascending; built
-    once per graph like `plaquettes`."""
+def _plaquette_ids(adinkra: Adinkra) -> _PlaquetteTable:
+    """The graph's plaquette table with its id tables built (once per
+    graph, like `plaquettes`)."""
     table = adinkra._table
-    if table.incidence is None:
-        table.incidence = _incidence(plaquettes(adinkra))
-    return table.incidence
-
-
-def _plaquette_trails(adinkra: Adinkra) -> tuple:
-    """`p.trail()` for each plaquette, in `plaquettes` order; built once
-    per graph like `plaquettes`."""
-    table = adinkra._table
-    if table.trails is None:
-        table.trails = tuple(p.trail() for p in plaquettes(adinkra))
-    return table.trails
-
-
-def _plaquette_heads(adinkra: Adinkra) -> dict[Edge, tuple[int, ...]]:
-    """`_trail_heads` of the graph's plaquette trails; built once per
-    graph like `plaquettes`."""
-    table = adinkra._table
-    if table.heads is None:
-        table.heads = _trail_heads(_plaquette_trails(adinkra))
-    return table.heads
-
-
-def _incidence(plaqs) -> dict[Edge, tuple[int, ...]]:
-    """Edge -> positions in `plaqs` of the plaquettes through it."""
-    out: dict[Edge, list[int]] = {}
-    for i, p in enumerate(plaqs):
-        for e in p.edges:
-            out.setdefault(e, []).append(i)
-    return {e: tuple(ids) for e, ids in out.items()}
-
-
-def _trail_heads(trails) -> dict[Edge, tuple[int, ...]]:
-    """Edge -> the node each trail through it steps onto, in trail
-    order: for `p.trail()` over `plaqs`, that of `_incidence(plaqs)`."""
-    out: dict[Edge, list[int]] = {}
-    for trail in trails:
-        for _, to, e in trail:
-            out.setdefault(e, []).append(to)
-    return {e: tuple(tos) for e, tos in out.items()}
+    if table.quads is None:
+        plaquettes(adinkra)
+        table.fill_ids(adinkra.edges)
+    return table
 
 
 def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:

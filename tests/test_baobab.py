@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,7 +215,7 @@ def test_direction_replay_of_equal_inputs_is_replay_error():
     trail = oracles.trail_from_corners(step.corners, step.colors)
     seeds = {e: to for _, to, e in trail}
     inputs = tuple((e, 0) for _, _, e in trail if e != step.output[0])
-    bad = GateTrace(trace.length, (replace(step, inputs=inputs),))
+    bad = GateTrace(trace.length, (step._replace(inputs=inputs),))
     with pytest.raises(ReplayError):
         bad.replay_directions(seeds)
 
@@ -250,21 +249,21 @@ def tampered_direction_replays(draw):
             continue
         if what == "corners":
             pool = s.corners + a.nodes[:4]
-            s = replace(s, corners=tuple(draw(st.sampled_from(pool))
-                                         for _ in range(4)))
+            s = s._replace(corners=tuple(draw(st.sampled_from(pool))
+                                            for _ in range(4)))
         elif what == "colors":
             color = st.sampled_from(list(a.colors()))
-            s = replace(s, colors=(draw(color), draw(color)))
+            s = s._replace(colors=(draw(color), draw(color)))
         elif what == "input" and s.inputs:
             j = draw(st.integers(0, len(s.inputs) - 1))
             e, b = s.inputs[j]
             new = ((draw(st.sampled_from(a.edges)), b) if draw(st.booleans())
                    else (e, b ^ 1))
-            s = replace(s, inputs=s.inputs[:j] + (new,) + s.inputs[j + 1:])
+            s = s._replace(inputs=s.inputs[:j] + (new,) + s.inputs[j + 1:])
         elif what == "output":
             e, b = s.output
-            s = replace(s, output=(draw(st.sampled_from(a.edges)), b)
-                        if draw(st.booleans()) else (e, b ^ 1))
+            s = s._replace(output=(draw(st.sampled_from(a.edges)), b)
+                           if draw(st.booleans()) else (e, b ^ 1))
         steps[i] = s
     seeds = dict(pinned)
     if draw(st.booleans()):
@@ -431,6 +430,118 @@ def test_propagation_on_edges_without_plaquettes_matches_restart_scan():
     assert propagate_dashing(a, {edge: 1})[0] == {edge: 1}
     heads, trace = propagate_directions(a, {edge: edge.v})
     assert heads == {edge: edge.v} and trace.steps == ()
+
+
+# ---------- compiled NDXOR program and integer engine ----------
+
+PROGRAM_RUNGS = [(n, ()) for n in range(1, 7)] + [(3, ("1111",)), (4, E8_CODE)]
+PROGRAM_SKELETONS = {key: skeleton_for(*key)
+                     for key in PROGRAM_RUNGS + [(7, ()), (8, ())]}
+
+
+def dashing_cases(a, bits):
+    """Slot bits, then sets the engine runs: half the slots, the slots
+    plus a wrong and a right extra bit, and the slot count with one slot
+    swapped for a wrong extra bit."""
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    seed = dict(zip(tree + cycles, bits))
+    full, _ = propagate_dashing(a, seed)
+    cases = [seed, dict(list(seed.items())[::2])]
+    others = [e for e in a.edges if e not in seed]
+    if others:
+        extra = others[bits.count(1) % len(others)]
+        wrong = 1 - full[extra]
+        swapped = dict(list(seed.items())[1:])
+        swapped[extra] = wrong
+        cases += [{**seed, extra: wrong}, {**seed, extra: full[extra]},
+                  swapped]
+    return full, cases
+
+
+def assert_program_cases_match_oracle(a, bits, heights, order=None):
+    """The program, the engine on partial and contradictory sets, and a
+    custom order, each against the restart-scan oracles; directions on
+    the pins of the dashed adinkra, all but one of them, and one wrong
+    extra arrow."""
+    full, cases = dashing_cases(a, bits)
+    assert baobab._ndxor_program(a) is not None
+    assert baobab._slot_dashing(a, cases[0]) == full
+    signs = {e: 1 if b else -1 for e, b in full.items()}
+    pinned = choose_pinned_arrows(
+        a.with_dashing(signs).with_heights(heights(a)))
+    heads, _ = propagate_directions(a, pinned)
+    pins = [pinned, dict(list(pinned.items())[1:])]
+    others = [e for e in a.edges if e not in pinned]
+    if others:
+        e = others[-1]
+        pins.append({**pinned, e: e.u if heads[e] == e.v else e.v})
+    for known in cases:
+        assert outcome(propagate_dashing, a, known) == outcome(
+            oracles.naive_propagate_dashing, a, known)
+    for pin in pins:
+        assert outcome(propagate_directions, a, pin) == outcome(
+            oracles.naive_propagate_directions, a, pin)
+    if order is not None:
+        for ours, theirs, sets in (
+                (propagate_dashing, oracles.naive_propagate_dashing, cases),
+                (propagate_directions, oracles.naive_propagate_directions,
+                 pins)):
+            for given in sets:
+                assert outcome(lambda *x: ours(*x, _order=order), a,
+                               given) == outcome(
+                    lambda *x: theirs(*x, _order=order), a, given)
+
+
+@st.composite
+def program_cases(draw):
+    n, gens = draw(st.sampled_from(PROGRAM_RUNGS))
+    a = PROGRAM_SKELETONS[n, gens]
+    bits = draw(st.lists(st.integers(0, 1), min_size=(1 << n) + len(gens) - 1,
+                         max_size=(1 << n) + len(gens) - 1))
+    heights = draw(st.sampled_from(
+        (valise_heights,) + (() if gens else (weight_heights,))))
+    plaqs = plaquettes(a)
+    order = draw(st.none() | st.permutations(plaqs).map(tuple))
+    return a, bits, heights, order
+
+
+@given(program_cases())
+@settings(max_examples=80, deadline=None)
+def test_program_and_engine_match_restart_scan_on_drawn_slot_bits(case):
+    assert_program_cases_match_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_program_and_engine_match_restart_scan_on_large_cubes(n):
+    # dashing only: the restart-scan direction oracle is quadratic, and
+    # test_propagation_matches_restart_scan_on_baobabs covers the pins
+    a = PROGRAM_SKELETONS[n, ()]
+    rng = random.Random(n)
+    full, cases = dashing_cases(
+        a, [rng.randint(0, 1) for _ in range((1 << n) - 1)])
+    assert baobab._slot_dashing(a, cases[0]) == full
+    for known in cases:
+        assert outcome(propagate_dashing, a, known) == outcome(
+            oracles.naive_propagate_dashing, a, known)
+
+
+def test_program_stands_aside_where_slots_are_not_free():
+    # on a quotient by a code with odd words, some plaquette parity is
+    # fixed by the slots alone; no program is kept and the engine
+    # reports the contradiction the restart scan reports
+    from adinkra import build_quotient_skeleton
+    from adinkra.codes import LinearBinaryCode
+
+    for gens in (("111",), ("1110",)):
+        code = LinearBinaryCode.from_strings(gens)
+        a = build_quotient_skeleton(len(gens[0]) - 1, code)
+        tree, cycles, _ = skeleton_baobab_edges(a)
+        for bit in (0, 1):
+            seed = {e: bit for e in tree + cycles}
+            got = outcome(propagate_dashing, a, seed)
+            assert got == outcome(oracles.naive_propagate_dashing, a, seed)
+            assert got[0] is ContradictionError
+        assert baobab._ndxor_program(a) is None
 
 
 # ---------- rule calls ----------

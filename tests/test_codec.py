@@ -1,6 +1,7 @@
 """Families, wire format, syndromes, correction, erasures."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from adinkra import (
     UnderDeterminedError,
     plaquettes,
 )
+from adinkra import codec
 from adinkra.codec import (
     DASHING,
     DIRECTION,
@@ -169,6 +171,40 @@ def test_every_quaternion_message_encodes_uniquely():
 def test_encode_decode_identity_prop(bits):
     v = encode(bits, QUOTIENT31)
     assert decode(v).message == bits
+
+
+E8_FAMILY = Family(4, ("11110000", "00001111", "11001100", "10101010"),
+                   DASHING)
+
+
+@pytest.mark.parametrize("family", [Family(1, (), DASHING)]
+                         + DASHING_FAMILIES
+                         + [Family(4, (), DASHING), E8_FAMILY,
+                            Family(6, (), DASHING)])
+def test_encode_runs_the_program_the_affine_code_agrees(family, monkeypatch):
+    # dashing families encode by the family skeleton's compiled NDXOR
+    # program; the affine code's completion, which fill_erasures keeps,
+    # gives the same block for every drawn message
+    slots = message_slots(family)
+    rng = random.Random(len(slots))
+    messages = [[rng.randint(0, 1) for _ in slots] for _ in range(20)]
+    want = [codec._complete(family, sum(b << i for i, b in zip(slots, m)),
+                            sum(1 << i for i in slots)) for m in messages]
+    monkeypatch.setattr(codec, "_complete", None)  # never reached
+    assert [encode(m, family) for m in messages] == want
+
+
+@pytest.mark.parametrize("family", DASHING_FAMILIES + [QUATERNION_FAMILY])
+def test_encode_errors_are_unchanged(family):
+    m = message_length(family)
+    for message, text in (
+            ((1,) * (m - 1), f"message must be {m} bits for "
+                             f"{family.header()}, got {m - 1}"),
+            ("01x", "not a bitstring: '01x'"),
+            ((2,) * m, "bits must be 0 or 1: " + repr((2,) * m))):
+        with pytest.raises(InputError) as err:
+            encode(message, family)
+        assert str(err.value) == text
 
 
 def test_encode_rejects_wrong_message_length():

@@ -1,8 +1,10 @@
 """Each graph builds its plaquette table once, and every adinkra on the
-same graph reads that one table."""
+same graph reads that one table: the plaquettes, the integer id tables
+propagation reads and the compiled NDXOR program."""
 
 import random
 import weakref
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -26,9 +28,16 @@ from adinkra import (
     verify_odd_dashing,
     weight_heights,
 )
-from adinkra import graph
+from adinkra import baobab, graph
 from adinkra.baobab import propagate_dashing, propagate_directions
-from adinkra.codec import DASHING, Family, _parity_checks, family_skeleton
+from adinkra.codec import (
+    DASHING,
+    Family,
+    _parity_checks,
+    encode,
+    family_skeleton,
+    message_length,
+)
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 RUNGS = [(3, (), valise_heights), (4, (), weight_heights),
@@ -49,9 +58,36 @@ def builds(monkeypatch):
     return calls
 
 
+ID_FIELDS = ("index", "quads", "incidence", "heads", "program")
+
+
 def table_fields(skeleton):
     t = skeleton._table
-    return [t.plaquettes, t.trails, t.incidence, t.heads]
+    return [t.plaquettes] + [getattr(t, f) for f in ID_FIELDS]
+
+
+def ids_unbuilt(skeleton) -> bool:
+    return all(getattr(skeleton._table, f) is None for f in ID_FIELDS)
+
+
+@pytest.fixture
+def id_builds(monkeypatch):
+    """("ids", plaquettes) per id-table build and ("program", skeleton)
+    per NDXOR compile, in call order."""
+    calls = []
+    fill, compile_ = graph._PlaquetteTable.fill_ids, baobab._compile_ndxor
+
+    def counted_fill(table, edges):
+        calls.append(("ids", table.plaquettes))
+        return fill(table, edges)
+
+    def counted_compile(skeleton, table):
+        calls.append(("program", skeleton))
+        return compile_(skeleton, table)
+
+    monkeypatch.setattr(graph._PlaquetteTable, "fill_ids", counted_fill)
+    monkeypatch.setattr(baobab, "_compile_ndxor", counted_compile)
+    return calls
 
 
 def dashed(skeleton, heights):
@@ -101,10 +137,10 @@ def test_each_skeleton_of_a_code_builds_its_own_table(builds):
 def test_replace_starts_with_an_empty_table(builds):
     adk = dashed(build_chromotopology(3, ()), valise_heights)
     plaquettes(adk)
+    assert adk._table.program is not None
     copy = replace(adk, heights=None)
     assert copy._table is not adk._table
-    assert copy._table.plaquettes is None and copy._table.incidence is None
-    assert copy._table.trails is None and copy._table.heads is None
+    assert copy._table.plaquettes is None and ids_unbuilt(copy)
     assert plaquettes(copy) == plaquettes(adk)
     assert len(builds) == 2
 
@@ -120,19 +156,29 @@ def test_table_is_not_part_of_the_value():
 def test_incidence_is_built_on_first_propagation():
     sk = build_chromotopology(3, ("1111",))
     plaquettes(sk)
-    assert sk._table.incidence is None
     tree, cycles, _ = skeleton_baobab_edges(sk)
+    back = from_json(to_json(sk))
+    assert ids_unbuilt(sk) and ids_unbuilt(back)
     propagate_dashing(sk, {e: 1 for e in tree + cycles})
-    incidence = sk._table.incidence
-    assert set(incidence) == set(sk.edges)
-    assert all(isinstance(ids, tuple) for ids in incidence.values())
+    t = sk._table
+    assert t.index == {e: i for i, e in enumerate(sk.edges)}
     plaqs = plaquettes(sk)
-    for e, ids in incidence.items():
-        assert ids == tuple(i for i, p in enumerate(plaqs) if e in p.edges)
+    # per plaquette, the positions of its edges in `skeleton.edges`
+    assert t.quads == [tuple(sk.edges.index(e) for e in p.edges)
+                       for p in plaqs]
+    assert len(t.incidence) == len(sk.edges)
+    for i, e in enumerate(sk.edges):
+        assert t.incidence[i] == [j for j, p in enumerate(plaqs)
+                                  if e in p.edges]
+    assert ids_unbuilt(back)
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
-def test_trails_are_built_once_per_table(monkeypatch, n, gens, heights):
+def test_trails_are_built_once_per_table(monkeypatch, id_builds, n, gens,
+                                         heights):
+    # the trail table is gone: the DXOR rule and its marks read corners
+    # and edge ids, so no trail is built, and the id tables and the NDXOR
+    # program are built once per table over a whole round trip
     calls = []
     real = graph.Plaquette.trail
 
@@ -143,41 +189,78 @@ def test_trails_are_built_once_per_table(monkeypatch, n, gens, heights):
     monkeypatch.setattr(graph.Plaquette, "trail", counted)
     sk = build_chromotopology(n, gens)
     adk = dashed(sk, heights)
-    tree, cycles, _ = skeleton_baobab_edges(sk)
-    propagate_dashing(sk, {e: 1 for e in tree + cycles})
-    assert sk._table.trails is None and not calls
+    assert id_builds == [("ids", plaquettes(sk)), ("program", sk)]
+    fields = table_fields(sk)
     rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
     assert rebuilt == adk
-    trails = sk._table.trails
-    assert trails == tuple(real(p) for p in plaquettes(sk))
-    assert calls == list(plaquettes(sk))
     propagate_directions(adk, choose_pinned_arrows(adk))
-    assert adk._table.trails is trails and len(calls) == len(trails)
+    tree, cycles, _ = skeleton_baobab_edges(sk)
+    propagate_dashing(rebuilt, {e: 1 for e in tree})
+    assert not hasattr(sk._table, "trails") and not calls
+    assert len(id_builds) == 2
+    for table in (adk._table, rebuilt._table):
+        assert all(f is g for f, g in zip(fields, table_fields(sk)))
+        assert table is sk._table
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
 def test_heads_are_built_once_beside_the_incidence(n, gens, heights):
     sk = build_chromotopology(n, gens)
     adk = dashed(sk, heights)
-    assert sk._table.heads is None
+    heads, incidence = sk._table.heads, sk._table.incidence
     rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
     assert rebuilt == adk
-    heads, incidence = sk._table.heads, sk._table.incidence
-    assert set(heads) == set(incidence) == set(sk.edges)
-    trails = sk._table.trails
-    for e, ids in incidence.items():
-        # one tuple per edge: the node each trail through e steps onto
-        assert isinstance(heads[e], tuple)
-        assert heads[e] == tuple(to for i in ids
-                                 for _, to, f in trails[i] if f == e)
+    assert len(heads) == len(incidence) == len(sk.edges)
+    plaqs = plaquettes(sk)
+    for i, ids in enumerate(incidence):
+        # the node each trail through edge i steps onto, in incidence order
+        assert heads[i] == [to for j in ids
+                            for _, to, f in plaqs[j].trail()
+                            if f == sk.edges[i]]
     propagate_directions(adk, choose_pinned_arrows(adk))
-    assert adk._table.heads is heads
+    assert adk._table.heads is heads and sk._table.incidence is incidence
+
+
+def test_program_is_compiled_once_for_the_baobab_slots(id_builds):
+    sk = build_chromotopology(4, ())
+    tree, cycles, _ = skeleton_baobab_edges(sk)
+    slots = {e: 1 for e in tree + cycles}
+    # a known set of another size never compiles; one of the slot size
+    # compiles once, and later calls of that size reuse the result
+    propagate_dashing(sk, dict(list(slots.items())[:-1]))
+    assert [kind for kind, _ in id_builds] == ["ids"]
+    other = dict(list(slots.items())[1:])
+    other[next(e for e in sk.edges if e not in slots)] = 0
+    propagate_dashing(sk, other)
+    program = sk._table.program
+    assert [kind for kind, _ in id_builds] == ["ids", "program"]
+    reconstruct_dashing(sk, slots)
+    assert sk._table.program is program and len(id_builds) == 2
+    index = sk._table.index
+    assert program.slots == {index[e] for e in slots}
+    assert len(program.order) == len(program.flat) == (
+        len(sk.edges) - len(slots))
+    # the fired plaquette writes its one unknown edge from the other three
+    for j, (out, *ins) in zip(program.order, program.flat):
+        assert sorted([out] + ins) == sorted(sk._table.quads[j])
+
+
+def test_encode_compiles_the_family_skeleton_program_once(id_builds):
+    family = Family(3, ("1111",), DASHING)
+    skeleton = family_skeleton(family)
+    before = len(id_builds)
+    for m in range(4):
+        encode([m >> i & 1 for i in range(message_length(family))], family)
+    assert [kind for kind, _ in id_builds[before:]] in (
+        [], ["ids", "program"])
+    assert skeleton._table.program is not None
 
 
 def test_dropped_skeleton_frees_its_table():
     sk = build_chromotopology(4, ())
     tree, cycles, _ = skeleton_baobab_edges(sk)
     propagate_dashing(sk, {e: 1 for e in tree + cycles})
+    assert sk._table.program is not None
     ref = weakref.ref(sk._table)
     del sk
     assert ref() is None
@@ -208,15 +291,13 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
             # the same and leaves every field of the table as it was
             ours(sk, given)
             fields = table_fields(sk)
-            # the tuples are immutable; copy the two dicts
-            copies = [dict(f) if isinstance(f, dict) else f for f in fields]
+            copies = deepcopy(fields)
             assert ours(sk, given, _order=order) == (got, trace)
             assert all(f is g for f, g in zip(fields, table_fields(sk)))
             assert fields == copies
-    # a custom order builds its own incidence, trails and heads and
+    # a custom order builds its own id tables, compiles no program and
     # leaves the table alone
-    assert fresh._table.plaquettes is None and fresh._table.incidence is None
-    assert fresh._table.trails is None and fresh._table.heads is None
+    assert fresh._table.plaquettes is None and ids_unbuilt(fresh)
     assert len(builds) == 1 and builds[0] is sk
 
 
