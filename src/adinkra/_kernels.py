@@ -1,10 +1,10 @@
 """Size guard for exhaustive walks over a code's words and for graphs.
 
-Counting valid dashings is exact linear algebra and never guarded;
-listing codewords and searching the minimum distance walk all 2**dim
-kernel words of a family's affine code, and a quotient of the n-cube
-has 2**n nodes, so they refuse dim or n above ADINKRA_SIZE_GUARD bits
-instead of hanging.
+Listing a family's codewords and the quaternion code's minimum-distance
+search walk all 2**dim kernel words, and a quotient of the n-cube has
+2**n nodes, so they refuse dim or n above ADINKRA_SIZE_GUARD bits
+instead of hanging.  Counting valid dashings and the distance of a
+dashing family are closed forms and never guarded.
 """
 
 from __future__ import annotations

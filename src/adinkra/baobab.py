@@ -34,7 +34,6 @@ from .graph import (
     json_object_rows,
     load_json_object,
     normalize_heights,
-    plaquette_masks,
     plaquettes,
     verify_heights,
     verify_odd_dashing,
@@ -1016,10 +1015,32 @@ def reconstruct_adinkra(
 # ---------- counting ----------
 
 
+def dashing_code(skeleton: Adinkra) -> AffineCode | None:
+    """The valid dashings as an affine code over edge ids (bit 1 plain),
+    or None when the skeleton has no compiled NDXOR program.  The offset
+    is the program run from all-zero slots.  The kernel, the words even
+    on every plaquette, is spanned by the 2**n vertex switches and the L
+    color flips: the coboundaries plus the first cohomology of the
+    quotient's cubical complex, of dimension k (Zhang, arXiv:1111.6055).
+    """
+    program = _ndxor_program(skeleton)
+    if program is None:
+        return None
+    # the program writes every other edge before it reads it
+    bits = program.run([0] * len(skeleton.edges))
+    offset = int("".join(map(str, reversed(bits))), 2)
+    switches = dict.fromkeys(skeleton.nodes, 0)
+    flips = [0] * (skeleton.length + 1)
+    for i, (u, v, color) in enumerate(skeleton.edges):
+        switches[u] |= 1 << i
+        switches[v] |= 1 << i
+        flips[color] |= 1 << i
+    return AffineCode(len(skeleton.edges), offset,
+                      (*switches.values(), *flips))
+
+
 def count_valid_dashings(skeleton: Adinkra) -> int:
     """Number of dashings with odd parity on every plaquette: 2**dim of
-    the plaquette checks' affine code, found by row reduction."""
-    code = AffineCode.from_checks(
-        plaquette_masks(skeleton), len(skeleton.edges)
-    )
+    `dashing_code`, or 0 without a program (the quaternion skeleton)."""
+    code = dashing_code(skeleton)
     return 0 if code is None else code.count()

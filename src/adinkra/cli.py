@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import baobab as baobab_mod
-from . import codec, dot, graph
+from . import _kernels, codec, dot, graph
 from .errors import (
     AdinkraError,
     AmbiguousCorrectionError,
@@ -117,6 +117,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_dof(args) -> int:
+    # the counts grow as 2**n: refuse n above the guard, as `build` does
+    _kernels.check_guard(args.n, "degree-of-freedom count")
     if args.directed:
         lo, hi = baobab_mod.directed_dof_bounds(args.n)
         print(f"{lo} {hi}")

@@ -17,7 +17,12 @@ from operator import xor
 
 from . import _kernels
 from .algebra import check_quaternion
-from .baobab import _ndxor_program, skeleton_baobab_edges, skeleton_tree
+from .baobab import (
+    _ndxor_program,
+    dashing_code,
+    skeleton_baobab_edges,
+    skeleton_tree,
+)
 from .codes import AffineCode, DoublyEvenCode, bit_string
 from .errors import (
     AmbiguousCorrectionError,
@@ -28,10 +33,9 @@ from .errors import (
 )
 from .graph import (
     Adinkra,
+    _plaquette_ids,
     build_chromotopology,
     chromotopology_code,
-    plaquette_masks,
-    plaquettes,
 )
 from .quaternion import (
     matrices_from_directions,
@@ -173,10 +177,17 @@ class EdgeBitVector:
     def flip(self, positions) -> "EdgeBitVector":
         bits = list(self.bits)
         for p in positions:
-            if not 0 <= p < len(bits):
-                raise InputError(f"flip position {p} out of range")
-            bits[p] ^= 1
+            bits[_position(p, len(bits), "flip")] ^= 1
         return EdgeBitVector(self.family, tuple(bits))
+
+
+def _position(p, n_bits: int, what: str) -> int:
+    """A caller's bit position: an int, not a bool, in range(n_bits)."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InputError(f"{what} position {p!r} is not an integer")
+    if not 0 <= p < n_bits:
+        raise InputError(f"{what} position {p} out of range")
+    return p
 
 
 def format_wire(vector: EdgeBitVector) -> str:
@@ -290,26 +301,19 @@ class PlaquetteCheck:
         return f"plaquette colors={self.colors} base={self.base_label}"
 
 
-@lru_cache(maxsize=64)
-def _parity_checks(family: Family):
-    skeleton = family_skeleton(family)
-    return tuple(
-        (PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length)), mask)
-        for p, mask in zip(plaquettes(skeleton), plaquette_masks(skeleton))
-    )
-
-
 def syndrome(vector: EdgeBitVector) -> Syndrome:
     """Every violated check for the given block."""
     family = vector.family
+    skeleton = family_skeleton(family)
     if family.scheme == DASHING:
-        value = _bits_word(vector.bits)
+        table = _plaquette_ids(skeleton)
+        b = vector.bits
         violated = tuple(
-            check for check, mask in _parity_checks(family)
-            if (value & mask).bit_count() % 2 == 0
+            PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length))
+            for p, (w, x, y, z) in zip(table.plaquettes, table.quads)
+            if not b[w] ^ b[x] ^ b[y] ^ b[z]
         )
         return Syndrome(family, violated)
-    skeleton = family_skeleton(family)
     directions = dict(zip(skeleton.edges, vector.bits))
     report = check_quaternion(matrices_from_directions(directions))
     return Syndrome(family, report.violated_relations())
@@ -388,10 +392,7 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
     positions where they differ.  Exactly one: that block.
     """
     n_bits = len(vector.bits)
-    erased = {int(p) for p in erased}
-    for p in erased:
-        if not 0 <= p < n_bits:
-            raise InputError(f"erased position {p} out of range")
+    erased = {_position(p, n_bits, "erased") for p in erased}
     known_mask = sum(1 << i for i in range(n_bits) if i not in erased)
     return _complete(vector.family, _bits_word(vector.bits), known_mask)
 
@@ -403,20 +404,18 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
 def family_code(family: Family) -> AffineCode:
     """The valid blocks as an affine GF(2) code; bit i is position i.
 
-    Dashing blocks solve one odd-parity check per plaquette; the eight
-    valid quaternion orientations are collected once and spanned.
+    Dashing blocks form the skeleton's `dashing_code`; the eight valid
+    quaternion orientations are collected once and spanned.
     """
-    n_bits = block_length(family)
     if family.scheme == DASHING:
-        masks = [mask for _, mask in _parity_checks(family)]
-        code = AffineCode.from_checks(masks, n_bits)
+        code = dashing_code(family_skeleton(family))
         if code is None:
             raise ContradictionError(
                 f"no block of {family.header()} satisfies every plaquette"
             )
         return code
-    vectors = valid_direction_vectors()
-    return AffineCode.from_words((_bits_word(v) for v in vectors), n_bits)
+    words = (_bits_word(v) for v in valid_direction_vectors())
+    return AffineCode.from_words(words, block_length(family))
 
 
 # ---------- distance and channel ----------
@@ -431,8 +430,16 @@ def codewords(family: Family) -> tuple[tuple[int, ...], ...]:
 
 
 def min_distance(family: Family) -> int:
-    """Minimum pairwise Hamming distance between valid blocks (guarded:
-    walks the 2**dim kernel words of the family's code)."""
+    """Minimum pairwise Hamming distance between valid blocks.
+
+    A dashing family's distance is L = n + k: a kernel word is even on
+    every plaquette, so with an edge it holds a second edge on each of the
+    L - 1 plaquettes through it, distinct as a doubly even code has no
+    weight-2 word; a vertex switch has weight L.  The quaternion's is walked.
+    """
+    quotient = _guarded_code(family)
+    if quotient is not None:
+        return quotient.length
     code = family_code(family)
     _kernels.check_guard(code.dim, "minimum-distance search")
     return code.min_distance()

@@ -94,39 +94,17 @@ class AffineCode:
     """The affine GF(2) code offset + span(basis) over n_bits-wide words.
 
     Word bit i is coordinate i.  Valid dashings of a skeleton form such a
-    code (one odd-parity check per plaquette), and so do the valid
-    quaternion orientations.  `basis` spans the kernel: the differences
-    between codewords.
+    code (see `baobab.dashing_code`), and so do the valid quaternion
+    orientations.  `basis`, any rows spanning the kernel (the differences
+    between codewords), is kept in echelon form.
     """
 
     n_bits: int
     offset: int
     basis: tuple[int, ...]
 
-    @classmethod
-    def from_checks(cls, masks, n_bits: int) -> "AffineCode | None":
-        """Words with odd parity on every mask (H·x = 1), or None when
-        no word satisfies them all."""
-        masks = [int(m) for m in masks]
-        for m in masks:
-            if m < 0 or m >> n_bits:
-                raise InputError(
-                    f"check {bin(m)} does not fit in {n_bits} bits"
-                )
-        # bit 0 of each augmented row is the right-hand side
-        rows = gf2_rref((m << 1) | 1 for m in masks)
-        if rows and rows[-1] == 1:
-            return None
-        pivot_of = {r.bit_length() - 2: r for r in rows}
-        offset = sum(1 << p for p, r in pivot_of.items() if r & 1)
-        # one kernel word per free coordinate f: x_f = 1, other free ones 0
-        basis = tuple(
-            (1 << f)
-            | sum(1 << p for p, r in pivot_of.items() if r >> (f + 1) & 1)
-            for f in range(n_bits)
-            if f not in pivot_of
-        )
-        return cls(n_bits, offset, basis)
+    def __post_init__(self):
+        object.__setattr__(self, "basis", _echelon(self.basis))
 
     @classmethod
     def from_words(cls, words, n_bits: int) -> "AffineCode":
@@ -147,14 +125,11 @@ class AffineCode:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _kernel_rref(self) -> tuple[int, ...]:
-        return gf2_rref(self.basis)
-
     def residue(self, word: int) -> int:
         """`word ^ offset` with every kernel pivot cleared: O(dim).  Linear
-        in `word ^ offset` and zero exactly on codewords."""
-        return _clear_pivots(word ^ self.offset, self._kernel_rref)
+        in `word ^ offset` and zero exactly on codewords; the coset's one
+        word that is zero on every pivot, whatever the offset and basis."""
+        return _clear_pivots(word ^ self.offset, self.basis)
 
     @cached_property
     def unit_residues(self) -> tuple[int, ...]:

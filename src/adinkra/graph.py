@@ -350,14 +350,8 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
 def plaquette_masks(adinkra: Adinkra) -> tuple[int, ...]:
     """One parity-check mask per plaquette, in `plaquettes` order: bit i
     is set when edge i (canonical edge order) lies on the plaquette."""
-    index = {e: i for i, e in enumerate(adinkra.edges)}
-    masks = []
-    for p in plaquettes(adinkra):
-        mask = 0
-        for e in p.edges:
-            mask |= 1 << index[e]
-        masks.append(mask)
-    return tuple(masks)
+    return tuple(1 << a | 1 << b | 1 << c | 1 << d
+                 for a, b, c, d in _plaquette_ids(adinkra).quads)
 
 
 def plaquette_count(adinkra: Adinkra) -> int:

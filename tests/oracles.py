@@ -93,8 +93,10 @@ def gf2_rank(rows):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] >> bit & 1:
+        # rows above the pivot row keep their bits: the rank needs only
+        # the rows below cleared
+        for i in range(pivot + 1, len(rows)):
+            if rows[i] >> bit & 1:
                 rows[i] ^= rows[rank]
         rank += 1
     return rank
@@ -272,6 +274,31 @@ def min_even_flip_set(n_edges, quads, max_weight):
             chosen = set(subset)
             if all(len(chosen.intersection(q)) % 2 == 0 for q in quads):
                 return size
+    return None
+
+
+def min_even_set_by_branching(n_edges, quads, max_weight):
+    """`min_even_flip_set` without listing every subset.  Grow a set from
+    its least edge: while some quad meets it in an odd number of edges,
+    any even superset holds one more edge of that quad, so branch on
+    them.  Deepening the size one edge at a time keeps it exact."""
+    through = [[] for _ in range(n_edges)]
+    for q in quads:
+        for i in q:
+            through[i].append(q)
+
+    def grows(chosen, least, budget):
+        odd = next((q for i in chosen for q in through[i]
+                    if len(chosen.intersection(q)) % 2), None)
+        if odd is None:
+            return True
+        return budget > 0 and any(
+            grows(chosen | {j}, least, budget - 1)
+            for j in odd if j > least and j not in chosen)
+
+    for size in range(1, max_weight + 1):
+        if any(grows({e}, e, size - 1) for e in range(n_edges)):
+            return size
     return None
 
 

@@ -780,7 +780,7 @@ def test_count_matches_pure_python_brute_force(n):
 
 
 def test_count_respects_size_guard(monkeypatch):
-    # Counting is row reduction and never enumerates; listing the cube's
+    # Counting is closed form and never enumerates; listing the cube's
     # codewords walks its 2**7 kernel words, so that is what is guarded.
     cube = Family(3, (), DASHING)
     monkeypatch.setenv("ADINKRA_SIZE_GUARD", "6")

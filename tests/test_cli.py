@@ -110,6 +110,19 @@ def test_dof_outputs(capsys, monkeypatch):
     assert code == 0 and out.strip().split() == ["3", "4"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--directed"]])
+def test_dof_refuses_n_above_the_size_guard(capsys, monkeypatch, extra):
+    # 2**20000 has more digits than Python will print
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    code, out, err = invoke(capsys, monkeypatch,
+                            ["dof", "--n", "20000", *extra])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: size-guard: degree-of-freedom count needs 2**20000 words, "
+        "above the guard of 2**20; set ADINKRA_SIZE_GUARD to raise the "
+        "limit\n")
+
+
 def test_encode_inject_decode_pipeline(capsys, monkeypatch):
     code, wire, _ = invoke(
         capsys,
@@ -215,14 +228,21 @@ def test_malformed_fields_exit_two_with_one_line(capsys, monkeypatch, probe):
 
 
 def test_size_guard_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "4")
+    # the quaternion code's 2**3 kernel words are walked; a dashing
+    # family's distance is closed form
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "2")
     code, _, err = invoke(
         capsys,
         monkeypatch,
-        ["distance", "--family", "n=3;code=;scheme=dashing"],
+        ["distance", "--family", "quaternion"],
     )
     assert code == 2
     assert err.startswith("error: size-guard:")
+    code, out, _ = invoke(
+        capsys, monkeypatch,
+        ["distance", "--family", "n=2;code=;scheme=dashing"],
+    )
+    assert code == 0 and out == "2\n"
 
 
 def test_oversized_build_exits_two_with_one_line(capsys, monkeypatch):

@@ -223,19 +223,16 @@ def test_clean_syndrome_is_empty():
 
 
 def test_single_flip_violates_exactly_the_checks_on_that_edge():
-    from adinkra.codec import _parity_checks
-
     v = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
-    checks = _parity_checks(CUBE)
-    for pos in range(block_length(CUBE)):
+    skeleton = family_skeleton(CUBE)
+    for pos, edge in enumerate(skeleton.edges):
         syn = syndrome(v.flip([pos]))
         assert not syn.ok
-        hit = {
-            str(check)
-            for check, mask in checks
-            if mask >> pos & 1
-        }
-        assert {str(c) for c in syn.violated} == hit
+        hit = [
+            f"plaquette colors={p.colors} base={p.base:03b}"
+            for p in plaquettes(skeleton) if edge in p.edges
+        ]
+        assert list(syn.describe()) == hit
 
 
 def test_direction_syndrome_names_broken_relations():
@@ -457,6 +454,17 @@ def test_fill_erasures_validates_positions():
         fill_erasures(v, [9])
 
 
+@pytest.mark.parametrize("position", [1.5, "x", "1", True, None])
+def test_positions_must_be_plain_integers(position):
+    v = encode((1, 1, 0), SQUARE)
+    for call, what in ((fill_erasures, "erased"),
+                       (EdgeBitVector.flip, "flip")):
+        with pytest.raises(InputError) as err:
+            call(v, [0, position])
+        assert str(err.value) == (
+            f"{what} position {position!r} is not an integer")
+
+
 # ---------- code parameters ----------
 
 
@@ -478,6 +486,26 @@ def test_square_codewords_match_brute_force():
 def test_min_distances(family, expected):
     assert min_distance(family) == expected
     assert oracles.naive_min_distance(codewords(family)) == expected
+
+
+RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
+        "0011001100110011", "0101010101010101")
+
+
+def test_length_16_family():
+    # RM(1,4) quotient: 2048 nodes, 16 colors, 61440 plaquettes
+    family = parse_family(f"n=11;code={','.join(RM14)};scheme=dashing")
+    assert (block_length(family), message_length(family)) == (16384, 2052)
+    rng = random.Random(16)
+    message = tuple(rng.randint(0, 1) for _ in range(2052))
+    v = encode(message, family)
+    assert syndrome(v).ok
+    assert decode(v) == codec.DecodeResult(message, ())
+    # a flipped edge lies on one plaquette per other color
+    assert len(syndrome(v.flip([rng.randrange(16384)])).violated) == 15
+    erased = rng.sample(range(16384), 3)
+    assert fill_erasures(v.flip(erased), erased) == v
+    assert min_distance(family) == 16
 
 
 def test_inject_errors_is_deterministic():

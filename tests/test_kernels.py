@@ -11,18 +11,22 @@ from adinkra import (
     SizeGuardError,
     build_chromotopology,
     count_valid_dashings,
+    plaquette_masks,
     plaquettes,
 )
 from adinkra._kernels import check_guard, guard_bits
+from adinkra.baobab import dashing_code
 from adinkra.codec import (
     DASHING,
     Family,
     QUATERNION_FAMILY,
     codewords,
+    family_code,
     family_skeleton,
     min_distance,
     parse_family,
 )
+from adinkra.codes import DoublyEvenCode, gf2_rref
 from adinkra.quaternion import COLOR_UNITS
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -51,28 +55,26 @@ def plaquette_quads(skeleton):
 
 def test_enumerate_valid_tiny_case():
     # odd parity on the low two bits: exactly one of them set
-    code = AffineCode.from_checks([0b11], 3)
+    code = AffineCode.from_words([0b110, 0b001, 0b101, 0b010], 3)
     assert code.words() == (0b001, 0b010, 0b101, 0b110)
     assert code.count() == 4 and code.dim == 2
 
 
 def test_enumerate_valid_no_masks_returns_everything():
-    code = AffineCode.from_checks([], 3)
+    code = AffineCode.from_words(range(8), 3)
     assert code.words() == tuple(range(8))
 
 
-def test_inconsistent_checks_have_no_code():
-    # x0 + x1 = 1, x0 = 1, x1 = 1 has no solution
-    assert AffineCode.from_checks([0b11, 0b01, 0b10], 2) is None
-    with pytest.raises(InputError):
-        AffineCode.from_checks([0b100], 2)
+def test_basis_is_kept_in_echelon_form():
+    # dependent and unordered rows give the same code as their echelon
+    code = AffineCode(4, 0b0001, (0b0110, 0b0011, 0b0101, 0b0000))
+    assert code.basis == (0b0110, 0b0011) and code.dim == 2
+    assert code.words() == (1, 2, 4, 7)
 
 
 def test_min_distance_requires_two_words():
     with pytest.raises(InputError):
         AffineCode.from_words([5], 3).min_distance()
-    with pytest.raises(InputError):
-        AffineCode.from_checks([0b01, 0b10], 2).min_distance()
 
 
 def test_min_distance_small():
@@ -100,18 +102,16 @@ def test_from_words_rejects_non_affine_sets():
         )
     )
 )
-def test_from_checks_matches_brute_force(case):
+def test_from_words_matches_brute_force(case):
     n_bits, masks = case
     brute = brute_force_solutions(masks, n_bits)
-    code = AffineCode.from_checks(masks, n_bits)
     if not brute:
-        assert code is None
         return
+    code = AffineCode.from_words(brute, n_bits)
     assert code.words() == tuple(brute)
     if len(brute) > 1:
         as_bits = [tuple((w >> i) & 1 for i in range(n_bits)) for w in brute]
         assert code.min_distance() == oracles.naive_min_distance(as_bits)
-    assert AffineCode.from_words(brute, n_bits).words() == tuple(brute)
 
 
 checked_codes = st.integers(1, 12).flatmap(
@@ -129,9 +129,9 @@ checked_codes = st.integers(1, 12).flatmap(
 def test_residue_is_linear_and_zero_exactly_on_codewords(case):
     n_bits, masks, x, y = case
     brute = set(brute_force_solutions(masks, n_bits))
-    code = AffineCode.from_checks(masks, n_bits)
-    if code is None:
+    if not brute:
         return
+    code = AffineCode.from_words(brute, n_bits)
     assert {w for w in range(1 << n_bits) if not code.residue(w)} == brute
     # linear in the distance from the offset, one column per unit vector
     o = code.offset
@@ -144,13 +144,11 @@ def test_residue_is_linear_and_zero_exactly_on_codewords(case):
 @given(checked_codes)
 def test_complete_matches_the_agreeing_codewords(case):
     n_bits, masks, word, known = case
-    code = AffineCode.from_checks(masks, n_bits)
-    if code is None:
+    brute = brute_force_solutions(masks, n_bits)
+    if not brute:
         return
-    agree = [
-        w for w in brute_force_solutions(masks, n_bits)
-        if not (w ^ word) & known
-    ]
+    code = AffineCode.from_words(brute, n_bits)
+    agree = [w for w in brute if not (w ^ word) & known]
     got = code.complete(word, known)
     if not agree:
         assert got is None
@@ -169,10 +167,65 @@ def test_complete_matches_the_agreeing_codewords(case):
 def test_count_is_two_to_the_kernel_dimension(n, gens, edges):
     skeleton = build_chromotopology(n, gens)
     masks = [sum(1 << i for i in quad) for quad in plaquette_quads(skeleton)]
+    assert plaquette_masks(skeleton) == tuple(masks)
     assert len(skeleton.edges) == edges
     expected = 2 ** (edges - oracles.gf2_rank(masks))
     assert count_valid_dashings(skeleton) == expected
     assert expected == 2 ** (2 ** n + len(gens) - 1)
+
+
+def test_dashing_code_on_every_code_up_to_length_8():
+    # the closed form against the plaquette checks: as many dimensions as
+    # the checks' kernel, every basis word even and the offset odd on
+    # every plaquette, so its words are exactly the odd dashings
+    skeletons = [build_chromotopology(n, ()) for n in range(1, 9)] + [
+        build_chromotopology(length - len(gens), DoublyEvenCode(length, gens))
+        for length in range(1, 9)
+        for gens in map(gf2_rref, oracles.doubly_even_codes(length))
+    ]
+    assert len(skeletons) == 8 + 1107
+    for skeleton in skeletons:
+        code = dashing_code(skeleton)
+        quads = plaquette_quads(skeleton)
+        edges = len(skeleton.edges)
+        assert code.n_bits == edges
+        masks = [sum(1 << i for i in q) for q in quads]
+        assert code.dim == edges - oracles.gf2_rank(masks) == (
+            2 ** skeleton.n + skeleton.code.k - 1)
+        # bit j of through[i]: plaquette j holds edge i; a word's parities
+        # on all plaquettes are the XOR of its edges' entries
+        through = [0] * edges
+        for j, quad in enumerate(quads):
+            for i in quad:
+                through[i] |= 1 << j
+
+        def parities(word):
+            out = 0
+            while word:
+                low = word & -word
+                out ^= through[low.bit_length() - 1]
+                word ^= low
+            return out
+
+        assert parities(code.offset) == (1 << len(quads)) - 1
+        assert not any(map(parities, code.basis))
+        assert count_valid_dashings(skeleton) == 2 ** code.dim
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Family(n, (), DASHING) for n in range(1, 6)]
+    + [Family(3, ("1111",), DASHING), E8],
+    ids=["n1", "n2", "n3", "n4", "n5", "n3k1", "e8"],
+)
+def test_dashing_distance_is_n_plus_k(family):
+    want = family.n + len(family.code_generators)
+    assert min_distance(family) == want
+    code = family_code(family)
+    quads = plaquette_quads(family_skeleton(family))
+    assert oracles.min_even_set_by_branching(code.n_bits, quads, want) == want
+    if code.dim <= 19:  # the walk over n5's 2**31 kernel words is too long
+        assert code.min_distance() == want
 
 
 def test_n4_min_distance_matches_naive_search():
@@ -243,8 +296,13 @@ def test_size_guard_applies_to_cached_family_headers(monkeypatch):
 
 
 def test_distance_walk_is_guarded(monkeypatch):
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "14")
+    # only the quaternion code's kernel is walked; a dashing family's
+    # distance is closed form, guarded only by its n like any header
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "2")
     with pytest.raises(SizeGuardError):
-        min_distance(N4)  # kernel dimension 15
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "15")
-    assert min_distance(N4) == 4
+        min_distance(QUATERNION_FAMILY)  # kernel dimension 3
+    with pytest.raises(SizeGuardError):
+        min_distance(N4)
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "4")
+    assert min_distance(N4) == 4  # kernel dimension 15
+    assert min_distance(QUATERNION_FAMILY) == 3

@@ -33,10 +33,11 @@ from adinkra.baobab import propagate_dashing, propagate_directions
 from adinkra.codec import (
     DASHING,
     Family,
-    _parity_checks,
     encode,
+    family_code,
     family_skeleton,
     message_length,
+    syndrome,
 )
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -301,9 +302,12 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
     assert len(builds) == 1 and builds[0] is sk
 
 
-def test_parity_checks_read_the_family_skeleton_table(builds):
+def test_codec_reads_the_family_skeleton_table(builds):
+    # syndromes, plaquette masks and the dashing code read the one table
     family = Family(3, ("1111",), DASHING)
-    checks = _parity_checks.__wrapped__(family)
     skeleton = family_skeleton(family)
-    assert len(checks) == len(plaquettes(skeleton))
+    block = encode((1,) * message_length(family), family).flip([0])
+    assert len(syndrome(block).violated) == skeleton.length - 1
+    assert len(plaquette_masks(skeleton)) == len(plaquettes(skeleton))
+    assert family_code.__wrapped__(family).dim == message_length(family)
     assert len(builds) <= 1
