@@ -29,8 +29,10 @@ from .graph import (
     Adinkra,
     Edge,
     Plaquette,
+    _color_steps,
     _plaquette_ids,
     _PlaquetteTable,
+    json_int,
     json_object_rows,
     load_json_object,
     normalize_heights,
@@ -232,7 +234,7 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     if gate not in ("NDXOR", "DXOR"):
         raise InputError(f"unknown gate {gate!r}")
     if (not isinstance(colors, list) or len(colors) != 2
-            or not all(isinstance(c, int) for c in colors)):
+            or not all(json_int(c) for c in colors)):
         raise InputError(f"colors must be two integers, got {colors!r}")
     corners = row["corners"]
     parsed = [parse_bit_string(c) for c in corners] if isinstance(
@@ -243,7 +245,7 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     def edge_bit(r, field: str) -> tuple[Edge, int]:
         if not isinstance(r, dict):
             raise InputError(f"{field} must be an edge object, got {r!r}")
-        if not isinstance(r["color"], int):
+        if not json_int(r["color"]):
             raise InputError(f"edge color must be an integer, got {r['color']!r}")
         edge = Edge(parse_bit_string(r["u"])[0], parse_bit_string(r["v"])[0],
                     r["color"])
@@ -629,7 +631,7 @@ class Baobab:
         obj = load_json_object(text, ("n", "code_generators", "tree_edges",
                                       "cycle_edges", "bits", "pinned"))
         n = obj["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not json_int(n) or n < 1:
             raise InputError(f"invalid n: {n!r}")
         gens = obj["code_generators"]
         if not isinstance(gens, list):
@@ -650,7 +652,7 @@ class Baobab:
             if u >= v:
                 raise InputError(f"edge endpoints must satisfy u < v: {row}")
             color = row["color"]
-            if not isinstance(color, int):
+            if not json_int(color):
                 raise InputError(
                     f"edge color must be an integer, got {color!r}"
                 )
@@ -670,7 +672,7 @@ class Baobab:
             cycles.append(parse_edge(r))
             colors = r["odd_colors"]
             if not isinstance(colors, list) or not all(
-                isinstance(c, int) for c in colors
+                json_int(c) for c in colors
             ):
                 raise InputError(f"odd_colors must list integers: {colors!r}")
             odd_sets.append(frozenset(colors))
@@ -709,118 +711,93 @@ def cycle_color_set(edge: Edge, length: int) -> frozenset[int]:
     return frozenset(length - p for p in range(length) if word >> p & 1)
 
 
+def _tree_edge(x: int, length: int) -> Edge:
+    """The canonical tree edge from node x > 0 up to its parent, x with
+    its leading bit cleared, along the color of that bit."""
+    top = x.bit_length() - 1
+    return Edge(x ^ 1 << top, x, length - top)
+
+
 def skeleton_tree(skeleton: Adinkra) -> tuple[Edge, ...]:
     """Canonical spanning tree: each node links to the representative
-    with its top bit cleared (which is again a representative)."""
+    with its top bit cleared (which is again a representative).
+
+    A node's ancestors are its labels with leading bits cleared, so its
+    depth is its bit count and two nodes meet at the bits below the
+    lowest one where they differ (`_tree_path`)."""
     edges = []
     length = skeleton.length
     node_set = set(skeleton.nodes)
     for x in skeleton.nodes:
         if x == 0:
             continue
-        top = x.bit_length() - 1
-        parent = x ^ (1 << top)
-        color = length - top
-        if parent not in node_set:
+        e = _tree_edge(x, length)
+        if e.u not in node_set:
             raise InputError(
                 f"node {bit_string(x, length)} has no in-tree parent; "
                 "representatives are not closed under clearing the top bit"
             )
-        edges.append(Edge(parent, x, color))
+        edges.append(e)
     edges.sort(key=lambda e: (e.u, e.color))
     return tuple(edges)
 
 
 def skeleton_baobab_edges(skeleton: Adinkra):
-    """(tree_edges, cycle_edges, odd_color_sets) for a skeleton."""
+    """(tree_edges, cycle_edges, odd_color_sets) for a skeleton.
+
+    Generator g's cycle edge leaves node 0 along the color c of g's
+    leading (pivot) bit: d_c = e_c ^ g, so the edge runs to g ^ e_c and
+    wraps g.  Every color-c edge wraps g and no other edge does; the one
+    at node 0 comes first in canonical edge order."""
     tree = skeleton_tree(skeleton)
-    tree_set = set(tree)
-    non_tree = [e for e in skeleton.edges if e not in tree_set]
     length = skeleton.length
-    gens = skeleton.code.generators
     cycles = []
-    odd_sets = []
-    for g in gens:
-        want = frozenset(
-            length - p for p in range(length) if g >> p & 1
-        )
-        for e in non_tree:
-            word = e.u ^ e.v ^ color_bit(e.color, length)
-            if word == g:
-                cycles.append(e)
-                odd_sets.append(want)
-                break
-        else:
+    for g in skeleton.code.generators:
+        top = g.bit_length() - 1
+        e = Edge(0, g ^ 1 << top, length - top)
+        # node 0's edges lead a canonical edge list: the scan is short
+        if e not in skeleton.edges:
             raise UnderDeterminedError(
                 f"no fundamental cycle matches generator "
                 f"{bit_string(g, length)}"
             )
-    return tree, tuple(cycles), tuple(odd_sets)
+        cycles.append(e)
+    return tree, tuple(cycles), tuple(
+        cycle_color_set(e, length) for e in cycles)
 
 
 # ---------- extraction ----------
 
 
-def _tree_structure(skeleton: Adinkra, tree: tuple[Edge, ...]):
-    parent: dict[int, tuple[int, Edge] | None] = {skeleton.nodes[0]: None}
-    children: dict[int, list[int]] = {x: [] for x in skeleton.nodes}
-    by_child = {}
-    for e in tree:
-        by_child[e.v] = e  # tree edges always run parent -> larger child
-    for x in skeleton.nodes:
-        if x == 0:
-            continue
-        e = by_child[x]
-        parent[x] = (e.u, e)
-        children[e.u].append(x)
-    depth = {}
-
-    def _depth(x: int) -> int:
-        if x not in depth:
-            depth[x] = 0 if parent[x] is None else 1 + _depth(parent[x][0])
-        return depth[x]
-
-    for x in skeleton.nodes:
-        _depth(x)
-    return parent, children, depth
-
-
 def _extremal_nodes(adinkra: Adinkra):
+    """(sources, sinks): nodes below, or above, all their neighbours
+    x ^ d_I."""
     heights = adinkra.heights
-    nbrs: dict[int, list[int]] = {x: [] for x in adinkra.nodes}
-    for e in adinkra.edges:
-        nbrs[e.u].append(e.v)
-        nbrs[e.v].append(e.u)
+    steps = _color_steps(adinkra.code)[1:]
     sources, sinks = [], []
     for x in adinkra.nodes:
-        hs = [heights[y] for y in nbrs[x]]
-        if all(h > heights[x] for h in hs):
+        h = heights[x]
+        hs = [heights[x ^ d] for d in steps]
+        if all(y > h for y in hs):
             sources.append(x)
-        elif all(h < heights[x] for h in hs):
+        elif all(y < h for y in hs):
             sinks.append(x)
     return sources, sinks
 
 
-def _tree_path_edges(a: int, b: int, parent) -> list[Edge]:
-    seen = {}
-    x = a
-    while True:
-        seen[x] = None
-        if parent[x] is None:
-            break
-        x = parent[x][0]
-    trail_b = []
-    x = b
-    while x not in seen:
-        trail_b.append(parent[x][1])
-        x = parent[x][0]
-    lca = x
+def _tree_path(a: int, b: int, length: int) -> list[Edge]:
+    """Tree edges from a up to the lowest common ancestor of a and b,
+    then from b up to it.  The ancestor keeps the bits below the lowest
+    one where a and b differ."""
+    d = a ^ b
+    meet = a & ((d & -d) - 1)
     out = []
-    x = a
-    while x != lca:
-        out.append(parent[x][1])
-        x = parent[x][0]
-    return out + trail_b
+    for x in (a, b):
+        while x != meet:
+            e = _tree_edge(x, length)
+            out.append(e)
+            x = e.u
+    return out
 
 
 def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
@@ -829,12 +806,13 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
     Extremal nodes (sources and sinks) must each touch a pinned edge.
     Adjacent extremal pairs are matched leaf-up along tree edges; the
     leftovers are paired source-to-sink and the whole tree path between
-    them is pinned; any stragglers pin their smallest tree edge.
+    them is pinned; any stragglers pin their smallest tree edge: the
+    edge to the parent, or the first tree edge for node 0.
     """
     if adinkra.heights is None:
         raise InputError("pinning needs heights")
     tree = skeleton_tree(adinkra)
-    parent, _children, depth = _tree_structure(adinkra, tree)
+    length = adinkra.length
     sources, sinks = _extremal_nodes(adinkra)
     extremal = set(sources) | set(sinks)
     heights = adinkra.heights
@@ -845,27 +823,27 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
         pinned[e] = e.u if heights[e.u] > heights[e.v] else e.v
 
     covered: set[int] = set()
-    order = sorted(adinkra.nodes, key=lambda x: (-depth[x], x))
+    # deepest first: a node's depth is its bit count
+    order = sorted(adinkra.nodes, key=lambda x: (-x.bit_count(), x))
     for x in order:
-        if x not in extremal or x in covered or parent[x] is None:
+        if x not in extremal or x in covered or x == 0:
             continue
-        p, e = parent[x]
-        if p in extremal and p not in covered:
+        e = _tree_edge(x, length)
+        if e.u in extremal and e.u not in covered:
             pin(e)
             covered.add(x)
-            covered.add(p)
+            covered.add(e.u)
 
     left_sources = [x for x in sources if x not in covered]
     left_sinks = [x for x in sinks if x not in covered]
     for a, b in zip(left_sources, left_sinks):
-        for e in _tree_path_edges(a, b, parent):
+        for e in _tree_path(a, b, length):
             pin(e)
         covered.add(a)
         covered.add(b)
 
     for x in extremal - covered:
-        candidates = [e for e in tree if x in (e.u, e.v)]
-        pin(min(candidates, key=lambda e: (e.u, e.color)))
+        pin(_tree_edge(x, length) if x else tree[0])
         covered.add(x)
 
     return pinned

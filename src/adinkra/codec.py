@@ -393,7 +393,8 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
     """
     n_bits = len(vector.bits)
     erased = {_position(p, n_bits, "erased") for p in erased}
-    known_mask = sum(1 << i for i in range(n_bits) if i not in erased)
+    # the positions are distinct, so their sum is their mask
+    known_mask = ((1 << n_bits) - 1) ^ sum(1 << i for i in erased)
     return _complete(vector.family, _bits_word(vector.bits), known_mask)
 
 

@@ -50,13 +50,6 @@ class Plaquette(NamedTuple):
     corners: tuple[int, int, int, int]
     edges: tuple[Edge, Edge, Edge, Edge]
 
-    def trail(self):
-        """Steps (from_node, to_node, edge) around the cycle."""
-        c = self.corners
-        return tuple(
-            (c[i], c[(i + 1) % 4], self.edges[i]) for i in range(4)
-        )
-
 
 class _PlaquetteTable:
     """A graph's plaquettes, built on first use, and the integer tables
@@ -472,6 +465,12 @@ def to_json(adinkra: Adinkra) -> str:
     )
 
 
+def json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer; `true` and `false`
+    decode to bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_json_object(text: str, keys) -> dict:
     """Decode a JSON object that carries every one of `keys`."""
     try:
@@ -504,7 +503,7 @@ def from_json(text: str) -> Adinkra:
     """Parse and fully validate the canonical JSON form."""
     obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not json_int(n) or n < 1:
         raise InputError(f"invalid n: {n!r}")
     gens = obj["code_generators"]
     if not isinstance(gens, list):
@@ -554,7 +553,7 @@ def from_json(text: str) -> Adinkra:
         if gu != length or gv != length:
             raise InputError(f"edge endpoints must be {length}-bit labels")
         color = row["color"]
-        if not isinstance(color, int):
+        if not json_int(color):
             raise InputError(f"edge color must be an integer, got {color!r}")
         if u >= v:
             raise InputError(f"edge endpoints must satisfy u < v, got {row}")

@@ -26,13 +26,21 @@ from adinkra.algebra import (
     mat_neg,
     strip_derivatives,
 )
-from adinkra.baobab import GateStep, GateTrace, _check_bit, dxor, ndxor
+from adinkra.baobab import (
+    GateStep,
+    GateTrace,
+    _check_bit,
+    dxor,
+    ndxor,
+    skeleton_tree,
+)
 from adinkra.codes import bit_string
 from adinkra.errors import (
     ContradictionError,
     GradedSumError,
     InputError,
     ReplayError,
+    UnderDeterminedError,
 )
 from adinkra.graph import (
     Adinkra,
@@ -330,6 +338,127 @@ def spans_all_nodes(nodes, edge_pairs):
     return len(roots) == 1
 
 
+# ---------- baobab structure ----------
+#
+# The canonical tree's paths, the cycle edges, the extremal nodes and the
+# pinned-arrow choice found by walking edge lists and parent dicts, as
+# first written; the library reads them off the node labels.
+
+
+def naive_tree_path(tree, a, b):
+    """Tree edges between a and b, found by BFS over the tree edges:
+    those from a up to the path's node nearest the root (node 0), then
+    those from b up to it."""
+    adjacent = {}
+    for e in tree:
+        adjacent.setdefault(e.u, []).append((e.v, e))
+        adjacent.setdefault(e.v, []).append((e.u, e))
+
+    def bfs(source):
+        """node -> (distance, (next node toward source, edge))."""
+        seen = {source: (0, None)}
+        frontier = [source]
+        while frontier:
+            later = []
+            for x in frontier:
+                for y, e in adjacent.get(x, ()):
+                    if y not in seen:
+                        seen[y] = (seen[x][0] + 1, (x, e))
+                        later.append(y)
+            frontier = later
+        return seen
+
+    toward_b, depth = bfs(b), bfs(0)
+    nodes, edges = [a], []
+    while nodes[-1] != b:
+        x, e = toward_b[nodes[-1]][1]
+        nodes.append(x)
+        edges.append(e)
+    turn = min(range(len(nodes)), key=lambda i: depth[nodes[i]][0])
+    return edges[:turn] + edges[turn:][::-1]
+
+
+def naive_cycle_edges(skeleton: Adinkra):
+    """(cycle_edges, odd_color_sets): per generator g, the first non-tree
+    edge in edge order whose cycle word u ^ v ^ e_color is g."""
+    tree = set(skeleton_tree(skeleton))
+    length = skeleton.length
+    cycles, odd_sets = [], []
+    for g in skeleton.code.generators:
+        for e in skeleton.edges:
+            if e not in tree and e.u ^ e.v ^ 1 << (length - e.color) == g:
+                cycles.append(e)
+                odd_sets.append(frozenset(
+                    length - p for p in range(length) if g >> p & 1))
+                break
+        else:
+            raise UnderDeterminedError(
+                f"no fundamental cycle matches generator "
+                f"{bit_string(g, length)}")
+    return tuple(cycles), tuple(odd_sets)
+
+
+def naive_extremal_nodes(adinkra: Adinkra):
+    """(sources, sinks) from neighbour lists built off the edges."""
+    heights = adinkra.heights
+    neighbours = {x: [] for x in adinkra.nodes}
+    for e in adinkra.edges:
+        neighbours[e.u].append(e.v)
+        neighbours[e.v].append(e.u)
+    sources, sinks = [], []
+    for x in adinkra.nodes:
+        hs = [heights[y] for y in neighbours[x]]
+        if all(h > heights[x] for h in hs):
+            sources.append(x)
+        elif all(h < heights[x] for h in hs):
+            sinks.append(x)
+    return sources, sinks
+
+
+def naive_choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
+    """`choose_pinned_arrows` over a parent dict and depths counted by
+    walking it, with BFS tree paths and each straggler's smallest
+    touching tree edge found by a scan."""
+    tree = skeleton_tree(adinkra)
+    parent = {x: None for x in adinkra.nodes}
+    for e in tree:
+        parent[e.v] = (e.u, e)  # tree edges run parent -> larger child
+    depth = {}
+    for x in adinkra.nodes:
+        y, depth[x] = x, 0
+        while parent[y] is not None:
+            y, depth[x] = parent[y][0], depth[x] + 1
+    sources, sinks = naive_extremal_nodes(adinkra)
+    extremal = set(sources) | set(sinks)
+    heights = adinkra.heights
+    pinned = {}
+
+    def pin(e):
+        pinned[e] = e.u if heights[e.u] > heights[e.v] else e.v
+
+    covered = set()
+    for x in sorted(adinkra.nodes, key=lambda x: (-depth[x], x)):
+        if x not in extremal or x in covered or parent[x] is None:
+            continue
+        p, e = parent[x]
+        if p in extremal and p not in covered:
+            pin(e)
+            covered.add(x)
+            covered.add(p)
+    left_sources = [x for x in sources if x not in covered]
+    left_sinks = [x for x in sinks if x not in covered]
+    for a, b in zip(left_sources, left_sinks):
+        for e in naive_tree_path(tree, a, b):
+            pin(e)
+        covered.add(a)
+        covered.add(b)
+    for x in extremal - covered:
+        pin(min((e for e in tree if x in (e.u, e.v)),
+                key=lambda e: (e.u, e.color)))
+        covered.add(x)
+    return pinned
+
+
 # ---------- quaternion relations via numpy ----------
 
 
@@ -477,7 +606,7 @@ def naive_propagate_directions(
     while progress:
         progress = False
         for p in plaqs:
-            trail = p.trail()
+            trail = plaquette_trail(p)
             tvals = []
             for frm, to, e in trail:
                 h = heads.get(e)
@@ -525,6 +654,13 @@ def naive_propagate_directions(
                 break
     trace = GateTrace(skeleton.length, tuple(steps))
     return heads, trace
+
+
+def plaquette_trail(p: Plaquette):
+    """Steps (from_node, to_node, edge) around a plaquette's cycle:
+    edge k runs from corners[k] to corners[k + 1]."""
+    c = p.corners
+    return tuple((c[i], c[(i + 1) % 4], p.edges[i]) for i in range(4))
 
 
 def trail_from_corners(corners, colors):

@@ -1,5 +1,6 @@
 """Gates, spanning structure, extraction, propagation, reconstruction."""
 
+import functools
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from adinkra import (
     SizeGuardError,
     UnderDeterminedError,
     build_chromotopology,
+    build_quotient_skeleton,
     choose_pinned_arrows,
     count_valid_dashings,
     dashing_dof,
@@ -44,6 +46,7 @@ from adinkra.baobab import (
     propagate_directions,
 )
 from adinkra.codec import DASHING, Family, codewords
+from adinkra.codes import DoublyEvenCode, LinearBinaryCode, gf2_rref
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -140,6 +143,86 @@ def test_pinned_arrow_counts_hit_the_bounds():
         if not gens:
             extended = a.with_heights(weight_heights(a))
             assert len(choose_pinned_arrows(extended)) == lo
+
+
+# ---------- tree, cycles and pins against the edge walks ----------
+
+RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
+        "0011001100110011", "0101010101010101")  # RM(1,4), doubly even
+
+
+@functools.lru_cache(maxsize=None)
+def structure_corpus():
+    """The cubes n1-n8, every doubly even code with L <= 8, n3/1111, e8
+    and RM(1,4), each with its valise heights and, when k = 0, weight
+    heights: (skeleton, height profiles)."""
+    skeletons = [build_chromotopology(n, ()) for n in range(1, 9)] + [
+        build_chromotopology(length - len(gens), DoublyEvenCode(length, gens))
+        for length in range(1, 9)
+        for gens in map(gf2_rref, oracles.doubly_even_codes(length))
+    ] + [build_chromotopology(3, ("1111",)), build_chromotopology(4, E8_CODE),
+         build_chromotopology(11, RM14)]
+    assert len(skeletons) == 8 + 1107 + 3
+    return tuple(
+        (a, (valise_heights(a),) + (() if a.code.k else (weight_heights(a),)))
+        for a in skeletons)
+
+
+def odd_word_quotients():
+    """Quotients by codes with odd words: 111 (n=2) and 1110 (n=3)."""
+    return [build_quotient_skeleton(len(gens[0]) - 1,
+                                    LinearBinaryCode.from_strings(gens))
+            for gens in (("111",), ("1110",))]
+
+
+def test_tree_and_cycle_edges_match_the_edge_scan():
+    for a in [a for a, _ in structure_corpus()] + odd_word_quotients():
+        tree, cycles, odd_sets = skeleton_baobab_edges(a)
+        assert set(tree) <= set(a.edges)
+        assert (cycles, odd_sets) == oracles.naive_cycle_edges(a)
+
+
+def test_tree_paths_match_bfs():
+    for a, _ in structure_corpus():
+        tree = skeleton_tree(a)
+        nodes = a.nodes
+        pairs = list(itertools.product(nodes, repeat=2))
+        if len(pairs) > 64:
+            rng = random.Random(len(nodes) * 31 + a.code.k)
+            pairs = rng.sample(pairs, 16) + [(x, 0) for x in nodes[-4:]] + [
+                (0, x) for x in nodes[-4:]]
+        for x, y in pairs:
+            assert baobab._tree_path(x, y, a.length) == (
+                oracles.naive_tree_path(tree, x, y)), (a.n, a.code, x, y)
+
+
+def test_extremal_nodes_and_pins_match_the_dict_walk():
+    for a, profiles in structure_corpus():
+        for heights in profiles:
+            adk = a.with_heights(heights)
+            assert baobab._extremal_nodes(adk) == (
+                oracles.naive_extremal_nodes(adk))
+            # equal dicts in the same insertion order
+            assert list(choose_pinned_arrows(adk).items()) == list(
+                oracles.naive_choose_pinned_arrows(adk).items())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_pins_match_the_dict_walk_on_arbitrary_heights(data):
+    # heights need not step by one here: the selection reads only which
+    # nodes are extremal, so drawn heights reach the source-to-sink path
+    # and straggler branches that valise and weight heights rarely take
+    n, gens = data.draw(st.sampled_from(
+        [(1, ()), (2, ()), (3, ()), (4, ()), (5, ()), (3, ("1111",)),
+         (4, E8_CODE)]))
+    a = skeleton_for(n, gens)
+    heights = dict(zip(a.nodes, data.draw(st.lists(
+        st.integers(0, 3), min_size=len(a.nodes), max_size=len(a.nodes)))))
+    adk = a.with_heights(heights)
+    assert baobab._extremal_nodes(adk) == oracles.naive_extremal_nodes(adk)
+    assert list(choose_pinned_arrows(adk).items()) == list(
+        oracles.naive_choose_pinned_arrows(adk).items())
 
 
 # ---------- propagation ----------
@@ -529,12 +612,7 @@ def test_program_stands_aside_where_slots_are_not_free():
     # on a quotient by a code with odd words, some plaquette parity is
     # fixed by the slots alone; no program is kept and the engine
     # reports the contradiction the restart scan reports
-    from adinkra import build_quotient_skeleton
-    from adinkra.codes import LinearBinaryCode
-
-    for gens in (("111",), ("1110",)):
-        code = LinearBinaryCode.from_strings(gens)
-        a = build_quotient_skeleton(len(gens[0]) - 1, code)
+    for a in odd_word_quotients():
         tree, cycles, _ = skeleton_baobab_edges(a)
         for bit in (0, 1):
             seed = {e: bit for e in tree + cycles}
@@ -643,7 +721,7 @@ def test_dxor_closed_rule_on_all_81_trail_states():
     # compare it against enumerating the completions with exactly two ones
     a = skeleton_for(2, ())
     (p,) = plaquettes(a)
-    trail = p.trail()
+    trail = oracles.plaquette_trail(p)
     for state in itertools.product((None, 0, 1), repeat=4):
         pinned = {
             e: (to if v == 0 else frm)

@@ -209,6 +209,10 @@ MALFORMED = {
         "reconstruct", lambda doc: doc["tree_edges"][0].update(color="x")),
     "edge without u": (
         "reconstruct", lambda doc: doc["tree_edges"][0].pop("u")),
+    "boolean edge color": (
+        "verify", lambda doc: doc["edges"][0].update(color=True)),
+    "boolean baobab color": (
+        "reconstruct", lambda doc: doc["tree_edges"][0].update(color=True)),
 }
 
 

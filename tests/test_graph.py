@@ -230,10 +230,9 @@ def test_plaquette_is_a_named_tuple_of_its_fields():
             f"Plaquette(base={p.base!r}, colors={p.colors!r}, "
             f"corners={p.corners!r}, edges={p.edges!r})"
         )
-        assert p.trail() == tuple(
-            (p.corners[i], p.corners[(i + 1) % 4], p.edges[i])
-            for i in range(4)
-        )
+        # each step of the oracle's trail runs along its own edge
+        for frm, to, e in oracles.plaquette_trail(p):
+            assert (min(frm, to), max(frm, to)) == (e.u, e.v)
 
 
 def test_plaquette_order_is_canonical():

@@ -92,6 +92,34 @@ def test_baobab_edge_without_u_is_input_error():
         Baobab.from_json(json.dumps(doc))
 
 
+# JSON true and false decode to bools, which Python counts as ints; a
+# color given as one is refused, not read as 1 or 0 and written back
+BOOLEAN_COLORS = {
+    "adinkra edge": (from_json, ADINKRA_DOCS,
+                     lambda doc: doc["edges"][0].update(color=True)),
+    "tree edge": (Baobab.from_json, BAOBAB_DOCS,
+                  lambda doc: doc["tree_edges"][0].update(color=True)),
+    "cycle edge": (Baobab.from_json, BAOBAB_DOCS,
+                   lambda doc: doc["cycle_edges"][0].update(color=True)),
+    "pinned edge": (Baobab.from_json, BAOBAB_DOCS,
+                    lambda doc: doc["pinned"][0].update(color=True)),
+    "odd colors": (Baobab.from_json, BAOBAB_DOCS,
+                   lambda doc: doc["cycle_edges"][0].update(
+                       odd_colors=[True, 2, 3, 4])),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BOOLEAN_COLORS))
+def test_boolean_color_is_input_error(probe):
+    parse, docs, damage = BOOLEAN_COLORS[probe]
+    # the n=3, code 1111 document has a cycle edge
+    doc = copy.deepcopy(docs[1])
+    parse(json.dumps(doc))
+    damage(doc)
+    with pytest.raises(InputError, match="True"):
+        parse(json.dumps(doc))
+
+
 @pytest.mark.parametrize("parse", [from_json, Baobab.from_json])
 @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null"])
 def test_non_object_json_is_input_error(parse, text):
@@ -112,6 +140,9 @@ def test_non_object_json_is_input_error(parse, text):
         ("output", {"u": "0000", "v": "1000", "color": ["000"], "bit": 1}),
         ("output", {"u": "0000", "v": "1000", "color": 1, "bit": 2}),
         ("output", {"u": "0000", "v": "1000", "color": 1, "bit": 1.0}),
+        ("colors", [True, 2]),
+        ("output", {"u": "0000", "v": "1000", "color": True, "bit": 1}),
+        ("inputs", [{"u": "0000", "v": "1000", "color": True, "bit": 1}]),
     ],
 )
 @pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])

@@ -175,19 +175,12 @@ def test_incidence_is_built_on_first_propagation():
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
-def test_trails_are_built_once_per_table(monkeypatch, id_builds, n, gens,
-                                         heights):
+def test_trails_are_built_once_per_table(id_builds, n, gens, heights):
     # the trail table is gone: the DXOR rule and its marks read corners
-    # and edge ids, so no trail is built, and the id tables and the NDXOR
-    # program are built once per table over a whole round trip
-    calls = []
-    real = graph.Plaquette.trail
-
-    def counted(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(graph.Plaquette, "trail", counted)
+    # and edge ids, and a plaquette has no trail method left to call (the
+    # oracles build trails with `oracles.plaquette_trail`); the id tables
+    # and the NDXOR program are built once per table over a round trip
+    assert not hasattr(graph.Plaquette, "trail")
     sk = build_chromotopology(n, gens)
     adk = dashed(sk, heights)
     assert id_builds == [("ids", plaquettes(sk)), ("program", sk)]
@@ -197,7 +190,7 @@ def test_trails_are_built_once_per_table(monkeypatch, id_builds, n, gens,
     propagate_directions(adk, choose_pinned_arrows(adk))
     tree, cycles, _ = skeleton_baobab_edges(sk)
     propagate_dashing(rebuilt, {e: 1 for e in tree})
-    assert not hasattr(sk._table, "trails") and not calls
+    assert not hasattr(sk._table, "trails")
     assert len(id_builds) == 2
     for table in (adk._table, rebuilt._table):
         assert all(f is g for f, g in zip(fields, table_fields(sk)))
@@ -215,9 +208,9 @@ def test_heads_are_built_once_beside_the_incidence(n, gens, heights):
     plaqs = plaquettes(sk)
     for i, ids in enumerate(incidence):
         # the node each trail through edge i steps onto, in incidence order
-        assert heads[i] == [to for j in ids
-                            for _, to, f in plaqs[j].trail()
-                            if f == sk.edges[i]]
+        assert heads[i] == [
+            to for j in ids for _, to, f in oracles.plaquette_trail(plaqs[j])
+            if f == sk.edges[i]]
     propagate_directions(adk, choose_pinned_arrows(adk))
     assert adk._table.heads is heads and sk._table.incidence is incidence
 
