@@ -48,8 +48,13 @@ from .quaternion import (  # noqa: F401  (part of the public surface here)
 # ---------- gates ----------
 
 
-def _check_bit(value, what: str) -> int:
-    if not isinstance(value, int) or value not in (0, 1):
+def _check_bit(value, what: str, edge: Edge | None = None) -> int:
+    """`value` if it is a bit; else InputError naming `what` and, if
+    given, the edge (formatted only then).  Bools count as ints in
+    Python, but `true` is no bit."""
+    if not json_int(value) or value not in (0, 1):
+        if edge is not None:
+            what = f"{what} for {edge}"
         raise InputError(f"{what} must be 0 or 1, got {value!r}")
     return value
 
@@ -115,10 +120,36 @@ class GateStep(NamedTuple):
 
 @dataclass(frozen=True)
 class GateTrace:
-    """Ordered record of every propagation inference."""
+    """Ordered record of every propagation inference.
+
+    A trace that propagation returns holds only the values it computed:
+    the fired plaquettes in order and, per edge, the firing that wrote
+    it.  It builds its `steps` in one pass on first read (`_gate_steps`)
+    and until then keeps the skeleton's plaquette table alive: its
+    plaquettes and their id quadruples.  Equality, hashing, `repr`,
+    pickling and copies read `steps`, so such a trace behaves as
+    `GateTrace(length, steps)`, and it is as frozen.
+    """
 
     length: int
     steps: tuple[GateStep, ...]
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks, such as the
+        # `steps` of a trace from propagation before its first read
+        firings = self.__dict__.get("_firings")
+        if name != "steps" or firings is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = _gate_steps(*firings)
+        # frozen: write the built field straight into the instance
+        self.__dict__["steps"] = steps
+        self.__dict__.pop("_firings", None)
+        return steps
+
+    def __reduce__(self):
+        # pickled and copied as `GateTrace(length, steps)`, firings dropped
+        return GateTrace, (self.length, self.steps)
 
     def to_jsonl(self) -> str:
         def edge_row(e: Edge, b: int) -> dict:
@@ -162,7 +193,7 @@ class GateTrace:
     def replay_dashing(self, seeds: Mapping[Edge, int]) -> dict[Edge, int]:
         """Re-run NDXOR steps from seed bits; every recorded input must
         already be known and every output must recompute identically."""
-        bits = {e: _check_bit(b, f"seed for {e}") for e, b in seeds.items()}
+        bits = {e: _check_bit(b, "seed", e) for e, b in seeds.items()}
         for num, s in enumerate(self.steps, 1):
             if s.gate != "NDXOR":
                 raise ReplayError(f"step {num}: expected NDXOR, got {s.gate}")
@@ -249,7 +280,7 @@ def _parse_step(row, base: int, length: int) -> GateStep:
             raise InputError(f"edge color must be an integer, got {r['color']!r}")
         edge = Edge(parse_bit_string(r["u"])[0], parse_bit_string(r["v"])[0],
                     r["color"])
-        return edge, _check_bit(r["bit"], f"bit for {edge}")
+        return edge, _check_bit(r["bit"], "bit", edge)
 
     inputs = row["inputs"]
     if not isinstance(inputs, list):
@@ -285,49 +316,6 @@ def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
     )
 
 
-def _ndxor_rule(p: Plaquette, quad, vals: list, length: int):
-    """(step, edge id, bit) for the one unknown dashing bit of a
-    plaquette whose edge ids are `quad`."""
-    known = [vals[i] for i in quad]
-    if known.count(None) == 1:
-        k = known.index(None)
-        inputs = tuple((p.edges[j], known[j]) for j in range(4) if j != k)
-        # the bits were checked on entry or written by this gate
-        bit = 1 ^ inputs[0][1] ^ inputs[1][1] ^ inputs[2][1]
-        step = GateStep("NDXOR", p.colors, p.base, p.corners, inputs,
-                        (p.edges[k], bit))
-        return ((step, quad[k], bit),)
-    if None not in known and known[0] ^ known[1] ^ known[2] ^ known[3] != 1:
-        raise _contradiction(p, length, "has even dashing parity")
-    return ()
-
-
-def _dxor_rule(p: Plaquette, quad, vals: list, length: int):
-    """(step, edge id, head) for every unknown arrow a plaquette forces.
-    Edge k of the traversal runs from corners[k] to corners[k + 1]; its
-    trail bit is 0 when the arrow points that way."""
-    c = p.corners
-    tos = (c[1], c[2], c[3], c[0])
-    tvals = [None if h is None else (0 if h == to else 1)
-             for h, to in zip([vals[i] for i in quad], tos)]
-    unknown = [k for k in range(4) if tvals[k] is None]
-    need = 2 - tvals.count(1)
-    if not unknown and need:
-        raise _contradiction(p, length, f"has {2 - need} counter-traversal "
-                             "arrows, needs exactly 2")
-    if not 0 <= need <= len(unknown):
-        raise _contradiction(p, length, "cannot reach exactly 2 "
-                             "counter-traversal arrows")
-    if need not in (0, len(unknown)):
-        return ()
-    bit = 1 if need else 0
-    edges = p.edges
-    inputs = tuple([(edges[k], tvals[k]) for k in range(4)
-                    if tvals[k] is not None])
-    return [(GateStep("DXOR", p.colors, p.base, c, inputs, (edges[k], bit)),
-             quad[k], c[k] if bit else tos[k]) for k in unknown]
-
-
 # A plaquette's counters form one state s = 5 * unknown + ones: its
 # unknown edges, and its known edges whose value differs from the
 # plaquette's mark for that edge.  NDXOR marks every edge 0, so the ones
@@ -342,6 +330,82 @@ _DXOR_READY = tuple(not (0 < 2 - t < u) and (u, t) != (0, 2)
                     for u in range(5) for t in range(5))
 
 
+def _ndxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
+    """(edge id, bit) for the one unknown dashing bit of a plaquette
+    whose edge ids are `quad`, in the ready counter state `state`."""
+    unknown, ones = divmod(state, 5)
+    if not unknown:  # complete, so of even parity
+        raise _contradiction(p, length, "has even dashing parity")
+    # the fourth bit makes the count of ones odd
+    for i in quad:
+        if vals[i] is None:
+            return ((i, 1 - ones % 2),)
+
+
+def _dxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
+    """(edge id, head) for every unknown arrow of a plaquette in the
+    ready counter state `state`.  Edge k of the traversal runs from
+    corners[k] to corners[k + 1]; its trail bit is 0 when the arrow
+    points that way.  Ready means need = 2 - ones is 0 or the number of
+    unknown arrows, or else the plaquette contradicts."""
+    unknown, ones = divmod(state, 5)
+    need = 2 - ones
+    if not unknown:
+        raise _contradiction(p, length, f"has {ones} counter-traversal "
+                             "arrows, needs exactly 2")
+    if not 0 <= need <= unknown:
+        raise _contradiction(p, length, "cannot reach exactly 2 "
+                             "counter-traversal arrows")
+    c = p.corners
+    return [(i, c[k] if need else c[(k + 1) % 4])
+            for k, i in enumerate(quad) if vals[i] is None]
+
+
+def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
+    """The GateSteps of a propagation, rebuilt from its values.
+
+    Firing t fired plaquette `order[t]`; `when[i]` is the firing that
+    wrote edge i (-1 for a given edge).  Every edge of a fired plaquette
+    is known after it fires, so its inputs are the edges written before
+    it and its outputs the rest, each in traversal order.  NDXOR bits
+    are the dashing bits, one output per firing.  DXOR bits are trail
+    bits (0 when the arrow points to the next corner), and every output
+    gets the bit the two-ones rule forces: 0 when the inputs already
+    hold two ones, else 1.
+    """
+    steps = []
+    add = steps.append
+    new_step = tuple.__new__  # GateStep(...) without its keyword handling
+    if gate == "NDXOR":
+        for t, j in enumerate(order):
+            base, colors, c, edges = plaqs[j]
+            inputs = []
+            for e, i in zip(edges, quads[j]):
+                if when[i] < t:
+                    inputs.append((e, vals[i]))
+                else:
+                    out = (e, vals[i])
+            add(new_step(GateStep, (gate, colors, base, c, tuple(inputs),
+                                    out)))
+        return tuple(steps)
+    for t, j in enumerate(order):
+        base, colors, c, edges = plaqs[j]
+        inputs, outs = [], []
+        ones = 0
+        for e, i, to in zip(edges, quads[j], (c[1], c[2], c[3], c[0])):
+            if when[i] < t:
+                b = 0 if vals[i] == to else 1
+                ones += b
+                inputs.append((e, b))
+            else:
+                outs.append(e)
+        inputs = tuple(inputs)
+        bit = 0 if ones == 2 else 1
+        for e in outs:
+            add(new_step(GateStep, (gate, colors, base, c, inputs, (e, bit))))
+    return tuple(steps)
+
+
 def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
                order, directions: bool = False):
     """Run a gate rule over the plaquettes to its fixpoint.
@@ -351,24 +415,26 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
     and updated as edges become known, and goes on a min-heap of
     canonical indices when they become ready.  The least is popped and
     skipped if an edge filled since left it idle; otherwise `rule`
-    raises or returns the (step, edge id, value) triples it forces.  A
+    raises or returns the (edge id, value) pairs it forces.  A
     plaquette's verdict changes only when one of its edges becomes
     known, so each popped plaquette is the first one a scan from
     plaquette 0 would act on: traces match a scan restarted after every
     inference, and the rule is never called in vain.  For `directions`
     the marks are the table's heads; for dashing they are 0, and when
-    the given edges are exactly the baobab slots the plaquettes fire in
-    the order of the skeleton's NDXOR program (the order the heap would
-    pop them) with no counter kept.  The id tables come from the
-    skeleton's shared table; a custom `order` builds its own.
+    the given edges are exactly the baobab slots the skeleton's NDXOR
+    program fills the values (in the order the heap would pop the
+    plaquettes) with no counter kept and no rule called.  The id tables
+    come from the skeleton's shared table; a custom `order` builds its
+    own.  The run records only the fired plaquettes and, per edge, the
+    firing that wrote it; the trace builds its steps from them when read.
     """
     if order is None:
         table = _plaquette_ids(skeleton)
     else:
         table = _PlaquetteTable(order).fill_ids(skeleton.edges)
     plaqs, quads, length = table.plaquettes, table.quads, skeleton.length
-    index = table.index
-    vals = [None] * len(skeleton.edges)
+    index, edges = table.index, skeleton.edges
+    vals = [None] * len(edges)
     known = {}
     fresh = []
     for e, value in given.items():
@@ -377,18 +443,20 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
             raise InputError(f"unknown edge {e}")
         known[e] = vals[i] = check(e, value)
         fresh.append(i)
-    steps = []
+    gate = "DXOR" if directions else "NDXOR"
     program = None if directions or order is not None else (
         _ndxor_program(skeleton, fresh))
     if program is not None:
-        for j in program.order:
-            ((step, i, value),) = rule(plaqs[j], quads[j], vals, length)
-            vals[i] = known[step.output[0]] = value
-            steps.append(step)
-        return known, GateTrace(length, tuple(steps))
+        program.run(vals)
+        for out, _, _, _ in program.flat:
+            known[edges[out]] = vals[out]
+        return known, _deferred_trace(length, gate, plaqs, quads,
+                                      program.order, program.when, vals)
     incident = table.incidence
     heads = table.heads if directions else None
     state = [20] * len(plaqs)
+    when = [-1] * len(edges)
+    fired = []
     zeros = repeat(0)
     heap = []
     while True:
@@ -406,11 +474,22 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
             break
         j = heappop(heap)
         fresh = []
-        for step, i, value in rule(plaqs[j], quads[j], vals, length):
-            vals[i] = known[step.output[0]] = value
-            steps.append(step)
+        t = len(fired)
+        for i, value in rule(plaqs[j], quads[j], vals, length, state[j]):
+            vals[i] = known[edges[i]] = value
+            when[i] = t
             fresh.append(i)
-    return known, GateTrace(length, tuple(steps))
+        fired.append(j)
+    return known, _deferred_trace(length, gate, plaqs, quads, fired, when,
+                                  vals)
+
+
+def _deferred_trace(length: int, *firings) -> GateTrace:
+    """A GateTrace whose steps `_gate_steps(*firings)` builds on first
+    read."""
+    trace = object.__new__(GateTrace)
+    trace.__dict__.update(length=length, _firings=firings)
+    return trace
 
 
 class _NdxorProgram(NamedTuple):
@@ -419,12 +498,14 @@ class _NdxorProgram(NamedTuple):
     NDXOR fires on a plaquette with exactly one unknown edge, so which
     plaquettes fire, in what order, and which edge each one writes
     depend only on which edges are known.  `order` lists the fired
-    plaquettes; `flat` holds, per step, (output id, input ids).
+    plaquettes; `flat` holds, per step, (output id, input ids); `when`
+    gives, per edge id, the step that writes it (-1 for a slot).
     """
 
     slots: frozenset[int]
     order: tuple[int, ...]
     flat: tuple[tuple[int, int, int, int], ...]
+    when: tuple[int, ...]
 
     def run(self, vals: list) -> list:
         """Fill `vals`, which holds a bit on every slot id, in place."""
@@ -495,21 +576,11 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     if None in form or any(form[a] ^ form[b] ^ form[c] ^ form[d] != 1
                            for a, b, c, d in quads):
         return False
-    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat))
-
-
-def _slot_dashing(skeleton: Adinkra, bits: Mapping[Edge, int]):
-    """`propagate_dashing(skeleton, bits)[0]` for bits on exactly the
-    baobab slots, from the compiled program's values alone when the
-    skeleton has one."""
-    program = _ndxor_program(skeleton)
-    if program is None:
-        return propagate_dashing(skeleton, bits)[0]
-    index = skeleton._table.index
-    vals = [None] * len(skeleton.edges)
-    for e, b in bits.items():
-        vals[index[e]] = b
-    return dict(zip(skeleton.edges, program.run(vals)))
+    when = [-1] * len(form)
+    for t, (out, *_) in enumerate(flat):
+        when[out] = t
+    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat),
+                         tuple(when))
 
 
 def _check_head(e: Edge, head) -> int:
@@ -531,7 +602,7 @@ def propagate_dashing(
     the baobab slots run the skeleton's compiled NDXOR program.
     """
     return _propagate(skeleton, known,
-                      lambda e, b: _check_bit(b, f"bit for {e}"),
+                      lambda e, b: _check_bit(b, "bit", e),
                       _ndxor_rule, _NDXOR_READY, _order)
 
 
@@ -870,7 +941,7 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
             for e in tree + cycles}
 
     skeleton = adinkra.skeleton()
-    full_bits = _slot_dashing(skeleton, bits)
+    full_bits, _ = propagate_dashing(skeleton, bits)
     missing = [e for e in adinkra.edges if e not in full_bits]
     if missing:
         raise UnderDeterminedError(
@@ -950,8 +1021,9 @@ def reconstruct_dashing(
     else:
         known = dict(source)
     bits, trace = propagate_dashing(skeleton, known)
-    missing = [e for e in skeleton.edges if e not in bits]
-    if missing:
+    # propagation writes only the skeleton's edges
+    if len(bits) < len(skeleton.edges):
+        missing = [e for e in skeleton.edges if e not in bits]
         raise UnderDeterminedError(
             f"{len(missing)} edge(s) undetermined by the given bits",
             unresolved=missing,

@@ -1,7 +1,10 @@
 """Gates, spanning structure, extraction, propagation, reconstruction."""
 
+import copy
+import dataclasses
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -84,6 +87,33 @@ def test_gates_reject_non_bits():
         ndxor(0, 2, 1)
     with pytest.raises(InputError):
         dxor(0, 1, -1)
+    # bools count as ints in Python, but True is no bit
+    with pytest.raises(InputError, match="got True"):
+        ndxor(True, 0, 0)
+    with pytest.raises(InputError, match="got False"):
+        dxor(0, False, 1)
+
+
+def test_boolean_bits_are_input_errors():
+    a = skeleton_for(3, ("1111",))
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    seed = {e: 1 for e in tree + cycles}
+    bits, trace = propagate_dashing(a, seed)
+    first = tree[0]
+    for bad in (True, False):
+        # the slot set, which runs the program, and a partial set
+        for given in ({**seed, first: bad}, {first: bad}):
+            for propagate in (propagate_dashing, reconstruct_dashing,
+                              oracles.naive_propagate_dashing):
+                with pytest.raises(InputError) as err:
+                    propagate(a, given)
+                assert str(err.value) == (
+                    f"bit for {first} must be 0 or 1, got {bad!r}")
+        with pytest.raises(InputError) as err:
+            trace.replay_dashing({**seed, first: bad})
+        assert str(err.value) == (
+            f"seed for {first} must be 0 or 1, got {bad!r}")
+    assert trace.replay_dashing(seed) == bits
 
 
 # ---------- degrees of freedom ----------
@@ -433,12 +463,13 @@ def test_insufficient_pinning_reports_whole_color_classes():
 
 
 def outcome(propagate, skeleton, given):
-    """(result, trace) or (error type, message, violating plaquette)."""
+    """(result items in order, trace, its JSONL) or (error type,
+    message, violating plaquette)."""
     try:
         result, trace = propagate(skeleton, given)
     except (ContradictionError, InputError) as exc:
         return type(exc), str(exc), getattr(exc, "plaquette", None)
-    return result, trace.to_jsonl()
+    return list(result.items()), trace, trace.to_jsonl()
 
 
 def assert_matches_oracle(skeleton, known, pinned):
@@ -548,7 +579,6 @@ def assert_program_cases_match_oracle(a, bits, heights, order=None):
     extra arrow."""
     full, cases = dashing_cases(a, bits)
     assert baobab._ndxor_program(a) is not None
-    assert baobab._slot_dashing(a, cases[0]) == full
     signs = {e: 1 if b else -1 for e, b in full.items()}
     pinned = choose_pinned_arrows(
         a.with_dashing(signs).with_heights(heights(a)))
@@ -600,9 +630,8 @@ def test_program_and_engine_match_restart_scan_on_large_cubes(n):
     # test_propagation_matches_restart_scan_on_baobabs covers the pins
     a = PROGRAM_SKELETONS[n, ()]
     rng = random.Random(n)
-    full, cases = dashing_cases(
+    _, cases = dashing_cases(
         a, [rng.randint(0, 1) for _ in range((1 << n) - 1)])
-    assert baobab._slot_dashing(a, cases[0]) == full
     for known in cases:
         assert outcome(propagate_dashing, a, known) == outcome(
             oracles.naive_propagate_dashing, a, known)
@@ -620,6 +649,110 @@ def test_program_stands_aside_where_slots_are_not_free():
             assert got == outcome(oracles.naive_propagate_dashing, a, seed)
             assert got[0] is ContradictionError
         assert baobab._ndxor_program(a) is None
+
+
+# ---------- deferred traces ----------
+
+
+@pytest.mark.parametrize("length", range(4, 9))
+def test_slot_traces_equal_the_restart_scan_on_every_code(length):
+    # the slot path fills values from the compiled program and builds
+    # its trace afterwards from the program's firing order.  Every
+    # doubly even code of this length (1107 over the lengths) is checked
+    # against the engine in the canonical order, and against the
+    # restart scan on every code with L <= 7 and every 8th with L = 8,
+    # where the scan takes about 50 ms a code
+    rng = random.Random(length)
+    codes = list(map(gf2_rref, oracles.doubly_even_codes(length)))
+    for number, gens in enumerate(codes):
+        a = build_chromotopology(length - len(gens),
+                                 DoublyEvenCode(length, gens))
+        tree, cycles, _ = skeleton_baobab_edges(a)
+        seed = {e: rng.randint(0, 1) for e in tree + cycles}
+        bits, trace = propagate_dashing(a, seed)
+        assert "steps" not in vars(trace)
+        # equal traces write equal JSONL, which is slow to compare here
+        runs = [propagate_dashing(a, seed, _order=plaquettes(a))]
+        if length < 8 or number % 8 == 0:
+            runs.append(oracles.naive_propagate_dashing(a, seed))
+        for want, want_trace in runs:
+            assert list(bits.items()) == list(want.items())
+            assert trace == want_trace
+    assert len(codes) == {4: 1, 5: 5, 6: 30, 7: 170, 8: 901}[length]
+
+
+def deferred_traces():
+    """Unread traces of the program, the engine on a partial set, a
+    custom order and the DXOR engine, each with an eager copy built
+    from its steps."""
+    a = skeleton_for(3, ("1111",))
+    tree, cycles, _ = skeleton_baobab_edges(a)
+    seed = {e: 1 for e in tree + cycles}
+    signs, _ = reconstruct_dashing(a, seed)
+    pinned = choose_pinned_arrows(
+        a.with_dashing(signs).with_heights(valise_heights(a)))
+    runs = (lambda: propagate_dashing(a, seed),
+            lambda: propagate_dashing(a, dict(list(seed.items())[1:])),
+            lambda: propagate_dashing(a, seed, _order=plaquettes(a)[::-1]),
+            lambda: propagate_directions(a, pinned))
+    pairs = []
+    for run in runs:
+        trace = run()[1]
+        pairs.append((run()[1], GateTrace(trace.length, trace.steps)))
+    return pairs
+
+
+def test_deferred_trace_behaves_as_its_eager_copy():
+    checks = (
+        lambda t, e: t == e and e == t and not t != e,
+        lambda t, e: hash(t) == hash(e),
+        lambda t, e: repr(t) == repr(e),
+        lambda t, e: t.to_jsonl() == e.to_jsonl(),
+        lambda t, e: pickle.loads(pickle.dumps(t)) == e,
+        lambda t, e: vars(pickle.loads(pickle.dumps(t))) == vars(e),
+        lambda t, e: copy.deepcopy(t) == e and copy.copy(t) == e,
+        lambda t, e: vars(copy.deepcopy(t)) == vars(e),
+        lambda t, e: dataclasses.astuple(t) == (e.length, e.steps),
+    )
+    for check in checks:
+        for deferred, eager in deferred_traces():
+            assert "steps" not in vars(deferred)
+            assert check(deferred, eager)
+            assert vars(deferred) == vars(eager)
+    assert all(e.steps for _, e in deferred_traces())
+
+
+def test_deferred_trace_stays_frozen():
+    for deferred, eager in deferred_traces():
+        for name, value in (("steps", ()), ("length", 3), ("other", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(deferred, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del deferred.steps
+        with pytest.raises(AttributeError):
+            deferred.stepz
+        assert deferred == eager
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            deferred.steps = ()
+        assert deferred.steps == eager.steps
+
+
+def test_trace_steps_are_built_once_on_first_read(monkeypatch):
+    builds = []
+
+    def counted(*firings, real=baobab._gate_steps):
+        builds.append(firings[0])
+        return real(*firings)
+
+    monkeypatch.setattr(baobab, "_gate_steps", counted)
+    pairs = deferred_traces()
+    assert builds == ["NDXOR", "NDXOR", "NDXOR", "DXOR"]
+    builds.clear()
+    for deferred, eager in pairs:
+        steps = deferred.steps
+        assert deferred.steps is steps and steps == eager.steps
+        assert deferred.to_jsonl() == eager.to_jsonl()
+    assert builds == ["NDXOR", "NDXOR", "NDXOR", "DXOR"]
 
 
 # ---------- rule calls ----------
@@ -650,16 +783,22 @@ def rule_calls(monkeypatch):
     [(n, ()) for n in range(2, 9)] + [(3, ("1111",)), (4, E8_CODE)],
 )
 def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
+    # slot runs fill the dashing from the compiled program and call no
+    # NDXOR rule; the engine, driven through `_order`, is checked below
     a = skeleton_for(n, gens)
     rng = random.Random(n)
     tree, cycles, _ = skeleton_baobab_edges(a)
-    signs, _ = reconstruct_dashing(
-        a, {e: rng.randint(0, 1) for e in tree + cycles})
+    seed = {e: rng.randint(0, 1) for e in tree + cycles}
+    signs, _ = reconstruct_dashing(a, seed)
+    assert rule_calls == []
     heights = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
     for h in heights:
         adk = a.with_dashing(signs).with_heights(h)
         rebuilt, _, _ = reconstruct_adinkra(a, extract_baobab(adk))
         assert rebuilt == adk
+    assert {gate for gate, _ in rule_calls} == {"DXOR"}
+    bits, _ = propagate_dashing(a, seed, _order=plaquettes(a))
+    assert bits == {e: 1 if s == 1 else 0 for e, s in signs.items()}
     assert {gate for gate, _ in rule_calls} == {"NDXOR", "DXOR"}
     assert all(forced for _, forced in rule_calls)
 
@@ -700,11 +839,18 @@ def test_rule_calls_per_inference_stay_at_most_one(rule_calls):
         a = skeleton_for(n, ())
         rng = random.Random(n)
         tree, cycles, _ = skeleton_baobab_edges(a)
+        seed = {e: rng.randint(0, 1) for e in tree + cycles}
         rule_calls.clear()
-        bits, trace = propagate_dashing(
-            a, {e: rng.randint(0, 1) for e in tree + cycles})
-        assert len(rule_calls) == len(trace.steps) == len(a.edges) - len(
-            tree + cycles)
+        bits, trace = propagate_dashing(a, seed)
+        assert rule_calls == []
+        assert len(trace.steps) == len(a.edges) - len(seed)
+        # the engine on the same slots, in the canonical order
+        engine_bits, engine_trace = propagate_dashing(
+            a, seed, _order=plaquettes(a))
+        assert list(engine_bits.items()) == list(bits.items())
+        assert engine_trace == trace
+        assert len(rule_calls) == len(trace.steps)
+        ratios.append(len(rule_calls) / len(trace.steps))
         signs = {e: 1 if b else -1 for e, b in bits.items()}
         for h in (valise_heights(a), weight_heights(a)):
             pinned = choose_pinned_arrows(a.with_dashing(signs).with_heights(h))

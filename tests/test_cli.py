@@ -101,6 +101,38 @@ def test_reconstruct_writes_trace(tmp_path, capsys, monkeypatch):
     assert all(json.loads(line)["gate"] in ("NDXOR", "DXOR") for line in lines)
 
 
+def test_traces_are_built_only_for_reconstruct_trace(
+        tmp_path, capsys, monkeypatch):
+    # propagation keeps values; a trace builds its steps when read, and
+    # only `reconstruct --trace` reads them (once per gate)
+    from adinkra import baobab as baobab_mod
+
+    builds = []
+
+    def counted(*firings, real=baobab_mod._gate_steps):
+        builds.append(firings[0])
+        return real(*firings)
+
+    monkeypatch.setattr(baobab_mod, "_gate_steps", counted)
+    _, built, _ = invoke(
+        capsys, monkeypatch, ["build", "--n", "3", "--code", "1111"]
+    )
+    _, baobab, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
+    code, rebuilt, _ = invoke(
+        capsys, monkeypatch, ["reconstruct"], stdin=baobab
+    )
+    assert code == 0 and rebuilt == built and builds == []
+    trace_path = tmp_path / "steps.jsonl"
+    code, rebuilt, _ = invoke(
+        capsys, monkeypatch, ["reconstruct", "--trace", str(trace_path)],
+        stdin=baobab,
+    )
+    assert code == 0 and rebuilt == built
+    assert builds == ["NDXOR", "DXOR"]
+    # 16 edges: 8 from the 8 slots by NDXOR, 12 from 4 pins by DXOR
+    assert trace_path.read_text().count("\n") == 8 + 12
+
+
 def test_dof_outputs(capsys, monkeypatch):
     code, out, _ = invoke(capsys, monkeypatch, ["dof", "--n", "3", "--k", "1"])
     assert code == 0 and out.strip() == "8"

@@ -143,6 +143,8 @@ def test_non_object_json_is_input_error(parse, text):
         ("colors", [True, 2]),
         ("output", {"u": "0000", "v": "1000", "color": True, "bit": 1}),
         ("inputs", [{"u": "0000", "v": "1000", "color": True, "bit": 1}]),
+        ("output", {"u": "0000", "v": "1000", "color": 1, "bit": True}),
+        ("inputs", [{"u": "0000", "v": "1000", "color": 1, "bit": False}]),
     ],
 )
 @pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])
@@ -151,6 +153,20 @@ def test_malformed_trace_row_is_input_error(doc, field, value):
     rows[0][field] = value
     with pytest.raises(InputError, match="^trace line 1: "):
         GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+
+
+@pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])
+def test_boolean_trace_bit_is_input_error(doc):
+    # a bit given as JSON true or false is refused, not parsed, written
+    # back as true or false and replayed as an edge value
+    for where in ("inputs", "output"):
+        rows = copy.deepcopy(doc)
+        row = rows[1][where][0] if where == "inputs" else rows[1][where]
+        row["bit"] = bool(row["bit"])
+        with pytest.raises(InputError) as err:
+            GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+        assert str(err.value).startswith("trace line 2: bit for Edge(")
+        assert str(err.value).endswith(f"must be 0 or 1, got {row['bit']}")
 
 
 @pytest.mark.parametrize("doc", TRACE_DOCS, ids=["dashing", "direction"])
