@@ -31,7 +31,6 @@ from .graph import (
     Plaquette,
     _color_steps,
     _plaquette_ids,
-    _PlaquetteTable,
     json_int,
     json_object_rows,
     load_json_object,
@@ -367,47 +366,32 @@ def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
     Firing t fired plaquette `order[t]`; `when[i]` is the firing that
     wrote edge i (-1 for a given edge).  Every edge of a fired plaquette
     is known after it fires, so its inputs are the edges written before
-    it and its outputs the rest, each in traversal order.  NDXOR bits
-    are the dashing bits, one output per firing.  DXOR bits are trail
-    bits (0 when the arrow points to the next corner), and every output
-    gets the bit the two-ones rule forces: 0 when the inputs already
-    hold two ones, else 1.
+    it and each other edge is the output of one step on those inputs,
+    in traversal order.  NDXOR bits are the dashing bits; DXOR bits are
+    trail bits, 1 when the arrow does not point to the next corner.  An
+    output's trail bit is the one the two-ones rule forced: 0 when the
+    inputs already held two ones, else 1.
     """
     steps = []
     add = steps.append
     new_step = tuple.__new__  # GateStep(...) without its keyword handling
-    if gate == "NDXOR":
-        for t, j in enumerate(order):
-            base, colors, c, edges = plaqs[j]
-            inputs = []
-            for e, i in zip(edges, quads[j]):
-                if when[i] < t:
-                    inputs.append((e, vals[i]))
-                else:
-                    out = (e, vals[i])
-            add(new_step(GateStep, (gate, colors, base, c, tuple(inputs),
-                                    out)))
-        return tuple(steps)
+    trail = gate == "DXOR"
     for t, j in enumerate(order):
         base, colors, c, edges = plaqs[j]
         inputs, outs = [], []
-        ones = 0
         for e, i, to in zip(edges, quads[j], (c[1], c[2], c[3], c[0])):
-            if when[i] < t:
-                b = 0 if vals[i] == to else 1
-                ones += b
-                inputs.append((e, b))
-            else:
-                outs.append(e)
+            b = vals[i]
+            if trail:
+                b = 0 if b == to else 1
+            (inputs if when[i] < t else outs).append((e, b))
         inputs = tuple(inputs)
-        bit = 0 if ones == 2 else 1
-        for e in outs:
-            add(new_step(GateStep, (gate, colors, base, c, inputs, (e, bit))))
+        for out in outs:
+            add(new_step(GateStep, (gate, colors, base, c, inputs, out)))
     return tuple(steps)
 
 
 def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
-               order, directions: bool = False):
+               directions: bool = False):
     """Run a gate rule over the plaquettes to its fixpoint.
 
     Known values live in a list indexed by edge id.  Each plaquette
@@ -424,14 +408,11 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
     the given edges are exactly the baobab slots the skeleton's NDXOR
     program fills the values (in the order the heap would pop the
     plaquettes) with no counter kept and no rule called.  The id tables
-    come from the skeleton's shared table; a custom `order` builds its
-    own.  The run records only the fired plaquettes and, per edge, the
-    firing that wrote it; the trace builds its steps from them when read.
+    come from the skeleton's shared table.  The run records only the
+    fired plaquettes and, per edge, the firing that wrote it; the trace
+    builds its steps from them when read.
     """
-    if order is None:
-        table = _plaquette_ids(skeleton)
-    else:
-        table = _PlaquetteTable(order).fill_ids(skeleton.edges)
+    table = _plaquette_ids(skeleton)
     plaqs, quads, length = table.plaquettes, table.quads, skeleton.length
     index, edges = table.index, skeleton.edges
     vals = [None] * len(edges)
@@ -444,8 +425,7 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
         known[e] = vals[i] = check(e, value)
         fresh.append(i)
     gate = "DXOR" if directions else "NDXOR"
-    program = None if directions or order is not None else (
-        _ndxor_program(skeleton, fresh))
+    program = None if directions else _ndxor_program(skeleton, fresh)
     if program is not None:
         program.run(vals)
         for out, _, _, _ in program.flat:
@@ -590,26 +570,21 @@ def _check_head(e: Edge, head) -> int:
 
 
 def propagate_dashing(
-    skeleton: Adinkra,
-    known: Mapping[Edge, int],
-    _order: tuple[Plaquette, ...] | None = None,
+    skeleton: Adinkra, known: Mapping[Edge, int]
 ) -> tuple[dict[Edge, int], GateTrace]:
     """Extend known dashing bits over all edges via NDXOR inference.
 
     Plaquettes fire in canonical order, so equal inputs always give the
-    identical trace; the private `_order` hook exists so tests can
-    confirm the fixpoint is order-independent.  Known bits on exactly
-    the baobab slots run the skeleton's compiled NDXOR program.
+    identical trace.  Known bits on exactly the baobab slots run the
+    skeleton's compiled NDXOR program.
     """
     return _propagate(skeleton, known,
                       lambda e, b: _check_bit(b, "bit", e),
-                      _ndxor_rule, _NDXOR_READY, _order)
+                      _ndxor_rule, _NDXOR_READY)
 
 
 def propagate_directions(
-    skeleton: Adinkra,
-    pinned: Mapping[Edge, int],
-    _order: tuple[Plaquette, ...] | None = None,
+    skeleton: Adinkra, pinned: Mapping[Edge, int]
 ) -> tuple[dict[Edge, int], GateTrace]:
     """Extend pinned arrows (edge -> head node) to all edges.
 
@@ -619,7 +594,7 @@ def propagate_directions(
     number forces them all to 1 (DXOR); anything between forces nothing.
     """
     return _propagate(skeleton, pinned, _check_head, _dxor_rule,
-                      _DXOR_READY, _order, directions=True)
+                      _DXOR_READY, directions=True)
 
 
 def heights_from_directions(

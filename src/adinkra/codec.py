@@ -23,7 +23,7 @@ from .baobab import (
     skeleton_baobab_edges,
     skeleton_tree,
 )
-from .codes import AffineCode, DoublyEvenCode, bit_string
+from .codes import AffineCode, DoublyEvenCode, are_bits, bit_string, gf2_rref
 from .errors import (
     AmbiguousCorrectionError,
     ContradictionError,
@@ -36,11 +36,12 @@ from .graph import (
     _plaquette_ids,
     build_chromotopology,
     chromotopology_code,
+    json_int,
 )
 from .quaternion import (
+    CANONICAL_DIRECTIONS,
     matrices_from_directions,
     quaternion_skeleton,
-    valid_direction_vectors,
 )
 
 DASHING = "dashing"
@@ -165,7 +166,7 @@ class EdgeBitVector:
 
     def __post_init__(self):
         want = block_length(self.family)
-        if len(self.bits) != want or any(b not in (0, 1) for b in self.bits):
+        if len(self.bits) != want or not are_bits(self.bits):
             raise InputError(
                 f"need {want} bits for {self.family.header()}, "
                 f"got {self.bits!r}"
@@ -223,8 +224,8 @@ def _parse_bits(bits) -> tuple[int, ...]:
         if any(c not in "01" for c in bits):
             raise InputError(f"not a bitstring: {bits!r}")
         return tuple(int(c) for c in bits)
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(bits)
+    if not are_bits(out):
         raise InputError(f"bits must be 0 or 1: {bits!r}")
     return out
 
@@ -337,6 +338,8 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     collected: more than one is an ambiguity error, none within the
     budget is detected-uncorrectable.
     """
+    if not json_int(max_flips):
+        raise InputError(f"max_flips must be an integer, got {max_flips!r}")
     if max_flips < 0:
         raise InputError(f"max_flips must be >= 0, got {max_flips}")
     code = family_code(vector.family)
@@ -405,18 +408,24 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
 def family_code(family: Family) -> AffineCode:
     """The valid blocks as an affine GF(2) code; bit i is position i.
 
-    Dashing blocks form the skeleton's `dashing_code`; the eight valid
-    quaternion orientations are collected once and spanned.
+    Dashing blocks form the skeleton's `dashing_code`.  Reversing every
+    arrow at one node conjugates i, j and k by a diagonal sign matrix,
+    which keeps the relations, so the valid quaternion orientations are
+    the canonical one plus the span of the four vertex switches: 8 words.
     """
+    skeleton = family_skeleton(family)
     if family.scheme == DASHING:
-        code = dashing_code(family_skeleton(family))
+        code = dashing_code(skeleton)
         if code is None:
             raise ContradictionError(
                 f"no block of {family.header()} satisfies every plaquette"
             )
         return code
-    words = (_bits_word(v) for v in valid_direction_vectors())
-    return AffineCode.from_words(words, block_length(family))
+    edges = skeleton.edges
+    switches = (sum(1 << i for i, e in enumerate(edges) if x in (e.u, e.v))
+                for x in skeleton.nodes)
+    return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
+                      gf2_rref(switches))
 
 
 # ---------- distance and channel ----------
@@ -451,6 +460,8 @@ def inject_errors(
 ) -> tuple[EdgeBitVector, tuple[int, ...]]:
     """Flip `flips` distinct positions chosen by a seeded RNG."""
     n_bits = len(vector.bits)
+    if not json_int(flips):
+        raise InputError(f"flips must be an integer, got {flips!r}")
     if not 0 <= flips <= n_bits:
         raise InputError(f"flips must be in 0..{n_bits}, got {flips}")
     rng = random.Random(seed)

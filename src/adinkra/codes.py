@@ -36,6 +36,12 @@ def bit_string(word: int, length: int) -> str:
     return format(word, f"0{length}b")
 
 
+def are_bits(values) -> bool:
+    """Whether every entry of the sequence `values` is an int 0 or 1; a
+    bool or a float such as 1.0 is no bit.  Two passes in C."""
+    return {0, 1}.issuperset(values) and {int}.issuperset(map(type, values))
+
+
 def parse_bit_string(text: str) -> tuple[int, int]:
     """Parse an MSB-first bitstring; returns (value, length)."""
     # strip leaves a non-empty rest exactly when some character is not 0/1

@@ -67,12 +67,12 @@ class _PlaquetteTable:
     __slots__ = ("plaquettes", "index", "quads", "incidence", "heads",
                  "program", "__weakref__")
 
-    def __init__(self, plaqs=None):
-        self.plaquettes = plaqs
+    def __init__(self):
+        self.plaquettes = None
         self.index = self.quads = self.incidence = self.heads = None
         self.program = None
 
-    def fill_ids(self, edges) -> "_PlaquetteTable":
+    def fill_ids(self, edges) -> None:
         """Build the id tables of `self.plaquettes` over `edges`."""
         index = {e: i for i, e in enumerate(edges)}
         plaqs = self.plaquettes
@@ -93,7 +93,6 @@ class _PlaquetteTable:
             heads[i3].append(c0)
         self.index, self.quads = index, quads
         self.incidence, self.heads = incidence, heads
-        return self
 
 
 @dataclass(frozen=True)

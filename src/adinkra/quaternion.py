@@ -14,7 +14,7 @@ from itertools import product
 from typing import Mapping
 
 from .algebra import MINUS_ONE, ONE, MonomialMatrix, check_quaternion
-from .codes import LinearBinaryCode
+from .codes import LinearBinaryCode, are_bits
 from .errors import InputError
 from .graph import Adinkra, Edge, build_quotient_skeleton
 
@@ -72,8 +72,8 @@ def direction_vector(directions: Mapping[Edge, int]) -> tuple[int, ...]:
 
 def directions_from_vector(bits) -> dict[Edge, int]:
     edges = quaternion_edges()
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != len(edges) or any(b not in (0, 1) for b in bits):
+    bits = tuple(bits)
+    if len(bits) != len(edges) or not are_bits(bits):
         raise InputError(f"need {len(edges)} direction bits, got {bits!r}")
     return dict(zip(edges, bits))
 
@@ -116,10 +116,3 @@ def quaternion_baobab_completions(
             QuaternionCompletion(direction_vector(directions), mats, report.ok)
         )
     return tuple(out)
-
-
-def valid_direction_vectors() -> tuple[tuple[int, ...], ...]:
-    """All direction assignments whose matrices satisfy the relations."""
-    return tuple(
-        c.directions for c in quaternion_baobab_completions({}) if c.valid
-    )

@@ -40,8 +40,8 @@ from adinkra.quaternion import (
     COLOR_UNITS,
     directions_from_vector,
     matrices_from_directions,
+    quaternion_baobab_completions,
     quaternion_edges,
-    valid_direction_vectors,
 )
 
 
@@ -265,7 +265,8 @@ def test_canonical_quaternion_matrices_are_frozen_literals():
 
 def test_quaternion_validity_matches_numpy_oracle_on_all_64_vectors():
     edges = quaternion_edges()
-    valid = set(valid_direction_vectors())
+    valid = {c.directions for c in quaternion_baobab_completions({})
+             if c.valid}
     assert len(valid) == 8
     for bits in itertools.product((0, 1), repeat=6):
         directions = directions_from_vector(bits)

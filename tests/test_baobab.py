@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from reorder import reordered
 from adinkra import (
     Baobab,
     ContradictionError,
@@ -276,7 +277,7 @@ def test_propagation_orders_reach_the_same_fixpoint():
             tuple(reversed(plaquettes(a))),
             tuple(rng.sample(plaquettes(a), len(plaquettes(a)))),
         ):
-            other, _ = propagate_dashing(a, seed, _order=order)
+            other, _ = propagate_dashing(reordered(a, order), seed)
             assert other == bits
 
 
@@ -595,13 +596,13 @@ def assert_program_cases_match_oracle(a, bits, heights, order=None):
         assert outcome(propagate_directions, a, pin) == outcome(
             oracles.naive_propagate_directions, a, pin)
     if order is not None:
+        custom = reordered(a, order)
         for ours, theirs, sets in (
                 (propagate_dashing, oracles.naive_propagate_dashing, cases),
                 (propagate_directions, oracles.naive_propagate_directions,
                  pins)):
             for given in sets:
-                assert outcome(lambda *x: ours(*x, _order=order), a,
-                               given) == outcome(
+                assert outcome(ours, custom, given) == outcome(
                     lambda *x: theirs(*x, _order=order), a, given)
 
 
@@ -672,7 +673,7 @@ def test_slot_traces_equal_the_restart_scan_on_every_code(length):
         bits, trace = propagate_dashing(a, seed)
         assert "steps" not in vars(trace)
         # equal traces write equal JSONL, which is slow to compare here
-        runs = [propagate_dashing(a, seed, _order=plaquettes(a))]
+        runs = [propagate_dashing(reordered(a, plaquettes(a)), seed)]
         if length < 8 or number % 8 == 0:
             runs.append(oracles.naive_propagate_dashing(a, seed))
         for want, want_trace in runs:
@@ -693,7 +694,8 @@ def deferred_traces():
         a.with_dashing(signs).with_heights(valise_heights(a)))
     runs = (lambda: propagate_dashing(a, seed),
             lambda: propagate_dashing(a, dict(list(seed.items())[1:])),
-            lambda: propagate_dashing(a, seed, _order=plaquettes(a)[::-1]),
+            lambda: propagate_dashing(reordered(a, plaquettes(a)[::-1]),
+                                      seed),
             lambda: propagate_directions(a, pinned))
     pairs = []
     for run in runs:
@@ -784,7 +786,7 @@ def rule_calls(monkeypatch):
 )
 def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
     # slot runs fill the dashing from the compiled program and call no
-    # NDXOR rule; the engine, driven through `_order`, is checked below
+    # NDXOR rule; the engine, run on a reordered copy, is checked below
     a = skeleton_for(n, gens)
     rng = random.Random(n)
     tree, cycles, _ = skeleton_baobab_edges(a)
@@ -797,7 +799,7 @@ def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
         rebuilt, _, _ = reconstruct_adinkra(a, extract_baobab(adk))
         assert rebuilt == adk
     assert {gate for gate, _ in rule_calls} == {"DXOR"}
-    bits, _ = propagate_dashing(a, seed, _order=plaquettes(a))
+    bits, _ = propagate_dashing(reordered(a, plaquettes(a)), seed)
     assert bits == {e: 1 if s == 1 else 0 for e, s in signs.items()}
     assert {gate for gate, _ in rule_calls} == {"NDXOR", "DXOR"}
     assert all(forced for _, forced in rule_calls)
@@ -846,7 +848,7 @@ def test_rule_calls_per_inference_stay_at_most_one(rule_calls):
         assert len(trace.steps) == len(a.edges) - len(seed)
         # the engine on the same slots, in the canonical order
         engine_bits, engine_trace = propagate_dashing(
-            a, seed, _order=plaquettes(a))
+            reordered(a, plaquettes(a)), seed)
         assert list(engine_bits.items()) == list(bits.items())
         assert engine_trace == trace
         assert len(rule_calls) == len(trace.steps)

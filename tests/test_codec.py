@@ -16,7 +16,7 @@ from adinkra import (
     UnderDeterminedError,
     plaquettes,
 )
-from adinkra import codec
+from adinkra import algebra, codec, quaternion
 from adinkra.codec import (
     DASHING,
     DIRECTION,
@@ -40,7 +40,8 @@ from adinkra.codec import (
     parse_wire,
     syndrome,
 )
-from adinkra.quaternion import COLOR_UNITS
+from adinkra.codes import AffineCode
+from adinkra.quaternion import COLOR_UNITS, directions_from_vector
 
 SQUARE = Family(2, (), DASHING)
 CUBE = Family(3, (), DASHING)
@@ -201,7 +202,12 @@ def test_encode_errors_are_unchanged(family):
             ((1,) * (m - 1), f"message must be {m} bits for "
                              f"{family.header()}, got {m - 1}"),
             ("01x", "not a bitstring: '01x'"),
-            ((2,) * m, "bits must be 0 or 1: " + repr((2,) * m))):
+            ((2,) * m, "bits must be 0 or 1: " + repr((2,) * m)),
+            # a bit must be an int: 1.7 is not read as 1, nor True
+            ([1.7] * m, "bits must be 0 or 1: " + repr([1.7] * m)),
+            ([1.0] * m, "bits must be 0 or 1: " + repr([1.0] * m)),
+            ([True] * m, "bits must be 0 or 1: " + repr([True] * m)),
+            (["1"] * m, "bits must be 0 or 1: " + repr(["1"] * m))):
         with pytest.raises(InputError) as err:
             encode(message, family)
         assert str(err.value) == text
@@ -465,7 +471,71 @@ def test_positions_must_be_plain_integers(position):
             f"{what} position {position!r} is not an integer")
 
 
+# ---------- bits and counts of the wrong type ----------
+
+
+@pytest.mark.parametrize("bit", [1.0, True])
+def test_edge_bit_vector_takes_int_bits_only(bit):
+    # with 1.0 the block would print as 1.01.0..., which parse_wire rejects
+    bits = (bit,) * 12
+    with pytest.raises(InputError) as err:
+        EdgeBitVector(CUBE, bits)
+    assert str(err.value) == f"need 12 bits for {CUBE.header()}, got {bits!r}"
+
+
+@pytest.mark.parametrize("budget", [1.5, "2", True, None])
+def test_flip_budget_must_be_an_integer(budget):
+    sent = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
+    for call in (correct, decode):
+        for v in (sent, sent.flip([0])):
+            with pytest.raises(InputError) as err:
+                call(v, max_flips=budget)
+            assert str(err.value) == (
+                f"max_flips must be an integer, got {budget!r}")
+
+
+@pytest.mark.parametrize("flips", [1.5, "2", True, None])
+def test_injected_flip_count_must_be_an_integer(flips):
+    v = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
+    with pytest.raises(InputError) as err:
+        inject_errors(v, flips, seed=3)
+    assert str(err.value) == f"flips must be an integer, got {flips!r}"
+
+
+@pytest.mark.parametrize("bit", [1.7, 1.0, True, "1"])
+def test_quaternion_direction_bits_must_be_ints(bit):
+    bits = (bit, 1, 1, 0, 1, 0)
+    with pytest.raises(InputError) as err:
+        directions_from_vector(bits)
+    assert str(err.value) == f"need 6 direction bits, got {bits!r}"
+    assert directions_from_vector((1, 1, 1, 0, 1, 0))
+
+
 # ---------- code parameters ----------
+
+
+def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
+    # the canonical orientation plus the span of the four vertex
+    # switches, with no orientation run through the relations
+    def refuse(*args):
+        raise AssertionError("check_quaternion called")
+
+    for module in (algebra, quaternion, codec):
+        monkeypatch.setattr(module, "check_quaternion", refuse)
+    code = family_code.__wrapped__(QUATERNION_FAMILY)
+    words = [sum(b << i for i, b in enumerate(w))
+             for w in ORACLE_WORDS[QUATERNION_FAMILY]]
+    spanned = AffineCode.from_words(words, 6)
+    assert code.words() == tuple(sorted(words)) == spanned.words()
+    assert code.basis == (42, 27, 7)
+    # residues are canonical, so they equal those of the oracle's span
+    assert [code.residue(w) for w in range(64)] == [
+        spanned.residue(w) for w in range(64)]
+    assert {w for w in range(64) if not code.residue(w)} == set(words)
+    assert code.unit_residues == spanned.unit_residues
+    assert all(code.residue(w ^ 1 << i) == code.unit_residues[i]
+               for w in words for i in range(6))
+
 
 
 def test_square_codewords_match_brute_force():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from reorder import reordered
 from adinkra import (
     adinkra_to_gamma,
     build_chromotopology,
@@ -277,20 +278,20 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
             (propagate_directions, oracles.naive_propagate_directions,
              pinned),
         ):
-            got, trace = ours(fresh, given, _order=order)
+            got, trace = ours(reordered(fresh, order), given)
             want, want_trace = theirs(fresh, given, _order=order)
             assert got == want
             assert trace.to_jsonl() == want_trace.to_jsonl()
-            # on a skeleton whose table is built, a custom order gives
-            # the same and leaves every field of the table as it was
+            # a reordered copy of a skeleton whose table is built gives
+            # the same and leaves every field of that table as it was
             ours(sk, given)
             fields = table_fields(sk)
             copies = deepcopy(fields)
-            assert ours(sk, given, _order=order) == (got, trace)
+            assert ours(reordered(sk, order), given) == (got, trace)
             assert all(f is g for f, g in zip(fields, table_fields(sk)))
             assert fields == copies
-    # a custom order builds its own id tables, compiles no program and
-    # leaves the table alone
+    # the reordered copies build their own id tables, compile no
+    # program, build no plaquettes and leave the skeletons' tables alone
     assert fresh._table.plaquettes is None and ids_unbuilt(fresh)
     assert len(builds) == 1 and builds[0] is sk
 
