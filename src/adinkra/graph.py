@@ -198,11 +198,17 @@ def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
     for p in range(length):
         if p not in pivots:
             nodes += [x | 1 << p for x in nodes]
+    # every endpoint is the node list's own int, not an equal new one;
+    # u < u ^ d exactly when u is zero at the leading bit of d
+    own = dict(zip(nodes, nodes))
+    moves = [(c, d, 1 << (d.bit_length() - 1))
+             for c, d in enumerate(steps[1:], 1)]
+    new = tuple.__new__  # Edge(...) without its Python-level __new__
     edges = [
-        Edge(u, u ^ steps[color], color)
+        new(Edge, (u, own[u ^ d], color))
         for u in nodes
-        for color in range(1, length + 1)
-        if u < u ^ steps[color]
+        for color, d, top in moves
+        if not u & top
     ]
     return tuple(nodes), tuple(edges)
 
@@ -304,11 +310,14 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     steps = _color_steps(adinkra.code)
     length = adinkra.length
     nodes = adinkra.nodes
+    # corners are the node list's own ints, not equal new ones
+    own = dict(zip(nodes, nodes))
     # at[color][x] is the graph's own edge of that color at node x
     at: list[dict[int, Edge]] = [{} for _ in range(length + 1)]
     for e in adinkra.edges:
         side = at[e.color]
         side[e.u] = side[e.v] = e
+    new = tuple.__new__  # Plaquette(...) without its Python-level __new__
     out = []
     for ci, cj in combinations(range(1, length + 1), 2):
         di, dj = steps[ci], steps[cj]
@@ -325,17 +334,16 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
         span = (di, dj, di ^ dj)
         lead = 1 << (max(span).bit_length() - 1)
         lead |= 1 << (min(span).bit_length() - 1)
-        colors = (ci, cj)
-        on_i, on_j = at[ci], at[cj]
-        for base in nodes:
-            if base & lead:
-                continue
-            a = base ^ di
-            c = base ^ dj
-            out.append(Plaquette(
-                base, colors, (base, a, a ^ dj, c),
-                (on_i[base], on_j[a], on_i[c], on_j[base]),
-            ))
+        bases = [x for x in nodes if not x & lead]
+        a = [own[x ^ di] for x in bases]
+        b = [own[x ^ dj] for x in a]
+        c = [own[x ^ dj] for x in bases]
+        on_i, on_j = at[ci].__getitem__, at[cj].__getitem__
+        out += map(new, repeat(Plaquette), zip(
+            bases, repeat((ci, cj)), zip(bases, a, b, c),
+            zip(map(on_i, bases), map(on_j, a), map(on_i, c),
+                map(on_j, bases)),
+        ))
     return tuple(out)
 
 
@@ -542,26 +550,33 @@ def from_json(text: str) -> Adinkra:
         raise InputError("heights must be given for all nodes or none")
     has_heights = height_seen == {True}
 
-    edges = []
+    # A row that renders the skeleton's own edge needs no further check.
+    # Any other row is checked in full, which raises the same errors in
+    # the same order, and a mismatch is raised once every row is read.
+    matched = True
     flags = []
-    ends = chain(((e.u, e.v) for e in expect.edges), repeat((None, None)))
-    for row, (want_u, want_v) in zip(
-            json_object_rows(obj, "edges", ("u", "v", "color")), ends):
-        u, gu = parse_label(row["u"], want_u)
-        v, gv = parse_label(row["v"], want_v)
-        if gu != length or gv != length:
-            raise InputError(f"edge endpoints must be {length}-bit labels")
+    rows = json_object_rows(obj, "edges", ("u", "v", "color"))
+    for row, e in zip(rows, chain(expect.edges, repeat(None))):
         color = row["color"]
-        if not json_int(color):
-            raise InputError(f"edge color must be an integer, got {color!r}")
-        if u >= v:
-            raise InputError(f"edge endpoints must satisfy u < v, got {row}")
-        edges.append((u, v, color))
+        if (e is None or type(color) is not int or color != e.color
+                or row["u"] != label[e.u] or row["v"] != label[e.v]):
+            want_u, want_v = (None, None) if e is None else e[:2]
+            u, gu = parse_label(row["u"], want_u)
+            v, gv = parse_label(row["v"], want_v)
+            if gu != length or gv != length:
+                raise InputError(f"edge endpoints must be {length}-bit labels")
+            if not json_int(color):
+                raise InputError(
+                    f"edge color must be an integer, got {color!r}")
+            if u >= v:
+                raise InputError(
+                    f"edge endpoints must satisfy u < v, got {row}")
+            matched = matched and (u, v, color) == e
         d = row.get("dashed")
         if d is not None and not isinstance(d, bool):
             raise InputError(f"dashed flag must be boolean, got {d!r}")
         flags.append(d)
-    if tuple(edges) != expect.edges:  # Edge tuples equal plain tuples
+    if not matched or len(rows) != len(expect.edges):
         raise InputError("edge list does not match the canonical quotient order")
     if len({d is None for d in flags}) > 1:
         raise InputError("dashed flags must be given for all edges or none")

@@ -55,7 +55,7 @@ def matrices_from_directions(
             if e not in directions:
                 raise InputError(f"direction missing for edge {e}")
             bit = directions[e]
-            if bit not in (0, 1):
+            if not are_bits((bit,)):
                 raise InputError(f"direction for {e} must be 0 or 1, got {bit}")
             head = e.v if bit else e.u
             tail = e.u if bit else e.v
@@ -103,7 +103,7 @@ def quaternion_baobab_completions(
     for e, bit in fixed.items():
         if e not in edges:
             raise InputError(f"unknown edge {e}")
-        if bit not in (0, 1):
+        if not are_bits((bit,)):
             raise InputError(f"direction for {e} must be 0 or 1, got {bit}")
     free = [e for e in edges if e not in fixed]
     out = []

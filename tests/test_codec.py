@@ -511,6 +511,24 @@ def test_quaternion_direction_bits_must_be_ints(bit):
     assert directions_from_vector((1, 1, 1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+def test_quaternion_matrix_and_completion_bits_must_be_ints(bit):
+    # a bool or a float equals 1 or 0 but is no direction bit
+    edge = quaternion.quaternion_edges()[0]
+    directions = dict(directions_from_vector((1, 1, 1, 0, 1, 0)))
+    directions[edge] = bit
+    message = f"direction for {edge} must be 0 or 1, got {bit}"
+    for call, arg in ((quaternion.matrices_from_directions, directions),
+                      (quaternion.quaternion_baobab_completions,
+                       {edge: bit})):
+        with pytest.raises(InputError) as err:
+            call(arg)
+        assert str(err.value) == message
+    directions[edge] = int(bit)
+    assert quaternion.matrices_from_directions(directions)
+    assert len(quaternion.quaternion_baobab_completions({edge: int(bit)})) == 32
+
+
 # ---------- code parameters ----------
 
 

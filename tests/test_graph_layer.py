@@ -38,8 +38,20 @@ def rm14_permutation(seed):
 def assert_plaquettes_match_oracle(sk):
     got = plaquettes(sk)
     assert got == oracles.naive_build_plaquettes(sk)
+    assert_parts_are_shared(sk)
+
+
+def assert_parts_are_shared(sk):
+    """Plaquette edges are the skeleton's own `Edge` objects, and every
+    edge endpoint, plaquette base and corner is one of its own node
+    ints, not an equal copy (ints above 256 are not interned, so only
+    the L > 8 cases can tell the two apart)."""
     own = {e: e for e in sk.edges}
-    assert all(own[e] is e for p in got for e in p.edges)
+    assert all(own[e] is e for p in plaquettes(sk) for e in p.edges)
+    node_ids = set(map(id, sk.nodes))
+    assert node_ids.issuperset(id(x) for e in sk.edges for x in e[:2])
+    assert node_ids.issuperset(
+        id(x) for p in plaquettes(sk) for x in (p.base, *p.corners))
 
 
 def test_plaquettes_match_oracle_on_every_code_up_to_length_8():
@@ -101,6 +113,7 @@ def assert_json_matches_oracle(adk):
     assert text == oracles.naive_to_json(adk)
     back = from_json(text)
     assert back == adk
+    assert_parts_are_shared(back)
     if adk.dashing is not None:
         # the parsed dashing is keyed by the skeleton's own edges
         own = {e: e for e in back.edges}

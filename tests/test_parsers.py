@@ -120,6 +120,96 @@ def test_boolean_color_is_input_error(probe):
         parse(json.dumps(doc))
 
 
+RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
+        "0011001100110011", "0101010101010101")
+# the canonical n=4 adinkra (dashed flags and heights) and L=16 skeleton
+EDGE_ROW_DOCS = {
+    "n4": json.loads(to_json(full_adinkra(4, ()))),
+    "L16": json.loads(to_json(build_chromotopology(11, RM14))),
+}
+
+
+def swap_ends(row):
+    row["u"], row["v"] = row["v"], row["u"]
+
+
+def flip_flag(row):
+    row["dashed"] = None if row["dashed"] is not None else True
+
+
+NOT_CANONICAL = "edge list does not match the canonical quotient order"
+# damage to the edge rows and the error it raises on the n4 and L16
+# documents; when rows hold several faults, the first in reading order
+# wins: every row's fields are checked before any row is parsed, and the
+# rows are parsed in order before the edge list is compared
+EDGE_ROW_DAMAGE = {
+    "bad label, then a missing field": (
+        lambda rows: (rows[5].update(u="01x"), rows[9].pop("v")),
+        "'edges' entry {'u': '0010', 'color': 4, 'dashed': True} lacks 'v'",
+        "'edges' entry {'u': '0000000000000000', 'color': 10, "
+        "'dashed': None} lacks 'v'"),
+    "bad label": (
+        lambda rows: rows[5].update(v="01x"),
+        "not a bitstring: '01x'", "not a bitstring: '01x'"),
+    "bool color": (
+        lambda rows: rows[5].update(color=True),
+        "edge color must be an integer, got True",
+        "edge color must be an integer, got True"),
+    "float color": (
+        lambda rows: rows[5].update(color=float(rows[5]["color"])),
+        "edge color must be an integer, got 2.0",
+        "edge color must be an integer, got 6.0"),
+    "non-bool dashed": (
+        lambda rows: rows[5].update(dashed=1),
+        "dashed flag must be boolean, got 1",
+        "dashed flag must be boolean, got 1"),
+    "bool color, then a bad label": (
+        lambda rows: (rows[3].update(color=False), rows[5].update(u="01x")),
+        "edge color must be an integer, got False",
+        "edge color must be an integer, got False"),
+    "other color, then non-bool dashed": (
+        lambda rows: (rows[3].update(color=99), rows[7].update(dashed="x")),
+        "dashed flag must be boolean, got 'x'",
+        "dashed flag must be boolean, got 'x'"),
+    "swapped u/v": (
+        lambda rows: swap_ends(rows[5]),
+        "edge endpoints must satisfy u < v, got {'u': '0101', 'v': '0001', "
+        "'color': 2, 'dashed': False}",
+        "edge endpoints must satisfy u < v, got {'u': '0000010000000000', "
+        "'v': '0000000000000000', 'color': 6, 'dashed': None}"),
+    "dropped row": (
+        lambda rows: rows.pop(5), NOT_CANONICAL, NOT_CANONICAL),
+    "extra row": (
+        lambda rows: rows.append(dict(rows[0])), NOT_CANONICAL,
+        NOT_CANONICAL),
+    "dropped row, then non-bool dashed": (
+        lambda rows: (rows.pop(5), rows[8].update(dashed=0)),
+        "dashed flag must be boolean, got 0",
+        "dashed flag must be boolean, got 0"),
+    "extra row with a bad label": (
+        lambda rows: rows.append(dict(rows[0], v="2")),
+        "not a bitstring: '2'", "not a bitstring: '2'"),
+    "dropped row, and one flag differs": (
+        lambda rows: (rows.pop(5), flip_flag(rows[8])), NOT_CANONICAL,
+        NOT_CANONICAL),
+    "one flag differs": (
+        lambda rows: flip_flag(rows[8]),
+        "dashed flags must be given for all edges or none",
+        "dashed flags must be given for all edges or none"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(EDGE_ROW_DAMAGE))
+def test_from_json_edge_row_errors_and_their_order(damage):
+    mutate, *messages = EDGE_ROW_DAMAGE[damage]
+    for (name, base), message in zip(EDGE_ROW_DOCS.items(), messages):
+        doc = copy.deepcopy(base)
+        mutate(doc["edges"])
+        with pytest.raises(InputError) as info:
+            from_json(json.dumps(doc))
+        assert (name, str(info.value)) == (name, message)
+
+
 @pytest.mark.parametrize("parse", [from_json, Baobab.from_json])
 @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null"])
 def test_non_object_json_is_input_error(parse, text):
