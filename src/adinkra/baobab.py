@@ -390,30 +390,59 @@ def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
     return tuple(steps)
 
 
-def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
-               directions: bool = False):
-    """Run a gate rule over the plaquettes to its fixpoint.
+def _run_engine(table, vals: list, fresh: list, rule, ready, marks,
+                length: int):
+    """Fire `rule` over the table's plaquettes from the known ids
+    `fresh` to its fixpoint, writing `vals` (by edge id) in place.
 
-    Known values live in a list indexed by edge id.  Each plaquette
-    keeps its counters (see `_NDXOR_READY`), set from the given edges
-    and updated as edges become known, and goes on a min-heap of
-    canonical indices when they become ready.  The least is popped and
-    skipped if an edge filled since left it idle; otherwise `rule`
+    Each plaquette keeps its counters (see `_NDXOR_READY`) against
+    `marks` (the table's heads, or None for 0) and goes on a min-heap
+    of canonical indices when they become ready.  The least is popped,
+    and skipped if an edge filled since left it idle; else `rule`
     raises or returns the (edge id, value) pairs it forces.  A
     plaquette's verdict changes only when one of its edges becomes
-    known, so each popped plaquette is the first one a scan from
-    plaquette 0 would act on: traces match a scan restarted after every
-    inference, and the rule is never called in vain.  For `directions`
-    the marks are the table's heads; for dashing they are 0, and when
-    the given edges are exactly the baobab slots the skeleton's NDXOR
-    program fills the values (in the order the heap would pop the
-    plaquettes) with no counter kept and no rule called.  The id tables
-    come from the skeleton's shared table.  The run records only the
-    fired plaquettes and, per edge, the firing that wrote it; the trace
-    builds its steps from them when read.
-    """
+    known, so each pop is the plaquette a scan from plaquette 0 would
+    act on first: runs match a scan restarted after every inference,
+    and the rule is never called in vain.  Returns the fired plaquettes
+    in order, per edge id the firing that wrote it (-1 if none), and
+    the written ids in write order."""
+    plaqs, quads, incident = table.plaquettes, table.quads, table.incidence
+    state = [20] * len(plaqs)
+    when = [-1] * len(vals)
+    fired, written = [], []
+    zeros = repeat(0)
+    heap = []
+    while True:
+        for i in fresh:
+            value = vals[i]
+            for j, mark in zip(incident[i],
+                               zeros if marks is None else marks[i]):
+                old = state[j]
+                state[j] = new = old - 5 + (value != mark)
+                if ready[new] and not ready[old]:
+                    heappush(heap, j)
+        while heap and not ready[state[heap[0]]]:
+            heappop(heap)
+        if not heap:
+            return fired, when, written
+        j = heappop(heap)
+        start = len(written)
+        t = len(fired)
+        for i, value in rule(plaqs[j], quads[j], vals, length, state[j]):
+            vals[i] = value
+            when[i] = t
+            written.append(i)
+        fired.append(j)
+        fresh = written[start:]
+
+
+def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
+               directions: bool = False):
+    """`_run_engine` from the given edges or, for dashing bits on
+    exactly the baobab slots, the skeleton's NDXOR program, which fires
+    as the engine would and calls no rule.  Returns the known dict and
+    a trace that builds its steps from the firings when read."""
     table = _plaquette_ids(skeleton)
-    plaqs, quads, length = table.plaquettes, table.quads, skeleton.length
     index, edges = table.index, skeleton.edges
     vals = [None] * len(edges)
     known = {}
@@ -428,48 +457,18 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
     program = None if directions else _ndxor_program(skeleton, fresh)
     if program is not None:
         program.run(vals)
-        for out, _, _, _ in program.flat:
-            known[edges[out]] = vals[out]
-        return known, _deferred_trace(length, gate, plaqs, quads,
-                                      program.order, program.when, vals)
-    incident = table.incidence
-    heads = table.heads if directions else None
-    state = [20] * len(plaqs)
-    when = [-1] * len(edges)
-    fired = []
-    zeros = repeat(0)
-    heap = []
-    while True:
-        for i in fresh:
-            value = vals[i]
-            for j, mark in zip(incident[i],
-                               zeros if heads is None else heads[i]):
-                old = state[j]
-                state[j] = new = old - 5 + (value != mark)
-                if ready[new] and not ready[old]:
-                    heappush(heap, j)
-        while heap and not ready[state[heap[0]]]:
-            heappop(heap)
-        if not heap:
-            break
-        j = heappop(heap)
-        fresh = []
-        t = len(fired)
-        for i, value in rule(plaqs[j], quads[j], vals, length, state[j]):
-            vals[i] = known[edges[i]] = value
-            when[i] = t
-            fresh.append(i)
-        fired.append(j)
-    return known, _deferred_trace(length, gate, plaqs, quads, fired, when,
-                                  vals)
-
-
-def _deferred_trace(length: int, *firings) -> GateTrace:
-    """A GateTrace whose steps `_gate_steps(*firings)` builds on first
-    read."""
-    trace = object.__new__(GateTrace)
-    trace.__dict__.update(length=length, _firings=firings)
-    return trace
+        fired, when = program.order, program.when
+        written = (out for out, _, _, _ in program.flat)
+    else:
+        fired, when, written = _run_engine(
+            table, vals, fresh, rule, ready,
+            table.heads if directions else None, skeleton.length)
+    for i in written:
+        known[edges[i]] = vals[i]
+    trace = object.__new__(GateTrace)  # steps built on first read
+    trace.__dict__.update(length=skeleton.length, _firings=(
+        gate, table.plaquettes, table.quads, fired, when, vals))
+    return known, trace
 
 
 class _NdxorProgram(NamedTuple):
@@ -512,53 +511,42 @@ def _ndxor_program(skeleton: Adinkra, ids=None) -> _NdxorProgram | None:
 
 
 def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
-    """Run NDXOR on the baobab slots without values, as the engine's heap
-    would pop it.  The program stands in for the engine only if, for
-    every slot assignment, it reaches every edge and leaves no plaquette
-    of even parity: each edge's bit is tracked as an affine form in the
-    slot bits (bit 0 the constant, bit k + 1 slot k), and every
-    plaquette's four forms must sum to the constant 1.  Else False."""
+    """The NDXOR program of the baobab slots: one engine run from
+    all-zero slots, each firing read as (output id, the other three ids
+    in quad order).  False without a baobab, or if the run contradicts
+    or leaves an edge unknown.
+
+    Such a run proves the program exact for every slot assignment.  The
+    NDXOR schedule does not depend on the values.  The run's output is
+    a valid dashing (the engine raises on any complete even plaquette),
+    so the valid dashings form an affine code of dimension
+    2**n + k - 1, the slot count (see `dashing_code`).  Each step writes
+    the only bit that keeps its plaquette odd, so the program rebuilds
+    every valid dashing from its slot bits: restriction to the slots is
+    injective, so with 2**|slots| dashings it is onto, and every slot
+    assignment runs to a valid dashing."""
     try:
         tree, cycles, _ = skeleton_baobab_edges(skeleton)
     except (InputError, UnderDeterminedError):
         return False
-    quads, incidence = table.quads, table.incidence
     slots = [table.index[e] for e in tree + cycles]
-    form = [None] * len(skeleton.edges)
-    unknown = [4] * len(quads)
-    for k, i in enumerate(slots):
-        form[i] = 2 << k
-        for j in incidence[i]:
-            unknown[j] -= 1
-    heap = [j for j, u in enumerate(unknown) if u == 1]  # ascending: a heap
-    order, flat = [], []
-    while heap:
-        j = heappop(heap)
-        if unknown[j] != 1:
-            continue
-        q0, q1, q2, q3 = quads[j]
-        if form[q0] is None:
-            step = q0, q1, q2, q3
-        elif form[q1] is None:
-            step = q1, q0, q2, q3
-        elif form[q2] is None:
-            step = q2, q0, q1, q3
-        else:
-            step = q3, q0, q1, q2
-        out, a, b, c = step
-        form[out] = 1 ^ form[a] ^ form[b] ^ form[c]
-        order.append(j)
-        flat.append(step)
-        for t in incidence[out]:
-            unknown[t] -= 1
-            if unknown[t] == 1:
-                heappush(heap, t)
-    if None in form or any(form[a] ^ form[b] ^ form[c] ^ form[d] != 1
-                           for a, b, c, d in quads):
+    vals = [None] * len(skeleton.edges)
+    for i in slots:
+        vals[i] = 0
+    try:
+        order, when, outs = _run_engine(table, vals, slots, _ndxor_rule,
+                                        _NDXOR_READY, None, skeleton.length)
+    except ContradictionError:
         return False
-    when = [-1] * len(form)
-    for t, (out, *_) in enumerate(flat):
-        when[out] = t
+    if None in vals:
+        return False
+    quads = table.quads
+    flat = []
+    for j, out in zip(order, outs):
+        q0, q1, q2, q3 = quads[j]
+        flat.append((q0, q1, q2, q3) if out == q0 else
+                    (q1, q0, q2, q3) if out == q1 else
+                    (q2, q0, q1, q3) if out == q2 else (q3, q0, q1, q2))
     return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat),
                          tuple(when))
 

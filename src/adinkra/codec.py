@@ -76,7 +76,11 @@ def parse_family(text: str) -> Family:
         if "=" not in part:
             raise InputError(f"malformed family field {part!r} in {text!r}")
         key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields or key not in ("n", "code", "scheme"):
+            what = "repeated" if key in fields else "unknown"
+            raise InputError(f"{what} family field {key!r} in {text!r}")
+        fields[key] = value.strip()
     for key in ("n", "code", "scheme"):
         if key not in fields:
             raise InputError(f"family header missing {key!r}: {text!r}")

@@ -3,13 +3,15 @@
 Everything here is deliberately written from first principles — plain
 loops, plain integers, numpy for the matrix oracle — so test
 expectations never come from the code under test.  The graph-layer
-builders, the restart-scan propagators and the Monomial-object algebra
-at the end are the exception: they reuse the package's color steps,
-plaquettes, step records and Monomial types so their results compare
-field for field.
+builders, the restart-scan propagators, the affine-form NDXOR compiler
+and the Monomial-object algebra at the end are the exception: they
+reuse the package's color steps, plaquettes, id tables, baobab slots,
+step records and Monomial types so their results compare field for
+field.
 """
 
 import json
+from heapq import heappop, heappush
 from itertools import combinations, product
 from typing import Mapping
 
@@ -29,9 +31,11 @@ from adinkra.algebra import (
 from adinkra.baobab import (
     GateStep,
     GateTrace,
+    _NdxorProgram,
     _check_bit,
     dxor,
     ndxor,
+    skeleton_baobab_edges,
     skeleton_tree,
 )
 from adinkra.codes import bit_string
@@ -47,6 +51,7 @@ from adinkra.graph import (
     Edge,
     Plaquette,
     _color_steps,
+    _plaquette_ids,
     boson_nodes,
     fermion_nodes,
     plaquettes,
@@ -654,6 +659,60 @@ def naive_propagate_directions(
                 break
     trace = GateTrace(skeleton.length, tuple(steps))
     return heads, trace
+
+
+def naive_compile_ndxor(skeleton: Adinkra) -> _NdxorProgram | bool:
+    """`baobab._compile_ndxor` as first written: run NDXOR on the baobab
+    slots without values, as the engine's heap would pop it.  The
+    program stands in for the engine only if, for every slot assignment,
+    it reaches every edge and leaves no plaquette of even parity: each
+    edge's bit is tracked as an affine form in the slot bits (bit 0 the
+    constant, bit k + 1 slot k), and every plaquette's four forms must
+    sum to the constant 1.  Else False."""
+    try:
+        tree, cycles, _ = skeleton_baobab_edges(skeleton)
+    except (InputError, UnderDeterminedError):
+        return False
+    table = _plaquette_ids(skeleton)
+    quads, incidence = table.quads, table.incidence
+    slots = [table.index[e] for e in tree + cycles]
+    form = [None] * len(skeleton.edges)
+    unknown = [4] * len(quads)
+    for k, i in enumerate(slots):
+        form[i] = 2 << k
+        for j in incidence[i]:
+            unknown[j] -= 1
+    heap = [j for j, u in enumerate(unknown) if u == 1]  # ascending: a heap
+    order, flat = [], []
+    while heap:
+        j = heappop(heap)
+        if unknown[j] != 1:
+            continue
+        q0, q1, q2, q3 = quads[j]
+        if form[q0] is None:
+            step = q0, q1, q2, q3
+        elif form[q1] is None:
+            step = q1, q0, q2, q3
+        elif form[q2] is None:
+            step = q2, q0, q1, q3
+        else:
+            step = q3, q0, q1, q2
+        out, a, b, c = step
+        form[out] = 1 ^ form[a] ^ form[b] ^ form[c]
+        order.append(j)
+        flat.append(step)
+        for t in incidence[out]:
+            unknown[t] -= 1
+            if unknown[t] == 1:
+                heappush(heap, t)
+    if None in form or any(form[a] ^ form[b] ^ form[c] ^ form[d] != 1
+                           for a, b, c, d in quads):
+        return False
+    when = [-1] * len(form)
+    for t, (out, *_) in enumerate(flat):
+        when[out] = t
+    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat),
+                         tuple(when))
 
 
 def plaquette_trail(p: Plaquette):

@@ -45,12 +45,14 @@ from adinkra import (
 from adinkra import baobab
 from adinkra.baobab import (
     cycle_color_set,
+    dashing_code,
     heights_from_directions,
     propagate_dashing,
     propagate_directions,
 )
 from adinkra.codec import DASHING, Family, codewords
 from adinkra.codes import DoublyEvenCode, LinearBinaryCode, gf2_rref
+from adinkra.graph import _plaquette_ids
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -652,6 +654,21 @@ def test_program_stands_aside_where_slots_are_not_free():
         assert baobab._ndxor_program(a) is None
 
 
+def test_compiled_program_equals_the_affine_form_oracle():
+    # one engine run from all-zero slots gives the program that the
+    # affine forms prove exact for every slot assignment, and no program
+    # on the odd-word quotients.  The run's proof rests on the valid
+    # dashings having dimension 2**n + k - 1, the slot count
+    for a, _ in structure_corpus():
+        program = baobab._compile_ndxor(a, _plaquette_ids(a))
+        assert program and program == oracles.naive_compile_ndxor(a)
+        assert dashing_code(a).dim == len(a.nodes) - 1 + a.code.k
+    for a in odd_word_quotients():
+        assert baobab._compile_ndxor(a, _plaquette_ids(a)) is False
+        assert oracles.naive_compile_ndxor(a) is False
+        assert dashing_code(a) is None
+
+
 # ---------- deferred traces ----------
 
 
@@ -786,8 +803,12 @@ def rule_calls(monkeypatch):
 )
 def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
     # slot runs fill the dashing from the compiled program and call no
-    # NDXOR rule; the engine, run on a reordered copy, is checked below
+    # NDXOR rule; the engine, run on a reordered copy, is checked below.
+    # Compiling the program is one engine run: one forcing call a step
     a = skeleton_for(n, gens)
+    program = baobab._ndxor_program(a)
+    assert rule_calls == [("NDXOR", 1)] * len(program.flat)
+    rule_calls.clear()
     rng = random.Random(n)
     tree, cycles, _ = skeleton_baobab_edges(a)
     seed = {e: rng.randint(0, 1) for e in tree + cycles}
@@ -842,6 +863,9 @@ def test_rule_calls_per_inference_stay_at_most_one(rule_calls):
         rng = random.Random(n)
         tree, cycles, _ = skeleton_baobab_edges(a)
         seed = {e: rng.randint(0, 1) for e in tree + cycles}
+        rule_calls.clear()
+        program = baobab._ndxor_program(a)
+        assert rule_calls == [("NDXOR", 1)] * len(program.flat)
         rule_calls.clear()
         bits, trace = propagate_dashing(a, seed)
         assert rule_calls == []

@@ -84,10 +84,24 @@ def test_parse_family_accepts_header_and_alias():
         "n=2;code=;scheme=banana",
         "n=2;code=111;scheme=dashing",  # not doubly even
         "n=2;code=;scheme=direction",  # directions are quaternion-only
+        "n=4;n=3;code=1111;scheme=dashing",  # repeated field
+        "n=3;code=1111;scheme=dashing;colour=2",  # unknown field
     ],
 )
 def test_parse_family_rejects_bad_headers(text):
     with pytest.raises(InputError):
+        parse_family(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=4;n=3;code=1111;scheme=dashing", "repeated family field 'n'"),
+    ("n=3; scheme =dashing;code=1111;scheme=direction",
+     "repeated family field 'scheme'"),
+    ("n=3;code=1111;scheme=dashing;colour=2", "unknown family field 'colour'"),
+    ("n=3;code=1111;=2;scheme=dashing", "unknown family field ''"),
+])
+def test_parse_family_names_a_repeated_or_unknown_field(text, message):
+    with pytest.raises(InputError, match=message):
         parse_family(text)
 
 
