@@ -14,7 +14,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Mapping, NamedTuple
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
@@ -29,6 +28,7 @@ from .graph import (
     Adinkra,
     Edge,
     Plaquette,
+    _collector_paused,
     _color_steps,
     _plaquette_ids,
     json_int,
@@ -167,9 +167,12 @@ class GateTrace:
         return "\n".join(rows) + ("\n" if rows else "")
 
     @classmethod
+    @_collector_paused
     def from_jsonl(cls, text: str) -> "GateTrace":
+        """Parse the rows `to_jsonl` writes.  The first row's base sets
+        the label length, and every label of every row must have it."""
         steps = []
-        length = 0
+        length = None
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -177,7 +180,11 @@ class GateTrace:
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise InputError("not an object")
-                base, length = parse_bit_string(row["base"])
+                base, got = parse_bit_string(row["base"])
+                if length is None:
+                    length = got
+                elif got != length:
+                    raise InputError(_MIXED_LENGTHS)
                 steps.append(_parse_step(row, base, length))
             except json.JSONDecodeError as exc:
                 raise InputError(f"trace line {lineno}: invalid JSON ({exc})")
@@ -185,7 +192,7 @@ class GateTrace:
                 raise InputError(f"trace line {lineno}: missing field {exc}")
             except InputError as exc:
                 raise InputError(f"trace line {lineno}: {exc}") from None
-        return cls(length, tuple(steps))
+        return cls(length or 0, tuple(steps))
 
     # -- replay --
 
@@ -258,8 +265,12 @@ class GateTrace:
         return heads
 
 
+_MIXED_LENGTHS = "inconsistent label lengths in trace"
+
+
 def _parse_step(row, base: int, length: int) -> GateStep:
-    """One trace row as a GateStep, with every field replay reads checked."""
+    """One trace row as a GateStep, with every field replay reads checked
+    and every label `length` bits long."""
     gate, colors = row["gate"], row["colors"]
     if gate not in ("NDXOR", "DXOR"):
         raise InputError(f"unknown gate {gate!r}")
@@ -277,8 +288,11 @@ def _parse_step(row, base: int, length: int) -> GateStep:
             raise InputError(f"{field} must be an edge object, got {r!r}")
         if not json_int(r["color"]):
             raise InputError(f"edge color must be an integer, got {r['color']!r}")
-        edge = Edge(parse_bit_string(r["u"])[0], parse_bit_string(r["v"])[0],
-                    r["color"])
+        u, lu = parse_bit_string(r["u"])
+        v, lv = parse_bit_string(r["v"])
+        if lu != length or lv != length:
+            raise InputError(_MIXED_LENGTHS)
+        edge = Edge(u, v, r["color"])
         return edge, _check_bit(r["bit"], "bit", edge)
 
     inputs = row["inputs"]
@@ -360,6 +374,7 @@ def _dxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
             for k, i in enumerate(quad) if vals[i] is None]
 
 
+@_collector_paused
 def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
     """The GateSteps of a propagation, rebuilt from its values.
 
@@ -410,17 +425,23 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, marks,
     state = [20] * len(plaqs)
     when = [-1] * len(vals)
     fired, written = [], []
-    zeros = repeat(0)
     heap = []
     while True:
         for i in fresh:
             value = vals[i]
-            for j, mark in zip(incident[i],
-                               zeros if marks is None else marks[i]):
-                old = state[j]
-                state[j] = new = old - 5 + (value != mark)
-                if ready[new] and not ready[old]:
-                    heappush(heap, j)
+            if marks is None:  # every mark is 0
+                step = (value != 0) - 5
+                for j in incident[i]:
+                    old = state[j]
+                    state[j] = new = old + step
+                    if ready[new] and not ready[old]:
+                        heappush(heap, j)
+            else:
+                for j, mark in zip(incident[i], marks[i]):
+                    old = state[j]
+                    state[j] = new = old - 5 + (value != mark)
+                    if ready[new] and not ready[old]:
+                        heappush(heap, j)
         while heap and not ready[state[heap[0]]]:
             heappop(heap)
         if not heap:

@@ -11,8 +11,10 @@ adjacent nodes differing by exactly one.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, combinations, repeat
 from typing import Mapping, NamedTuple
 
@@ -27,6 +29,29 @@ from .codes import (
     weight,
 )
 from .errors import InputError
+
+
+def _collector_paused(build):
+    """`build` run with the cyclic collector off, for builders that make
+    one tracked tuple per edge, plaquette or step and no reference cycle.
+
+    CPython never untracks a tuple subclass, so each full collection
+    during such a build walks every tuple made so far.  The collector is
+    switched back on when the build returns or raises, and only if it
+    was on at entry, so a nested paused call, or a caller that turned it
+    off, finds it as it left it."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Edge(NamedTuple):
@@ -72,6 +97,7 @@ class _PlaquetteTable:
         self.index = self.quads = self.incidence = self.heads = None
         self.program = None
 
+    @_collector_paused
     def fill_ids(self, edges) -> None:
         """Build the id tables of `self.plaquettes` over `edges`."""
         index = {e: i for i, e in enumerate(edges)}
@@ -188,6 +214,7 @@ def _quotient_steps(n: int, code: LinearBinaryCode) -> tuple[int, ...]:
     return steps
 
 
+@_collector_paused
 def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
     steps = _quotient_steps(n, code)
     length = code.length
@@ -306,6 +333,7 @@ def _plaquette_ids(adinkra: Adinkra) -> _PlaquetteTable:
     return table
 
 
+@_collector_paused
 def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     steps = _color_steps(adinkra.code)
     length = adinkra.length
@@ -506,6 +534,7 @@ def json_object_rows(obj: dict, key: str, fields) -> list[dict]:
     return rows
 
 
+@_collector_paused
 def from_json(text: str) -> Adinkra:
     """Parse and fully validate the canonical JSON form."""
     obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))

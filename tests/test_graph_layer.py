@@ -1,7 +1,9 @@
 """The graph layer against the builders it replaced: plaquettes from
 `naive_build_plaquettes`, JSON text from `naive_to_json`, and the label
-errors of `parse_bit_string` and `from_json`."""
+errors of `parse_bit_string` and `from_json`; and the bulk builders'
+pause of the cyclic collector."""
 
+import gc
 import json
 import random
 
@@ -9,6 +11,7 @@ import pytest
 
 import oracles
 from adinkra import (
+    GateTrace,
     InputError,
     build_chromotopology,
     from_json,
@@ -230,3 +233,87 @@ def test_from_json_parses_only_the_labels_that_differ(parses):
     with pytest.raises(InputError, match="^node list does not match"):
         from_json(json.dumps(doc))
     assert parses == ["000"]
+
+
+# ---------- the collector pause ----------
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic collector on when the test starts, and afterwards as it
+    was before."""
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collections():
+    """The collections the cyclic collector starts while the test runs."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def paused_builders():
+    """One call into each builder that pauses the collector: a skeleton's
+    plaquettes, its id tables, its JSON read back, a trace's steps, the
+    trace read back, and another skeleton."""
+    sk = build_chromotopology(4, ())
+    yield "plaquettes", lambda: plaquettes(sk)
+    yield "fill_ids", lambda: graph._plaquette_ids(sk)
+    yield "from_json", lambda: from_json(to_json(sk))
+    tree, cycles, _ = skeleton_baobab_edges(sk)
+    _, trace = reconstruct_dashing(sk, {e: 1 for e in tree + cycles})
+    yield "_gate_steps", lambda: trace.steps
+    yield "from_jsonl", lambda: GateTrace.from_jsonl(trace.to_jsonl())
+    yield "_quotient_nodes_edges", lambda: build_chromotopology(3, ())
+
+
+def test_paused_builders_enable_the_collector_again(collector_on):
+    for name, build in paused_builders():
+        build()
+        assert (name, gc.isenabled()) == (name, True)
+
+
+def test_collector_is_enabled_again_after_a_builder_raises(collector_on):
+    doc = json.loads(to_json(build_chromotopology(3, ())))
+    doc["edges"][4]["u"] = "01x"
+    with pytest.raises(InputError, match="not a bitstring: '01x'"):
+        from_json(json.dumps(doc))
+    assert gc.isenabled()
+    with pytest.raises(InputError, match="^trace line 1: invalid JSON"):
+        GateTrace.from_jsonl("{")
+    assert gc.isenabled()
+
+
+def test_collector_the_caller_disabled_stays_disabled(collector_on):
+    gc.disable()
+    for name, build in paused_builders():
+        build()
+        assert (name, gc.isenabled()) == (name, False)
+
+
+@pytest.mark.parametrize("build", [
+    plaquettes,
+    # from_json nests a paused skeleton build, which must leave the
+    # collector off for the rest of the parse
+    lambda sk: from_json(to_json(sk)),
+], ids=["plaquettes", "from_json"])
+def test_no_collection_starts_inside_a_paused_builder(
+        collector_on, collections, build):
+    sk = build_chromotopology(8, ())
+    collections.clear()
+    build(sk)
+    assert collections == []

@@ -297,6 +297,73 @@ def test_absent_trace_field_is_missing_field(field):
         GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
 
 
+def dashing_trace_doc(n, gens):
+    """The dashing trace of all-ones baobab bits, one dict per step."""
+    skeleton = build_chromotopology(n, gens)
+    tree, cycles, _ = skeleton_baobab_edges(skeleton)
+    _, trace = reconstruct_dashing(skeleton, {e: 1 for e in tree + cycles})
+    return [json.loads(line) for line in trace.to_jsonl().splitlines()]
+
+
+# the n=3 cube's labels are 3 bits long, those of TRACE_DOCS 4 bits
+N3_TRACE_DOC = dashing_trace_doc(3, ())
+MIXED = "inconsistent label lengths in trace"
+
+
+@pytest.mark.parametrize("first, second", [
+    (N3_TRACE_DOC[0], TRACE_DOCS[0][0]),
+    (TRACE_DOCS[0][0], N3_TRACE_DOC[0]),
+], ids=["3-bit, then 4-bit", "4-bit, then 3-bit"])
+def test_trace_rows_of_mixed_label_lengths_are_input_error(first, second):
+    text = "\n".join(json.dumps(r) for r in (first, second))
+    with pytest.raises(InputError) as err:
+        GateTrace.from_jsonl(text)
+    assert str(err.value) == f"trace line 2: {MIXED}"
+
+
+def widen(label):
+    """The same node as a label two bits longer."""
+    return "00" + label
+
+
+# per field, how one of its labels is widened
+WIDENED = {
+    "base": lambda row: row.update(base=widen(row["base"])),
+    "corners": lambda row: row["corners"].__setitem__(
+        2, widen(row["corners"][2])),
+    "inputs u": lambda row: row["inputs"][0].update(
+        u=widen(row["inputs"][0]["u"])),
+    "inputs v": lambda row: row["inputs"][-1].update(
+        v=widen(row["inputs"][-1]["v"])),
+    "output u": lambda row: row["output"].update(
+        u=widen(row["output"]["u"])),
+    "output v": lambda row: row["output"].update(
+        v=widen(row["output"]["v"])),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WIDENED))
+@pytest.mark.parametrize("doc", [N3_TRACE_DOC, *TRACE_DOCS],
+                         ids=["n3 dashing", "dashing", "direction"])
+def test_trace_label_of_another_length_is_input_error(doc, field):
+    length = len(doc[0]["base"])
+    for line in (1, 2):
+        rows = copy.deepcopy(doc)
+        WIDENED[field](rows[line - 1])
+        # the corners already had to match their row's base, and on the
+        # first line the base sets the length, so there a widened base
+        # fails on its own corners
+        if field == "corners":
+            want = f"need four {length}-bit corners"
+        elif (field, line) == ("base", 1):
+            want = f"need four {length + 2}-bit corners"
+        else:
+            want = MIXED
+        with pytest.raises(InputError) as err:
+            GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+        assert str(err.value).startswith(f"trace line {line}: {want}")
+
+
 @pytest.mark.parametrize("line", ["5", "[]", '"row"', "null"])
 def test_non_object_trace_line_is_input_error(line):
     with pytest.raises(InputError, match="trace line 1: not an object"):
