@@ -14,6 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
@@ -170,7 +171,10 @@ class GateTrace:
     @_collector_paused
     def from_jsonl(cls, text: str) -> "GateTrace":
         """Parse the rows `to_jsonl` writes.  The first row's base sets
-        the label length, and every label of every row must have it."""
+        the label length, and every label of every row must have it.
+
+        Runs with the cyclic collector paused for the whole process (see
+        `graph._collector_paused`)."""
         steps = []
         length = None
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -425,23 +429,17 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, marks,
     state = [20] * len(plaqs)
     when = [-1] * len(vals)
     fired, written = [], []
+    zeros = repeat(0)
     heap = []
     while True:
         for i in fresh:
             value = vals[i]
-            if marks is None:  # every mark is 0
-                step = (value != 0) - 5
-                for j in incident[i]:
-                    old = state[j]
-                    state[j] = new = old + step
-                    if ready[new] and not ready[old]:
-                        heappush(heap, j)
-            else:
-                for j, mark in zip(incident[i], marks[i]):
-                    old = state[j]
-                    state[j] = new = old - 5 + (value != mark)
-                    if ready[new] and not ready[old]:
-                        heappush(heap, j)
+            for j, mark in zip(incident[i],
+                               zeros if marks is None else marks[i]):
+                old = state[j]
+                state[j] = new = old - 5 + (value != mark)
+                if ready[new] and not ready[old]:
+                    heappush(heap, j)
         while heap and not ready[state[heap[0]]]:
             heappop(heap)
         if not heap:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, combinations, repeat
@@ -31,25 +32,39 @@ from .codes import (
 from .errors import InputError
 
 
+_pause_lock = threading.Lock()
+_pause_depth = 0  # paused builds running, in any thread
+_pause_owned = False  # whether the outermost one switched the collector off
+
+
 def _collector_paused(build):
     """`build` run with the cyclic collector off, for builders that make
     one tracked tuple per edge, plaquette or step and no reference cycle.
 
     CPython never untracks a tuple subclass, so each full collection
-    during such a build walks every tuple made so far.  The collector is
-    switched back on when the build returns or raises, and only if it
-    was on at entry, so a nested paused call, or a caller that turned it
-    off, finds it as it left it."""
+    during such a build walks every tuple made so far.  The pause is
+    process-wide.  Paused builds are counted across threads, and the
+    last one to end switches the collector back on, when it returns or
+    raises, and only if the first one switched it off: a nested or
+    overlapping paused build, or a caller that turned it off, finds it
+    as it left it.  A collector that another thread turns off during a
+    pause is still switched back on when the pause ends."""
 
     @wraps(build)
     def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return build(*args, **kwargs)
-        gc.disable()
+        global _pause_depth, _pause_owned
+        with _pause_lock:
+            if not _pause_depth:
+                _pause_owned = gc.isenabled()
+                gc.disable()
+            _pause_depth += 1
         try:
             return build(*args, **kwargs)
         finally:
-            gc.enable()
+            with _pause_lock:
+                _pause_depth -= 1
+                if not _pause_depth and _pause_owned:
+                    gc.enable()
 
     return paused
 
@@ -214,7 +229,6 @@ def _quotient_steps(n: int, code: LinearBinaryCode) -> tuple[int, ...]:
     return steps
 
 
-@_collector_paused
 def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
     steps = _quotient_steps(n, code)
     length = code.length
@@ -536,7 +550,10 @@ def json_object_rows(obj: dict, key: str, fields) -> list[dict]:
 
 @_collector_paused
 def from_json(text: str) -> Adinkra:
-    """Parse and fully validate the canonical JSON form."""
+    """Parse and fully validate the canonical JSON form.
+
+    Runs with the cyclic collector paused for the whole process (see
+    `_collector_paused`)."""
     obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))
     n = obj["n"]
     if not json_int(n) or n < 1:

@@ -6,6 +6,7 @@ pause of the cyclic collector."""
 import gc
 import json
 import random
+import threading
 
 import pytest
 
@@ -269,7 +270,7 @@ def collections():
 def paused_builders():
     """One call into each builder that pauses the collector: a skeleton's
     plaquettes, its id tables, its JSON read back, a trace's steps, the
-    trace read back, and another skeleton."""
+    trace read back."""
     sk = build_chromotopology(4, ())
     yield "plaquettes", lambda: plaquettes(sk)
     yield "fill_ids", lambda: graph._plaquette_ids(sk)
@@ -278,7 +279,6 @@ def paused_builders():
     _, trace = reconstruct_dashing(sk, {e: 1 for e in tree + cycles})
     yield "_gate_steps", lambda: trace.steps
     yield "from_jsonl", lambda: GateTrace.from_jsonl(trace.to_jsonl())
-    yield "_quotient_nodes_edges", lambda: build_chromotopology(3, ())
 
 
 def test_paused_builders_enable_the_collector_again(collector_on):
@@ -307,8 +307,7 @@ def test_collector_the_caller_disabled_stays_disabled(collector_on):
 
 @pytest.mark.parametrize("build", [
     plaquettes,
-    # from_json nests a paused skeleton build, which must leave the
-    # collector off for the rest of the parse
+    # from_json builds its skeleton inside the pause
     lambda sk: from_json(to_json(sk)),
 ], ids=["plaquettes", "from_json"])
 def test_no_collection_starts_inside_a_paused_builder(
@@ -317,3 +316,31 @@ def test_no_collection_starts_inside_a_paused_builder(
     collections.clear()
     build(sk)
     assert collections == []
+
+
+def test_overlapping_pauses_in_two_threads(collector_on):
+    """The first of two overlapping paused builds to start ends first:
+    the collector stays off until the other one ends too."""
+
+    @graph._collector_paused
+    def build(entered, release):
+        entered.set()
+        release.wait(10)
+
+    runs = []
+    for _ in range(2):
+        entered, release = threading.Event(), threading.Event()
+        worker = threading.Thread(target=build, args=(entered, release))
+        worker.start()
+        runs.append((worker, release))
+        assert entered.wait(10)
+    try:
+        first, release = runs[0]
+        release.set()
+        first.join()
+        assert not gc.isenabled()
+    finally:
+        for worker, release in runs:
+            release.set()
+            worker.join()
+    assert gc.isenabled()
