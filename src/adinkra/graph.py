@@ -34,7 +34,7 @@ from .errors import InputError
 
 _pause_lock = threading.Lock()
 _pause_depth = 0  # paused builds running, in any thread
-_pause_owned = False  # whether the outermost one switched the collector off
+_pause_owned = False  # whether the first one switched the collector off
 
 
 def _collector_paused(build):
