@@ -11,10 +11,8 @@ re-run independently.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Mapping, NamedTuple
 
 from .codes import AffineCode, bit_string, color_bit, parse_bit_string
@@ -32,6 +30,7 @@ from .graph import (
     _collector_paused,
     _color_steps,
     _plaquette_ids,
+    checked_heights,
     json_int,
     json_object_rows,
     load_json_object,
@@ -231,7 +230,7 @@ class GateTrace:
 
     def replay_directions(self, seeds: Mapping[Edge, int]) -> dict[Edge, int]:
         """Re-run DXOR steps from seed arrows (edge -> head node)."""
-        heads = dict(seeds)
+        heads = {e: _check_head(e, h) for e, h in seeds.items()}
         for num, s in enumerate(self.steps, 1):
             if s.gate != "DXOR":
                 raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
@@ -334,10 +333,9 @@ def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
 
 
 # A plaquette's counters form one state s = 5 * unknown + ones: its
-# unknown edges, and its known edges whose value differs from the
-# plaquette's mark for that edge.  NDXOR marks every edge 0, so the ones
-# are dashing bits of 1; DXOR marks each edge with the node its trail
-# steps onto, so the ones are trail bits of 1.  _*_READY[s] says whether
+# unknown edges, and its known edges that hold a one.  For NDXOR a one
+# is a dashing bit of 1; for DXOR it is a trail bit of 1, an arrow whose
+# head is not the end its trail steps onto.  _*_READY[s] says whether
 # the rule can force a bit or raise in state s: NDXOR on one unknown bit
 # or a complete plaquette of even parity, DXOR (need = 2 - ones) unless
 # 0 < need < unknown or the plaquette is complete with need 0.
@@ -409,15 +407,15 @@ def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
     return tuple(steps)
 
 
-def _run_engine(table, vals: list, fresh: list, rule, ready, marks,
+def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
                 length: int):
     """Fire `rule` over the table's plaquettes from the known ids
-    `fresh` to its fixpoint, writing `vals` (by edge id) in place.
+    `fresh` to its fixpoint, writing `vals` (by edge id) in place:
+    dashing bits, or heads of the skeleton's `edges` when given.
 
-    Each plaquette keeps its counters (see `_NDXOR_READY`) against
-    `marks` (the table's heads, or None for 0) and goes on a min-heap
-    of canonical indices when they become ready.  The least is popped,
-    and skipped if an edge filled since left it idle; else `rule`
+    Each plaquette keeps its counters (see `_NDXOR_READY`) and goes on a
+    min-heap of canonical indices when they become ready.  The least is
+    popped, and skipped if an edge filled since left it idle; else `rule`
     raises or returns the (edge id, value) pairs it forces.  A
     plaquette's verdict changes only when one of its edges becomes
     known, so each pop is the plaquette a scan from plaquette 0 would
@@ -429,17 +427,20 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, marks,
     state = [20] * len(plaqs)
     when = [-1] * len(vals)
     fired, written = [], []
-    zeros = repeat(0)
     heap = []
     while True:
         for i in fresh:
             value = vals[i]
-            for j, mark in zip(incident[i],
-                               zeros if marks is None else marks[i]):
-                old = state[j]
-                state[j] = new = old - 5 + (value != mark)
-                if ready[new] and not ready[old]:
-                    heappush(heap, j)
+            if edges is None:  # a dashing bit of 1 is a one on both sides
+                moves = value - 5, value - 5
+            else:  # an arrow is a one where its trail steps onto its tail
+                moves = (value != edges[i].u) - 5, (value != edges[i].v) - 5
+            for onto, move in zip(incident[i], moves):
+                for j in onto:
+                    old = state[j]
+                    state[j] = new = old + move
+                    if ready[new] and not ready[old]:
+                        heappush(heap, j)
         while heap and not ready[state[heap[0]]]:
             heappop(heap)
         if not heap:
@@ -480,8 +481,8 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
         written = (out for out, _, _, _ in program.flat)
     else:
         fired, when, written = _run_engine(
-            table, vals, fresh, rule, ready,
-            table.heads if directions else None, skeleton.length)
+            table, vals, fresh, rule, ready, edges if directions else None,
+            skeleton.length)
     for i in written:
         known[edges[i]] = vals[i]
     trace = object.__new__(GateTrace)  # steps built on first read
@@ -559,10 +560,9 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
         return False
     if None in vals:
         return False
-    quads = table.quads
     flat = []
     for j, out in zip(order, outs):
-        q0, q1, q2, q3 = quads[j]
+        q0, q1, q2, q3 = table.quads[j]
         flat.append((q0, q1, q2, q3) if out == q0 else
                     (q1, q0, q2, q3) if out == q1 else
                     (q2, q0, q1, q3) if out == q2 else (q3, q0, q1, q2))
@@ -571,7 +571,7 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
 
 
 def _check_head(e: Edge, head) -> int:
-    if head not in (e.u, e.v):
+    if not json_int(head) or head not in (e.u, e.v):
         raise InputError(f"head {head} is not an endpoint of {e}")
     return head
 
@@ -608,17 +608,16 @@ def heights_from_directions(
     skeleton: Adinkra, heads: Mapping[Edge, int]
 ) -> dict[int, int]:
     """Integrate arrows into heights (head = tail + 1), minimum at 0."""
+    incident: dict[int, list[Edge]] = {x: [] for x in skeleton.nodes}
     for e in skeleton.edges:
         if e not in heads:
             raise InputError(f"direction missing for edge {e}")
-    incident: dict[int, list[Edge]] = {x: [] for x in skeleton.nodes}
-    for e in skeleton.edges:
+        _check_head(e, heads[e])
         incident[e.u].append(e)
         incident[e.v].append(e)
     heights = {skeleton.nodes[0]: 0}
-    queue = deque([skeleton.nodes[0]])
-    while queue:
-        x = queue.popleft()
+    queue = [skeleton.nodes[0]]
+    for x in queue:  # breadth first: the loop reads what it appends
         for e in incident[x]:
             other = e.v if e.u == x else e.u
             h = heights[x] + (1 if heads[e] == other else -1)
@@ -862,13 +861,11 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
     them is pinned; any stragglers pin their smallest tree edge: the
     edge to the parent, or the first tree edge for node 0.
     """
-    if adinkra.heights is None:
-        raise InputError("pinning needs heights")
+    heights = checked_heights(adinkra, "pinning needs heights")
     tree = skeleton_tree(adinkra)
     length = adinkra.length
     sources, sinks = _extremal_nodes(adinkra)
     extremal = set(sources) | set(sinks)
-    heights = adinkra.heights
 
     pinned: dict[Edge, int] = {}
 
@@ -911,12 +908,10 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("extraction needs both dashing and heights")
-    report = verify_odd_dashing(adinkra)
-    if not report:
-        raise InputError(f"invalid adinkra: {report.summary()}")
-    report = verify_heights(adinkra)
-    if not report:
-        raise InputError(f"invalid adinkra: {report.summary()}")
+    for verify in (verify_odd_dashing, verify_heights):
+        report = verify(adinkra)
+        if not report:
+            raise InputError(f"invalid adinkra: {report.summary()}")
 
     tree, cycles, odd_sets = skeleton_baobab_edges(adinkra)
     bits = {e: (1 if adinkra.dashing[e] == 1 else 0)

@@ -97,19 +97,17 @@ class _PlaquetteTable:
 
     An edge's id is its position in the graph's `edges`.  `index` maps
     each `Edge` to its id; `quads[j]` holds the ids of plaquette j's
-    edges in traversal order; `incidence[i]` lists the plaquettes
-    through edge i, ascending, and `heads[i]` beside it the corner each
-    of their traversals steps onto along edge i.  `program` is the
-    compiled NDXOR schedule of the baobab slots (see
-    `baobab._ndxor_program`).  Adinkras on the same graph share one
-    table."""
+    edges in traversal order; `incidence[i]` holds the plaquettes through
+    edge i as two ascending lists (onto_u, onto_v): those whose traversal
+    steps along edge i onto its end u, and those stepping onto v.
+    `program` is the compiled NDXOR schedule of the baobab slots (see
+    `baobab._ndxor_program`).  Adinkras on the same graph share one table."""
 
-    __slots__ = ("plaquettes", "index", "quads", "incidence", "heads",
-                 "program", "__weakref__")
+    __slots__ = ("plaquettes", "index", "quads", "incidence", "program",
+                 "__weakref__")
 
     def __init__(self):
-        self.plaquettes = None
-        self.index = self.quads = self.incidence = self.heads = None
+        self.plaquettes = self.index = self.quads = self.incidence = None
         self.program = None
 
     @_collector_paused
@@ -119,21 +117,17 @@ class _PlaquetteTable:
         plaqs = self.plaquettes
         quads = [(index[a], index[b], index[c], index[d])
                  for _, _, _, (a, b, c, d) in plaqs]
-        incidence = [[] for _ in edges]
-        heads = [[] for _ in edges]
-        # edge k of a plaquette runs from corners[k] to corners[k + 1]
-        for j, (i0, i1, i2, i3), (_, _, (c0, c1, c2, c3), _) in zip(
+        onto_u, onto_v = [[] for _ in edges], [[] for _ in edges]
+        # edge k runs from corners[k] to corners[k + 1], and corners[0] is
+        # the least: edge 0 lands on its end v, edge 3 on its end u
+        for j, (i0, i1, i2, i3), (_, _, (_, c1, c2, c3), _) in zip(
                 range(len(plaqs)), quads, plaqs):
-            incidence[i0].append(j)
-            heads[i0].append(c1)
-            incidence[i1].append(j)
-            heads[i1].append(c2)
-            incidence[i2].append(j)
-            heads[i2].append(c3)
-            incidence[i3].append(j)
-            heads[i3].append(c0)
+            onto_v[i0].append(j)
+            (onto_v if c2 > c1 else onto_u)[i1].append(j)
+            (onto_v if c3 > c2 else onto_u)[i2].append(j)
+            onto_u[i3].append(j)
         self.index, self.quads = index, quads
-        self.incidence, self.heads = incidence, heads
+        self.incidence = list(zip(onto_u, onto_v))
 
 
 @dataclass(frozen=True)
@@ -414,27 +408,39 @@ def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
     missing = [e for e in adinkra.edges if e not in dashing]
     if missing:
         raise InputError(f"dashing missing for edges: {missing[:4]}")
+    for e in adinkra.edges:
+        s = dashing[e]
+        if not json_int(s) or s not in (1, -1):
+            raise InputError(f"dashing sign for {e} must be +1 or -1, got {s}")
     bad = []
     for p in plaquettes(adinkra):
         sign = 1
         for e in p.edges:
-            s = dashing[e]
-            if s not in (1, -1):
-                raise InputError(f"dashing sign for {e} must be +1 or -1, got {s}")
-            sign *= s
+            sign *= dashing[e]
         if sign != -1:
             bad.append(p)
     return VerificationReport("odd-dashing", tuple(bad))
 
 
-def verify_heights(adinkra: Adinkra) -> VerificationReport:
-    """Check adjacent nodes sit at heights differing by exactly one."""
-    if adinkra.heights is None:
-        raise InputError("adinkra has no heights to verify")
+def checked_heights(adinkra: Adinkra, absent: str) -> Mapping[int, int]:
+    """The adinkra's heights, checked to give every node an integer (a
+    bool too, as in `from_json`); InputError `absent` when it has none."""
     heights = adinkra.heights
+    if heights is None:
+        raise InputError(absent)
     missing = [x for x in adinkra.nodes if x not in heights]
     if missing:
         raise InputError(f"heights missing for nodes: {missing[:4]}")
+    for x in adinkra.nodes:
+        if not isinstance(heights[x], int):
+            label = bit_string(x, adinkra.length)
+            raise InputError(f"height for {label!r} must be an integer")
+    return heights
+
+
+def verify_heights(adinkra: Adinkra) -> VerificationReport:
+    """Check adjacent nodes sit at heights differing by exactly one."""
+    heights = checked_heights(adinkra, "adinkra has no heights to verify")
     bad = tuple(
         e for e in adinkra.edges if abs(heights[e.u] - heights[e.v]) != 1
     )

@@ -5,9 +5,8 @@ loops, plain integers, numpy for the matrix oracle — so test
 expectations never come from the code under test.  The graph-layer
 builders, the restart-scan propagators, the affine-form NDXOR compiler
 and the Monomial-object algebra at the end are the exception: they
-reuse the package's color steps, plaquettes, id tables, baobab slots,
-step records and Monomial types so their results compare field for
-field.
+reuse the package's color steps, plaquettes, baobab slots, step
+records and Monomial types so their results compare field for field.
 """
 
 import json
@@ -51,7 +50,6 @@ from adinkra.graph import (
     Edge,
     Plaquette,
     _color_steps,
-    _plaquette_ids,
     boson_nodes,
     fermion_nodes,
     plaquettes,
@@ -673,9 +671,13 @@ def naive_compile_ndxor(skeleton: Adinkra) -> _NdxorProgram | bool:
         tree, cycles, _ = skeleton_baobab_edges(skeleton)
     except (InputError, UnderDeterminedError):
         return False
-    table = _plaquette_ids(skeleton)
-    quads, incidence = table.quads, table.incidence
-    slots = [table.index[e] for e in tree + cycles]
+    index = {e: i for i, e in enumerate(skeleton.edges)}
+    quads = [tuple(index[e] for e in p.edges) for p in plaquettes(skeleton)]
+    incidence = [[] for _ in skeleton.edges]
+    for j, quad in enumerate(quads):
+        for i in quad:
+            incidence[i].append(j)
+    slots = [index[e] for e in tree + cycles]
     form = [None] * len(skeleton.edges)
     unknown = [4] * len(quads)
     for k, i in enumerate(slots):

@@ -445,6 +445,34 @@ def test_heights_from_directions_integrates_unit_steps():
         heights_from_directions(a, loop)
 
 
+@pytest.mark.parametrize("head", [True, False, 1.0, "1", 99])
+def test_non_node_head_is_input_error(head):
+    # a bool or a float equal to an endpoint is no node
+    a = skeleton_for(3, ())
+    edge = Edge(0, 1, 3)
+    with pytest.raises(InputError, match="is not an endpoint"):
+        propagate_directions(a, {edge: head})
+    heads = {e: e.v for e in a.edges}
+    heads[edge] = head
+    with pytest.raises(InputError, match="is not an endpoint"):
+        heights_from_directions(a, heads)
+
+
+@pytest.mark.parametrize("head", [True, 1.0, 99])
+def test_direction_replay_checks_its_seeds(head):
+    a, pinned, trace = DIRECTION_CASES[1]
+    # an input of the first step is a seed; give it a head that is no node
+    (edge, _), *_ = trace.steps[0].inputs
+    with pytest.raises(InputError, match="is not an endpoint"):
+        trace.replay_directions({**pinned, edge: head})
+
+
+def test_pinning_refuses_partial_heights():
+    a = skeleton_for(3, ())
+    with pytest.raises(InputError, match=r"heights missing for nodes: \[1, 2,"):
+        choose_pinned_arrows(a.with_heights({0: 0}))
+
+
 def test_insufficient_pinning_reports_whole_color_classes():
     square = skeleton_for(2, ())
     with pytest.raises(InsufficientPinningError) as err:

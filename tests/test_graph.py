@@ -288,6 +288,30 @@ def test_verify_heights():
     )
 
 
+@pytest.mark.parametrize("height", ["1", 1.0, None, [1]])
+def test_verify_heights_refuses_a_non_integer_height(height):
+    a = square()
+    with pytest.raises(InputError, match="height for '11' must be an integer"):
+        verify_heights(a.with_heights({0: 0, 1: 1, 2: 1, 3: height}))
+
+
+def test_verify_heights_accepts_bool_heights_as_from_json_does():
+    a = square()
+    heights = {0: False, 1: True, 2: True, 3: 2}
+    assert verify_heights(a.with_heights(heights)).ok
+    back = from_json(to_json(a.with_heights(heights)))
+    assert back.heights == heights and verify_heights(back).ok
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+def test_verify_odd_dashing_refuses_a_non_integer_sign(sign):
+    a = square()
+    signs = dashing_from_bits(a, (1, 1, 1, 0))
+    signs[a.edges[2]] = sign
+    with pytest.raises(InputError, match=r"must be \+1 or -1"):
+        verify_odd_dashing(a.with_dashing(signs))
+
+
 def test_valise_heights_bosons_low():
     a = cube()
     h = valise_heights(a)

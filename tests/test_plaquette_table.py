@@ -60,7 +60,7 @@ def builds(monkeypatch):
     return calls
 
 
-ID_FIELDS = ("index", "quads", "incidence", "heads", "program")
+ID_FIELDS = ("index", "quads", "incidence", "program")
 
 
 def table_fields(skeleton):
@@ -170,17 +170,17 @@ def test_incidence_is_built_on_first_propagation():
                        for p in plaqs]
     assert len(t.incidence) == len(sk.edges)
     for i, e in enumerate(sk.edges):
-        assert t.incidence[i] == [j for j, p in enumerate(plaqs)
-                                  if e in p.edges]
+        assert sorted(sum(t.incidence[i], [])) == [
+            j for j, p in enumerate(plaqs) if e in p.edges]
     assert ids_unbuilt(back)
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
 def test_trails_are_built_once_per_table(id_builds, n, gens, heights):
-    # the trail table is gone: the DXOR rule and its marks read corners
-    # and edge ids, and a plaquette has no trail method left to call (the
-    # oracles build trails with `oracles.plaquette_trail`); the id tables
-    # and the NDXOR program are built once per table over a round trip
+    # the trail table is gone: the DXOR rule reads corners and edge ids,
+    # and a plaquette has no trail method left to call (the oracles build
+    # trails with `oracles.plaquette_trail`); the id tables and the NDXOR
+    # program are built once per table over a round trip
     assert not hasattr(graph.Plaquette, "trail")
     sk = build_chromotopology(n, gens)
     adk = dashed(sk, heights)
@@ -199,21 +199,20 @@ def test_trails_are_built_once_per_table(id_builds, n, gens, heights):
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
-def test_heads_are_built_once_beside_the_incidence(n, gens, heights):
+def test_incidence_files_each_plaquette_by_its_landing_end(n, gens, heights):
     sk = build_chromotopology(n, gens)
     adk = dashed(sk, heights)
-    heads, incidence = sk._table.heads, sk._table.incidence
+    incidence = sk._table.incidence
     rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
     assert rebuilt == adk
-    assert len(heads) == len(incidence) == len(sk.edges)
-    plaqs = plaquettes(sk)
-    for i, ids in enumerate(incidence):
-        # the node each trail through edge i steps onto, in incidence order
-        assert heads[i] == [
-            to for j in ids for _, to, f in oracles.plaquette_trail(plaqs[j])
-            if f == sk.edges[i]]
+    want = [([], []) for _ in sk.edges]
+    for j, p in enumerate(plaquettes(sk)):
+        # the oracle trail's step along each edge lands on its u or its v
+        for _, to, e in oracles.plaquette_trail(p):
+            want[sk.edges.index(e)][to == e.v].append(j)
+    assert incidence == want
     propagate_directions(adk, choose_pinned_arrows(adk))
-    assert adk._table.heads is heads and sk._table.incidence is incidence
+    assert adk._table.incidence is incidence
 
 
 def test_program_is_compiled_once_for_the_baobab_slots(id_builds):
