@@ -39,10 +39,14 @@ from .graph import (
     verify_heights,
     verify_odd_dashing,
 )
-from .quaternion import (  # noqa: F401  (part of the public surface here)
-    QuaternionCompletion,
-    quaternion_baobab_completions,
-)
+
+
+def __getattr__(name):  # the quaternion completions, re-exported on first use
+    if name not in ("QuaternionCompletion", "quaternion_baobab_completions"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quaternion
+    return getattr(quaternion, name)
+
 
 # ---------- gates ----------
 
@@ -151,19 +155,32 @@ class GateTrace:
         return GateTrace, (self.length, self.steps)
 
     def to_jsonl(self) -> str:
-        def edge_row(e: Edge, b: int) -> dict:
-            return {"u": bit_string(e.u, self.length),
-                    "v": bit_string(e.v, self.length),
-                    "color": e.color, "bit": b}
-
-        rows = [json.dumps({
-            "gate": s.gate,
-            "colors": list(s.colors),
-            "base": bit_string(s.base, self.length),
-            "corners": [bit_string(c, self.length) for c in s.corners],
-            "inputs": [edge_row(e, b) for e, b in s.inputs],
-            "output": edge_row(*s.output),
-        }) for s in self.steps]
+        """One `json.dumps` object per step and line.  Rows whose fields
+        are plain ints, with gate NDXOR or DXOR, are written without the
+        encoder, as `graph.to_json` does; others go through it."""
+        length = self.length
+        label = _Labels(length)
+        rows = []
+        for s in self.steps:
+            pairs = (*s.inputs, s.output)
+            ints = [*s.colors, s.base, *s.corners]
+            for e, b in pairs:
+                ints += e
+                ints.append(b)
+            if s.gate not in ("NDXOR", "DXOR") or not {int}.issuperset(
+                    map(type, ints)):
+                rows.append(json.dumps(_step_object(s, length)))
+                continue
+            colors = ", ".join(map(str, s.colors))
+            base = label[s.base]
+            corners = '", "'.join([label[c] for c in s.corners])
+            edges = [f'{{"u": "{label[e.u]}", "v": "{label[e.v]}", '
+                     f'"color": {e.color}, "bit": {b}}}' for e, b in pairs]
+            inputs = ", ".join(edges[:-1])
+            rows.append(
+                f'{{"gate": "{s.gate}", "colors": [{colors}], '
+                f'"base": "{base}", "corners": ["{corners}"], '
+                f'"inputs": [{inputs}], "output": {edges[-1]}}}')
         return "\n".join(rows) + ("\n" if rows else "")
 
     @classmethod
@@ -266,6 +283,34 @@ class GateTrace:
                 raise ReplayError(f"step {num}: output {e} already oriented")
             heads[e] = head
         return heads
+
+
+class _Labels(dict):
+    """Node int -> its `bit_string`, rendered on first lookup."""
+
+    def __init__(self, length: int):
+        super().__init__()
+        self.length = length
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = bit_string(x, self.length)
+        return text
+
+
+def _step_object(s: GateStep, length: int) -> dict:
+    """A trace row as the object `json.dumps` renders."""
+    def edge_row(e: Edge, b: int) -> dict:
+        return {"u": bit_string(e.u, length), "v": bit_string(e.v, length),
+                "color": e.color, "bit": b}
+
+    return {
+        "gate": s.gate,
+        "colors": list(s.colors),
+        "base": bit_string(s.base, length),
+        "corners": [bit_string(c, length) for c in s.corners],
+        "inputs": [edge_row(e, b) for e, b in s.inputs],
+        "output": edge_row(*s.output),
+    }
 
 
 _MIXED_LENGTHS = "inconsistent label lengths in trace"
@@ -608,19 +653,21 @@ def heights_from_directions(
     skeleton: Adinkra, heads: Mapping[Edge, int]
 ) -> dict[int, int]:
     """Integrate arrows into heights (head = tail + 1), minimum at 0."""
-    incident: dict[int, list[Edge]] = {x: [] for x in skeleton.nodes}
+    # per node, (neighbour, rise to it, edge): each head read once
+    steps: dict[int, list] = {x: [] for x in skeleton.nodes}
     for e in skeleton.edges:
         if e not in heads:
             raise InputError(f"direction missing for edge {e}")
-        _check_head(e, heads[e])
-        incident[e.u].append(e)
-        incident[e.v].append(e)
+        u, v, _ = e
+        rise = 1 if _check_head(e, heads[e]) == v else -1
+        steps[u].append((v, rise, e))
+        steps[v].append((u, -rise, e))
     heights = {skeleton.nodes[0]: 0}
     queue = [skeleton.nodes[0]]
     for x in queue:  # breadth first: the loop reads what it appends
-        for e in incident[x]:
-            other = e.v if e.u == x else e.u
-            h = heights[x] + (1 if heads[e] == other else -1)
+        base = heights[x]
+        for other, rise, e in steps[x]:
+            h = base + rise
             if other in heights:
                 if heights[other] != h:
                     raise ContradictionError(

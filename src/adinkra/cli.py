@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import baobab as baobab_mod
-from . import _kernels, codec, dot, graph
 from .errors import (
     AdinkraError,
     AmbiguousCorrectionError,
@@ -58,9 +56,13 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 # ---------- subcommands ----------
+# Each one imports the submodules it runs, so that a call loads no more
+# of the library than it uses.
 
 
 def _cmd_build(args) -> int:
+    from . import baobab as baobab_mod, graph
+
     gens = [g for g in (args.code.split(",") if args.code else []) if g]
     adinkra = graph.build_chromotopology(args.n, gens)
     if not args.skeleton:
@@ -75,6 +77,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import graph
+
     adinkra = graph.from_json(_read_text(args.file))
     failed = False
     report = graph.verify_odd_dashing(adinkra)
@@ -95,6 +99,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_baobab(args) -> int:
+    from . import baobab as baobab_mod, graph
+
     adinkra = graph.from_json(_read_text(args.file))
     result = baobab_mod.extract_baobab(adinkra)
     _write_text(args.output, result.to_json())
@@ -102,6 +108,8 @@ def _cmd_baobab(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import baobab as baobab_mod, graph
+
     bb = baobab_mod.Baobab.from_json(_read_text(args.file))
     gens = list(bb.code_generators)
     skeleton = graph.build_chromotopology(bb.n, gens)
@@ -115,6 +123,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_dof(args) -> int:
+    from . import _kernels, baobab as baobab_mod
+
     # the counts grow as 2**n: refuse n above the guard, as `build` does
     _kernels.check_guard(args.n, "degree-of-freedom count")
     if args.directed:
@@ -126,6 +136,8 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from . import codec
+
     family = codec.parse_family(args.family)
     vector = codec.encode(args.message, family)
     sys.stdout.write(codec.format_wire(vector))
@@ -133,6 +145,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import codec
+
     vector = codec.parse_wire(_read_text(args.file))
     result = codec.decode(vector, max_flips=args.max_flips)
     if result.flips:
@@ -142,6 +156,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from . import codec
+
     vector = codec.parse_wire(_read_text(args.file))
     corrupted, positions = codec.inject_errors(vector, args.flips, args.seed)
     print(f"flipped positions: {list(positions)}", file=sys.stderr)
@@ -150,15 +166,19 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from . import codec
+
     family = codec.parse_family(args.family)
     print(codec.min_distance(family))
     return 0
 
 
 def _cmd_export_dot(args) -> int:
-    text = _read_text(args.file)
     import json as _json
 
+    from . import baobab as baobab_mod, dot, graph
+
+    text = _read_text(args.file)
     try:
         keys = set(_json.loads(text))
     except Exception:

@@ -780,6 +780,26 @@ def naive_replay_directions(trace: GateTrace,
     return heads
 
 
+def naive_trace_jsonl(trace: GateTrace) -> str:
+    """`GateTrace.to_jsonl` as first written: every row through
+    `json.dumps` of nested dicts."""
+    length = trace.length
+
+    def edge_row(e: Edge, b: int) -> dict:
+        return {"u": bit_string(e.u, length), "v": bit_string(e.v, length),
+                "color": e.color, "bit": b}
+
+    rows = [json.dumps({
+        "gate": s.gate,
+        "colors": list(s.colors),
+        "base": bit_string(s.base, length),
+        "corners": [bit_string(c, length) for c in s.corners],
+        "inputs": [edge_row(e, b) for e, b in s.inputs],
+        "output": edge_row(*s.output),
+    }) for s in trace.steps]
+    return "".join(row + "\n" for row in rows)
+
+
 # ---------- exact algebra on Monomial objects ----------
 #
 # The library's matrix products, sums and relation checks as first

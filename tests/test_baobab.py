@@ -16,6 +16,7 @@ from adinkra import (
     Baobab,
     ContradictionError,
     Edge,
+    GateStep,
     GateTrace,
     InputError,
     InsufficientPinningError,
@@ -297,6 +298,45 @@ def test_trace_jsonl_roundtrip_and_replay():
     parsed = GateTrace.from_jsonl(trace.to_jsonl())
     assert parsed == trace
     assert parsed.replay_dashing(seed) == bits
+
+
+def test_trace_rows_equal_the_encoder_oracle():
+    # to_jsonl writes plain-int rows itself and sends every other row
+    # through json.dumps; the oracle sends every row through it
+    corpus = [a for a, _ in structure_corpus()]
+    for sk in corpus[:8] + corpus[-3:]:  # n1-n8, n3/1111, e8, RM(1,4)
+        tree, cycles, _ = skeleton_baobab_edges(sk)
+        signs, _ = reconstruct_dashing(sk, {e: 1 for e in tree + cycles})
+        adk = sk.with_dashing(signs).with_heights(valise_heights(sk))
+        _, dash, dirs = reconstruct_adinkra(sk, extract_baobab(adk))
+        for trace in (dash, dirs):
+            assert trace.to_jsonl() == oracles.naive_trace_jsonl(trace)
+    e, f, g, h = Edge(0, 1, 0), Edge(1, 3, 1), Edge(2, 3, 0), Edge(0, 2, 1)
+    plain = GateStep("NDXOR", (0, 1), 0, (0, 1, 3, 2),
+                     ((e, 1), (f, 0), (g, 1)), (h, 0))
+    for step in [plain, plain._replace(gate="DXOR", inputs=((e, 1), (f, 1)))]:
+        trace = GateTrace(2, (step,))
+        assert trace.to_jsonl() == oracles.naive_trace_jsonl(trace)
+    for step, shown in [
+        (plain._replace(output=(h, True)), '"bit": true}}'),
+        (plain._replace(inputs=((Edge(0, 1, 0.0), 1), (f, 0), (g, 1))),
+         '"color": 0.0,'),
+        (plain._replace(colors=(0, True)), '"colors": [0, true]'),
+        (plain._replace(gate="XOR"), '"gate": "XOR"'),
+    ]:
+        trace = GateTrace(2, (plain, step))
+        text = trace.to_jsonl()
+        assert text == oracles.naive_trace_jsonl(trace)
+        assert shown in text.splitlines()[1]
+    assert GateTrace(0, ()).to_jsonl() == ""
+    # a label that does not fit fails as bit_string fails, base first
+    for step in (plain._replace(base=4, corners=(0, 1, 3, 9)),
+                 plain._replace(output=(Edge(0, 8, 1), 0))):
+        with pytest.raises(InputError) as got:
+            GateTrace(2, (step,)).to_jsonl()
+        with pytest.raises(InputError) as want:
+            oracles.naive_trace_jsonl(GateTrace(2, (step,)))
+        assert str(got.value) == str(want.value)
 
 
 def test_replay_rejects_tampered_traces():

@@ -341,3 +341,120 @@ def test_cli_import_pulls_in_no_numeric_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------- import surface ----------
+
+# `adinkra.__all__` when the package imported every submodule eagerly
+PACKAGE_ALL = [
+    "Adinkra", "AdinkraError", "AffineCode", "AmbiguousCorrectionError",
+    "Baobab", "ContradictionError", "Correction", "DT", "DecodeResult",
+    "DoublyEvenCode", "Edge", "EdgeBitVector", "Family", "GammaSet",
+    "GateStep", "GateTrace", "GradedSumError", "I_UNIT", "InputError",
+    "InsufficientPinningError", "LinearBinaryCode", "MINUS_ONE", "Monomial",
+    "MonomialMatrix", "ONE", "Plaquette", "QUATERNION_FAMILY", "ReplayError",
+    "SizeGuardError", "Syndrome", "UncorrectableError",
+    "UnderDeterminedError", "VerificationReport", "ZERO", "adinkra_to_gamma",
+    "algebra", "anticommutator", "baobab", "bit_string", "boson_nodes",
+    "build_chromotopology", "build_quotient_skeleton",
+    "canonical_quaternion_matrices", "canonical_representative",
+    "check_block_transpose", "check_garden", "check_quaternion",
+    "choose_pinned_arrows", "codec", "codes", "color_bit", "correct",
+    "count_valid_dashings", "dashing_dof", "decode", "directed_dof_bounds",
+    "dxor", "edge_between", "encode", "errors", "extract_baobab",
+    "family_code", "fermion_nodes", "fill_erasures", "format_wire",
+    "from_json", "gf2_rref", "gf2_span", "graph", "inject_errors",
+    "is_boson", "is_doubly_even", "mat_add", "mat_mul", "mat_neg",
+    "message_length", "min_distance", "ndxor", "neighbor",
+    "normalize_heights", "parse_bit_string", "parse_family", "parse_wire",
+    "plaquette_count", "plaquette_masks", "plaquettes", "quaternion",
+    "quaternion_baobab_completions", "reconstruct_adinkra",
+    "reconstruct_dashing", "reconstruct_directions", "skeleton_baobab_edges",
+    "skeleton_tree", "strip_derivatives", "syndrome", "to_json",
+    "valise_heights", "verify_heights", "verify_odd_dashing", "weight",
+    "weight_heights",
+]
+
+_GRAPH = {"adinkra", "adinkra._kernels", "adinkra.cli", "adinkra.codes",
+          "adinkra.errors", "adinkra.graph"}
+_BAOBAB = _GRAPH | {"adinkra.baobab"}
+_CODEC = _BAOBAB | {"adinkra.algebra", "adinkra.codec", "adinkra.quaternion"}
+
+# subcommand -> (argv, the stdin it reads, the adinkra modules it loads)
+MODULE_SETS = {
+    "verify": (["verify"], "built", _GRAPH),
+    "build": (["build", "--n", "3"], None, _BAOBAB),
+    "baobab": (["baobab"], "built", _BAOBAB),
+    "reconstruct": (["reconstruct"], "baobab", _BAOBAB),
+    "dof": (["dof", "--n", "3"], None, _BAOBAB),
+    "export-dot": (["export-dot"], "built", _BAOBAB | {"adinkra.dot"}),
+    "encode": (["encode", "--family", "quaternion", "--message", "101"],
+               None, _CODEC),
+    "inject": (["inject", "--flips", "1", "--seed", "1"], "wire", _CODEC),
+    "decode": (["decode"], "wire", _CODEC),
+    "distance": (["distance", "--family", "quaternion"], None, _CODEC),
+}
+
+# run the CLI in-process and print its exit code and the loaded modules
+_LOADED_BY_RUN = (
+    "import contextlib, io, sys\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    from adinkra.cli import run\n"
+    "    code = run(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules\n"
+    "                    if m.partition('.')[0] == 'adinkra'))\n"
+)
+
+
+def _fresh_interpreter(code, argv=(), stdin=""):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _fresh_interpreter(
+        "import sys, adinkra\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('adinkra')))")
+    assert out.split() == ["adinkra"]
+
+
+@pytest.mark.parametrize("command", sorted(MODULE_SETS))
+def test_each_subcommand_loads_only_what_it_runs(
+        command, capsys, monkeypatch):
+    argv, reads, want = MODULE_SETS[command]
+    _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "3"])
+    _, baobab, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
+    _, wire, _ = invoke(capsys, monkeypatch, MODULE_SETS["encode"][0])
+    stdin = {None: "", "built": built, "baobab": baobab, "wire": wire}[reads]
+    code, *loaded = _fresh_interpreter(_LOADED_BY_RUN, argv, stdin).split()
+    assert code == "0"
+    assert set(loaded) == want
+
+
+def test_package_exports_resolve_on_first_access():
+    import adinkra
+    from adinkra import baobab, quaternion
+
+    assert adinkra.__all__ == PACKAGE_ALL
+    assert set(PACKAGE_ALL) <= set(dir(adinkra))
+    for name in PACKAGE_ALL:
+        value = getattr(adinkra, name)
+        assert value is vars(adinkra)[name]  # cached after the first read
+    namespace = {}
+    exec("from adinkra import *", namespace)
+    assert all(namespace[name] is getattr(adinkra, name)
+               for name in PACKAGE_ALL)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        adinkra.no_such_name
+    assert (baobab.quaternion_baobab_completions
+            is quaternion.quaternion_baobab_completions)
+    assert baobab.QuaternionCompletion is quaternion.QuaternionCompletion
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        baobab.no_such_name
