@@ -24,8 +24,8 @@ _EXPORTS = {
     "graph": """Adinkra Edge Plaquette VerificationReport boson_nodes
         build_chromotopology build_quotient_skeleton edge_between
         fermion_nodes from_json is_boson neighbor normalize_heights
-        plaquette_count plaquette_masks plaquettes to_json valise_heights
-        verify_heights verify_odd_dashing weight_heights""",
+        plaquette_count plaquettes to_json valise_heights verify_heights
+        verify_odd_dashing weight_heights""",
     "algebra": """DT GammaSet I_UNIT MINUS_ONE Monomial MonomialMatrix ONE
         ZERO adinkra_to_gamma anticommutator canonical_quaternion_matrices
         check_block_transpose check_garden check_quaternion mat_add mat_mul

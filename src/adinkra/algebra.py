@@ -214,88 +214,54 @@ class MonomialMatrix:
         return f"MonomialMatrix(dim={self.dim})\n{self.to_text()}"
 
 
-# ---------- exact arithmetic on integer triples ----------
-#
-# Products and sums run on rows that map a column to its entry as a
-# plain (re, im, dpow) triple, never a zero one.  Monomial objects are
-# built only for the entries of a returned matrix and for reported
-# violations.
-
-_Rows = list[dict[int, tuple[int, int, int]]]
+# ---------- exact arithmetic ----------
 
 
-def _triples(m: MonomialMatrix) -> _Rows:
-    return [{c: (x.re, x.im, x.dpow) for c, x in row.items()}
-            for row in m._rows]
+def _accumulate(rows: list[dict[int, Monomial]], r: int, c: int,
+                term: Monomial) -> None:
+    """Add a nonzero `term` to entry (r, c) of `rows`; an entry that
+    cancels is dropped, and adding entries of different derivative power
+    raises."""
+    row = rows[r]
+    cur = row.get(c)
+    if cur is None:
+        row[c] = term
+        return
+    if cur.dpow != term.dpow:
+        raise GradedSumError(
+            f"mixed derivative powers at entry ({r}, {c}): {cur} + {term}"
+        )
+    acc = cur.add(term)
+    if acc.is_zero:
+        del row[c]
+    else:
+        row[c] = acc
 
 
-def _matrix(rows: _Rows) -> MonomialMatrix:
-    out = MonomialMatrix(len(rows))
-    out._rows = [{c: Monomial(*t) for c, t in row.items()} for row in rows]
-    return out
-
-
-def _accumulate_terms(dim: int, terms) -> _Rows:
-    """Sum (row, col, re, im, dpow) terms into triple rows, in order;
-    entries that cancel are dropped, and adding entries of different
-    derivative power raises."""
-    rows = [{} for _ in range(dim)]
-    for r, c, re, im, dpow in terms:
-        row = rows[r]
-        cur = row.get(c)
-        if cur is not None:
-            if cur[2] != dpow:
-                raise GradedSumError(
-                    f"mixed derivative powers at entry ({r}, {c}): "
-                    f"{Monomial(*cur)} + {Monomial(re, im, dpow)}"
-                )
-            re += cur[0]
-            im += cur[1]
-            if not (re or im):
-                del row[c]
-                continue
-        row[c] = (re, im, dpow)
-    return rows
-
-
-def _check_dims(a, b) -> None:
-    if len(a) != len(b):
-        raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-
-
-def _product(a, b) -> _Rows:
-    _check_dims(a, b)
-    return _accumulate_terms(len(a), (
-        (t, s, re1 * re2 - im1 * im2, re1 * im2 + im1 * re2, p1 + p2)
-        for t, row in enumerate(a)
-        for u, (re1, im1, p1) in row.items()
-        for s, (re2, im2, p2) in b[u].items()
-    ))
-
-
-def _sum(a, b) -> _Rows:
-    """Entrywise a + b: a's entries, then b's, each in row-major order."""
-    _check_dims(a, b)
-    return _accumulate_terms(len(a), (
-        (r, c, *t)
-        for m in (a, b)
-        for r, row in enumerate(m)
-        for c, t in sorted(row.items())
-    ))
-
-
-def _anticommutator(a, b) -> _Rows:
-    ab = _product(a, b)
-    # for {A, A} the second product would repeat the first exactly
-    return _sum(ab, ab if a is b else _product(b, a))
+def _check_dims(a: MonomialMatrix, b: MonomialMatrix) -> None:
+    if a.dim != b.dim:
+        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def mat_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    return _matrix(_product(_triples(a), _triples(b)))
+    """a·b, its terms summed over t, u, s in insertion order."""
+    _check_dims(a, b)
+    out = MonomialMatrix(a.dim)
+    for t, row in enumerate(a._rows):
+        for u, x in row.items():
+            for s, y in b._rows[u].items():
+                _accumulate(out._rows, t, s, x.mul(y))
+    return out
 
 
 def mat_add(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    return _matrix(_sum(_triples(a), _triples(b)))
+    """Entrywise a + b: a's entries, then b's, each in row-major order."""
+    _check_dims(a, b)
+    out = MonomialMatrix(a.dim)
+    for m in (a, b):
+        for r, c, x in m.iter_entries():
+            _accumulate(out._rows, r, c, x)
+    return out
 
 
 def mat_neg(a: MonomialMatrix) -> MonomialMatrix:
@@ -303,7 +269,9 @@ def mat_neg(a: MonomialMatrix) -> MonomialMatrix:
 
 
 def anticommutator(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    return _matrix(_anticommutator(_triples(a), _triples(b)))
+    ab = mat_mul(a, b)
+    # for {A, A} the second product would repeat the first exactly
+    return mat_add(ab, ab if a is b else mat_mul(b, a))
 
 
 # ---------- transformation matrices from an adinkra ----------
@@ -423,16 +391,16 @@ class AlgebraReport:
         return tuple(seen)
 
 
-def _compare(relation: str, got, want, out: list) -> None:
-    """Report every entry where triple rows `got` and `want` differ."""
-    for r, (grow, wrow) in enumerate(zip(got, want)):
+def _compare(relation: str, got: MonomialMatrix, want: MonomialMatrix,
+             out: list) -> None:
+    """Report every entry where `got` and `want` differ."""
+    for r, (grow, wrow) in enumerate(zip(got._rows, want._rows)):
         if grow == wrow:
             continue
         for c in sorted(grow.keys() | wrow.keys()):
-            g, w = grow.get(c, (0, 0, 0)), wrow.get(c, (0, 0, 0))
+            g, w = grow.get(c, ZERO), wrow.get(c, ZERO)
             if g != w:
-                out.append(AlgebraViolation(relation, r, c, Monomial(*g),
-                                            Monomial(*w)))
+                out.append(AlgebraViolation(relation, r, c, g, w))
 
 
 def _unit_rows(m: MonomialMatrix):
@@ -450,7 +418,7 @@ def _unit_pair_holds(a, b, same: bool) -> bool:
     {A, A} holds iff every walk t -> a[t] -> a[a[t]] returns to t with
     coefficient i and one derivative, and {A, B} iff the A-then-B and
     B-then-A walks end on one column at one grade with opposite
-    coefficients.  A pair that holds here holds in the triple rows too.
+    coefficients.  A pair that holds here holds in `anticommutator` too.
     """
     if same:
         for t, (u, re1, im1, p1) in enumerate(a):
@@ -474,7 +442,7 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
 
     A pair of matrices with one entry in every row is decided on unit
     rows in one pass; a pair that fails there, and any other pair, goes
-    through the triple-row arithmetic, which writes the violations."""
+    through `anticommutator`, whose entries give the violations."""
     colors = sorted(gammas.matrices)
     units = {c: _unit_rows(gammas.matrices[c]) for c in colors}
     violations: list[AlgebraViolation] = []
@@ -484,10 +452,9 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
             if (ua is not None and ub is not None and len(ua) == len(ub)
                     and _unit_pair_holds(ua, ub, ci == cj)):
                 continue
-            a = _triples(gammas.matrices[ci])
-            b = a if ci == cj else _triples(gammas.matrices[cj])
             try:
-                got = _anticommutator(a, b)
+                got = anticommutator(gammas.matrices[ci],
+                                     gammas.matrices[cj])
             except GradedSumError as exc:
                 violations.append(
                     AlgebraViolation(
@@ -497,8 +464,8 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
                 if stop_early:
                     return AlgebraReport("garden", tuple(violations))
                 continue
-            want = ([{r: (0, 2, 1)} for r in range(gammas.dim)] if ci == cj
-                    else [{}] * gammas.dim)
+            want = (MonomialMatrix.identity(gammas.dim, Monomial(0, 2, 1))
+                    if ci == cj else MonomialMatrix(gammas.dim))
             _compare(f"{{G{ci}, G{cj}}}", got, want, violations)
             if violations and stop_early:
                 return AlgebraReport("garden", tuple(violations))
@@ -508,14 +475,6 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
 def strip_derivatives(m: MonomialMatrix) -> MonomialMatrix:
     """Reduce each entry to a bare sign, discarding phase and d/dt."""
     return m.map_entries(Monomial.drop_phase_and_derivative)
-
-
-def _transpose(rows) -> _Rows:
-    out = [{} for _ in rows]
-    for r, row in enumerate(rows):
-        for c, t in row.items():
-            out[c][r] = t
-    return out
 
 
 def check_block_transpose(gammas: GammaSet) -> AlgebraReport:
@@ -528,21 +487,19 @@ def check_block_transpose(gammas: GammaSet) -> AlgebraReport:
         c: strip_derivatives(m) for c, m in sorted(gammas.matrices.items())
     }
     blocks = {
-        c: (_triples(m.block(br, fr)), _triples(m.block(fr, br)))
+        c: (m.block(br, fr), m.block(fr, br))
         for c, m in stripped.items()
     }
     for c, (upper, lower) in blocks.items():
-        _compare(f"G{c} block transpose", _transpose(upper), lower,
+        _compare(f"G{c} block transpose", upper.transpose(), lower,
                  violations)
     for ci, (_, lower_i) in blocks.items():
         for cj, (upper_j, _) in blocks.items():
             if ci == cj:
                 continue
-            prod = _product(lower_i, upper_j)
-            neg = [{c: (-re, -im, p) for c, (re, im, p) in row.items()}
-                   for row in prod]
-            _compare(f"G{ci}·G{cj} antisymmetry", _transpose(prod), neg,
-                     violations)
+            prod = mat_mul(lower_i, upper_j)
+            _compare(f"G{ci}·G{cj} antisymmetry", prod.transpose(),
+                     mat_neg(prod), violations)
     return AlgebraReport("block-transpose", tuple(violations))
 
 
@@ -591,15 +548,14 @@ def check_quaternion(matrices: Mapping[str, MonomialMatrix]) -> AlgebraReport:
                     f"matrix {name!r} entry ({r}, {c}) = {mono} is not a "
                     "plain sign"
                 )
-    i, j, k = (_triples(m) for m in (mi, mj, mk))
-    neg_id = [{r: (-1, 0, 0)} for r in range(4)]
-    zero = [{} for _ in range(4)]
+    neg_id = MonomialMatrix.identity(4, MINUS_ONE)
+    zero = MonomialMatrix(4)
     violations: list[AlgebraViolation] = []
-    _compare("i^2", _product(i, i), neg_id, violations)
-    _compare("j^2", _product(j, j), neg_id, violations)
-    _compare("k^2", _product(k, k), neg_id, violations)
-    _compare("ijk", _product(_product(i, j), k), neg_id, violations)
-    _compare("{i,j}", _anticommutator(i, j), zero, violations)
-    _compare("{i,k}", _anticommutator(i, k), zero, violations)
-    _compare("{j,k}", _anticommutator(j, k), zero, violations)
+    _compare("i^2", mat_mul(mi, mi), neg_id, violations)
+    _compare("j^2", mat_mul(mj, mj), neg_id, violations)
+    _compare("k^2", mat_mul(mk, mk), neg_id, violations)
+    _compare("ijk", mat_mul(mat_mul(mi, mj), mk), neg_id, violations)
+    _compare("{i,j}", anticommutator(mi, mj), zero, violations)
+    _compare("{i,k}", anticommutator(mi, mk), zero, violations)
+    _compare("{j,k}", anticommutator(mj, mk), zero, violations)
     return AlgebraReport("quaternion", tuple(violations))

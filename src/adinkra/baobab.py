@@ -1114,7 +1114,8 @@ def dashing_code(skeleton: Adinkra) -> AffineCode | None:
 
 
 def count_valid_dashings(skeleton: Adinkra) -> int:
-    """Number of dashings with odd parity on every plaquette: 2**dim of
-    `dashing_code`, or 0 without a program (the quaternion skeleton)."""
-    code = dashing_code(skeleton)
-    return 0 if code is None else code.count()
+    """Number of dashings with odd parity on every plaquette: 2**|slots|
+    of the compiled NDXOR program (see `_compile_ndxor`), or 0 without
+    one (the quaternion skeleton)."""
+    program = _ndxor_program(skeleton)
+    return 0 if program is None else 1 << len(program.slots)

@@ -174,18 +174,13 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    import json as _json
-
     from . import baobab as baobab_mod, dot, graph
 
     text = _read_text(args.file)
-    try:
-        keys = set(_json.loads(text))
-    except Exception:
-        raise InputError("input is not JSON")
-    if "tree_edges" in keys:
+    doc = graph.load_json_object(text, ())
+    if "tree_edges" in doc:
         out = dot.baobab_to_dot(baobab_mod.Baobab.from_json(text))
-    elif "edges" in keys:
+    elif "edges" in doc:
         out = dot.adinkra_to_dot(graph.from_json(text))
     else:
         raise InputError("JSON is neither an adinkra nor a baobab")

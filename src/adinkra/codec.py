@@ -16,7 +16,6 @@ from itertools import combinations
 from operator import xor
 
 from . import _kernels
-from .algebra import check_quaternion
 from .baobab import (
     _ndxor_program,
     dashing_code,
@@ -37,11 +36,6 @@ from .graph import (
     build_chromotopology,
     chromotopology_code,
     json_int,
-)
-from .quaternion import (
-    CANONICAL_DIRECTIONS,
-    matrices_from_directions,
-    quaternion_skeleton,
 )
 
 DASHING = "dashing"
@@ -134,6 +128,7 @@ def family_skeleton(family: Family) -> Adinkra:
 def _family_skeleton(family: Family) -> Adinkra:
     code = _quotient_code(family)
     if code is None:
+        from .quaternion import quaternion_skeleton
         return quaternion_skeleton()
     return build_chromotopology(family.n, code)
 
@@ -319,6 +314,8 @@ def syndrome(vector: EdgeBitVector) -> Syndrome:
             if not b[w] ^ b[x] ^ b[y] ^ b[z]
         )
         return Syndrome(family, violated)
+    from .algebra import check_quaternion
+    from .quaternion import matrices_from_directions
     directions = dict(zip(skeleton.edges, vector.bits))
     report = check_quaternion(matrices_from_directions(directions))
     return Syndrome(family, report.violated_relations())
@@ -425,6 +422,7 @@ def family_code(family: Family) -> AffineCode:
                 f"no block of {family.header()} satisfies every plaquette"
             )
         return code
+    from .quaternion import CANONICAL_DIRECTIONS
     edges = skeleton.edges
     switches = (sum(1 << i for i, e in enumerate(edges) if x in (e.u, e.v))
                 for x in skeleton.nodes)

@@ -383,13 +383,6 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     return tuple(out)
 
 
-def plaquette_masks(adinkra: Adinkra) -> tuple[int, ...]:
-    """One parity-check mask per plaquette, in `plaquettes` order: bit i
-    is set when edge i (canonical edge order) lies on the plaquette."""
-    return tuple(1 << a | 1 << b | 1 << c | 1 << d
-                 for a, b, c, d in _plaquette_ids(adinkra).quads)
-
-
 def plaquette_count(adinkra: Adinkra) -> int:
     length, n = adinkra.length, adinkra.n
     if n < 2:

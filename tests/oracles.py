@@ -804,7 +804,7 @@ def naive_trace_jsonl(trace: GateTrace) -> str:
 #
 # The library's matrix products, sums and relation checks as first
 # written: every intermediate entry is a validated Monomial and every
-# sum goes through Monomial.add.  The triple-based arithmetic must give
+# sum goes through Monomial.add.  The library's arithmetic must give
 # the same matrices, errors and violation lists, in the same order.
 
 

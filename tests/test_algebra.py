@@ -305,7 +305,7 @@ def test_check_quaternion_rejects_malformed_inputs():
         check_quaternion(bad)
 
 
-# ---------- triple arithmetic against the Monomial-object oracles ----------
+# ---------- library arithmetic against the Monomial-object oracles ----------
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 GARDEN_FAMILIES = [(2, ()), (3, ()), (4, ()), (5, ()), (6, ()),
@@ -404,7 +404,7 @@ def monomial_matrices(draw, dim):
 @given(st.integers(1, 4).flatmap(
     lambda dim: st.lists(monomial_matrices(dim), min_size=3, max_size=3)))
 @settings(max_examples=300, deadline=None)
-def test_triple_arithmetic_matches_oracle_on_cancelling_mixed_entries(mats):
+def test_arithmetic_matches_oracle_on_cancelling_mixed_entries(mats):
     a, b, c = mats
     for ours, theirs in ((mat_mul, oracles.naive_mat_mul),
                          (mat_add, oracles.naive_mat_add),
@@ -450,7 +450,7 @@ def test_gamma_blocks_match_cell_by_cell_oracle(n, gens):
                     oracles.naive_block, m, rows, cols)
 
 
-def test_triple_arithmetic_rejects_mismatched_dimensions():
+def test_arithmetic_rejects_mismatched_dimensions():
     for fn in (mat_mul, mat_add, anticommutator):
         got = outcome(fn, MonomialMatrix(2), MonomialMatrix(3))
         assert got == (InputError, "dimension mismatch: 2 vs 3")
@@ -524,12 +524,12 @@ def test_unit_row_garden_matches_oracle(gammas):
 
 
 class CountedAnticommutator:
-    """Stands in for `algebra._anticommutator` and counts its calls."""
+    """Stands in for `algebra.anticommutator` and counts its calls."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self.real = algebra._anticommutator
-        monkeypatch.setattr(algebra, "_anticommutator", self)
+        self.real = algebra.anticommutator
+        monkeypatch.setattr(algebra, "anticommutator", self)
 
     def __call__(self, a, b):
         self.calls += 1

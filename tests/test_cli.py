@@ -225,6 +225,21 @@ def test_export_dot_adinkra_and_baobab(capsys, monkeypatch):
     assert "penwidth" in dot or "label" in dot
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "invalid JSON: Expecting value"),
+    ("5", "expected a JSON object, got int"),
+    ("[{}]", "expected a JSON object, got list"),
+    ("[]", "expected a JSON object, got list"),
+    ('"x"', "expected a JSON object, got str"),
+    ("{}", "JSON is neither an adinkra nor a baobab"),
+])
+def test_export_dot_names_what_is_wrong_with_its_input(
+        text, message, capsys, monkeypatch):
+    code, out, err = invoke(capsys, monkeypatch, ["export-dot"], stdin=text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: input: {message}")
+
+
 def test_malformed_input_exits_two(capsys, monkeypatch):
     code, _, err = invoke(capsys, monkeypatch, ["verify"], stdin="not json")
     assert code == 2
@@ -367,7 +382,7 @@ PACKAGE_ALL = [
     "is_boson", "is_doubly_even", "mat_add", "mat_mul", "mat_neg",
     "message_length", "min_distance", "ndxor", "neighbor",
     "normalize_heights", "parse_bit_string", "parse_family", "parse_wire",
-    "plaquette_count", "plaquette_masks", "plaquettes", "quaternion",
+    "plaquette_count", "plaquettes", "quaternion",
     "quaternion_baobab_completions", "reconstruct_adinkra",
     "reconstruct_dashing", "reconstruct_directions", "skeleton_baobab_edges",
     "skeleton_tree", "strip_derivatives", "syndrome", "to_json",
@@ -378,9 +393,11 @@ PACKAGE_ALL = [
 _GRAPH = {"adinkra", "adinkra._kernels", "adinkra.cli", "adinkra.codes",
           "adinkra.errors", "adinkra.graph"}
 _BAOBAB = _GRAPH | {"adinkra.baobab"}
-_CODEC = _BAOBAB | {"adinkra.algebra", "adinkra.codec", "adinkra.quaternion"}
+_CODEC = _BAOBAB | {"adinkra.codec"}
+_QUATERNION = _CODEC | {"adinkra.algebra", "adinkra.quaternion"}
+_DASHING_FAMILY = "n=3;code=1111;scheme=dashing"
 
-# subcommand -> (argv, the stdin it reads, the adinkra modules it loads)
+# case -> (argv, the stdin it reads, the adinkra modules it loads)
 MODULE_SETS = {
     "verify": (["verify"], "built", _GRAPH),
     "build": (["build", "--n", "3"], None, _BAOBAB),
@@ -389,10 +406,13 @@ MODULE_SETS = {
     "dof": (["dof", "--n", "3"], None, _BAOBAB),
     "export-dot": (["export-dot"], "built", _BAOBAB | {"adinkra.dot"}),
     "encode": (["encode", "--family", "quaternion", "--message", "101"],
-               None, _CODEC),
+               None, _QUATERNION),
+    "encode-dashing": (["encode", "--family", _DASHING_FAMILY,
+                        "--message", "10110100"], None, _CODEC),
     "inject": (["inject", "--flips", "1", "--seed", "1"], "wire", _CODEC),
-    "decode": (["decode"], "wire", _CODEC),
-    "distance": (["distance", "--family", "quaternion"], None, _CODEC),
+    "decode": (["decode"], "wire", _QUATERNION),
+    "decode-dashing": (["decode"], "dashing wire", _CODEC),
+    "distance": (["distance", "--family", "quaternion"], None, _QUATERNION),
 }
 
 # run the CLI in-process and print its exit code and the loaded modules
@@ -432,7 +452,10 @@ def test_each_subcommand_loads_only_what_it_runs(
     _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "3"])
     _, baobab, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
     _, wire, _ = invoke(capsys, monkeypatch, MODULE_SETS["encode"][0])
-    stdin = {None: "", "built": built, "baobab": baobab, "wire": wire}[reads]
+    _, dashing_wire, _ = invoke(capsys, monkeypatch,
+                                MODULE_SETS["encode-dashing"][0])
+    stdin = {None: "", "built": built, "baobab": baobab, "wire": wire,
+             "dashing wire": dashing_wire}[reads]
     code, *loaded = _fresh_interpreter(_LOADED_BY_RUN, argv, stdin).split()
     assert code == "0"
     assert set(loaded) == want

@@ -552,7 +552,7 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
     def refuse(*args):
         raise AssertionError("check_quaternion called")
 
-    for module in (algebra, quaternion, codec):
+    for module in (algebra, quaternion):
         monkeypatch.setattr(module, "check_quaternion", refuse)
     code = family_code.__wrapped__(QUATERNION_FAMILY)
     words = [sum(b << i for i, b in enumerate(w))

@@ -11,7 +11,6 @@ from adinkra import (
     SizeGuardError,
     build_chromotopology,
     count_valid_dashings,
-    plaquette_masks,
     plaquettes,
 )
 from adinkra._kernels import check_guard, guard_bits
@@ -167,7 +166,6 @@ def test_complete_matches_the_agreeing_codewords(case):
 def test_count_is_two_to_the_kernel_dimension(n, gens, edges):
     skeleton = build_chromotopology(n, gens)
     masks = [sum(1 << i for i in quad) for quad in plaquette_quads(skeleton)]
-    assert plaquette_masks(skeleton) == tuple(masks)
     assert len(skeleton.edges) == edges
     expected = 2 ** (edges - oracles.gf2_rank(masks))
     assert count_valid_dashings(skeleton) == expected

@@ -19,7 +19,6 @@ from adinkra import (
     count_valid_dashings,
     extract_baobab,
     from_json,
-    plaquette_masks,
     plaquettes,
     reconstruct_adinkra,
     reconstruct_dashing,
@@ -111,7 +110,6 @@ def test_round_trip_builds_the_table_once(builds, n, gens, heights):
     assert rebuilt == adk
     assert verify_odd_dashing(rebuilt).ok
     assert plaquettes(rebuilt.skeleton()) is plaquettes(sk)
-    assert len(plaquette_masks(adk)) == len(plaquettes(adk))
     count_valid_dashings(sk)
     assert len(builds) == 1 and builds[0] is sk
 
@@ -296,11 +294,10 @@ def test_custom_order_matches_restart_scan(builds, n, gens):
 
 
 def test_codec_reads_the_family_skeleton_table(builds):
-    # syndromes, plaquette masks and the dashing code read the one table
+    # syndromes and the dashing code read the one table
     family = Family(3, ("1111",), DASHING)
     skeleton = family_skeleton(family)
     block = encode((1,) * message_length(family), family).flip([0])
     assert len(syndrome(block).violated) == skeleton.length - 1
-    assert len(plaquette_masks(skeleton)) == len(plaquettes(skeleton))
     assert family_code.__wrapped__(family).dim == message_length(family)
     assert len(builds) <= 1
