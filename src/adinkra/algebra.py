@@ -14,6 +14,7 @@ from typing import Mapping
 from .errors import GradedSumError, InputError
 from .graph import (
     Adinkra,
+    VerificationReport,
     boson_nodes,
     fermion_nodes,
     verify_heights,
@@ -43,11 +44,6 @@ class Monomial:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    @property
-    def is_unit(self) -> bool:
-        """Coefficient in {1, -1, i, -i} (derivative power unconstrained)."""
-        return (abs(self.re), abs(self.im)) in ((1, 0), (0, 1))
 
     def mul(self, other: "Monomial") -> "Monomial":
         re = self.re * other.re - self.im * other.im
@@ -366,22 +362,8 @@ class AlgebraViolation:
         )
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    check: str
-    violations: tuple[AlgebraViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"{self.check}: ok"
-        return f"{self.check}: {len(self.violations)} violation(s)"
+class AlgebraReport(VerificationReport):
+    """A relation check's outcome; its violations are AlgebraViolations."""
 
     def violated_relations(self) -> tuple[str, ...]:
         seen = []
@@ -504,9 +486,6 @@ def check_block_transpose(gammas: GammaSet) -> AlgebraReport:
 
 
 # ---------- quaternion checks ----------
-
-QUATERNION_RELATIONS = ("i^2", "j^2", "k^2", "ijk", "{i,j}", "{i,k}", "{j,k}")
-
 
 def canonical_quaternion_matrices() -> dict[str, MonomialMatrix]:
     """The standard signed-permutation representation of i, j, k."""

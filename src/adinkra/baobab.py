@@ -31,8 +31,11 @@ from .graph import (
     _color_steps,
     _plaquette_ids,
     checked_heights,
+    json_edge,
+    json_header,
     json_int,
     json_object_rows,
+    json_scalar,
     load_json_object,
     normalize_heights,
     plaquettes,
@@ -155,30 +158,21 @@ class GateTrace:
         return GateTrace, (self.length, self.steps)
 
     def to_jsonl(self) -> str:
-        """One `json.dumps` object per step and line.  Rows whose fields
-        are plain ints, with gate NDXOR or DXOR, are written without the
-        encoder, as `graph.to_json` does; others go through it."""
-        length = self.length
-        label = _Labels(length)
+        """One step per line, as `json.dumps` writes the step's object,
+        built row by row without the encoder as `graph.to_json` is."""
+        label = _Labels(self.length)
         rows = []
         for s in self.steps:
-            pairs = (*s.inputs, s.output)
-            ints = [*s.colors, s.base, *s.corners]
-            for e, b in pairs:
-                ints += e
-                ints.append(b)
-            if s.gate not in ("NDXOR", "DXOR") or not {int}.issuperset(
-                    map(type, ints)):
-                rows.append(json.dumps(_step_object(s, length)))
-                continue
-            colors = ", ".join(map(str, s.colors))
+            colors = ", ".join(map(json_scalar, s.colors))
             base = label[s.base]
             corners = '", "'.join([label[c] for c in s.corners])
             edges = [f'{{"u": "{label[e.u]}", "v": "{label[e.v]}", '
-                     f'"color": {e.color}, "bit": {b}}}' for e, b in pairs]
+                     f'"color": {json_scalar(e.color)}, '
+                     f'"bit": {json_scalar(b)}}}'
+                     for e, b in (*s.inputs, s.output)]
             inputs = ", ".join(edges[:-1])
             rows.append(
-                f'{{"gate": "{s.gate}", "colors": [{colors}], '
+                f'{{"gate": {json.dumps(s.gate)}, "colors": [{colors}], '
                 f'"base": "{base}", "corners": ["{corners}"], '
                 f'"inputs": [{inputs}], "output": {edges[-1]}}}')
         return "\n".join(rows) + ("\n" if rows else "")
@@ -204,7 +198,7 @@ class GateTrace:
                 if length is None:
                     length = got
                 elif got != length:
-                    raise InputError(_MIXED_LENGTHS)
+                    raise InputError("inconsistent label lengths in trace")
                 steps.append(_parse_step(row, base, length))
             except json.JSONDecodeError as exc:
                 raise InputError(f"trace line {lineno}: invalid JSON ({exc})")
@@ -297,25 +291,6 @@ class _Labels(dict):
         return text
 
 
-def _step_object(s: GateStep, length: int) -> dict:
-    """A trace row as the object `json.dumps` renders."""
-    def edge_row(e: Edge, b: int) -> dict:
-        return {"u": bit_string(e.u, length), "v": bit_string(e.v, length),
-                "color": e.color, "bit": b}
-
-    return {
-        "gate": s.gate,
-        "colors": list(s.colors),
-        "base": bit_string(s.base, length),
-        "corners": [bit_string(c, length) for c in s.corners],
-        "inputs": [edge_row(e, b) for e, b in s.inputs],
-        "output": edge_row(*s.output),
-    }
-
-
-_MIXED_LENGTHS = "inconsistent label lengths in trace"
-
-
 def _parse_step(row, base: int, length: int) -> GateStep:
     """One trace row as a GateStep, with every field replay reads checked
     and every label `length` bits long."""
@@ -334,13 +309,7 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     def edge_bit(r, field: str) -> tuple[Edge, int]:
         if not isinstance(r, dict):
             raise InputError(f"{field} must be an edge object, got {r!r}")
-        if not json_int(r["color"]):
-            raise InputError(f"edge color must be an integer, got {r['color']!r}")
-        u, lu = parse_bit_string(r["u"])
-        v, lv = parse_bit_string(r["v"])
-        if lu != length or lv != length:
-            raise InputError(_MIXED_LENGTHS)
-        edge = Edge(u, v, r["color"])
+        edge = json_edge(r, length)
         return edge, _check_bit(r["bit"], "bit", edge)
 
     inputs = row["inputs"]
@@ -729,37 +698,14 @@ class Baobab:
     def from_json(cls, text: str) -> "Baobab":
         obj = load_json_object(text, ("n", "code_generators", "tree_edges",
                                       "cycle_edges", "bits", "pinned"))
-        n = obj["n"]
-        if not json_int(n) or n < 1:
-            raise InputError(f"invalid n: {n!r}")
-        gens = obj["code_generators"]
-        if not isinstance(gens, list):
-            raise InputError(f"code_generators must be a list, got {gens!r}")
+        n, gens = json_header(obj)
         for g in gens:
             parse_bit_string(g)
         gens = tuple(gens)
-        length = None
-
-        def parse_edge(row) -> Edge:
-            nonlocal length
-            u, lu = parse_bit_string(row["u"])
-            v, lv = parse_bit_string(row["v"])
-            if length is None:
-                length = lu
-            if lu != length or lv != length:
-                raise InputError("inconsistent label lengths in baobab")
-            if u >= v:
-                raise InputError(f"edge endpoints must satisfy u < v: {row}")
-            color = row["color"]
-            if not json_int(color):
-                raise InputError(
-                    f"edge color must be an integer, got {color!r}"
-                )
-            return Edge(u, v, color)
-
+        length = n + len(gens)
         edge_fields = ("u", "v", "color")
         tree = tuple(
-            parse_edge(r)
+            json_edge(r, length)
             for r in json_object_rows(obj, "tree_edges", edge_fields)
         )
         cycles = []
@@ -768,14 +714,14 @@ class Baobab:
             obj, "cycle_edges", edge_fields + ("odd_colors",)
         )
         for r in cycle_rows:
-            cycles.append(parse_edge(r))
+            cycles.append(json_edge(r, length))
             colors = r["odd_colors"]
             if not isinstance(colors, list) or not all(
                 json_int(c) for c in colors
             ):
                 raise InputError(f"odd_colors must list integers: {colors!r}")
             odd_sets.append(frozenset(colors))
-        if length is None:
+        if not tree and not cycles:
             raise InputError("baobab has no edges")
         bits_text = obj["bits"]
         slots = tuple(sorted(tree + tuple(cycles),
@@ -789,7 +735,7 @@ class Baobab:
         bits = dict(zip(slots, (int(c) for c in bits_text)))
         pinned = {}
         for r in json_object_rows(obj, "pinned", edge_fields + ("toward",)):
-            e = parse_edge(r)
+            e = json_edge(r, length)
             toward, lt = parse_bit_string(r["toward"])
             if lt != length or toward not in (e.u, e.v):
                 raise InputError(f"pinned arrow {r} has a bad head")

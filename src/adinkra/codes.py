@@ -162,9 +162,6 @@ class AffineCode:
                 varying |= row
         return self.offset ^ left, varying
 
-    def count(self) -> int:
-        return 1 << self.dim
-
     def words(self) -> tuple[int, ...]:
         """All 2**dim codewords, ascending."""
         return tuple(sorted(self.offset ^ w for w in gf2_span(self.basis)))

@@ -70,32 +70,24 @@ def baobab_to_dot(baobab: Baobab) -> str:
     )
     for x in nodes:
         append(_node_line(bit_string(x, length), weight(x) % 2 == 1))
-    for e in baobab.slot_edges():
-        attrs = [f"color={color_name(e.color)}"]
-        attrs.append(f'label="{baobab.bits[e]}"')
-        if e in baobab.cycle_edges:
-            attrs.append("penwidth=2")
+
+    def edge_line(e, attrs: list[str]) -> None:
+        # u -- v, or tail -- head for a pinned arrow
+        ends = e.u, e.v
         if e in baobab.pinned:
             attrs.append("dir=forward")
             head = baobab.pinned[e]
-            tail = e.u if head == e.v else e.v
-            append(
-                f'  "{bit_string(tail, length)}" -- '
-                f'"{bit_string(head, length)}" [{", ".join(attrs)}];'
-            )
-        else:
-            append(
-                f'  "{bit_string(e.u, length)}" -- '
-                f'"{bit_string(e.v, length)}" [{", ".join(attrs)}];'
-            )
+            ends = e.u if head == e.v else e.v, head
+        tail, head = (bit_string(x, length) for x in ends)
+        append(f'  "{tail}" -- "{head}" [{", ".join(attrs)}];')
+
+    for e in baobab.slot_edges():
+        attrs = [f"color={color_name(e.color)}", f'label="{baobab.bits[e]}"']
+        if e in baobab.cycle_edges:
+            attrs.append("penwidth=2")
+        edge_line(e, attrs)
     for e in sorted(baobab.pinned, key=lambda e: (e.u, e.color)):
         if e not in baobab.bits:
-            head = baobab.pinned[e]
-            tail = e.u if head == e.v else e.v
-            append(
-                f'  "{bit_string(tail, length)}" -- '
-                f'"{bit_string(head, length)}" '
-                f'[color={color_name(e.color)}, dir=forward];'
-            )
+            edge_line(e, [f"color={color_name(e.color)}"])
     append("}")
     return "\n".join(lines) + "\n"

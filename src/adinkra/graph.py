@@ -487,9 +487,7 @@ def to_json(adinkra: Adinkra) -> str:
         heights = ["null"] * len(adinkra.nodes)
     else:
         # a bool height, which from_json accepts, renders as in json.dumps
-        heights = [adinkra.heights[x] for x in adinkra.nodes]
-        heights = [str(h) if type(h) is int else json.dumps(h)
-                   for h in heights]
+        heights = [json_scalar(adinkra.heights[x]) for x in adinkra.nodes]
     dashed = (
         ["null"] * len(adinkra.edges) if adinkra.dashing is None
         else ["true" if adinkra.dashing[e] == -1 else "false"
@@ -517,6 +515,12 @@ def json_int(value) -> bool:
     """Whether a decoded JSON value is an integer; `true` and `false`
     decode to bools, which Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_scalar(value) -> str:
+    """A JSON scalar as `json.dumps` writes it: a plain int without the
+    encoder, anything else (a bool, a float, a string) through it."""
+    return str(value) if type(value) is int else json.dumps(value)
 
 
 def load_json_object(text: str, keys) -> dict:
@@ -547,6 +551,35 @@ def json_object_rows(obj: dict, key: str, fields) -> list[dict]:
     return rows
 
 
+def json_header(obj: dict) -> tuple[int, list]:
+    """The `n` and `code_generators` of an adinkra or baobab document,
+    checked to be a positive integer and a list."""
+    n = obj["n"]
+    if not json_int(n) or n < 1:
+        raise InputError(f"invalid n: {n!r}")
+    gens = obj["code_generators"]
+    if not isinstance(gens, list):
+        raise InputError(f"code_generators must be a list, got {gens!r}")
+    return n, gens
+
+
+def json_edge(row: dict, length: int, u=None, v=None) -> Edge:
+    """An edge row's `Edge`, checked in this order: both labels `length`
+    bits long, the color an integer, u < v.  A label may be passed in as
+    `u` or `v`, the (value, bits) pair of its parse; one not passed in
+    is parsed here."""
+    u, gu = u or parse_bit_string(row["u"])
+    v, gv = v or parse_bit_string(row["v"])
+    if gu != length or gv != length:
+        raise InputError(f"edge endpoints must be {length}-bit labels")
+    color = row["color"]
+    if not json_int(color):
+        raise InputError(f"edge color must be an integer, got {color!r}")
+    if u >= v:
+        raise InputError(f"edge endpoints must satisfy u < v, got {row}")
+    return Edge(u, v, color)
+
+
 @_collector_paused
 def from_json(text: str) -> Adinkra:
     """Parse and fully validate the canonical JSON form.
@@ -554,12 +587,7 @@ def from_json(text: str) -> Adinkra:
     Runs with the cyclic collector paused for the whole process (see
     `_collector_paused`)."""
     obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))
-    n = obj["n"]
-    if not json_int(n) or n < 1:
-        raise InputError(f"invalid n: {n!r}")
-    gens = obj["code_generators"]
-    if not isinstance(gens, list):
-        raise InputError(f"code_generators must be a list, got {gens!r}")
+    n, gens = json_header(obj)
     code = (
         DoublyEvenCode.from_strings(gens) if gens else DoublyEvenCode(n, ())
     )
@@ -606,17 +634,9 @@ def from_json(text: str) -> Adinkra:
         if (e is None or type(color) is not int or color != e.color
                 or row["u"] != label[e.u] or row["v"] != label[e.v]):
             want_u, want_v = (None, None) if e is None else e[:2]
-            u, gu = parse_label(row["u"], want_u)
-            v, gv = parse_label(row["v"], want_v)
-            if gu != length or gv != length:
-                raise InputError(f"edge endpoints must be {length}-bit labels")
-            if not json_int(color):
-                raise InputError(
-                    f"edge color must be an integer, got {color!r}")
-            if u >= v:
-                raise InputError(
-                    f"edge endpoints must satisfy u < v, got {row}")
-            matched = matched and (u, v, color) == e
+            edge = json_edge(row, length, parse_label(row["u"], want_u),
+                             parse_label(row["v"], want_v))
+            matched = matched and edge == e
         d = row.get("dashed")
         if d is not None and not isinstance(d, bool):
             raise InputError(f"dashed flag must be boolean, got {d!r}")

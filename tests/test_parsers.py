@@ -210,6 +210,74 @@ def test_from_json_edge_row_errors_and_their_order(damage):
         assert (name, str(info.value)) == (name, message)
 
 
+# damage to the fields of one edge row, and the error every edge-row
+# reader raises for it on a row of 4-bit labels, from the damaged row
+ONE_ROW_DAMAGE = {
+    "bad label": (lambda row: row.update(v="01x"),
+                  lambda row: "not a bitstring: '01x'"),
+    "label of another length": (
+        lambda row: row.update(u="0" + row["u"]),
+        lambda row: "edge endpoints must be 4-bit labels"),
+    "bool color": (
+        lambda row: row.update(color=True),
+        lambda row: "edge color must be an integer, got True"),
+    "float color": (
+        lambda row: row.update(color=float(row["color"])),
+        lambda row: f"edge color must be an integer, got {row['color']!r}"),
+    "swapped u/v": (
+        swap_ends,
+        lambda row: f"edge endpoints must satisfy u < v, got {row}"),
+}
+
+
+def parse_json(parse):
+    return lambda doc: parse(json.dumps(doc))
+
+
+def parse_trace(rows):
+    return GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
+
+
+# every place an edge row is read, on the n=3, code 1111 documents: the
+# reader, its document, the row and the prefix of its errors
+EDGE_ROW_SITES = {
+    "adinkra edge": (parse_json(from_json), ADINKRA_DOCS[1],
+                     lambda doc: doc["edges"][5], ""),
+    "baobab tree edge": (parse_json(Baobab.from_json), BAOBAB_DOCS[1],
+                         lambda doc: doc["tree_edges"][1], ""),
+    "baobab cycle edge": (parse_json(Baobab.from_json), BAOBAB_DOCS[1],
+                          lambda doc: doc["cycle_edges"][0], ""),
+    "baobab pinned edge": (parse_json(Baobab.from_json), BAOBAB_DOCS[1],
+                           lambda doc: doc["pinned"][0], ""),
+    "dashing trace input": (parse_trace, TRACE_DOCS[0],
+                            lambda rows: rows[1]["inputs"][0],
+                            "trace line 2: "),
+    "dashing trace output": (parse_trace, TRACE_DOCS[0],
+                             lambda rows: rows[1]["output"],
+                             "trace line 2: "),
+    "direction trace input": (parse_trace, TRACE_DOCS[1],
+                              lambda rows: rows[1]["inputs"][0],
+                              "trace line 2: "),
+    "direction trace output": (parse_trace, TRACE_DOCS[1],
+                               lambda rows: rows[1]["output"],
+                               "trace line 2: "),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ONE_ROW_DAMAGE))
+@pytest.mark.parametrize("site", sorted(EDGE_ROW_SITES))
+def test_every_edge_row_reader_raises_the_same_errors(site, damage):
+    parse, base, row_of, prefix = EDGE_ROW_SITES[site]
+    mutate, message = ONE_ROW_DAMAGE[damage]
+    doc = copy.deepcopy(base)
+    parse(doc)
+    row = row_of(doc)
+    mutate(row)
+    with pytest.raises(InputError) as info:
+        parse(doc)
+    assert str(info.value) == prefix + message(row)
+
+
 @pytest.mark.parametrize("parse", [from_json, Baobab.from_json])
 @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null"])
 def test_non_object_json_is_input_error(parse, text):
@@ -357,8 +425,10 @@ def test_trace_label_of_another_length_is_input_error(doc, field):
             want = f"need four {length}-bit corners"
         elif (field, line) == ("base", 1):
             want = f"need four {length + 2}-bit corners"
-        else:
+        elif field == "base":
             want = MIXED
+        else:
+            want = f"edge endpoints must be {length}-bit labels"
         with pytest.raises(InputError) as err:
             GateTrace.from_jsonl("\n".join(json.dumps(r) for r in rows))
         assert str(err.value).startswith(f"trace line {line}: {want}")
