@@ -1,8 +1,9 @@
 """Size guard for exhaustive walks over a code's words and for graphs.
 
 Listing a family's codewords and the quaternion code's minimum-distance
-search walk all 2**dim kernel words, and a quotient of the n-cube has
-2**n nodes, so they refuse dim or n above ADINKRA_SIZE_GUARD bits
+search walk all 2**dim kernel words, a quotient of the n-cube has 2**n
+nodes, and the correction walk tries comb(bits, size) flip sets of each
+size above 1, so they refuse dim, n or a walk above 2**ADINKRA_SIZE_GUARD
 instead of hanging.  Counting valid dashings and the distance of a
 dashing family are closed forms and never guarded.
 """

@@ -180,8 +180,10 @@ class MonomialMatrix:
 
     def transpose(self) -> "MonomialMatrix":
         out = MonomialMatrix(self.dim)
-        for r, c, m in self.iter_entries():
-            out.set_entry(c, r, m)
+        # stored entries are nonzero Monomials: no set_entry checks
+        for r, row in enumerate(self._rows):
+            for c, m in row.items():
+                out._rows[c][r] = m
         return out
 
     def block(self, rows: range, cols: range) -> "MonomialMatrix":

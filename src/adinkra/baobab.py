@@ -31,6 +31,7 @@ from .graph import (
     _color_steps,
     _plaquette_ids,
     checked_heights,
+    chromotopology_code,
     json_edge,
     json_header,
     json_int,
@@ -699,10 +700,7 @@ class Baobab:
         obj = load_json_object(text, ("n", "code_generators", "tree_edges",
                                       "cycle_edges", "bits", "pinned"))
         n, gens = json_header(obj)
-        for g in gens:
-            parse_bit_string(g)
-        gens = tuple(gens)
-        length = n + len(gens)
+        length = chromotopology_code(n, gens).length
         edge_fields = ("u", "v", "color")
         tree = tuple(
             json_edge(r, length)
@@ -740,7 +738,7 @@ class Baobab:
             if lt != length or toward not in (e.u, e.v):
                 raise InputError(f"pinned arrow {r} has a bad head")
             pinned[e] = toward
-        return cls(n, gens, length, tree, tuple(cycles),
+        return cls(n, tuple(gens), length, tree, tuple(cycles),
                    tuple(odd_sets), bits, pinned)
 
 
@@ -965,10 +963,6 @@ def _validate_baobab_fit(skeleton: Adinkra, baobab: Baobab) -> None:
         )
     if tuple(baobab.code_generators) != skeleton.code.generator_strings():
         raise InputError("baobab code generators do not match the skeleton")
-    edge_set = set(skeleton.edges)
-    for e in baobab.slot_edges():
-        if e not in edge_set:
-            raise InputError(f"baobab edge {e} is not in the skeleton")
     tree, cycles, odd_sets = skeleton_baobab_edges(skeleton)
     if baobab.tree_edges != tree or baobab.cycle_edges != cycles:
         raise InputError("baobab edges are not the canonical tree/cycle set")

@@ -63,7 +63,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_build(args) -> int:
     from . import baobab as baobab_mod, graph
 
-    gens = [g for g in (args.code.split(",") if args.code else []) if g]
+    gens = [g for g in args.code.split(",") if g]
     adinkra = graph.build_chromotopology(args.n, gens)
     if not args.skeleton:
         tree, cycles, _sets = baobab_mod.skeleton_baobab_edges(adinkra)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import comb
 from operator import xor
 
 from . import _kernels
@@ -110,12 +111,7 @@ def _quotient_code(family: Family) -> DoublyEvenCode | None:
         return None
     if family.scheme != DASHING:
         raise InputError(f"unknown scheme {family.scheme!r}")
-    code = (
-        DoublyEvenCode.from_strings(family.code_generators)
-        if family.code_generators
-        else DoublyEvenCode(family.n, ())
-    )
-    return chromotopology_code(family.n, code)
+    return chromotopology_code(family.n, family.code_generators)
 
 
 def family_skeleton(family: Family) -> Adinkra:
@@ -337,7 +333,8 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     of its bits' unit residues equals the block's residue in the
     family's affine code.  All corrections of the winning size are
     collected: more than one is an ambiguity error, none within the
-    budget is detected-uncorrectable.
+    budget is detected-uncorrectable.  A size above 1 whose
+    comb(bits, size) sets exceed 2**guard is refused before its walk.
     """
     if not json_int(max_flips):
         raise InputError(f"max_flips must be an integer, got {max_flips!r}")
@@ -349,6 +346,9 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
         return Correction(vector, ())
     columns = code.unit_residues
     for size in range(1, max_flips + 1):
+        if size > 1:  # single flips cost less than building `columns`
+            bits = (comb(code.n_bits, size) - 1).bit_length()
+            _kernels.check_guard(bits, f"correction walk of {size}-flip sets")
         hits = [
             flips for flips in combinations(range(code.n_bits), size)
             if reduce(xor, map(columns.__getitem__, flips)) == target

@@ -553,9 +553,10 @@ def json_object_rows(obj: dict, key: str, fields) -> list[dict]:
 
 def json_header(obj: dict) -> tuple[int, list]:
     """The `n` and `code_generators` of an adinkra or baobab document,
-    checked to be a positive integer and a list."""
+    checked to be an integer and a list; `chromotopology_code` checks
+    the family they name."""
     n = obj["n"]
-    if not json_int(n) or n < 1:
+    if not json_int(n):
         raise InputError(f"invalid n: {n!r}")
     gens = obj["code_generators"]
     if not isinstance(gens, list):
@@ -587,11 +588,7 @@ def from_json(text: str) -> Adinkra:
     Runs with the cyclic collector paused for the whole process (see
     `_collector_paused`)."""
     obj = load_json_object(text, ("n", "code_generators", "nodes", "edges"))
-    n, gens = json_header(obj)
-    code = (
-        DoublyEvenCode.from_strings(gens) if gens else DoublyEvenCode(n, ())
-    )
-    expect = build_chromotopology(n, code)
+    expect = build_chromotopology(*json_header(obj))
     length = expect.length
     label = {x: format(x, f"0{length}b") for x in expect.nodes}
 

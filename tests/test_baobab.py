@@ -1073,6 +1073,22 @@ def test_reconstruct_rejects_baobab_for_wrong_skeleton():
         reconstruct_adinkra(skeleton_for(3, ()), baobab)
 
 
+def test_reconstruct_rejects_baobab_edge_off_the_skeleton():
+    import json as _json
+
+    rng = random.Random(7)
+    original = random_valise(2, (), rng)
+    doc = _json.loads(extract_baobab(original).to_json())
+    row = doc["tree_edges"][0]
+    row["color"] = 3 - row["color"]  # the same ends, joined by no edge
+    baobab = Baobab.from_json(_json.dumps(doc))
+    assert not set(baobab.tree_edges) <= set(original.edges)
+    with pytest.raises(InputError,
+                       match="^baobab edges are not the canonical "
+                             "tree/cycle set$"):
+        reconstruct_adinkra(original.skeleton(), baobab)
+
+
 # ---------- counting ----------
 
 

@@ -206,6 +206,43 @@ def test_decode_reports_ambiguity_on_the_square(capsys, monkeypatch):
     assert err.startswith("error: ambiguous:")
 
 
+def damaged_block(capsys, monkeypatch, flips):
+    _, wire, _ = invoke(
+        capsys,
+        monkeypatch,
+        ["encode", "--family", "n=3;code=1111;scheme=dashing",
+         "--message", "10110100"],
+    )
+    from adinkra.codec import format_wire, parse_wire
+
+    return format_wire(parse_wire(wire).flip(flips))
+
+
+def test_correction_walk_is_refused_above_the_size_guard(
+        capsys, monkeypatch):
+    # a 16-bit block: its C(16, 2) = 120 pairs are above a guard of 2**6,
+    # so a second flip stops the walk, and a single flip is found first
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "6")
+    broken = damaged_block(capsys, monkeypatch, [7, 9])
+    code, out, err = invoke(
+        capsys, monkeypatch, ["decode", "--max-flips", "2"], stdin=broken)
+    assert code == 2 and out == ""
+    assert err.startswith("error: size-guard:") and err.count("\n") == 1
+    broken = damaged_block(capsys, monkeypatch, [7])
+    code, out, _ = invoke(
+        capsys, monkeypatch, ["decode", "--max-flips", "2"], stdin=broken)
+    assert (code, out) == (0, "10110100\n")
+
+
+def test_two_flips_within_the_size_guard_are_ambiguous(capsys, monkeypatch):
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    broken = damaged_block(capsys, monkeypatch, [7, 9])
+    code, _, err = invoke(
+        capsys, monkeypatch, ["decode", "--max-flips", "2"], stdin=broken)
+    assert code == 1
+    assert err.startswith("error: ambiguous:")
+
+
 def test_distance(capsys, monkeypatch):
     code, out, _ = invoke(
         capsys, monkeypatch, ["distance", "--family", "quaternion"]
@@ -257,6 +294,20 @@ def test_export_dot_output_is_pinned(capsys, monkeypatch):
         assert code == 0 and err == ""
         got = hashlib.sha256(dot.encode()).hexdigest(), dot.count("\n")
         assert (name, got) == (name, EXPORT_DOT[name])
+
+
+@pytest.mark.parametrize("command", ["export-dot", "reconstruct"])
+def test_baobab_with_a_long_generator_exits_two_with_one_line(
+        command, capsys, monkeypatch):
+    _, built, _ = invoke(
+        capsys, monkeypatch, ["build", "--n", "3", "--code", "1111"])
+    _, baobab, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
+    doc = json.loads(baobab)
+    doc["code_generators"] = ["11110"]
+    code, out, err = invoke(
+        capsys, monkeypatch, [command], stdin=json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: input: code length 5 must equal n + k = 3 + 1\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adinkra import (
+    AdinkraError,
     Baobab,
     GateTrace,
     InputError,
@@ -24,6 +25,7 @@ from adinkra import (
     to_json,
     valise_heights,
 )
+from adinkra.cli import run
 
 
 def full_adinkra(n, gens):
@@ -276,6 +278,58 @@ def test_every_edge_row_reader_raises_the_same_errors(site, damage):
     with pytest.raises(InputError) as info:
         parse(doc)
     assert str(info.value) == prefix + message(row)
+
+
+# a family header (n, code_generators) put on the n=3, code 1111
+# documents, and the one error every reader that names a family raises
+GUARD = ("quotient construction needs 2**30 words, above the guard of "
+         "2**20; set ADINKRA_SIZE_GUARD to raise the limit")
+HEADER_DAMAGE = {
+    "long generator": ((3, ["11110"]), InputError,
+                       "code length 5 must equal n + k = 3 + 1"),
+    "not doubly even": ((3, ["1100"]), InputError,
+                        "codeword 1100 has weight 2, not divisible by 4"),
+    "dependent generators": (
+        (3, ["1111", "1111"]), InputError,
+        "generators ['1111', '1111'] are linearly dependent"),
+    "bad bit": ((3, ["11x1"]), InputError, "not a bitstring: '11x1'"),
+    "n = 0": ((0, ["1111"]), InputError, "n must be positive, got 0"),
+    "n = 30": ((30, []), SizeGuardError, GUARD),
+}
+
+
+def header_doc(base, n, gens):
+    doc = copy.deepcopy(base)
+    doc.update(n=n, code_generators=gens)
+    return json.dumps(doc)
+
+
+# every reader that names a family, as a call that raises its error
+HEADER_READERS = {
+    "adinkra JSON": lambda n, gens: from_json(
+        header_doc(ADINKRA_DOCS[1], n, gens)),
+    "baobab JSON": lambda n, gens: Baobab.from_json(
+        header_doc(BAOBAB_DOCS[1], n, gens)),
+    "codec family": lambda n, gens: parse_family(
+        f"n={n};code={','.join(gens)};scheme=dashing"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_every_family_reader_raises_the_same_header_errors(
+        damage, capsys, monkeypatch):
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    (n, gens), kind, message = HEADER_DAMAGE[damage]
+    for name, read in HEADER_READERS.items():
+        with pytest.raises(AdinkraError) as info:
+            read(n, gens)
+        got = type(info.value), str(info.value)
+        assert (name, got) == (name, (kind, message))
+    # the `adinkra build` reader: its exit code and error line
+    code = run(["build", "--n", str(n), "--code", ",".join(gens)])
+    line = "size-guard" if kind is SizeGuardError else "input"
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: {line}: {message}\n")
 
 
 @pytest.mark.parametrize("parse", [from_json, Baobab.from_json])
