@@ -726,7 +726,7 @@ class Baobab:
                              key=lambda e: (e.u, e.color)))
         if (not isinstance(bits_text, str)
                 or len(bits_text) != len(slots)
-                or any(c not in "01" for c in bits_text)):
+                or bits_text.strip("01")):
             raise InputError(
                 f"bits must be a {len(slots)}-character bitstring"
             )

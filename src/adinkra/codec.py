@@ -160,12 +160,11 @@ class EdgeBitVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        want = block_length(self.family)
-        if len(self.bits) != want or not are_bits(self.bits):
-            raise InputError(
-                f"need {want} bits for {self.family.header()}, "
-                f"got {self.bits!r}"
-            )
+        want, got = block_length(self.family), len(self.bits)
+        if got != want or not are_bits(self.bits):
+            # a wrong length as a count: an L=16 block quotes as 49 KB
+            raise InputError(f"need {want} bits for {self.family.header()}, "
+                             f"got {got if got != want else self.bits!r}")
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -197,9 +196,13 @@ def parse_wire(line: str) -> EdgeBitVector:
             f"wire line must be '<family-header> <bits>', got {line!r}"
         )
     family = parse_family(parts[0])
-    if any(c not in "01" for c in parts[1]):
-        raise InputError(f"payload is not a bitstring: {parts[1]!r}")
-    return EdgeBitVector(family, tuple(int(c) for c in parts[1]))
+    payload = parts[1]
+    # lstrip leaves the payload from its first character that is not 0/1
+    rest = payload.lstrip("01")
+    if rest:
+        raise InputError(f"payload is not a bitstring: {rest[0]!r} at "
+                         f"position {len(payload) - len(rest)}")
+    return EdgeBitVector(family, tuple(map(int, payload)))
 
 
 # ---------- encoding ----------
@@ -216,7 +219,7 @@ def _bits_word(bits) -> int:
 
 def _parse_bits(bits) -> tuple[int, ...]:
     if isinstance(bits, str):
-        if any(c not in "01" for c in bits):
+        if bits.strip("01"):
             raise InputError(f"not a bitstring: {bits!r}")
         return tuple(int(c) for c in bits)
     out = tuple(bits)

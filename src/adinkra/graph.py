@@ -564,13 +564,11 @@ def json_header(obj: dict) -> tuple[int, list]:
     return n, gens
 
 
-def json_edge(row: dict, length: int, u=None, v=None) -> Edge:
+def json_edge(row: dict, length: int) -> Edge:
     """An edge row's `Edge`, checked in this order: both labels `length`
-    bits long, the color an integer, u < v.  A label may be passed in as
-    `u` or `v`, the (value, bits) pair of its parse; one not passed in
-    is parsed here."""
-    u, gu = u or parse_bit_string(row["u"])
-    v, gv = v or parse_bit_string(row["v"])
+    bits long, the color an integer, u < v."""
+    u, gu = parse_bit_string(row["u"])
+    v, gv = parse_bit_string(row["v"])
     if gu != length or gv != length:
         raise InputError(f"edge endpoints must be {length}-bit labels")
     color = row["color"]
@@ -592,33 +590,21 @@ def from_json(text: str) -> Adinkra:
     length = expect.length
     label = {x: format(x, f"0{length}b") for x in expect.nodes}
 
-    def parse_label(text, want) -> tuple[int, int]:
-        # the skeleton's own label for `want` needs no parse; any other
-        # text is parsed, which raises the same errors in the same order
-        if want is not None and text == label[want]:
-            return want, length
-        return parse_bit_string(text)
-
     labels = []
-    heights = {}
-    height_seen = set()
-    for row, want in zip(json_object_rows(obj, "nodes", ("label",)),
-                         chain(expect.nodes, repeat(None))):
-        x, got = parse_label(row["label"], want)
+    heights = []
+    for row in json_object_rows(obj, "nodes", ("label",)):
+        x, got = parse_bit_string(row["label"])
         if got != length:
             raise InputError(f"label {row['label']!r} is not {length} bits")
         labels.append(x)
         h = row.get("height")
-        if h is not None:
-            if not isinstance(h, int):
-                raise InputError(f"height for {row['label']!r} must be an integer")
-            heights[x] = h
-        height_seen.add(h is not None)
+        if h is not None and not isinstance(h, int):
+            raise InputError(f"height for {row['label']!r} must be an integer")
+        heights.append(h)
     if tuple(labels) != expect.nodes:
         raise InputError("node list does not match the canonical quotient order")
-    if len(height_seen) > 1:
+    if len({h is None for h in heights}) > 1:
         raise InputError("heights must be given for all nodes or none")
-    has_heights = height_seen == {True}
 
     # A row that renders the skeleton's own edge needs no further check.
     # Any other row is checked in full, which raises the same errors in
@@ -630,10 +616,7 @@ def from_json(text: str) -> Adinkra:
         color = row["color"]
         if (e is None or type(color) is not int or color != e.color
                 or row["u"] != label[e.u] or row["v"] != label[e.v]):
-            want_u, want_v = (None, None) if e is None else e[:2]
-            edge = json_edge(row, length, parse_label(row["u"], want_u),
-                             parse_label(row["v"], want_v))
-            matched = matched and edge == e
+            matched = json_edge(row, length) == e and matched
         d = row.get("dashed")
         if d is not None and not isinstance(d, bool):
             raise InputError(f"dashed flag must be boolean, got {d!r}")
@@ -642,9 +625,9 @@ def from_json(text: str) -> Adinkra:
         raise InputError("edge list does not match the canonical quotient order")
     if len({d is None for d in flags}) > 1:
         raise InputError("dashed flags must be given for all edges or none")
-    # keyed by the skeleton's own edges, as its plaquettes are
+    # keyed by the skeleton's own nodes and edges, as its plaquettes are
     dashing = None if flags[0] is None else {
         e: -1 if d else 1 for e, d in zip(expect.edges, flags)
     }
-
-    return expect._decorated(dashing, heights if has_heights else None)
+    heights = None if heights[0] is None else dict(zip(expect.nodes, heights))
+    return expect._decorated(dashing, heights)

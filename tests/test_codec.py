@@ -497,6 +497,32 @@ def test_edge_bit_vector_takes_int_bits_only(bit):
     assert str(err.value) == f"need 12 bits for {CUBE.header()}, got {bits!r}"
 
 
+@pytest.mark.parametrize("bits", [(0,) * 11, (1.0,) * 13])
+def test_a_block_of_the_wrong_length_gives_its_length_not_its_bits(bits):
+    with pytest.raises(InputError) as err:
+        EdgeBitVector(CUBE, bits)
+    assert str(err.value) == (
+        f"need 12 bits for {CUBE.header()}, got {len(bits)}")
+    # so does a wire line of that length, however long the block
+    with pytest.raises(InputError) as err:
+        parse_wire(f"{CUBE.header()} {'1' * len(bits)}")
+    assert str(err.value) == (
+        f"need 12 bits for {CUBE.header()}, got {len(bits)}")
+
+
+@pytest.mark.parametrize("payload, position", [
+    ("x00000000000", 0), ("0101012", 6), ("01a1b1", 2),
+    ("1" * 5000 + "+" + "1" * 5000, 5000),
+])
+def test_parse_wire_names_the_first_character_that_is_not_a_bit(
+        payload, position):
+    with pytest.raises(InputError) as err:
+        parse_wire(f"{CUBE.header()} {payload}")
+    assert str(err.value) == (
+        f"payload is not a bitstring: {payload[position]!r} "
+        f"at position {position}")
+
+
 @pytest.mark.parametrize("budget", [1.5, "2", True, None])
 def test_flip_budget_must_be_an_integer(budget):
     sent = encode((1, 0, 1, 1, 0, 1, 0), CUBE)

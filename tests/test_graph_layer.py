@@ -201,14 +201,19 @@ def parses(monkeypatch):
 
 
 @pytest.mark.parametrize("n, gens", [(3, ("1111",)), (4, E8_CODE)])
-def test_from_json_parses_no_label_of_a_canonical_document(parses, n, gens):
+def test_from_json_parses_only_the_node_labels_of_a_canonical_document(
+        parses, n, gens):
     for adk in json_cases(n, gens):
+        parses.clear()
         assert from_json(to_json(adk)) == adk
-    assert parses == []
+        assert parses == [format(x, f"0{adk.length}b") for x in adk.nodes]
 
 
 def test_from_json_parses_only_the_labels_that_differ(parses):
+    # every node label is parsed; of the edge rows, only those that
+    # differ from the skeleton's own rendering
     base = json.loads(to_json(build_chromotopology(3, ())))
+    node_labels = [row["label"] for row in base["nodes"]]
     cases = [
         (("nodes", 2, "label"), "011",
          "node list does not match the canonical quotient order"),
@@ -226,14 +231,34 @@ def test_from_json_parses_only_the_labels_that_differ(parses):
         with pytest.raises(InputError) as info:
             from_json(json.dumps(doc))
         assert str(info.value) == message
-        assert parses == [text]
-    # rows past the skeleton's end are parsed too
+        if rows == "nodes":
+            assert parses == node_labels[:i] + [text] + node_labels[i + 1:]
+        else:
+            row = doc["edges"][i]
+            assert parses == node_labels + [row["u"], row["v"]]
+    # an appended node row is parsed like the rest
     doc = json.loads(json.dumps(base))
     doc["nodes"].append(dict(doc["nodes"][0]))
     parses.clear()
     with pytest.raises(InputError, match="^node list does not match"):
         from_json(json.dumps(doc))
-    assert parses == ["000"]
+    assert parses == node_labels + ["000"]
+
+
+def test_from_json_keys_heights_by_the_skeletons_own_nodes():
+    # n = 9: labels above 256 are not interned, so `is` tells a parsed
+    # label from the skeleton's own node int
+    sk = build_chromotopology(9, ())
+    back = from_json(to_json(sk.with_heights(valise_heights(sk))))
+    assert back.heights == valise_heights(sk)
+    assert all(k is x for k, x in zip(back.heights, back.nodes))
+    doc = json.loads(to_json(sk))
+    for row in doc["nodes"]:
+        row["height"] = row["label"].count("1") % 2 == 1
+    text = json.dumps(doc, indent=2) + "\n"
+    back = from_json(text)
+    assert all(k is x for k, x in zip(back.heights, back.nodes))
+    assert to_json(back) == text
 
 
 # ---------- the collector pause ----------
