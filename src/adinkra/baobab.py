@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, NamedTuple
 
-from .codes import AffineCode, bit_string, color_bit, parse_bit_string
+from .codes import (AffineCode, bit_string, check_bit, color_bit,
+                    parse_bit_string, read_bits)
 from .errors import (
     ContradictionError,
     InputError,
@@ -55,21 +56,10 @@ def __getattr__(name):  # the quaternion completions, re-exported on first use
 # ---------- gates ----------
 
 
-def _check_bit(value, what: str, edge: Edge | None = None) -> int:
-    """`value` if it is a bit; else InputError naming `what` and, if
-    given, the edge (formatted only then).  Bools count as ints in
-    Python, but `true` is no bit."""
-    if not json_int(value) or value not in (0, 1):
-        if edge is not None:
-            what = f"{what} for {edge}"
-        raise InputError(f"{what} must be 0 or 1, got {value!r}")
-    return value
-
-
 def ndxor(x: int, y: int, z: int) -> int:
     """Negated XOR: the fourth bit completing odd overall parity."""
     for v in (x, y, z):
-        _check_bit(v, "ndxor input")
+        check_bit(v, "ndxor input")
     return 1 ^ x ^ y ^ z
 
 
@@ -77,7 +67,7 @@ def dxor(x: int, y: int, z: int) -> int:
     """The fourth direction bit: exactly two of the four may point
     against the traversal, so all-equal known bits are contradictory."""
     for v in (x, y, z):
-        _check_bit(v, "dxor input")
+        check_bit(v, "dxor input")
     if x == y == z:
         raise ContradictionError(
             f"dxor({x}, {y}, {z}): no fourth bit yields exactly two ones"
@@ -214,7 +204,7 @@ class GateTrace:
     def replay_dashing(self, seeds: Mapping[Edge, int]) -> dict[Edge, int]:
         """Re-run NDXOR steps from seed bits; every recorded input must
         already be known and every output must recompute identically."""
-        bits = {e: _check_bit(b, "seed", e) for e, b in seeds.items()}
+        bits = {e: check_bit(b, "seed", e) for e, b in seeds.items()}
         for num, s in enumerate(self.steps, 1):
             if s.gate != "NDXOR":
                 raise ReplayError(f"step {num}: expected NDXOR, got {s.gate}")
@@ -311,7 +301,7 @@ def _parse_step(row, base: int, length: int) -> GateStep:
         if not isinstance(r, dict):
             raise InputError(f"{field} must be an edge object, got {r!r}")
         edge = json_edge(r, length)
-        return edge, _check_bit(r["bit"], "bit", edge)
+        return edge, check_bit(r["bit"], "bit", edge)
 
     inputs = row["inputs"]
     if not isinstance(inputs, list):
@@ -601,7 +591,7 @@ def propagate_dashing(
     skeleton's compiled NDXOR program.
     """
     return _propagate(skeleton, known,
-                      lambda e, b: _check_bit(b, "bit", e),
+                      lambda e, b: check_bit(b, "bit", e),
                       _ndxor_rule, _NDXOR_READY)
 
 
@@ -721,16 +711,10 @@ class Baobab:
             odd_sets.append(frozenset(colors))
         if not tree and not cycles:
             raise InputError("baobab has no edges")
-        bits_text = obj["bits"]
         slots = tuple(sorted(tree + tuple(cycles),
                              key=lambda e: (e.u, e.color)))
-        if (not isinstance(bits_text, str)
-                or len(bits_text) != len(slots)
-                or bits_text.strip("01")):
-            raise InputError(
-                f"bits must be a {len(slots)}-character bitstring"
-            )
-        bits = dict(zip(slots, (int(c) for c in bits_text)))
+        bits = dict(zip(slots, read_bits(obj["bits"], len(slots),
+                                         "the baobab slots", text=True)))
         pinned = {}
         for r in json_object_rows(obj, "pinned", edge_fields + ("toward",)):
             e = json_edge(r, length)

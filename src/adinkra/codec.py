@@ -23,7 +23,7 @@ from .baobab import (
     skeleton_baobab_edges,
     skeleton_tree,
 )
-from .codes import AffineCode, DoublyEvenCode, are_bits, bit_string, gf2_rref
+from .codes import AffineCode, DoublyEvenCode, bit_string, gf2_rref, read_bits
 from .errors import (
     AmbiguousCorrectionError,
     ContradictionError,
@@ -56,6 +56,8 @@ class Family:
             f"n={self.n};code={','.join(self.code_generators)};"
             f"scheme={self.scheme}"
         )
+
+    __str__ = header  # errors name a family by its header
 
 
 QUATERNION_FAMILY = Family(2, ("111",), DIRECTION)
@@ -154,17 +156,16 @@ def message_length(family: Family) -> int:
 
 @dataclass(frozen=True)
 class EdgeBitVector:
-    """One bit per edge in canonical edge order."""
+    """One bit per edge in canonical edge order; `bits`, a sequence of
+    the ints 0 and 1, is kept as a tuple."""
 
     family: Family
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        want, got = block_length(self.family), len(self.bits)
-        if got != want or not are_bits(self.bits):
-            # a wrong length as a count: an L=16 block quotes as 49 KB
-            raise InputError(f"need {want} bits for {self.family.header()}, "
-                             f"got {got if got != want else self.bits!r}")
+        bits = read_bits(self.bits, block_length(self.family), self.family)
+        if bits is not self.bits:  # a list or another sequence
+            object.__setattr__(self, "bits", bits)
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -192,17 +193,11 @@ def format_wire(vector: EdgeBitVector) -> str:
 def parse_wire(line: str) -> EdgeBitVector:
     parts = line.split()
     if len(parts) != 2:
-        raise InputError(
-            f"wire line must be '<family-header> <bits>', got {line!r}"
-        )
+        raise InputError("wire line must be '<family-header> <bits>', "
+                         f"got {len(parts)} fields")
     family = parse_family(parts[0])
-    payload = parts[1]
-    # lstrip leaves the payload from its first character that is not 0/1
-    rest = payload.lstrip("01")
-    if rest:
-        raise InputError(f"payload is not a bitstring: {rest[0]!r} at "
-                         f"position {len(payload) - len(rest)}")
-    return EdgeBitVector(family, tuple(map(int, payload)))
+    return EdgeBitVector(family, read_bits(
+        parts[1], block_length(family), family, text=True))
 
 
 # ---------- encoding ----------
@@ -217,28 +212,13 @@ def _bits_word(bits) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
 
-def _parse_bits(bits) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        if bits.strip("01"):
-            raise InputError(f"not a bitstring: {bits!r}")
-        return tuple(int(c) for c in bits)
-    out = tuple(bits)
-    if not are_bits(out):
-        raise InputError(f"bits must be 0 or 1: {bits!r}")
-    return out
-
-
 def encode(message, family: Family) -> EdgeBitVector:
     """Spread message bits over the baobab slots and complete the rest:
     by the family skeleton's compiled NDXOR program for dashing
     families, by the affine code otherwise."""
-    bits = _parse_bits(message)
     slots = message_slots(family)
-    if len(bits) != len(slots):
-        raise InputError(
-            f"message must be {len(slots)} bits for {family.header()}, "
-            f"got {len(bits)}"
-        )
+    bits = read_bits(message, len(slots), "the message",
+                     text=isinstance(message, str), of=family)
     if family.scheme == DASHING:
         program = _ndxor_program(family_skeleton(family))
         if program is not None:
@@ -347,11 +327,11 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     target = code.residue(_bits_word(vector.bits))
     if not target:
         return Correction(vector, ())
-    columns = code.unit_residues
     for size in range(1, max_flips + 1):
         if size > 1:  # single flips cost less than building `columns`
             bits = (comb(code.n_bits, size) - 1).bit_length()
             _kernels.check_guard(bits, f"correction walk of {size}-flip sets")
+        columns = code.unit_residues  # built on first use: 10 s at L=16
         hits = [
             flips for flips in combinations(range(code.n_bits), size)
             if reduce(xor, map(columns.__getitem__, flips)) == target
@@ -364,9 +344,13 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
                 "syndrome",
                 candidates=tuple(hits),
             )
+    # the count and the first three: all-zero L=16 lists 61440 checks
+    violated = syndrome(vector).violated
+    first = ", the first 3" if len(violated) > 3 else ""
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
-        f"violated: {', '.join(syndrome(vector).describe())}"
+        f"{len(violated)} checks violated{first}: "
+        f"{', '.join(map(str, violated[:3]))}"
     )
 
 

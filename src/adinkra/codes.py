@@ -9,6 +9,7 @@ the package.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,10 +37,45 @@ def bit_string(word: int, length: int) -> str:
     return format(word, f"0{length}b")
 
 
-def are_bits(values) -> bool:
-    """Whether every entry of the sequence `values` is an int 0 or 1; a
-    bool or a float such as 1.0 is no bit.  Two passes in C."""
-    return {0, 1}.issuperset(values) and {int}.issuperset(map(type, values))
+def check_bit(value, what: str, edge=None) -> int:
+    """`value` if it is a bit, an int 0 or 1; else InputError naming
+    `what` and, if given, the edge (formatted only then).  Bools count as
+    ints in Python, but `true` is no bit, nor is 1.0 or "1"."""
+    if type(value) is not int or value not in (0, 1):
+        if edge is not None:
+            what = f"{what} for {edge}"
+        raise InputError(f"{what} must be 0 or 1, got {reprlib.repr(value)}")
+    return value
+
+
+def read_bits(values, n: int, what, text: bool = False,
+              of=None) -> tuple[int, ...]:
+    """The `n` bits of `values` as a tuple of ints: a string of 0s and 1s
+    if `text`, else a sequence of `check_bit` bits.  Another length is
+    refused with its length, then a bad entry with its position, so no
+    error quotes the run; `what` names the run and `of`, if given, its
+    owner, both formatted only then.  Success costs C-level passes only;
+    the scan runs after a failure."""
+    if text:
+        if not isinstance(values, str):
+            raise InputError(f"{what} must be a string, "
+                             f"got {type(values).__name__}")
+        # strip leaves a non-empty rest exactly when some character is not 0/1
+        if len(values) == n and not values.strip("01"):
+            return tuple(map(int, values))
+        bits = tuple({"0": 0, "1": 1}.get(c, c) for c in values)
+    else:
+        bits = tuple(values)
+        # types first: a bool, a float or an unhashable entry fails there
+        if (len(bits) == n and {int}.issuperset(map(type, bits))
+                and {0, 1}.issuperset(bits)):
+            return bits
+    if of is not None:
+        what = f"{what} of {of}"
+    if len(bits) != n:
+        raise InputError(f"need {n} bits for {what}, got {len(bits)}")
+    for k, b in enumerate(bits):  # some entry is no bit: check_bit raises
+        check_bit(b, f"bit {k} of {what}")
 
 
 def parse_bit_string(text: str) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Mapping
 
 from .algebra import MINUS_ONE, ONE, MonomialMatrix, check_quaternion
-from .codes import LinearBinaryCode, are_bits
+from .codes import LinearBinaryCode, check_bit, read_bits
 from .errors import InputError
 from .graph import Adinkra, Edge, build_quotient_skeleton
 
@@ -54,9 +54,7 @@ def matrices_from_directions(
                 continue
             if e not in directions:
                 raise InputError(f"direction missing for edge {e}")
-            bit = directions[e]
-            if not are_bits((bit,)):
-                raise InputError(f"direction for {e} must be 0 or 1, got {bit}")
+            bit = check_bit(directions[e], "direction", e)
             head = e.v if bit else e.u
             tail = e.u if bit else e.v
             m.set_entry(index[tail], index[head], ONE)
@@ -72,10 +70,7 @@ def direction_vector(directions: Mapping[Edge, int]) -> tuple[int, ...]:
 
 def directions_from_vector(bits) -> dict[Edge, int]:
     edges = quaternion_edges()
-    bits = tuple(bits)
-    if len(bits) != len(edges) or not are_bits(bits):
-        raise InputError(f"need {len(edges)} direction bits, got {bits!r}")
-    return dict(zip(edges, bits))
+    return dict(zip(edges, read_bits(bits, len(edges), "quaternion directions")))
 
 
 CANONICAL_DIRECTIONS = (1, 1, 1, 0, 1, 0)
@@ -103,8 +98,7 @@ def quaternion_baobab_completions(
     for e, bit in fixed.items():
         if e not in edges:
             raise InputError(f"unknown edge {e}")
-        if not are_bits((bit,)):
-            raise InputError(f"direction for {e} must be 0 or 1, got {bit}")
+        check_bit(bit, "direction", e)
     free = [e for e in edges if e not in fixed]
     out = []
     for bits in product((0, 1), repeat=len(free)):

@@ -31,13 +31,12 @@ from adinkra.baobab import (
     GateStep,
     GateTrace,
     _NdxorProgram,
-    _check_bit,
     dxor,
     ndxor,
     skeleton_baobab_edges,
     skeleton_tree,
 )
-from adinkra.codes import bit_string
+from adinkra.codes import bit_string, check_bit
 from adinkra.errors import (
     ContradictionError,
     GradedSumError,
@@ -550,7 +549,7 @@ def naive_propagate_dashing(
     for e, b in known.items():
         if e not in edge_set:
             raise InputError(f"unknown edge {e}")
-        bits[e] = _check_bit(b, f"bit for {e}")
+        bits[e] = check_bit(b, f"bit for {e}")
     steps = []
     progress = True
     while progress:

@@ -211,17 +211,23 @@ def test_encode_runs_the_program_the_affine_code_agrees(family, monkeypatch):
 
 @pytest.mark.parametrize("family", DASHING_FAMILIES + [QUATERNION_FAMILY])
 def test_encode_errors_are_unchanged(family):
+    # a message is refused with its length, else its first bad entry
     m = message_length(family)
+    what = f"the message of {family.header()}"
     for message, text in (
-            ((1,) * (m - 1), f"message must be {m} bits for "
-                             f"{family.header()}, got {m - 1}"),
-            ("01x", "not a bitstring: '01x'"),
-            ((2,) * m, "bits must be 0 or 1: " + repr((2,) * m)),
+            ((1,) * (m - 1), f"need {m} bits for {what}, got {m - 1}"),
+            ("01x" * m, f"need {m} bits for {what}, got {3 * m}"),
+            ("01x" + "0" * (m - 3), f"bit 2 of {what} must be 0 or 1, "
+                                    "got 'x'"),
+            ((2,) * m, f"bit 0 of {what} must be 0 or 1, got 2"),
             # a bit must be an int: 1.7 is not read as 1, nor True
-            ([1.7] * m, "bits must be 0 or 1: " + repr([1.7] * m)),
-            ([1.0] * m, "bits must be 0 or 1: " + repr([1.0] * m)),
-            ([True] * m, "bits must be 0 or 1: " + repr([True] * m)),
-            (["1"] * m, "bits must be 0 or 1: " + repr(["1"] * m))):
+            ([1.7] * m, f"bit 0 of {what} must be 0 or 1, got 1.7"),
+            ([0] * (m - 1) + [1.0], f"bit {m - 1} of {what} must be 0 or "
+                                    "1, got 1.0"),
+            ([0, True] * m, f"need {m} bits for {what}, got {2 * m}"),
+            ([0, True] + [0] * (m - 2), f"bit 1 of {what} must be 0 or 1, "
+                                        "got True"),
+            (["1"] * m, f"bit 0 of {what} must be 0 or 1, got '1'")):
         with pytest.raises(InputError) as err:
             encode(message, family)
         assert str(err.value) == text
@@ -491,10 +497,11 @@ def test_positions_must_be_plain_integers(position):
 @pytest.mark.parametrize("bit", [1.0, True])
 def test_edge_bit_vector_takes_int_bits_only(bit):
     # with 1.0 the block would print as 1.01.0..., which parse_wire rejects
-    bits = (bit,) * 12
+    bits = (0,) * 5 + (bit,) * 7
     with pytest.raises(InputError) as err:
         EdgeBitVector(CUBE, bits)
-    assert str(err.value) == f"need 12 bits for {CUBE.header()}, got {bits!r}"
+    assert str(err.value) == (
+        f"bit 5 of {CUBE.header()} must be 0 or 1, got {bit!r}")
 
 
 @pytest.mark.parametrize("bits", [(0,) * 11, (1.0,) * 13])
@@ -516,11 +523,14 @@ def test_a_block_of_the_wrong_length_gives_its_length_not_its_bits(bits):
 ])
 def test_parse_wire_names_the_first_character_that_is_not_a_bit(
         payload, position):
+    # the payload padded to the 11264-bit block of the n=11 cube
+    family = Family(11, (), DASHING)
+    payload += "0" * (block_length(family) - len(payload))
     with pytest.raises(InputError) as err:
-        parse_wire(f"{CUBE.header()} {payload}")
+        parse_wire(f"{family.header()} {payload}")
     assert str(err.value) == (
-        f"payload is not a bitstring: {payload[position]!r} "
-        f"at position {position}")
+        f"bit {position} of {family.header()} must be 0 or 1, "
+        f"got {payload[position]!r}")
 
 
 @pytest.mark.parametrize("budget", [1.5, "2", True, None])
@@ -544,10 +554,11 @@ def test_injected_flip_count_must_be_an_integer(flips):
 
 @pytest.mark.parametrize("bit", [1.7, 1.0, True, "1"])
 def test_quaternion_direction_bits_must_be_ints(bit):
-    bits = (bit, 1, 1, 0, 1, 0)
+    bits = (1, 1, 1, 0, 1, bit)
     with pytest.raises(InputError) as err:
         directions_from_vector(bits)
-    assert str(err.value) == f"need 6 direction bits, got {bits!r}"
+    assert str(err.value) == (
+        f"bit 5 of quaternion directions must be 0 or 1, got {bit!r}")
     assert directions_from_vector((1, 1, 1, 0, 1, 0))
 
 
@@ -557,7 +568,7 @@ def test_quaternion_matrix_and_completion_bits_must_be_ints(bit):
     edge = quaternion.quaternion_edges()[0]
     directions = dict(directions_from_vector((1, 1, 1, 0, 1, 0)))
     directions[edge] = bit
-    message = f"direction for {edge} must be 0 or 1, got {bit}"
+    message = f"direction for {edge} must be 0 or 1, got {bit!r}"
     for call, arg in ((quaternion.matrices_from_directions, directions),
                       (quaternion.quaternion_baobab_completions,
                        {edge: bit})):
@@ -634,6 +645,54 @@ def test_length_16_family():
     erased = rng.sample(range(16384), 3)
     assert fill_erasures(v.flip(erased), erased) == v
     assert min_distance(family) == 16
+
+
+def test_length_16_errors_are_one_short_line():
+    # no error quotes the 16384-bit block, the 2052-bit message or the
+    # 61440 violated checks of the all-zero block
+    family = parse_family(f"n=11;code={','.join(RM14)};scheme=dashing")
+    message = "1" * 2052
+    sent = format_wire(encode(message, family))
+    header = family.header()
+    blocks = {
+        "message": (lambda: encode(message[:-1] + "2", family),
+                    InputError, f"bit 2051 of the message of {header} must "
+                                "be 0 or 1, got '2'"),
+        "stray space": (lambda: parse_wire(sent[:300] + " " + sent[300:]),
+                        InputError, "wire line must be '<family-header> "
+                                    "<bits>', got 3 fields"),
+        "all zero": (lambda: decode(EdgeBitVector(family, (0,) * 16384),
+                                    max_flips=0),
+                     UncorrectableError, "detected-uncorrectable: no "
+                     "correction within 0 flip(s); 61440 checks violated, "
+                     "the first 3: plaquette colors=(1, 2) base="),
+    }
+    for name, (call, kind, start) in blocks.items():
+        with pytest.raises(kind) as err:
+            call()
+        text = str(err.value)
+        assert (name, text[:len(start)]) == (name, start)
+        assert len(text) < (300 if kind is InputError else 1000)
+
+
+def test_no_flip_budget_builds_no_unit_residues():
+    # the per-bit residues cost 10 s at L=16, and a budget of 0 walks none
+    family_code.cache_clear()
+    sent = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
+    for flips, max_flips in (([0, 7, 11], 0), ([0, 5], 1)):
+        damaged = sent.flip(flips)
+        with pytest.raises(UncorrectableError) as err:
+            correct(damaged, max_flips)
+        built = "unit_residues" in family_code(CUBE).__dict__
+        assert built == (max_flips > 0)
+        # the count of violated checks and the first three of them
+        violated = syndrome(damaged).describe()
+        first = ", the first 3" if max_flips == 0 else ""
+        assert str(err.value) == (
+            f"detected-uncorrectable: no correction within {max_flips} "
+            f"flip(s); {len(violated)} checks violated{first}: "
+            + ", ".join(violated[:3]))
+    assert len(syndrome(sent.flip([0, 7, 11])).violated) == 4
 
 
 def test_inject_errors_is_deterministic():

@@ -26,6 +26,14 @@ from adinkra import (
     valise_heights,
 )
 from adinkra.cli import run
+from adinkra.codec import EdgeBitVector, encode
+from adinkra.graph import Edge
+from adinkra.quaternion import (
+    directions_from_vector,
+    matrices_from_directions,
+    quaternion_baobab_completions,
+    quaternion_edges,
+)
 
 
 def full_adinkra(n, gens):
@@ -278,6 +286,98 @@ def test_every_edge_row_reader_raises_the_same_errors(site, damage):
     with pytest.raises(InputError) as info:
         parse(doc)
     assert str(info.value) == prefix + message(row)
+
+
+def joined(entries):
+    return "".join(map(str, entries))
+
+
+def with_output_bit(bit):
+    rows = copy.deepcopy(TRACE_DOCS[0])
+    rows[1]["output"]["bit"] = bit
+    return rows
+
+
+CUBE = parse_family("n=3;code=;scheme=dashing")
+QUATERNION_EDGE = quaternion_edges()[0]
+QUATERNION_DIRECTIONS = directions_from_vector((1, 1, 1, 0, 1, 0))
+SEED_EDGE, SEED_BIT = next(iter(BAOBAB.bits.items()))
+_OUTPUT = TRACE_DOCS[0][1]["output"]
+TRACE_EDGE = Edge(int(_OUTPUT["u"], 2), int(_OUTPUT["v"], 2), _OUTPUT["color"])
+
+# every reader of bits: its call on a list of entries, which the readers
+# of text get joined, the good entries, its name for them, the prefix of
+# its errors, and whether it reads text; a reader of one bit (text None)
+# gets one entry and names its edge
+BIT_READERS = {
+    "wire payload": (
+        lambda e: parse_wire(f"{CUBE.header()} {joined(e)}"), [0, 1] * 6,
+        CUBE.header(), "", True),
+    "message as text": (
+        lambda e: encode(joined(e), CUBE), [1, 0, 1, 1, 0, 1, 0],
+        f"the message of {CUBE.header()}", "", True),
+    "message as a list": (
+        lambda e: encode(e, CUBE), [1, 0, 1, 1, 0, 1, 0],
+        f"the message of {CUBE.header()}", "", False),
+    "EdgeBitVector": (
+        lambda e: EdgeBitVector(CUBE, tuple(e)), [0, 1] * 6, CUBE.header(),
+        "", False),
+    "baobab bits": (
+        lambda e: Baobab.from_json(json.dumps(
+            dict(BAOBAB_DOCS[1], bits=joined(e)))),
+        [1] * 8, "the baobab slots", "", True),
+    "quaternion vector": (
+        directions_from_vector, [1, 1, 1, 0, 1, 0], "quaternion directions",
+        "", False),
+    "quaternion direction": (
+        lambda b: matrices_from_directions(
+            {**QUATERNION_DIRECTIONS, QUATERNION_EDGE: b}),
+        1, f"direction for {QUATERNION_EDGE}", "", None),
+    "quaternion completion": (
+        lambda b: quaternion_baobab_completions({QUATERNION_EDGE: b}),
+        1, f"direction for {QUATERNION_EDGE}", "", None),
+    "trace bit": (
+        lambda b: parse_trace(with_output_bit(b)), _OUTPUT["bit"],
+        f"bit for {TRACE_EDGE}", "trace line 2: ", None),
+    "replay seed": (
+        lambda b: _TRACES[0].replay_dashing({**BAOBAB.bits, SEED_EDGE: b}),
+        SEED_BIT, f"seed for {SEED_EDGE}", "", None),
+}
+# the entry each damage puts in; "short" drops the last one
+BAD_ENTRIES = {"2": 2, "True": True, "1.0": 1.0, "'1'": "1", "x": "x"}
+BIT_DAMAGE = {True: ("short", "2", "x"),
+              False: ("short", "2", "True", "1.0", "'1'"),
+              None: ("2", "True", "1.0", "'1'")}
+
+
+def test_baobab_bits_must_be_a_string():
+    doc = dict(BAOBAB_DOCS[1], bits=[1] * 8)
+    with pytest.raises(InputError) as info:
+        Baobab.from_json(json.dumps(doc))
+    assert str(info.value) == "the baobab slots must be a string, got list"
+
+
+@pytest.mark.parametrize("site, damage", [
+    (site, damage) for site, reader in BIT_READERS.items()
+    for damage in BIT_DAMAGE[reader[4]]])
+def test_every_bit_reader_names_the_length_or_the_position(site, damage):
+    read, good, what, prefix, text = BIT_READERS[site]
+    read(good)
+    if text is None:
+        bad = BAD_ENTRIES[damage]
+        message = f"{what} must be 0 or 1, got {bad!r}"
+    elif damage == "short":
+        bad = good[:-1]
+        message = f"need {len(good)} bits for {what}, got {len(bad)}"
+    else:
+        k = len(good) - 2
+        entry = BAD_ENTRIES[damage]
+        bad = good[:k] + [entry] + good[k + 1:]
+        got = str(entry) if text else entry
+        message = f"bit {k} of {what} must be 0 or 1, got {got!r}"
+    with pytest.raises(InputError) as info:
+        read(bad)
+    assert str(info.value) == prefix + message
 
 
 # a family header (n, code_generators) put on the n=3, code 1111
