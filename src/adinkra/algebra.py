@@ -9,13 +9,20 @@ silent coercion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from operator import gt
+from typing import Mapping, NamedTuple
 
+from .codes import weight
 from .errors import GradedSumError, InputError
 from .graph import (
+    _BITS,
     Adinkra,
     VerificationReport,
+    _moved,
+    _rank_planes,
+    _RankPlanes,
     boson_nodes,
+    checked_signs,
     fermion_nodes,
     verify_heights,
     verify_odd_dashing,
@@ -277,11 +284,34 @@ def anticommutator(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """One transformation matrix per color over a boson-then-fermion basis."""
+    """One transformation matrix per color over a boson-then-fermion basis.
+
+    A set that `adinkra_to_gamma` reads off a graph of exact translates
+    holds its matrices as node-rank planes (`_GammaPlanes`), which
+    `check_garden` reads, and builds `matrices` from them on first
+    read.  Equality, `repr`, pickling and copies read `matrices`, so
+    such a set behaves as `GammaSet(matrices, basis, boson_count)`.
+    """
 
     matrices: Mapping[int, MonomialMatrix]
     basis: tuple[int, ...]
     boson_count: int
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks, such as the
+        # `matrices` of a plane-backed set before their first read
+        planes = self.__dict__.get("_planes")
+        if name != "matrices" or planes is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrices = planes.matrices(self.basis)
+        # frozen: write the built field straight into the instance
+        self.__dict__["matrices"] = matrices
+        return matrices
+
+    def __reduce__(self):
+        # pickled and copied as `GammaSet(matrices, basis, boson_count)`
+        return GammaSet, (self.matrices, self.basis, self.boson_count)
 
     @property
     def dim(self) -> int:
@@ -294,14 +324,92 @@ class GammaSet:
         return range(self.boson_count, self.dim)
 
 
-# Every entry a ±1 dashing gives, keyed by (sign, fermionic target,
-# source above target): the sign, times i for a fermionic target, times
-# d/dt when the source sits higher.
+# Every entry of a ±1 dashing, keyed by the binary digits of its row in
+# the three planes of `_GammaPlanes`: a fermionic target (times i), a
+# dashed edge (times -1) and a source above the target (times d/dt).
 _GAMMA_ENTRIES = {
-    (sign, fermionic, up): Monomial(*((0, sign) if fermionic else (sign, 0)),
-                                    int(up))
-    for sign in (1, -1) for fermionic in (False, True) for up in (False, True)
+    (f, d, up): Monomial(*((0, sign) if f == "1" else (sign, 0)), int(up))
+    for f in "01" for d, sign in (("0", 1), ("1", -1)) for up in "01"
 }
+
+
+class _GammaPlanes(NamedTuple):
+    """Γ over the node ranks of a graph of exact translates.
+
+    Row r of Γ_c holds one entry, at column r ^ δ_c: i**(k0 + 2 k1) ·
+    (d/dt)**g.  `packed[c]` holds color c's planes of k0 (the row is a
+    fermion), k1 (its edge is dashed) and g (the other end sits higher)
+    side by side, `ranks.size` bits each, low to high; index 0 is
+    unused.  `swaps` are `ranks.swaps(3)`."""
+
+    ranks: _RankPlanes
+    nodes: tuple[int, ...]
+    packed: list[int]
+    swaps: list[tuple[tuple[int, int], ...]]
+
+    def holds(self, ci: int, cj: int) -> bool:
+        """Whether every row of {Γ_ci, Γ_cj} is 2i·d/dt on the diagonal
+        (ci == cj) or zero.  Row r of Γ_x·Γ_y is one term at column
+        r ^ δ_x ^ δ_y: the phase k_x(r) + k_y(r ^ δ_x) in Z4, whose sum
+        of planes is (a0 ^ b0, a1 ^ b1 ^ a0 & b0), and the grade
+        g_x(r) + g_y(r ^ δ_x), equal to another such sum exactly when
+        both the XOR and the AND of its bits are."""
+        size = self.ranks.size
+        low = (1 << size) - 1
+
+        def term(x, y, swaps):  # sum planes side by side, the grades' AND
+            y = _moved(y, swaps)
+            carry = x & y
+            return x ^ y ^ (carry & low) << size, carry >> 2 * size
+
+        a, b = self.packed[ci], self.packed[cj]
+        if ci == cj:  # phase 1 and grade 1: i·d/dt, twice
+            return term(a, a, self.swaps[ci])[0] == low | low << 2 * size
+        ab, ab_up = term(a, b, self.swaps[ci])
+        ba, ba_up = term(b, a, self.swaps[cj])
+        # equal grades and phases 2 apart: the terms cancel
+        return ab ^ ba == low << size and ab_up == ba_up
+
+    def matrices(self, basis: tuple[int, ...]) -> dict[int, MonomialMatrix]:
+        """Every Γ_c over `basis`, as `adinkra_to_gamma` reads it off the
+        edges one by one."""
+        size = self.ranks.size
+        index = {x: i for i, x in enumerate(basis)}
+        at = list(map(index.__getitem__, self.nodes))
+        out = {}
+        for c in range(1, len(self.packed)):
+            digits = format(self.packed[c], f"0{3 * size}b")[::-1]
+            rows = zip(digits[:size], digits[size:2 * size], digits[2 * size:])
+            delta = self.ranks.deltas[c]
+            m = out[c] = MonomialMatrix(len(basis))
+            for r, key in enumerate(rows):
+                m._rows[at[r]] = {at[r ^ delta]: _GAMMA_ENTRIES[key]}
+        return out
+
+
+def _gamma_planes(adinkra: Adinkra) -> _GammaPlanes | None:
+    """Γ as planes, read off `adinkra.edges`, the dashing and the
+    heights; None unless the graph's edges are exact translates
+    (`graph._rank_planes`), every sign is the int +1 or -1 and every
+    node has an int (or bool) height."""
+    ranks = _rank_planes(adinkra)
+    nodes = adinkra.nodes
+    levels = list(map(adinkra.heights.get, nodes))
+    if ranks is None or not {int, bool}.issuperset(map(type, levels)):
+        return None  # a missing height reads as None
+    try:
+        signs = checked_signs(adinkra)
+    except InputError:
+        return None
+    size = ranks.size
+    # k0: bit r set where rank r is a fermion, the same for every color
+    k0 = int(bytes(weight(x) & 1 for x in reversed(nodes)).translate(_BITS), 2)
+    k1 = ranks.dashed(signs)
+    # the source of row r's entry sits higher than r
+    ups = map(gt, ranks.across(levels), levels[::-1] * adinkra.length)
+    packed = [k0 | d << size | g << 2 * size
+              for d, g in zip(k1, ranks.planes(bytes(ups)))]
+    return _GammaPlanes(ranks, nodes, packed, ranks.swaps(3))
 
 
 def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
@@ -310,7 +418,10 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
     Basis: bosons in ascending label order, then fermions.  The entry in
     row t, column s is the coefficient of state s in the transform of
     state t along one edge: the edge sign, times i when t is a fermion,
-    times d/dt when s sits above t.
+    times d/dt when s sits above t.  On a graph of exact translates with
+    ±1 signs and integer heights the matrices are kept as planes and
+    built on first read (see `GammaSet`); otherwise each entry is set
+    as a fresh Monomial, edge by edge.
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("gamma matrices need both dashing and heights")
@@ -323,10 +434,15 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
             raise InputError(f"invalid adinkra: {height_report.summary()}")
     bosons = boson_nodes(adinkra)
     basis = bosons + fermion_nodes(adinkra)
+    first_fermion = len(bosons)
+    planes = _gamma_planes(adinkra)
+    if planes is not None:
+        out = object.__new__(GammaSet)  # matrices built on first read
+        out.__dict__.update(basis=basis, boson_count=first_fermion,
+                            _planes=planes)
+        return out
     index = {label: i for i, label in enumerate(basis)}
     dashing, heights = adinkra.dashing, adinkra.heights
-    first_fermion = len(bosons)
-
     matrices = {color: MonomialMatrix(len(basis))
                 for color in adinkra.colors()}
     for e in adinkra.edges:
@@ -336,13 +452,9 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
         sign = dashing[e]
         for s, t in ((e.u, e.v), (e.v, e.u)):
             row, col = index[t], index[s]
-            key = (sign, row >= first_fermion, heights[s] > heights[t])
-            entry = _GAMMA_ENTRIES.get(key) if type(sign) is int else None
-            if entry is None:  # not a ±1 sign: validate as a fresh entry
-                coeff = (0, sign) if key[1] else (sign, 0)
-                m.set_entry(row, col, Monomial(*coeff, 1 if key[2] else 0))
-            else:
-                m._rows[row][col] = entry
+            coeff = (0, sign) if row >= first_fermion else (sign, 0)
+            up = 1 if heights[s] > heights[t] else 0
+            m.set_entry(row, col, Monomial(*coeff, up))
     return GammaSet(matrices, basis, first_fermion)
 
 
@@ -424,17 +536,27 @@ def _unit_pair_holds(a, b, same: bool) -> bool:
 def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
     """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ.
 
-    A pair of matrices with one entry in every row is decided on unit
-    rows in one pass; a pair that fails there, and any other pair, goes
-    through `anticommutator`, whose entries give the violations."""
-    colors = sorted(gammas.matrices)
-    units = {c: _unit_rows(gammas.matrices[c]) for c in colors}
+    A pair of a plane-backed set (see `GammaSet`) is decided on its
+    planes, all rows at once; a pair of matrices with one entry in every
+    row is decided on unit rows in one pass.  A pair that fails there,
+    and any other pair, goes through `anticommutator`, whose entries
+    give the violations."""
+    planes = gammas.__dict__.get("_planes")
+    if planes is not None:
+        colors = list(range(1, len(planes.packed)))
+        holds = planes.holds
+    else:
+        colors = sorted(gammas.matrices)
+        units = {c: _unit_rows(gammas.matrices[c]) for c in colors}
+
+        def holds(ci, cj):
+            ua, ub = units[ci], units[cj]
+            return (ua is not None and ub is not None and len(ua) == len(ub)
+                    and _unit_pair_holds(ua, ub, ci == cj))
     violations: list[AlgebraViolation] = []
     for i, ci in enumerate(colors):
         for cj in colors[i:]:
-            ua, ub = units[ci], units[cj]
-            if (ua is not None and ub is not None and len(ua) == len(ub)
-                    and _unit_pair_holds(ua, ub, ci == cj)):
+            if holds(ci, cj):
                 continue
             try:
                 got = anticommutator(gammas.matrices[ci],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, compress, islice
 from math import comb
 from operator import xor
 
@@ -63,28 +63,39 @@ class Family:
 QUATERNION_FAMILY = Family(2, ("111",), DIRECTION)
 
 
+def _quoted(text: str, limit: int = 48) -> str:
+    """`text` quoted, or past `limit` characters its first `limit` quoted
+    and its length, so that an error line stays short."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def parse_family(text: str) -> Family:
-    """Parse a family header; the alias "quaternion" is accepted."""
+    """Parse a family header; the alias "quaternion" is accepted.  Its
+    errors quote the header and its fields through `_quoted`."""
     text = text.strip()
     if text == "quaternion":
         return QUATERNION_FAMILY
     fields = {}
     for part in text.split(";"):
         if "=" not in part:
-            raise InputError(f"malformed family field {part!r} in {text!r}")
+            raise InputError(f"malformed family field {_quoted(part)} in "
+                             f"{_quoted(text)}")
         key, value = part.split("=", 1)
         key = key.strip()
         if key in fields or key not in ("n", "code", "scheme"):
             what = "repeated" if key in fields else "unknown"
-            raise InputError(f"{what} family field {key!r} in {text!r}")
+            raise InputError(
+                f"{what} family field {_quoted(key)} in {_quoted(text)}")
         fields[key] = value.strip()
     for key in ("n", "code", "scheme"):
         if key not in fields:
-            raise InputError(f"family header missing {key!r}: {text!r}")
+            raise InputError(f"family header missing {key!r}: {_quoted(text)}")
     try:
         n = int(fields["n"])
     except ValueError:
-        raise InputError(f"family n must be an integer: {fields['n']!r}")
+        raise InputError(f"family n must be an integer: {_quoted(fields['n'])}")
     gens = tuple(g for g in fields["code"].split(",") if g)
     family = Family(n, gens, fields["scheme"])
     _guarded_code(family)  # validate eagerly, without building the graph
@@ -344,14 +355,30 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
                 "syndrome",
                 candidates=tuple(hits),
             )
-    # the count and the first three: all-zero L=16 lists 61440 checks
-    violated = syndrome(vector).violated
-    first = ", the first 3" if len(violated) > 3 else ""
+    # the count and the first three: all-zero L=16 violates 61440 checks
+    count, violated = _violations(vector, 3)
+    first = ", the first 3" if count > 3 else ""
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
-        f"{len(violated)} checks violated{first}: "
-        f"{', '.join(map(str, violated[:3]))}"
+        f"{count} checks violated{first}: {', '.join(map(str, violated))}"
     )
+
+
+def _violations(vector: EdgeBitVector, shown: int) -> tuple[int, tuple]:
+    """How many checks the block violates, and the first `shown` of the
+    ones `syndrome` lists; a dashing block counts them on the id quads
+    and describes only those it shows."""
+    family = vector.family
+    if family.scheme != DASHING:
+        violated = syndrome(vector).violated
+        return len(violated), violated[:shown]
+    skeleton = family_skeleton(family)
+    table = _plaquette_ids(skeleton)
+    b = vector.bits
+    broken = [not b[w] ^ b[x] ^ b[y] ^ b[z] for w, x, y, z in table.quads]
+    return sum(broken), tuple(
+        PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length))
+        for p in islice(compress(table.plaquettes, broken), shown))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import gc
 import json
 import threading
+from array import array
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, combinations, repeat
+from operator import itemgetter, xor
 from typing import Mapping, NamedTuple
 
 from . import _kernels
@@ -101,14 +103,16 @@ class _PlaquetteTable:
     edge i as two ascending lists (onto_u, onto_v): those whose traversal
     steps along edge i onto its end u, and those stepping onto v.
     `program` is the compiled NDXOR schedule of the baobab slots (see
-    `baobab._ndxor_program`).  Adinkras on the same graph share one table."""
+    `baobab._ndxor_program`).  `ranks` holds the graph's `_RankPlanes`,
+    or False when its edges are not exact translates (see
+    `_rank_planes`).  Adinkras on the same graph share one table."""
 
     __slots__ = ("plaquettes", "index", "quads", "incidence", "program",
-                 "__weakref__")
+                 "ranks", "__weakref__")
 
     def __init__(self):
         self.plaquettes = self.index = self.quads = self.incidence = None
-        self.program = None
+        self.program = self.ranks = None
 
     @_collector_paused
     def fill_ids(self, edges) -> None:
@@ -390,21 +394,159 @@ def plaquette_count(adinkra: Adinkra) -> int:
     return length * (length - 1) // 2 * (1 << (n - 2))
 
 
+# ---------- node-rank planes ----------
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to binary digits
+_DASHED = bytes.maketrans(b"\xff\x01", b"\x01\x00")  # int8 signs to 0/1
+
+
+class _RankPlanes(NamedTuple):
+    """A graph's edges as bit planes over node ranks.
+
+    A node's rank is its position in `nodes`.  Color c moves rank r to
+    r ^ δ_c, with δ_c (`deltas[c]`) the rank of d_c, so a property of
+    every color-c edge end is one `size`-bit int per color, bit r at the
+    end on rank r (bit-slicing, as in Biham, "A fast new DES
+    implementation in software", FSE 1997).  `masks[b]` marks the ranks
+    whose bit b is clear.  A property's binary digits run color after
+    color, rank size - 1 down to 0 within each: `edge_at` picks, from
+    one item per edge, the item of the edge on each digit, and `across`
+    picks, from one item per rank, the item of the rank the edge on
+    each digit leads to."""
+
+    size: int
+    deltas: tuple[int, ...]
+    masks: list[int]
+    edge_at: itemgetter
+    across: itemgetter
+
+    def planes(self, flags: bytes) -> list[int]:
+        """One plane per color (index 0 is unused) from a 0/1 byte per
+        digit."""
+        digits = flags.translate(_BITS)
+        size = self.size
+        return [0] + [int(digits[k:k + size], 2)
+                      for k in range(0, len(digits), size)]
+
+    def dashed(self, signs) -> list[int]:
+        """The dashed-end plane of every color, from the signs of
+        `checked_signs`: bit r is set where the edge at rank r is -1."""
+        flags = array("b", signs).tobytes().translate(_DASHED)
+        return self.planes(bytes(self.edge_at(flags)))
+
+    def swaps(self, lanes: int = 1) -> list[tuple[tuple[int, int], ...]]:
+        """Per color c, the (shift, mask) pair of each set bit b of δ_c,
+        the mask repeated over `lanes` planes side by side: `_moved`
+        applies them in turn to take every bit r of a plane to r ^ δ_c
+        (the delta swap of Knuth, TAOCP 4A, §7.1.3)."""
+        masks = []
+        for m in self.masks:
+            for _ in range(lanes - 1):
+                m |= m << self.size
+            masks.append(m)
+        return [tuple((1 << b, m) for b, m in enumerate(masks) if d >> b & 1)
+                for d in self.deltas]
+
+
+def _moved(word: int, swaps) -> int:
+    """`word` with each bit r of every plane moved to r ^ δ, for the
+    `_RankPlanes.swaps` of δ."""
+    for shift, mask in swaps:
+        word = (word & mask) << shift | (word >> shift) & mask
+    return word
+
+
+def _rank_planes(adinkra: Adinkra) -> _RankPlanes | None:
+    """The graph's node-rank planes, built once per graph like
+    `plaquettes`, or None unless its edges are exact translates: the
+    node count a power of two, the steps d_c nodes with distinct nonzero
+    ranks (so every color pair spans four-cycles), and every edge
+    (u, v, c) has an int color c in 1..L, v = u ^ d_c and
+    rank(v) = rank(u) ^ δ_c, one edge sitting on each (color, rank)."""
+    table = adinkra._table
+    if table.ranks is None:
+        table.ranks = _build_rank_planes(adinkra) or False
+    return table.ranks or None
+
+
+def _build_rank_planes(adinkra: Adinkra) -> _RankPlanes | None:
+    nodes, edges, length = adinkra.nodes, adinkra.edges, adinkra.length
+    size = len(nodes)
+    rank = dict(zip(nodes, range(size)))
+    steps = _color_steps(adinkra.code)
+    deltas = (0, *map(rank.get, steps[1:]))
+    if (not edges or len(edges) * 2 != length * size or size & (size - 1)
+            or len(rank) != size or None in deltas
+            or len(set(deltas)) != length + 1):
+        return None
+    colors = [e.color for e in edges]
+    if not ({int}.issuperset(map(type, colors))
+            and set(range(1, length + 1)).issuperset(colors)):
+        return None
+    us, vs = [e.u for e in edges], [e.v for e in edges]
+    try:
+        ru, rv = list(map(rank.__getitem__, us)), list(map(rank.__getitem__, vs))
+    except KeyError:
+        return None
+    if (vs != list(map(xor, us, map(steps.__getitem__, colors)))
+            or rv != list(map(xor, ru, map(deltas.__getitem__, colors)))):
+        return None
+    # the digit of color c at rank r is c * size - 1 - r
+    slots = [None] * (2 * len(edges))
+    for i, c, r, s in zip(range(len(edges)), colors, ru, rv):
+        slots[c * size - 1 - r] = slots[c * size - 1 - s] = i
+    if None in slots:  # and so some (color, rank) holds two edges
+        return None
+    masks = [int(("0" * s + "1" * s) * (size // (2 * s)), 2)
+             for s in (1 << b for b in range(size.bit_length() - 1))]
+    across = itemgetter(*[r ^ d for d in deltas[1:]
+                          for r in range(size - 1, -1, -1)])
+    return _RankPlanes(size, deltas, masks, itemgetter(*slots), across)
+
+
 # ---------- verification ----------
 
 
-def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
-    """Check every plaquette carries an odd number of dashed edges."""
-    if adinkra.dashing is None:
-        raise InputError("adinkra has no dashing to verify")
+def checked_signs(adinkra: Adinkra) -> list[int] | None:
+    """The dashing sign of every edge, in edge order, checked to be the
+    int +1 or -1; None if the adinkra has no dashing."""
     dashing = adinkra.dashing
-    missing = [e for e in adinkra.edges if e not in dashing]
+    if dashing is None:
+        return None
+    edges = adinkra.edges
+    signs = list(map(dashing.get, edges))  # None where missing
+    # types first: a bool, a float or an unhashable sign fails there
+    if {int}.issuperset(map(type, signs)) and {1, -1}.issuperset(signs):
+        return signs
+    missing = [e for e in edges if e not in dashing]
     if missing:
         raise InputError(f"dashing missing for edges: {missing[:4]}")
-    for e in adinkra.edges:
-        s = dashing[e]
+    for e, s in zip(edges, signs):
         if not json_int(s) or s not in (1, -1):
             raise InputError(f"dashing sign for {e} must be +1 or -1, got {s}")
+    return signs
+
+
+def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
+    """Check every plaquette carries an odd number of dashed edges.
+
+    On a graph of exact translates (`_rank_planes`) the signs become one
+    dashed-end plane A_c per color, and plaquette (I, J) at every rank r
+    is odd exactly when bit r of A_I ^ A_J ^ σ_I(A_J) ^ σ_J(A_I) is set,
+    σ_c moving bit r to r ^ δ_c.  Only when some pair fails there, or
+    on any other graph, are the plaquettes walked for the report."""
+    signs = checked_signs(adinkra)
+    if signs is None:
+        raise InputError("adinkra has no dashing to verify")
+    ranks = _rank_planes(adinkra)
+    if ranks is not None:
+        a, swaps = ranks.dashed(signs), ranks.swaps()
+        full = (1 << ranks.size) - 1
+        if all(a[i] ^ a[j] ^ _moved(a[j], swaps[i]) ^ _moved(a[i], swaps[j])
+               == full for i, j in combinations(range(1, len(a)), 2)):
+            return VerificationReport("odd-dashing", ())
+    dashing = adinkra.dashing
     bad = []
     for p in plaquettes(adinkra):
         sign = 1

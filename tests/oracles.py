@@ -48,6 +48,7 @@ from adinkra.graph import (
     Adinkra,
     Edge,
     Plaquette,
+    VerificationReport,
     _color_steps,
     boson_nodes,
     fermion_nodes,
@@ -226,6 +227,30 @@ def naive_build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
             )
             out.append(Plaquette(base, colors, (base, a, b, c), edges))
     return tuple(out)
+
+
+def naive_verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
+    """Every sign checked to be the int +1 or -1, edge by edge, then
+    every plaquette `plaquettes` lists walked, multiplying its four
+    signs: a plaquette whose product is not -1 is a violation."""
+    dashing = adinkra.dashing
+    if dashing is None:
+        raise InputError("adinkra has no dashing to verify")
+    missing = [e for e in adinkra.edges if e not in dashing]
+    if missing:
+        raise InputError(f"dashing missing for edges: {missing[:4]}")
+    for e in adinkra.edges:
+        s = dashing[e]
+        if type(s) is bool or not isinstance(s, int) or s not in (1, -1):
+            raise InputError(f"dashing sign for {e} must be +1 or -1, got {s}")
+    bad = []
+    for p in plaquettes(adinkra):
+        product = 1
+        for e in p.edges:
+            product *= dashing[e]
+        if product != -1:
+            bad.append(p)
+    return VerificationReport("odd-dashing", tuple(bad))
 
 
 def naive_to_json(adinkra: Adinkra) -> str:

@@ -105,6 +105,37 @@ def test_parse_family_names_a_repeated_or_unknown_field(text, message):
         parse_family(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=3;code=1111;scheme=dashing;colour=2", "unknown family field "
+     "'colour' in 'n=3;code=1111;scheme=dashing;colour=2'"),
+    ("n=3;code=1111;dashing", "malformed family field 'dashing' in "
+     "'n=3;code=1111;dashing'"),
+    ("n=3;code=1111", "family header missing 'scheme': 'n=3;code=1111'"),
+    ("n=three;code=;scheme=dashing", "family n must be an integer: 'three'"),
+    # past 48 characters: the first 48 and the length
+    ("n=3;code=1111;scheme=dashing;" + "x" * 40, "malformed family field "
+     f"'{'x' * 40}' in 'n=3;code=1111;scheme=dashing;{'x' * 19}'... "
+     "(69 characters)"),
+    ("1" * 16384, f"malformed family field '{'1' * 48}'... (16384 "
+     f"characters) in '{'1' * 48}'... (16384 characters)"),
+    (f"n={'x' * 60};code=;scheme=dashing", "family n must be an integer: "
+     f"'{'x' * 48}'... (60 characters)"),
+])
+def test_parse_family_errors_quote_at_most_48_characters(text, message):
+    with pytest.raises(InputError) as err:
+        parse_family(text)
+    assert str(err.value) == message
+
+
+def test_a_wire_line_with_swapped_fields_gives_one_short_error():
+    # the 16384-bit block is read as the header: its excerpt, not its bits
+    family = parse_family(f"n=11;code={','.join(RM14)};scheme=dashing")
+    header, bits = format_wire(encode("1" * 2052, family)).split()
+    with pytest.raises(InputError) as err:
+        parse_wire(f"{bits} {header}")
+    assert len(f"error: input: {err.value}\n".encode()) <= 200
+
+
 @pytest.mark.parametrize(
     "family, block, message",
     [
@@ -693,6 +724,44 @@ def test_no_flip_budget_builds_no_unit_residues():
             f"flip(s); {len(violated)} checks violated{first}: "
             + ", ".join(violated[:3]))
     assert len(syndrome(sent.flip([0, 7, 11])).violated) == 4
+
+
+class CountedChecks:
+    """Stands in for `codec.PlaquetteCheck` and counts the checks built."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        self.real = codec.PlaquetteCheck
+        monkeypatch.setattr(codec, "PlaquetteCheck", self)
+
+    def __call__(self, *args):
+        self.built += 1
+        return self.real(*args)
+
+
+def test_an_uncorrectable_block_describes_only_the_checks_it_shows(
+        monkeypatch):
+    family = parse_family(f"n=11;code={','.join(RM14)};scheme=dashing")
+    rng = random.Random(26)
+    sent = encode(tuple(rng.randint(0, 1) for _ in range(2052)), family)
+    cases = [(EdgeBitVector(family, (0,) * 16384), 0),
+             (sent.flip(rng.sample(range(16384), 3)), 0)]
+    cases += [(encode((1, 0, 1, 1, 0, 1, 0), CUBE).flip(flips), 0)
+              for flips in ([0], [0, 7, 11], [0, 1, 2, 3, 4])]
+    cases.append((encode((1, 0, 1), QUATERNION_FAMILY).flip([0, 1]), 0))
+    for block, max_flips in cases:
+        violated = syndrome(block).describe()
+        counted = CountedChecks(monkeypatch)
+        with pytest.raises(UncorrectableError) as err:
+            correct(block, max_flips)
+        assert counted.built == (
+            min(3, len(violated)) if block.family.scheme == DASHING else 0)
+        first = ", the first 3" if len(violated) > 3 else ""
+        assert str(err.value) == (
+            f"detected-uncorrectable: no correction within {max_flips} "
+            f"flip(s); {len(violated)} checks violated{first}: "
+            + ", ".join(violated[:3]))
+        monkeypatch.undo()
 
 
 def test_inject_errors_is_deterministic():

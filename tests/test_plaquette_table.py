@@ -119,8 +119,9 @@ def test_from_json_shares_its_own_table(builds):
     builds.clear()
     back = from_json(to_json(adk))
     assert back == adk and back._table is not adk._table
-    assert verify_odd_dashing(back).ok
-    assert plaquettes(back.skeleton()) is plaquettes(back)
+    assert verify_odd_dashing(back).ok  # decided on planes: no table
+    assert not builds
+    assert plaquettes(back) is plaquettes(back.skeleton())
     assert len(builds) == 1 and builds[0] is back
 
 
