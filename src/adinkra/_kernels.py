@@ -10,6 +10,7 @@ dashing family are closed forms and never guarded.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import InputError, SizeGuardError
@@ -36,10 +37,21 @@ def guard_bits() -> int:
         raise InputError(f"ADINKRA_SIZE_GUARD must be an integer, got {raw!r}")
 
 
+def _exponent(n: int) -> str:
+    """n in full up to 48 digits, else its digit count, so that an error
+    line stays short (counted without `str`, which refuses ints of more
+    than 4300 digits)."""
+    if abs(n) < 10 ** 48:
+        return str(n)
+    digits = int(math.log10(abs(n)))
+    digits += (abs(n) >= 10 ** (digits + 1)) - (abs(n) < 10 ** digits) + 1
+    return f"({digits} digits)"
+
+
 def check_guard(n_bits: int, what: str) -> None:
     limit = guard_bits()
     if n_bits > limit:
         raise SizeGuardError(
-            f"{what} needs 2**{n_bits} words, above the guard of "
-            f"2**{limit}; set ADINKRA_SIZE_GUARD to raise the limit"
+            f"{what} needs 2**{_exponent(n_bits)} words, above the guard of "
+            f"2**{_exponent(limit)}; set ADINKRA_SIZE_GUARD to raise the limit"
         )

@@ -9,7 +9,6 @@ silent coercion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt
 from typing import Mapping, NamedTuple
 
 from .codes import weight
@@ -370,14 +369,15 @@ class _GammaPlanes(NamedTuple):
         # equal grades and phases 2 apart: the terms cancel
         return ab ^ ba == low << size and ab_up == ba_up
 
-    def matrices(self, basis: tuple[int, ...]) -> dict[int, MonomialMatrix]:
-        """Every Γ_c over `basis`, as `adinkra_to_gamma` reads it off the
-        edges one by one."""
+    def matrices(self, basis: tuple[int, ...],
+                 colors=None) -> dict[int, MonomialMatrix]:
+        """Γ_c over `basis` for each of `colors` (by default every color),
+        as `adinkra_to_gamma` reads it off the edges one by one."""
         size = self.ranks.size
         index = {x: i for i, x in enumerate(basis)}
         at = list(map(index.__getitem__, self.nodes))
         out = {}
-        for c in range(1, len(self.packed)):
+        for c in colors or range(1, len(self.packed)):
             digits = format(self.packed[c], f"0{3 * size}b")[::-1]
             rows = zip(digits[:size], digits[size:2 * size], digits[2 * size:])
             delta = self.ranks.deltas[c]
@@ -406,9 +406,8 @@ def _gamma_planes(adinkra: Adinkra) -> _GammaPlanes | None:
     k0 = int(bytes(weight(x) & 1 for x in reversed(nodes)).translate(_BITS), 2)
     k1 = ranks.dashed(signs)
     # the source of row r's entry sits higher than r
-    ups = map(gt, ranks.across(levels), levels[::-1] * adinkra.length)
     packed = [k0 | d << size | g << 2 * size
-              for d, g in zip(k1, ranks.planes(bytes(ups)))]
+              for d, g in zip(k1, ranks.rising(levels))]
     return _GammaPlanes(ranks, nodes, packed, ranks.swaps(3))
 
 
@@ -540,27 +539,35 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
     planes, all rows at once; a pair of matrices with one entry in every
     row is decided on unit rows in one pass.  A pair that fails there,
     and any other pair, goes through `anticommutator`, whose entries
-    give the violations."""
+    give the violations.  A plane-backed set whose `matrices` are not
+    yet built builds only the Γ_c of the failing pairs' colors."""
     planes = gammas.__dict__.get("_planes")
     if planes is not None:
         colors = list(range(1, len(planes.packed)))
         holds = planes.holds
+        mats = gammas.__dict__.get("matrices") or {}
     else:
-        colors = sorted(gammas.matrices)
-        units = {c: _unit_rows(gammas.matrices[c]) for c in colors}
+        mats = gammas.matrices
+        colors = sorted(mats)
+        units = {c: _unit_rows(mats[c]) for c in colors}
 
         def holds(ci, cj):
             ua, ub = units[ci], units[cj]
             return (ua is not None and ub is not None and len(ua) == len(ub)
                     and _unit_pair_holds(ua, ub, ci == cj))
+
+    def matrix(c):
+        if c not in mats:
+            mats.update(planes.matrices(gammas.basis, (c,)))
+        return mats[c]
+
     violations: list[AlgebraViolation] = []
     for i, ci in enumerate(colors):
         for cj in colors[i:]:
             if holds(ci, cj):
                 continue
             try:
-                got = anticommutator(gammas.matrices[ci],
-                                     gammas.matrices[cj])
+                got = anticommutator(matrix(ci), matrix(cj))
             except GradedSumError as exc:
                 violations.append(
                     AlgebraViolation(

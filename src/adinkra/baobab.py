@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
+from itertools import combinations
+from operator import getitem
 from typing import Mapping, NamedTuple
 
 from .codes import (AffineCode, bit_string, check_bit, color_bit,
@@ -30,7 +33,9 @@ from .graph import (
     Plaquette,
     _collector_paused,
     _color_steps,
+    _moved,
     _plaquette_ids,
+    _rank_planes,
     checked_heights,
     chromotopology_code,
     json_edge,
@@ -121,11 +126,13 @@ class GateTrace:
 
     A trace that propagation returns holds only the values it computed:
     the fired plaquettes in order and, per edge, the firing that wrote
-    it.  It builds its `steps` in one pass on first read (`_gate_steps`)
-    and until then keeps the skeleton's plaquette table alive: its
-    plaquettes and their id quadruples.  Equality, hashing, `repr`,
-    pickling and copies read `steps`, so such a trace behaves as
-    `GateTrace(length, steps)`, and it is as frozen.
+    it; or, for arrows that the DXOR sweep closed, the pins alone.  It
+    builds its `steps` on first read (`_gate_steps`, after an engine
+    run from the pins for a swept trace) and until then keeps the
+    skeleton's plaquette table alive: its plaquettes and their id
+    quadruples.  Equality, hashing, `repr`, pickling and copies read
+    `steps`, so such a trace behaves as `GateTrace(length, steps)`, and
+    it is as frozen.
     """
 
     length: int
@@ -138,7 +145,7 @@ class GateTrace:
         if name != "steps" or firings is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = _gate_steps(*firings)
+        steps = firings()
         # frozen: write the built field straight into the instance
         self.__dict__["steps"] = steps
         self.__dict__.pop("_firings", None)
@@ -461,12 +468,21 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
         fresh = written[start:]
 
 
+def _engine_steps(gate: str, table, vals: list, *run) -> tuple:
+    """The GateSteps of an engine run (`_run_engine(table, vals, *run)`)
+    from the known ids in `vals`."""
+    fired, when, _ = _run_engine(table, vals, *run)
+    return _gate_steps(gate, table.plaquettes, table.quads, fired, when, vals)
+
+
 def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
                directions: bool = False):
-    """`_run_engine` from the given edges or, for dashing bits on
-    exactly the baobab slots, the skeleton's NDXOR program, which fires
-    as the engine would and calls no rule.  Returns the known dict and
-    a trace that builds its steps from the firings when read."""
+    """`_run_engine` from the given edges; for arrows that the DXOR
+    sweep closes (`_swept_up`), the sweep, with the engine run only
+    when the trace is read; for dashing bits on exactly the baobab
+    slots, the skeleton's NDXOR program, which fires as the engine would
+    and calls no rule.  Returns the known dict and a trace that builds
+    its steps when read."""
     table = _plaquette_ids(skeleton)
     index, edges = table.index, skeleton.edges
     vals = [None] * len(edges)
@@ -479,21 +495,118 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
         known[e] = vals[i] = check(e, value)
         fresh.append(i)
     gate = "DXOR" if directions else "NDXOR"
+    run = (fresh, rule, ready, edges if directions else None, skeleton.length)
+    up = _swept_up(skeleton, known) if directions else None
     program = None if directions else _ndxor_program(skeleton, fresh)
-    if program is not None:
-        program.run(vals)
-        fired, when = program.order, program.when
-        written = (out for out, _, _, _ in program.flat)
+    if up is not None:
+        # the engine reaches the same closure (see `_dxor_closure`), so
+        # it runs only when the steps are read
+        ranks = _rank_planes(skeleton)
+        ups = ranks.tails(ranks.flags(up))
+        known.update(zip(edges, map(getitem, edges, ups)))
+        firings = partial(_engine_steps, gate, table, vals, *run)
     else:
-        fired, when, written = _run_engine(
-            table, vals, fresh, rule, ready, edges if directions else None,
-            skeleton.length)
-    for i in written:
-        known[edges[i]] = vals[i]
+        if program is not None:
+            program.run(vals)
+            fired, when = program.order, program.when
+            written = (out for out, _, _, _ in program.flat)
+        else:
+            fired, when, written = _run_engine(table, vals, *run)
+        for i in written:
+            known[edges[i]] = vals[i]
+        firings = partial(_gate_steps, gate, table.plaquettes, table.quads,
+                          fired, when, vals)
     trace = object.__new__(GateTrace)  # steps built on first read
-    trace.__dict__.update(length=skeleton.length, _firings=(
-        gate, table.plaquettes, table.quads, fired, when, vals))
+    trace.__dict__.update(length=skeleton.length, _firings=firings)
     return known, trace
+
+
+# ---------- DXOR sweeps over node-rank planes ----------
+
+
+def _swept_up(skeleton: Adinkra, pinned: Mapping) -> list[int] | None:
+    """The up planes (`_dxor_closure`) that the arrows `pinned` (edge ->
+    head, checked) close to, or None: on a graph without node-rank
+    planes (`graph._rank_planes`) or with fewer than two colors, or when
+    the closure contradicts or leaves an edge unknown."""
+    ranks = _rank_planes(skeleton)
+    if ranks is None or len(ranks.deltas) < 3:
+        return None
+    rank = dict(zip(skeleton.nodes, range(ranks.size)))
+    up = [0] * len(ranks.deltas)
+    for (u, v, color), head in pinned.items():
+        up[color] |= 1 << rank[u if head == v else v]
+    return _dxor_closure(ranks, up)
+
+
+def _at_least_two_three(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The bits set in at least two, and in at least three, of a..d."""
+    ab, cd, a_b, c_d = a & b, c & d, a | b, c | d
+    return ab | cd | a_b & c_d, ab & c_d | cd & a_b
+
+
+def _dxor_closure(ranks, up: list[int]) -> list[int] | None:
+    """Close known arrows under DXOR on node-rank planes, or None on a
+    contradiction or when some edge stays unknown.
+
+    Bit r of `up[c]` is set where the color-c edge at rank r is known to
+    rise as it leaves r, and so bit r of its delta swap σ_c(up[c]) where
+    it is known to fall.  Around plaquette (I, J) at base r the trail
+    bits are 1 on σ_I(U_I), σ_I(σ_J(U_J)), σ_J(U_I), U_J and 0 on U_I,
+    σ_I(U_J), σ_J(σ_I(U_I)), σ_J(U_J).  Two known ones force the unknown
+    bits to 0 and two known zeros force them to 1; three of either, or
+    an edge rising from both ends, contradicts.  Every rank is a base,
+    so every edge of the pair shows as the first (color I) or the last
+    (color J) trail edge of some base, and is forced there.  Each edge
+    lies on one plaquette per color pair, so a pair is swept again only
+    once one of its planes has changed, until none changes.  A color's
+    rises and falls sit side by side in one int, the zeros and the ones
+    of a trail bit in one order or the other, so that one delta swap
+    moves both and one count decides both.
+
+    The rules are monotone, so any order reaches the engine's closure
+    (Apt, "The essence of constraint propagation", TCS 221, 1999); all
+    bases of a color pair are decided at once (bit-slicing)."""
+    size = ranks.size
+    low = (1 << size) - 1
+    one, two = ranks.swaps(), ranks.swaps(2)
+    # per color, rises then falls (zeros, ones of the first trail edge),
+    # and falls then rises (those of the last)
+    rf, fr = [], []
+    for u, s in zip(up, one):
+        d = _moved(u, s)
+        rf.append(u | d << size)
+        fr.append(d | u << size)
+    pairs = list(combinations(range(1, len(up)), 2))
+    seen = [None] * len(pairs)  # the planes each pair last swept
+    moved = True
+    while moved:
+        moved = False
+        for k, (i, j) in enumerate(pairs):
+            ki, kj = rf[i], rf[j]
+            if seen[k] == (ki, kj):
+                continue
+            # zeros then ones of the four trail bits at every base
+            twos, threes = _at_least_two_three(
+                ki, _moved(kj, two[i]), _moved(fr[i], two[j]), fr[j])
+            if threes:
+                return None
+            zeros, ones = twos & low, twos >> size
+            for c, known, rise, fall in ((i, ki, ones, zeros),
+                                         (j, kj, zeros, ones)):
+                free = ~(known | known >> size) & low
+                if free & (rise | fall):
+                    u = known & low | rise & free | _moved(fall & free,
+                                                           one[c])
+                    d = _moved(u, one[c])
+                    if u & d:
+                        return None
+                    rf[c], fr[c] = u | d << size, d | u << size
+                    moved = True
+            seen[k] = rf[i], rf[j]
+    if any((k | k >> size) & low != low for k in rf[1:]):
+        return None
+    return [k & low for k in rf]
 
 
 class _NdxorProgram(NamedTuple):
@@ -908,21 +1021,26 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
             )
 
     pinned = choose_pinned_arrows(adinkra)
-    heads, _dtrace = propagate_directions(skeleton, pinned)
-    unresolved = [e for e in adinkra.edges if e not in heads]
-    if unresolved:
-        raise InsufficientPinningError(
-            f"pinned arrows leave {len(unresolved)} edge direction(s) "
-            "undetermined",
-            unresolved=unresolved,
-        )
     heights = adinkra.heights
-    for e in adinkra.edges:
-        want = e.u if heights[e.u] > heights[e.v] else e.v
-        if heads[e] != want:
-            raise ContradictionError(
-                f"propagated direction disagrees with the heights at {e}"
+    # the sweep's up planes against the heights': equal, every arrow
+    # agrees; else the heads dict names the first edge that does not
+    up = _swept_up(skeleton, pinned)
+    if up is None or up != _rank_planes(adinkra).rising(
+            list(map(heights.get, adinkra.nodes))):
+        heads, _dtrace = propagate_directions(skeleton, pinned)
+        unresolved = [e for e in adinkra.edges if e not in heads]
+        if unresolved:
+            raise InsufficientPinningError(
+                f"pinned arrows leave {len(unresolved)} edge direction(s) "
+                "undetermined",
+                unresolved=unresolved,
             )
+        for e in adinkra.edges:
+            want = e.u if heights[e.u] > heights[e.v] else e.v
+            if heads[e] != want:
+                raise ContradictionError(
+                    f"propagated direction disagrees with the heights at {e}"
+                )
 
     return Baobab(
         adinkra.n,

@@ -390,6 +390,19 @@ def test_oversized_build_exits_two_with_one_line(capsys, monkeypatch):
     assert err.startswith("error: size-guard:") and err.count("\n") == 1
 
 
+def test_a_header_with_a_4000_digit_n_exits_two_with_one_short_line(
+        capsys, monkeypatch):
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    family = f"n={'9' * 4000};code=;scheme=dashing"
+    code, out, err = invoke(
+        capsys, monkeypatch, ["encode", "--family", family, "--message", "0"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: size-guard: quotient construction needs 2**(4000 digits) "
+        "words, above the guard of 2**20; set ADINKRA_SIZE_GUARD to raise "
+        "the limit\n")
+
+
 @pytest.mark.skipif(
     shutil.which("adinkra") is None,
     reason="no 'adinkra' executable on PATH; the console script exists "

@@ -293,6 +293,30 @@ def test_size_guard_applies_to_cached_family_headers(monkeypatch):
     assert str(skeleton.value) == str(want.value)
 
 
+def test_guard_errors_count_the_digits_of_a_long_exponent(monkeypatch):
+    # up to 48 digits n is written out; past that, its digit count, so a
+    # header with a 4000-digit n gives one short line, not 4106 characters
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    tail = "words, above the guard of 2**20; set ADINKRA_SIZE_GUARD to raise "
+    for n, exponent in ((10 ** 48 - 1, "9" * 48), (10 ** 48, "(49 digits)"),
+                        (10 ** 4000 - 1, "(4000 digits)"),
+                        (10 ** 5000, "(5001 digits)")):
+        with pytest.raises(SizeGuardError) as err:
+            check_guard(n, "quotient construction")
+        assert str(err.value) == (
+            f"quotient construction needs 2**{exponent} {tail}the limit")
+    with pytest.raises(SizeGuardError) as err:
+        parse_family(f"n={'9' * 4000};code=;scheme=dashing")
+    assert str(err.value) == (
+        f"quotient construction needs 2**(4000 digits) {tail}the limit")
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "7" * 60)
+    with pytest.raises(SizeGuardError) as err:
+        check_guard(10 ** 60, "enumeration")
+    assert str(err.value).startswith(
+        "enumeration needs 2**(61 digits) words, above the guard of "
+        "2**(60 digits);")
+
+
 def test_distance_walk_is_guarded(monkeypatch):
     # only the quaternion code's kernel is walked; a dashing family's
     # distance is closed form, guarded only by its n like any header

@@ -28,7 +28,7 @@ from adinkra import (
     verify_odd_dashing,
     weight_heights,
 )
-from adinkra import graph
+from adinkra import algebra, graph
 from adinkra.codes import LinearBinaryCode
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -157,6 +157,34 @@ def test_a_fresh_valid_adinkra_is_checked_without_its_plaquette_table():
     report = verify_odd_dashing(flipped)
     assert len(report.violations) == back.length - 1
     assert back._table.plaquettes is not None
+
+
+def test_a_failing_pair_builds_only_its_own_matrices(monkeypatch):
+    # one flipped sign breaks every pair with its edge's color; the
+    # first such pair builds its two matrices, not the whole view, and
+    # a full check builds each color once
+    built = []
+    real = algebra._GammaPlanes.matrices
+    monkeypatch.setattr(
+        algebra._GammaPlanes, "matrices",
+        lambda self, basis, colors=None: built.append(colors) or real(
+            self, basis, colors))
+    adk = valid(4, E8_CODE)
+    adk = adk.with_heights(valise_heights(adk))
+    e = adk.edges[5]
+    bad = adk.with_dashing({**adk.dashing, e: -adk.dashing[e]})
+    for stop_early in (True, False):
+        built.clear()
+        gammas = adinkra_to_gamma(bad, validate=False)
+        report = check_garden(gammas, stop_early)
+        assert not report.ok and "matrices" not in gammas.__dict__
+        if stop_early:
+            assert len(built) == 2 and e.color in built[0] + built[1]
+        else:
+            assert sorted(built) == [(c,) for c in adk.colors()]
+        eager = GammaSet(gammas.matrices, gammas.basis, gammas.boson_count)
+        assert report == check_garden(eager, stop_early)
+        assert report == naive_gardens(eager)[stop_early]
 
 
 def test_plane_backed_sets_copy_and_pickle_as_their_matrices():
