@@ -10,7 +10,6 @@ dashing family are closed forms and never guarded.
 
 from __future__ import annotations
 
-import math
 import os
 
 from .errors import InputError, SizeGuardError
@@ -39,13 +38,9 @@ def guard_bits() -> int:
 
 def _exponent(n: int) -> str:
     """n in full up to 48 digits, else its digit count, so that an error
-    line stays short (counted without `str`, which refuses ints of more
-    than 4300 digits)."""
-    if abs(n) < 10 ** 48:
-        return str(n)
-    digits = int(math.log10(abs(n)))
-    digits += (abs(n) >= 10 ** (digits + 1)) - (abs(n) < 10 ** digits) + 1
-    return f"({digits} digits)"
+    line stays short."""
+    digits = str(abs(n))
+    return str(n) if len(digits) <= 48 else f"({len(digits)} digits)"
 
 
 def check_guard(n_bits: int, what: str) -> None:

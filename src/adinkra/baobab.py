@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 from itertools import combinations
-from operator import getitem
 from typing import Mapping, NamedTuple
 
 from .codes import (AffineCode, bit_string, check_bit, color_bit,
@@ -126,13 +124,11 @@ class GateTrace:
 
     A trace that propagation returns holds only the values it computed:
     the fired plaquettes in order and, per edge, the firing that wrote
-    it; or, for arrows that the DXOR sweep closed, the pins alone.  It
-    builds its `steps` on first read (`_gate_steps`, after an engine
-    run from the pins for a swept trace) and until then keeps the
-    skeleton's plaquette table alive: its plaquettes and their id
-    quadruples.  Equality, hashing, `repr`, pickling and copies read
-    `steps`, so such a trace behaves as `GateTrace(length, steps)`, and
-    it is as frozen.
+    it.  It builds its `steps` in one pass on first read (`_gate_steps`)
+    and until then keeps the skeleton's plaquette table alive: its
+    plaquettes and their id quadruples.  Equality, hashing, `repr`,
+    pickling and copies read `steps`, so such a trace behaves as
+    `GateTrace(length, steps)`, and it is as frozen.
     """
 
     length: int
@@ -145,7 +141,7 @@ class GateTrace:
         if name != "steps" or firings is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = firings()
+        steps = _gate_steps(*firings)
         # frozen: write the built field straight into the instance
         self.__dict__["steps"] = steps
         self.__dict__.pop("_firings", None)
@@ -468,21 +464,12 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
         fresh = written[start:]
 
 
-def _engine_steps(gate: str, table, vals: list, *run) -> tuple:
-    """The GateSteps of an engine run (`_run_engine(table, vals, *run)`)
-    from the known ids in `vals`."""
-    fired, when, _ = _run_engine(table, vals, *run)
-    return _gate_steps(gate, table.plaquettes, table.quads, fired, when, vals)
-
-
 def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
                directions: bool = False):
-    """`_run_engine` from the given edges; for arrows that the DXOR
-    sweep closes (`_swept_up`), the sweep, with the engine run only
-    when the trace is read; for dashing bits on exactly the baobab
-    slots, the skeleton's NDXOR program, which fires as the engine would
-    and calls no rule.  Returns the known dict and a trace that builds
-    its steps when read."""
+    """`_run_engine` from the given edges or, for dashing bits on
+    exactly the baobab slots, the skeleton's NDXOR program, which fires
+    as the engine would and calls no rule.  Returns the known dict and
+    a trace that builds its steps from the firings when read."""
     table = _plaquette_ids(skeleton)
     index, edges = table.index, skeleton.edges
     vals = [None] * len(edges)
@@ -495,29 +482,20 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
         known[e] = vals[i] = check(e, value)
         fresh.append(i)
     gate = "DXOR" if directions else "NDXOR"
-    run = (fresh, rule, ready, edges if directions else None, skeleton.length)
-    up = _swept_up(skeleton, known) if directions else None
     program = None if directions else _ndxor_program(skeleton, fresh)
-    if up is not None:
-        # the engine reaches the same closure (see `_dxor_closure`), so
-        # it runs only when the steps are read
-        ranks = _rank_planes(skeleton)
-        ups = ranks.tails(ranks.flags(up))
-        known.update(zip(edges, map(getitem, edges, ups)))
-        firings = partial(_engine_steps, gate, table, vals, *run)
+    if program is not None:
+        program.run(vals)
+        fired, when = program.order, program.when
+        written = (out for out, _, _, _ in program.flat)
     else:
-        if program is not None:
-            program.run(vals)
-            fired, when = program.order, program.when
-            written = (out for out, _, _, _ in program.flat)
-        else:
-            fired, when, written = _run_engine(table, vals, *run)
-        for i in written:
-            known[edges[i]] = vals[i]
-        firings = partial(_gate_steps, gate, table.plaquettes, table.quads,
-                          fired, when, vals)
+        fired, when, written = _run_engine(
+            table, vals, fresh, rule, ready, edges if directions else None,
+            skeleton.length)
+    for i in written:
+        known[edges[i]] = vals[i]
     trace = object.__new__(GateTrace)  # steps built on first read
-    trace.__dict__.update(length=skeleton.length, _firings=firings)
+    trace.__dict__.update(length=skeleton.length, _firings=(
+        gate, table.plaquettes, table.quads, fired, when, vals))
     return known, trace
 
 
@@ -554,15 +532,16 @@ def _dxor_closure(ranks, up: list[int]) -> list[int] | None:
     it is known to fall.  Around plaquette (I, J) at base r the trail
     bits are 1 on σ_I(U_I), σ_I(σ_J(U_J)), σ_J(U_I), U_J and 0 on U_I,
     σ_I(U_J), σ_J(σ_I(U_I)), σ_J(U_J).  Two known ones force the unknown
-    bits to 0 and two known zeros force them to 1; three of either, or
-    an edge rising from both ends, contradicts.  Every rank is a base,
-    so every edge of the pair shows as the first (color I) or the last
-    (color J) trail edge of some base, and is forced there.  Each edge
-    lies on one plaquette per color pair, so a pair is swept again only
-    once one of its planes has changed, until none changes.  A color's
-    rises and falls sit side by side in one int, the zeros and the ones
-    of a trail bit in one order or the other, so that one delta swap
-    moves both and one count decides both.
+    bits to 0 and two known zeros force them to 1; three of either
+    contradicts.  Every rank is a base, so every edge of the pair shows
+    as the first (color I) or the last (color J) trail edge of some
+    base, and is forced there.  Each edge lies on one plaquette per
+    color pair, and every base of that plaquette forces it the same
+    way, so one sweep never forces an edge both ways; and a pair is
+    swept again only once one of its planes has changed, until none
+    changes.  A color's rises and falls sit side by side in one int,
+    the zeros and the ones of a trail bit in one order or the other, so
+    that one delta swap moves both and one count decides both.
 
     The rules are monotone, so any order reaches the engine's closure
     (Apt, "The essence of constraint propagation", TCS 221, 1999); all
@@ -599,8 +578,6 @@ def _dxor_closure(ranks, up: list[int]) -> list[int] | None:
                     u = known & low | rise & free | _moved(fall & free,
                                                            one[c])
                     d = _moved(u, one[c])
-                    if u & d:
-                        return None
                     rf[c], fr[c] = u | d << size, d | u << size
                     moved = True
             seen[k] = rf[i], rf[j]

@@ -399,7 +399,6 @@ def plaquette_count(adinkra: Adinkra) -> int:
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to binary digits
 _DASHED = bytes.maketrans(b"\xff\x01", b"\x01\x00")  # int8 signs to 0/1
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
 
 
 class _RankPlanes(NamedTuple):
@@ -412,17 +411,15 @@ class _RankPlanes(NamedTuple):
     implementation in software", FSE 1997).  `masks[b]` marks the ranks
     whose bit b is clear.  A property's binary digits run color after
     color, rank size - 1 down to 0 within each: `edge_at` picks, from
-    one item per edge, the item of the edge on each digit, `across`
+    one item per edge, the item of the edge on each digit, and `across`
     picks, from one item per rank, the item of the rank the edge on
-    each digit leads to, and `tails` picks, from one item per digit, the
-    item on each edge's end u, in edge order."""
+    each digit leads to."""
 
     size: int
     deltas: tuple[int, ...]
     masks: list[int]
     edge_at: itemgetter
     across: itemgetter
-    tails: itemgetter
 
     def planes(self, flags: bytes) -> list[int]:
         """One plane per color (index 0 is unused) from a 0/1 byte per
@@ -431,12 +428,6 @@ class _RankPlanes(NamedTuple):
         size = self.size
         return [0] + [int(digits[k:k + size], 2)
                       for k in range(0, len(digits), size)]
-
-    def flags(self, planes: list[int]) -> bytes:
-        """The 0/1 byte per digit of `planes`, one per color (index 0 is
-        unused): the inverse of `planes`."""
-        digits = "".join(format(p, f"0{self.size}b") for p in planes[1:])
-        return digits.encode().translate(_FLAGS)
 
     def rising(self, levels: list) -> list[int]:
         """The up plane of every color from one height per rank: bit r
@@ -509,17 +500,15 @@ def _build_rank_planes(adinkra: Adinkra) -> _RankPlanes | None:
         return None
     # the digit of color c at rank r is c * size - 1 - r
     slots = [None] * (2 * len(edges))
-    tails = [c * size - 1 - r for c, r in zip(colors, ru)]
-    for i, t, c, s in zip(range(len(edges)), tails, colors, rv):
-        slots[t] = slots[c * size - 1 - s] = i
+    for i, c, r, s in zip(range(len(edges)), colors, ru, rv):
+        slots[c * size - 1 - r] = slots[c * size - 1 - s] = i
     if None in slots:  # and so some (color, rank) holds two edges
         return None
     masks = [int(("0" * s + "1" * s) * (size // (2 * s)), 2)
              for s in (1 << b for b in range(size.bit_length() - 1))]
     across = itemgetter(*[r ^ d for d in deltas[1:]
                           for r in range(size - 1, -1, -1)])
-    return _RankPlanes(size, deltas, masks, itemgetter(*slots), across,
-                       itemgetter(*tails))
+    return _RankPlanes(size, deltas, masks, itemgetter(*slots), across)
 
 
 # ---------- verification ----------

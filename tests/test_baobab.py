@@ -53,7 +53,7 @@ from adinkra.baobab import (
 )
 from adinkra.codec import DASHING, Family, codewords
 from adinkra.codes import DoublyEvenCode, LinearBinaryCode, gf2_rref
-from adinkra.graph import _plaquette_ids, _rank_planes
+from adinkra.graph import _plaquette_ids
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -543,28 +543,12 @@ def outcome(propagate, skeleton, given):
     return list(result.items()), trace, trace.to_jsonl()
 
 
-def in_sweep_order(propagate):
-    """`propagate` (an engine or oracle for directions) with its heads
-    listed as `propagate_directions` lists them.  Where the DXOR sweep
-    closes every arrow (the graph has node-rank planes and two colors)
-    that is the pins, then every other edge in edge order; elsewhere the
-    engine runs and lists them in its write order, as the oracle does."""
-    def run(skeleton, pinned, *args, **kwargs):
-        heads, trace = propagate(skeleton, pinned, *args, **kwargs)
-        if (len(heads) == len(skeleton.edges) and skeleton.length > 1
-                and _rank_planes(skeleton) is not None):
-            order = [*pinned, *(e for e in skeleton.edges if e not in pinned)]
-            heads = {e: heads[e] for e in order}
-        return heads, trace
-    return run
-
-
 def assert_matches_oracle(skeleton, known, pinned):
     assert outcome(propagate_dashing, skeleton, known) == outcome(
         oracles.naive_propagate_dashing, skeleton, known
     )
     assert outcome(propagate_directions, skeleton, pinned) == outcome(
-        in_sweep_order(oracles.naive_propagate_directions), skeleton, pinned
+        oracles.naive_propagate_directions, skeleton, pinned
     )
 
 
@@ -680,13 +664,13 @@ def assert_program_cases_match_oracle(a, bits, heights, order=None):
             oracles.naive_propagate_dashing, a, known)
     for pin in pins:
         assert outcome(propagate_directions, a, pin) == outcome(
-            in_sweep_order(oracles.naive_propagate_directions), a, pin)
+            oracles.naive_propagate_directions, a, pin)
     if order is not None:
         custom = reordered(a, order)
         for ours, theirs, sets in (
                 (propagate_dashing, oracles.naive_propagate_dashing, cases),
-                (propagate_directions,
-                 in_sweep_order(oracles.naive_propagate_directions), pins)):
+                (propagate_directions, oracles.naive_propagate_directions,
+                 pins)):
             for given in sets:
                 assert outcome(ours, custom, given) == outcome(
                     lambda *x: theirs(*x, _order=order), a, given)
@@ -889,8 +873,7 @@ def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
     # slot runs fill the dashing from the compiled program and call no
     # NDXOR rule; the engine, run on a reordered copy, is checked below.
     # Compiling the program is one engine run: one forcing call a step.
-    # The DXOR sweep fills the arrows, so extraction and reconstruction
-    # call no DXOR rule; the engine runs when the trace is first read
+    # Extraction checks the arrows by the DXOR sweep and calls no rule
     a = skeleton_for(n, gens)
     program = baobab._ndxor_program(a)
     assert rule_calls == [("NDXOR", 1)] * len(program.flat)
@@ -904,10 +887,10 @@ def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
     for h in heights:
         adk = a.with_dashing(signs).with_heights(h)
         calls = len(rule_calls)
-        rebuilt, _, dir_trace = reconstruct_adinkra(a, extract_baobab(adk))
-        assert rebuilt == adk
+        extracted = extract_baobab(adk)
         assert len(rule_calls) == calls
-        assert dir_trace.steps and len(rule_calls) > calls
+        rebuilt, _, _ = reconstruct_adinkra(a, extracted)
+        assert rebuilt == adk and len(rule_calls) > calls
     assert {gate for gate, _ in rule_calls} == {"DXOR"}
     bits, _ = propagate_dashing(reordered(a, plaquettes(a)), seed)
     assert bits == {e: 1 if s == 1 else 0 for e, s in signs.items()}
@@ -971,10 +954,8 @@ def test_rule_calls_per_inference_stay_at_most_one(rule_calls):
             pinned = choose_pinned_arrows(a.with_dashing(signs).with_heights(h))
             rule_calls.clear()
             heads, trace = propagate_directions(a, pinned)
-            assert len(heads) == len(a.edges) and rule_calls == []
-            # the sweep fills the arrows; the engine runs for the steps
-            steps = trace.steps
-            assert sum(f for _, f in rule_calls) == len(steps)
+            assert len(heads) == len(a.edges)
+            assert sum(f for _, f in rule_calls) == len(trace.steps)
             ratios.append(len(rule_calls) / len(trace.steps))
     assert max(ratios) <= 1
 

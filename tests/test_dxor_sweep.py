@@ -1,37 +1,27 @@
 """The DXOR sweep over node-rank planes.
 
-`propagate_directions`, `reconstruct_directions` and `extract_baobab`
-take their arrows from the sweep.  Its heads must equal the heap
-engine's and the restart-scan oracle's, its deferred traces must equal
-the engine's steps, and every pin set it cannot close (a contradiction,
-an edge left unknown, a graph without rank planes) must give the
-engine's exact outcome: the partial dict in its order, the error text,
-the plaquette and the unresolved edges.
+`extract_baobab` checks the arrows that its pins close to by the sweep
+(`baobab._swept_up`) and runs the heap engine only when they disagree
+with the heights.  The sweep's up planes must give the engine's and the
+restart-scan oracle's heads, it must give up (None) exactly where the
+engine contradicts or leaves an edge unknown, and every failing extract
+must give the engine's exact error text and unresolved edges.
 """
 
-import pickle
 import random
 
 import pytest
 
 import oracles
-from test_baobab import (
-    E8_CODE,
-    in_sweep_order,
-    odd_word_quotients,
-    outcome,
-    structure_corpus,
-)
+from test_baobab import E8_CODE, odd_word_quotients, structure_corpus
 from adinkra import (
     Adinkra,
     ContradictionError,
-    GateTrace,
     InsufficientPinningError,
     build_chromotopology,
     choose_pinned_arrows,
     extract_baobab,
     reconstruct_dashing,
-    reconstruct_directions,
     skeleton_baobab_edges,
     valise_heights,
     weight_heights,
@@ -45,24 +35,12 @@ from adinkra.quaternion import quaternion_skeleton
 RUNGS = [(n, ()) for n in range(2, 9)] + [(3, ("1111",)), (4, E8_CODE)]
 
 
-def engine_directions(skeleton, pinned):
-    """`propagate_directions` with the sweep switched off: the heap
-    engine alone, as before the sweep."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(baobab, "_swept_up", lambda *args: None)
-        return propagate_directions(skeleton, pinned)
-
-
 def engine_extract(adinkra):
+    """`extract_baobab` with the sweep switched off: the heap engine
+    alone, as before the sweep."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baobab, "_swept_up", lambda *args: None)
         return extract_baobab(adinkra)
-
-
-def engine_reconstruct(skeleton, pinned):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(baobab, "_swept_up", lambda *args: None)
-        return reconstruct_directions(skeleton, pinned)
 
 
 def failure(fn, *args):
@@ -80,6 +58,16 @@ def uppers(skeleton, heights):
             for e in skeleton.edges}
 
 
+def swept_heads(skeleton, pinned):
+    """The heads dict that the sweep's up planes spell out, or None."""
+    up = baobab._swept_up(skeleton, pinned)
+    if up is None:
+        return None
+    rank = dict(zip(skeleton.nodes, range(len(skeleton.nodes))))
+    return {e: e.v if up[e.color] >> rank[e.u] & 1 else e.u
+            for e in skeleton.edges}
+
+
 def dashed(n, gens, seed=0):
     a = build_chromotopology(n, gens)
     tree, cycles, _ = skeleton_baobab_edges(a)
@@ -89,85 +77,55 @@ def dashed(n, gens, seed=0):
     return a, signs
 
 
-def test_heads_equal_the_engine_on_the_structure_corpus():
+def test_swept_heads_equal_the_engine_on_the_structure_corpus():
     # the cubes n1-n8, the 1107 doubly even codes with L <= 8, n3/1111,
     # e8 and RM(1,4), each from the pins of its valise and (k = 0)
     # weight heights; the restart-scan oracle on every graph of at most
     # 64 edges, where it takes a few ms
-    oracle = in_sweep_order(oracles.naive_propagate_directions)
     swept = 0
     for a, profiles in structure_corpus():
         for h in profiles:
             pinned = choose_pinned_arrows(a.with_heights(h))
-            heads, trace = propagate_directions(a, pinned)
-            assert "steps" not in vars(trace)
-            want, _ = engine_directions(a, pinned)
-            assert heads == want == uppers(a, h)
-            if a.length > 1:
-                swept += 1
-                assert list(heads) == [
-                    *pinned, *(e for e in a.edges if e not in pinned)]
+            got = swept_heads(a, pinned)
+            if a.length < 2:
+                assert got is None
+                continue
+            swept += 1
+            heads, _ = propagate_directions(a, pinned)
+            assert got == heads == uppers(a, h)
+            assert baobab._swept_up(a, pinned) == _rank_planes(a).rising(
+                list(map(h.get, a.nodes)))
             if len(a.edges) <= 64:
-                assert list(heads.items()) == list(
-                    oracle(a, pinned)[0].items())
-            got = reconstruct_directions(a, pinned)
-            assert got[:2] == (normalize_heights(h), heads)
+                assert got == oracles.naive_propagate_directions(a, pinned)[0]
     assert swept > 1100
 
 
-@pytest.mark.parametrize("n, gens", RUNGS)
-def test_deferred_traces_equal_the_engine_steps(n, gens):
-    a, signs = dashed(n, gens)
-    profiles = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
-    for h in profiles:
-        pinned = choose_pinned_arrows(a.with_dashing(signs).with_heights(h))
-        _, trace = propagate_directions(a, pinned)
-        _, eager = engine_directions(a, pinned)
-        # pickled unread: built from the pins on the spot
-        back = pickle.loads(pickle.dumps(trace))
-        assert vars(back) == {"length": a.length, "steps": eager.steps}
-        assert trace.__reduce__() == (GateTrace, (a.length, eager.steps))
-        assert trace.steps == eager.steps and trace.to_jsonl() == (
-            eager.to_jsonl())
-        assert vars(trace) == {"length": a.length, "steps": eager.steps}
-        if n <= 6:
-            assert trace == oracles.naive_propagate_directions(a, pinned)[1]
-
-
-def test_the_rm14_trace_equals_the_engine():
-    a, signs = dashed(11, ("1111111111111111", "0000000011111111",
-                           "0000111100001111", "0011001100110011",
-                           "0101010101010101"))
-    pinned = choose_pinned_arrows(
-        a.with_dashing(signs).with_heights(valise_heights(a)))
-    heads, trace = propagate_directions(a, pinned)
-    want, eager = engine_directions(a, pinned)
-    assert heads == want
-    assert trace.to_jsonl() == eager.to_jsonl()
-
-
-def test_partial_pin_sets_give_the_engine_dict_in_its_order():
+def test_partial_pin_sets_close_exactly_where_the_engine_does():
+    # the selection's pins are minimal: each drawn part of them leaves
+    # edges unknown, and only the whole set closes
     rng = random.Random(27)
-    partial = 0
+    partial = closed = 0
     for n, gens in RUNGS:
         a, signs = dashed(n, gens, n)
         profiles = [valise_heights(a)] + ([] if gens else [weight_heights(a)])
         for h in profiles:
             pinned = list(choose_pinned_arrows(
                 a.with_dashing(signs).with_heights(h)).items())
-            for _ in range(6):
-                part = dict(rng.sample(pinned, rng.randrange(len(pinned))))
-                got = outcome(propagate_directions, a, part)
-                assert got == outcome(engine_directions, a, part)
-                unresolved = failure(reconstruct_directions, a, part)
-                assert unresolved == failure(engine_reconstruct, a, part)
-                if len(got[0]) < len(a.edges):
+            parts = [dict(rng.sample(pinned, rng.randrange(len(pinned))))
+                     for _ in range(6)]
+            for part in parts + [dict(pinned)]:
+                heads, _ = propagate_directions(a, part)
+                got = swept_heads(a, part)
+                if len(heads) < len(a.edges):
                     partial += 1
-                    assert unresolved[0] is InsufficientPinningError
-    assert partial > 80
+                    assert got is None
+                else:
+                    closed += 1
+                    assert got == heads
+    assert partial > 80 and closed
 
 
-def test_a_contradicting_extra_pin_gives_the_engine_error():
+def test_a_contradicting_extra_pin_gives_up():
     for n, gens in RUNGS:
         a, signs = dashed(n, gens, n)
         h = valise_heights(a)
@@ -176,12 +134,8 @@ def test_a_contradicting_extra_pin_gives_the_engine_error():
         for e in [e for e in a.edges if e not in pinned][-3:]:
             wrong = {**pinned, e: e.u if upper[e] == e.v else e.v}
             assert baobab._swept_up(a, wrong) is None
-            got = outcome(propagate_directions, a, wrong)
-            assert got[0] is ContradictionError and got[2] is not None
-            assert got == outcome(engine_directions, a, wrong)
-            if n <= 4:
-                assert got == outcome(
-                    oracles.naive_propagate_directions, a, wrong)
+            with pytest.raises(ContradictionError):
+                propagate_directions(a, wrong)
 
 
 def every_pin_set(a):
@@ -192,13 +146,12 @@ def every_pin_set(a):
     return sets
 
 
-def test_odd_word_quotients_take_the_engine_on_every_pin_set():
+def test_odd_word_quotients_never_close():
     # the quaternion skeleton and the quotient by 111 (6 edges) on all
     # 729 pin sets; the quotient by 1110 (16 edges) on 400 drawn ones.
     # Their edges are exact translates, so they have rank planes, but
     # no orientation satisfies DXOR on all their plaquettes: the sweep
-    # contradicts or leaves edges unknown, and the engine answers
-    oracle = in_sweep_order(oracles.naive_propagate_directions)
+    # contradicts or leaves edges unknown
     q111, q1110 = odd_word_quotients()
     rng = random.Random(1110)
     for a, sets in ((quaternion_skeleton(), every_pin_set(quaternion_skeleton())),
@@ -209,30 +162,18 @@ def test_odd_word_quotients_take_the_engine_on_every_pin_set():
         assert _rank_planes(a) is not None
         for pins in sets:
             assert baobab._swept_up(a, pins) is None
-            got = outcome(propagate_directions, a, pins)
-            assert got == outcome(in_sweep_order(engine_directions), a, pins)
-            assert got == outcome(oracle, a, pins)
-            assert failure(reconstruct_directions, a, pins) == failure(
-                engine_reconstruct, a, pins)
 
 
-def test_a_graph_without_rank_planes_takes_the_engine(monkeypatch):
+def test_a_graph_without_rank_planes_takes_the_engine():
     # the cube n=4 with its node list reversed: ranks are positions, so
     # no color moves rank r to r ^ δ and the graph has no planes
     a, signs = dashed(4, ())
     b = Adinkra(a.n, a.code, a.nodes[::-1], a.edges)
     assert _rank_planes(b) is None
-    calls = []
-    rule = baobab._dxor_rule
-    monkeypatch.setattr(baobab, "_dxor_rule",
-                        lambda *args: calls.append(1) or rule(*args))
     pinned = choose_pinned_arrows(a.with_heights(weight_heights(a)))
-    heads, trace = propagate_directions(b, pinned)
-    assert calls  # the engine ran at once
-    assert heads == uppers(a, weight_heights(a))
-    assert list(heads.items()) == list(
-        oracles.naive_propagate_directions(b, pinned)[0].items())
     assert baobab._swept_up(b, pinned) is None
+    adk = b.with_dashing(signs).with_heights(weight_heights(a))
+    assert failure(extract_baobab, adk) == failure(engine_extract, adk)
 
 
 def raised(a, h, rng, moves):

@@ -299,8 +299,7 @@ def test_guard_errors_count_the_digits_of_a_long_exponent(monkeypatch):
     monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
     tail = "words, above the guard of 2**20; set ADINKRA_SIZE_GUARD to raise "
     for n, exponent in ((10 ** 48 - 1, "9" * 48), (10 ** 48, "(49 digits)"),
-                        (10 ** 4000 - 1, "(4000 digits)"),
-                        (10 ** 5000, "(5001 digits)")):
+                        (10 ** 4000 - 1, "(4000 digits)")):
         with pytest.raises(SizeGuardError) as err:
             check_guard(n, "quotient construction")
         assert str(err.value) == (
