@@ -21,6 +21,7 @@ from .graph import (
     _rank_planes,
     _RankPlanes,
     boson_nodes,
+    checked_heights,
     checked_signs,
     fermion_nodes,
     verify_heights,
@@ -285,8 +286,8 @@ def anticommutator(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
 class GammaSet:
     """One transformation matrix per color over a boson-then-fermion basis.
 
-    A set that `adinkra_to_gamma` reads off a graph of exact translates
-    holds its matrices as node-rank planes (`_GammaPlanes`), which
+    A set that `adinkra_to_gamma` reads off an adinkra holds its
+    matrices as node-rank planes (`_GammaPlanes`), which
     `check_garden` reads, and builds `matrices` from them on first
     read.  Equality, `repr`, pickling and copies read `matrices`, so
     such a set behaves as `GammaSet(matrices, basis, boson_count)`.
@@ -333,7 +334,7 @@ _GAMMA_ENTRIES = {
 
 
 class _GammaPlanes(NamedTuple):
-    """Γ over the node ranks of a graph of exact translates.
+    """Γ over the node ranks of a graph (`graph._rank_planes`).
 
     Row r of Γ_c holds one entry, at column r ^ δ_c: i**(k0 + 2 k1) ·
     (d/dt)**g.  `packed[c]` holds color c's planes of k0 (the row is a
@@ -387,27 +388,21 @@ class _GammaPlanes(NamedTuple):
         return out
 
 
-def _gamma_planes(adinkra: Adinkra) -> _GammaPlanes | None:
+def _gamma_planes(adinkra: Adinkra) -> _GammaPlanes:
     """Γ as planes, read off `adinkra.edges`, the dashing and the
-    heights; None unless the graph's edges are exact translates
-    (`graph._rank_planes`), every sign is the int +1 or -1 and every
-    node has an int (or bool) height."""
+    heights, each sign checked by `checked_signs` and each height by
+    `checked_heights`."""
+    signs = checked_signs(adinkra)
     ranks = _rank_planes(adinkra)
-    nodes = adinkra.nodes
-    levels = list(map(adinkra.heights.get, nodes))
-    if ranks is None or not {int, bool}.issuperset(map(type, levels)):
-        return None  # a missing height reads as None
-    try:
-        signs = checked_signs(adinkra)
-    except InputError:
-        return None
-    size = ranks.size
+    heights = checked_heights(
+        adinkra, "gamma matrices need both dashing and heights")
+    nodes, size = adinkra.nodes, ranks.size
     # k0: bit r set where rank r is a fermion, the same for every color
     k0 = int(bytes(weight(x) & 1 for x in reversed(nodes)).translate(_BITS), 2)
     k1 = ranks.dashed(signs)
     # the source of row r's entry sits higher than r
     packed = [k0 | d << size | g << 2 * size
-              for d, g in zip(k1, ranks.rising(levels))]
+              for d, g in zip(k1, ranks.rising(list(map(heights.get, nodes))))]
     return _GammaPlanes(ranks, nodes, packed, ranks.swaps(3))
 
 
@@ -417,10 +412,8 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
     Basis: bosons in ascending label order, then fermions.  The entry in
     row t, column s is the coefficient of state s in the transform of
     state t along one edge: the edge sign, times i when t is a fermion,
-    times d/dt when s sits above t.  On a graph of exact translates with
-    ±1 signs and integer heights the matrices are kept as planes and
-    built on first read (see `GammaSet`); otherwise each entry is set
-    as a fresh Monomial, edge by edge.
+    times d/dt when s sits above t.  The matrices are kept as planes and
+    built on first read (see `GammaSet`).
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("gamma matrices need both dashing and heights")
@@ -431,30 +424,12 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
         height_report = verify_heights(adinkra)
         if not height_report:
             raise InputError(f"invalid adinkra: {height_report.summary()}")
-    bosons = boson_nodes(adinkra)
-    basis = bosons + fermion_nodes(adinkra)
-    first_fermion = len(bosons)
     planes = _gamma_planes(adinkra)
-    if planes is not None:
-        out = object.__new__(GammaSet)  # matrices built on first read
-        out.__dict__.update(basis=basis, boson_count=first_fermion,
-                            _planes=planes)
-        return out
-    index = {label: i for i, label in enumerate(basis)}
-    dashing, heights = adinkra.dashing, adinkra.heights
-    matrices = {color: MonomialMatrix(len(basis))
-                for color in adinkra.colors()}
-    for e in adinkra.edges:
-        m = matrices.get(e.color)
-        if m is None:
-            continue
-        sign = dashing[e]
-        for s, t in ((e.u, e.v), (e.v, e.u)):
-            row, col = index[t], index[s]
-            coeff = (0, sign) if row >= first_fermion else (sign, 0)
-            up = 1 if heights[s] > heights[t] else 0
-            m.set_entry(row, col, Monomial(*coeff, up))
-    return GammaSet(matrices, basis, first_fermion)
+    bosons = boson_nodes(adinkra)
+    out = object.__new__(GammaSet)  # matrices built on first read
+    out.__dict__.update(basis=bosons + fermion_nodes(adinkra),
+                        boson_count=len(bosons), _planes=planes)
+    return out
 
 
 # ---------- algebra checks ----------

@@ -31,6 +31,7 @@ from .graph import (
     Plaquette,
     _collector_paused,
     _color_steps,
+    _graph_table,
     _moved,
     _plaquette_ids,
     _rank_planes,
@@ -503,12 +504,12 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
 
 
 def _swept_up(skeleton: Adinkra, pinned: Mapping) -> list[int] | None:
-    """The up planes (`_dxor_closure`) that the arrows `pinned` (edge ->
-    head, checked) close to, or None: on a graph without node-rank
-    planes (`graph._rank_planes`) or with fewer than two colors, or when
-    the closure contradicts or leaves an edge unknown."""
+    """The up planes (`_dxor_closure`) over the node-rank planes
+    (`graph._rank_planes`) that the arrows `pinned` (edge -> head,
+    checked) close to, or None: with fewer than two colors, or when the
+    closure contradicts or leaves an edge unknown."""
     ranks = _rank_planes(skeleton)
-    if ranks is None or len(ranks.deltas) < 3:
+    if len(ranks.deltas) < 3:
         return None
     rank = dict(zip(skeleton.nodes, range(ranks.size)))
     up = [0] * len(ranks.deltas)
@@ -628,8 +629,8 @@ def _ndxor_program(skeleton: Adinkra, ids=None) -> _NdxorProgram | None:
 def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     """The NDXOR program of the baobab slots: one engine run from
     all-zero slots, each firing read as (output id, the other three ids
-    in quad order).  False without a baobab, or if the run contradicts
-    or leaves an edge unknown.
+    in quad order).  False if the run contradicts or leaves an edge
+    unknown (the quaternion skeleton).
 
     Such a run proves the program exact for every slot assignment.  The
     NDXOR schedule does not depend on the values.  The run's output is
@@ -640,10 +641,7 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     every valid dashing from its slot bits: restriction to the slots is
     injective, so with 2**|slots| dashings it is onto, and every slot
     assignment runs to a valid dashing."""
-    try:
-        tree, cycles, _ = skeleton_baobab_edges(skeleton)
-    except (InputError, UnderDeterminedError):
-        return False
+    tree, cycles, _ = skeleton_baobab_edges(skeleton)
     slots = [table.index[e] for e in tree + cycles]
     vals = [None] * len(skeleton.edges)
     for i in slots:
@@ -842,19 +840,9 @@ def skeleton_tree(skeleton: Adinkra) -> tuple[Edge, ...]:
     A node's ancestors are its labels with leading bits cleared, so its
     depth is its bit count and two nodes meet at the bits below the
     lowest one where they differ (`_tree_path`)."""
-    edges = []
+    _graph_table(skeleton)
     length = skeleton.length
-    node_set = set(skeleton.nodes)
-    for x in skeleton.nodes:
-        if x == 0:
-            continue
-        e = _tree_edge(x, length)
-        if e.u not in node_set:
-            raise InputError(
-                f"node {bit_string(x, length)} has no in-tree parent; "
-                "representatives are not closed under clearing the top bit"
-            )
-        edges.append(e)
+    edges = [_tree_edge(x, length) for x in skeleton.nodes[1:]]
     edges.sort(key=lambda e: (e.u, e.color))
     return tuple(edges)
 
@@ -871,14 +859,7 @@ def skeleton_baobab_edges(skeleton: Adinkra):
     cycles = []
     for g in skeleton.code.generators:
         top = g.bit_length() - 1
-        e = Edge(0, g ^ 1 << top, length - top)
-        # node 0's edges lead a canonical edge list: the scan is short
-        if e not in skeleton.edges:
-            raise UnderDeterminedError(
-                f"no fundamental cycle matches generator "
-                f"{bit_string(g, length)}"
-            )
-        cycles.append(e)
+        cycles.append(Edge(0, g ^ 1 << top, length - top))
     return tree, tuple(cycles), tuple(
         cycle_color_set(e, length) for e in cycles)
 
@@ -927,7 +908,7 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
     edge to the parent, or the first tree edge for node 0.
     """
     heights = checked_heights(adinkra, "pinning needs heights")
-    tree = skeleton_tree(adinkra)
+    _graph_table(adinkra)
     length = adinkra.length
     sources, sinks = _extremal_nodes(adinkra)
     extremal = set(sources) | set(sinks)
@@ -957,8 +938,11 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
         covered.add(a)
         covered.add(b)
 
+    # node 0's first tree edge leads to the node holding only the
+    # highest non-pivot bit, halfway down the node list
+    nodes = adinkra.nodes
     for x in extremal - covered:
-        pin(_tree_edge(x, length) if x else tree[0])
+        pin(_tree_edge(x or nodes[len(nodes) // 2], length))
         covered.add(x)
 
     return pinned

@@ -10,6 +10,7 @@ the quaternion graph, checked by the quaternion relations.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress, islice
@@ -92,10 +93,11 @@ def parse_family(text: str) -> Family:
     for key in ("n", "code", "scheme"):
         if key not in fields:
             raise InputError(f"family header missing {key!r}: {_quoted(text)}")
-    try:
-        n = int(fields["n"])
-    except ValueError:
+    # ASCII digits without a leading zero, which `Family.header` renders
+    # as given; `int` would also take "+3", "1_1" and other scripts' digits
+    if not re.fullmatch("0|[1-9][0-9]*", fields["n"]):
         raise InputError(f"family n must be an integer: {_quoted(fields['n'])}")
+    n = int(fields["n"])
     gens = tuple(g for g in fields["code"].split(",") if g)
     family = Family(n, gens, fields["scheme"])
     _guarded_code(family)  # validate eagerly, without building the graph

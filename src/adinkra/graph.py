@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, combinations, repeat
-from operator import gt, itemgetter, xor
+from operator import gt, itemgetter
 from typing import Mapping, NamedTuple
 
 from . import _kernels
@@ -103,16 +103,18 @@ class _PlaquetteTable:
     edge i as two ascending lists (onto_u, onto_v): those whose traversal
     steps along edge i onto its end u, and those stepping onto v.
     `program` is the compiled NDXOR schedule of the baobab slots (see
-    `baobab._ndxor_program`).  `ranks` holds the graph's `_RankPlanes`,
-    or False when its edges are not exact translates (see
-    `_rank_planes`).  Adinkras on the same graph share one table."""
+    `baobab._ndxor_program`).  `ranks` holds the graph's `_RankPlanes`.
+    `quotient` is the cached verdict of `_graph_table`: set by the
+    builders, or once a graph is found to be its code's quotient.
+    Adinkras on the same graph share one table."""
 
     __slots__ = ("plaquettes", "index", "quads", "incidence", "program",
-                 "ranks", "__weakref__")
+                 "ranks", "quotient", "__weakref__")
 
     def __init__(self):
         self.plaquettes = self.index = self.quads = self.incidence = None
         self.program = self.ranks = None
+        self.quotient = False
 
     @_collector_paused
     def fill_ids(self, edges) -> None:
@@ -136,7 +138,11 @@ class _PlaquetteTable:
 
 @dataclass(frozen=True)
 class Adinkra:
-    """A chromotopology with optional dashing and heights."""
+    """A chromotopology with optional dashing and heights.
+
+    Its nodes and edges must be those `build_chromotopology` lists for
+    its n and code; every reader of its structure refuses any other
+    graph with one InputError (`_graph_table`)."""
 
     n: int
     code: LinearBinaryCode
@@ -252,6 +258,13 @@ def _quotient_nodes_edges(n: int, code: LinearBinaryCode):
     return tuple(nodes), tuple(edges)
 
 
+def _quotient(n: int, code: LinearBinaryCode) -> Adinkra:
+    """The bare quotient graph, its table marked as one (`_graph_table`)."""
+    out = Adinkra(n, code, *_quotient_nodes_edges(n, code))
+    out._table.quotient = True
+    return out
+
+
 def build_chromotopology(n: int, code) -> Adinkra:
     """Quotient the n-cube's color structure by a doubly even code.
 
@@ -259,9 +272,7 @@ def build_chromotopology(n: int, code) -> Adinkra:
     bitstrings (length n + k each).  The result is a bare skeleton:
     no dashing, no heights.
     """
-    code = chromotopology_code(n, code)
-    nodes, edges = _quotient_nodes_edges(n, code)
-    return Adinkra(n, code, nodes, edges)
+    return _quotient(n, chromotopology_code(n, code))
 
 
 def chromotopology_code(n: int, code) -> DoublyEvenCode:
@@ -292,8 +303,7 @@ def build_quotient_skeleton(n: int, code: LinearBinaryCode) -> Adinkra:
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    nodes, edges = _quotient_nodes_edges(n, code)
-    return Adinkra(n, code, nodes, edges)
+    return _quotient(n, code)
 
 
 # ---------- basic structure ----------
@@ -322,6 +332,25 @@ def edge_between(adinkra: Adinkra, a: int, b: int, color: int) -> Edge:
     return Edge(min(a, b), max(a, b), color)
 
 
+def _graph_table(adinkra: Adinkra) -> _PlaquetteTable:
+    """The graph's shared plaquette table, once the graph is known to be
+    its code's quotient: the node list and edge list that
+    `build_chromotopology` makes, every node, endpoint and color an int.
+    Every reader of a graph's structure comes through here.
+
+    The builders mark their tables, and `_decorated` copies share them,
+    so for those this is one flag read.  Any other graph (built by hand,
+    or a `dataclasses.replace` copy) is compared once per table."""
+    table = adinkra._table
+    if not table.quotient:
+        nodes, edges = adinkra.nodes, adinkra.edges
+        if ((nodes, edges) != _quotient_nodes_edges(adinkra.n, adinkra.code)
+                or not {int}.issuperset(map(type, chain(nodes, *edges)))):
+            raise InputError("graph is not the quotient of its code")
+        table.quotient = True
+    return table
+
+
 def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     """All two-color four-cycles in canonical (I, J, base) order.
 
@@ -329,7 +358,7 @@ def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     each is listed once, from its minimum node.  They are built once per
     graph and shared by every adinkra on it (see `Adinkra._decorated`).
     """
-    table = adinkra._table
+    table = _graph_table(adinkra)
     if table.plaquettes is None:
         table.plaquettes = _build_plaquettes(adinkra)
     return table.plaquettes
@@ -338,16 +367,29 @@ def plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
 def _plaquette_ids(adinkra: Adinkra) -> _PlaquetteTable:
     """The graph's plaquette table with its id tables built (once per
     graph, like `plaquettes`)."""
-    table = adinkra._table
+    table = _graph_table(adinkra)
     if table.quads is None:
         plaquettes(adinkra)
         table.fill_ids(adinkra.edges)
     return table
 
 
+def _spanning_steps(adinkra: Adinkra) -> tuple[int, ...]:
+    """The color steps (`_color_steps`), checked to be distinct, so that
+    every two colors span four-cycles."""
+    steps = _color_steps(adinkra.code)
+    for ci, cj in combinations(range(1, len(steps)), 2):
+        if steps[ci] == steps[cj]:
+            raise InputError(
+                f"colors ({ci}, {cj}) do not span a four-cycle at "
+                f"{bit_string(adinkra.nodes[0], adinkra.length)}"
+            )
+    return steps
+
+
 @_collector_paused
 def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
-    steps = _color_steps(adinkra.code)
+    steps = _spanning_steps(adinkra)
     length = adinkra.length
     nodes = adinkra.nodes
     # corners are the node list's own ints, not equal new ones
@@ -361,11 +403,6 @@ def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
     out = []
     for ci, cj in combinations(range(1, length + 1), 2):
         di, dj = steps[ci], steps[cj]
-        if len({0, di, dj, di ^ dj}) != 4:
-            raise InputError(
-                f"colors ({ci}, {cj}) do not span a four-cycle at "
-                f"{bit_string(nodes[0], length)}"
-            )
         # x < x ^ d exactly when x is zero at the leading bit of d.  Two of
         # di, dj, di ^ dj share the leading bit of the largest and the
         # smallest has a lower one (the pair is an echelon basis of the
@@ -463,47 +500,26 @@ def _moved(word: int, swaps) -> int:
     return word
 
 
-def _rank_planes(adinkra: Adinkra) -> _RankPlanes | None:
+def _rank_planes(adinkra: Adinkra) -> _RankPlanes:
     """The graph's node-rank planes, built once per graph like
-    `plaquettes`, or None unless its edges are exact translates: the
-    node count a power of two, the steps d_c nodes with distinct nonzero
-    ranks (so every color pair spans four-cycles), and every edge
-    (u, v, c) has an int color c in 1..L, v = u ^ d_c and
-    rank(v) = rank(u) ^ δ_c, one edge sitting on each (color, rank)."""
-    table = adinkra._table
+    `plaquettes`.  On its code's quotient (`_graph_table`) every edge
+    (u, v, c) has v = u ^ d_c and rank(v) = rank(u) ^ δ_c, one edge on
+    each (color, rank); the steps must be distinct (`_spanning_steps`)."""
+    table = _graph_table(adinkra)
     if table.ranks is None:
-        table.ranks = _build_rank_planes(adinkra) or False
-    return table.ranks or None
+        table.ranks = _build_rank_planes(adinkra)
+    return table.ranks
 
 
-def _build_rank_planes(adinkra: Adinkra) -> _RankPlanes | None:
-    nodes, edges, length = adinkra.nodes, adinkra.edges, adinkra.length
+def _build_rank_planes(adinkra: Adinkra) -> _RankPlanes:
+    nodes, edges = adinkra.nodes, adinkra.edges
     size = len(nodes)
     rank = dict(zip(nodes, range(size)))
-    steps = _color_steps(adinkra.code)
-    deltas = (0, *map(rank.get, steps[1:]))
-    if (not edges or len(edges) * 2 != length * size or size & (size - 1)
-            or len(rank) != size or None in deltas
-            or len(set(deltas)) != length + 1):
-        return None
-    colors = [e.color for e in edges]
-    if not ({int}.issuperset(map(type, colors))
-            and set(range(1, length + 1)).issuperset(colors)):
-        return None
-    us, vs = [e.u for e in edges], [e.v for e in edges]
-    try:
-        ru, rv = list(map(rank.__getitem__, us)), list(map(rank.__getitem__, vs))
-    except KeyError:
-        return None
-    if (vs != list(map(xor, us, map(steps.__getitem__, colors)))
-            or rv != list(map(xor, ru, map(deltas.__getitem__, colors)))):
-        return None
+    deltas = tuple(map(rank.__getitem__, _spanning_steps(adinkra)))
     # the digit of color c at rank r is c * size - 1 - r
     slots = [None] * (2 * len(edges))
-    for i, c, r, s in zip(range(len(edges)), colors, ru, rv):
-        slots[c * size - 1 - r] = slots[c * size - 1 - s] = i
-    if None in slots:  # and so some (color, rank) holds two edges
-        return None
+    for i, (u, v, c) in enumerate(edges):
+        slots[c * size - 1 - rank[u]] = slots[c * size - 1 - rank[v]] = i
     masks = [int(("0" * s + "1" * s) * (size // (2 * s)), 2)
              for s in (1 << b for b in range(size.bit_length() - 1))]
     across = itemgetter(*[r ^ d for d in deltas[1:]
@@ -537,21 +553,19 @@ def checked_signs(adinkra: Adinkra) -> list[int] | None:
 def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
     """Check every plaquette carries an odd number of dashed edges.
 
-    On a graph of exact translates (`_rank_planes`) the signs become one
-    dashed-end plane A_c per color, and plaquette (I, J) at every rank r
-    is odd exactly when bit r of A_I ^ A_J ^ σ_I(A_J) ^ σ_J(A_I) is set,
-    σ_c moving bit r to r ^ δ_c.  Only when some pair fails there, or
-    on any other graph, are the plaquettes walked for the report."""
+    The signs become one dashed-end plane A_c per color (`_rank_planes`),
+    and plaquette (I, J) at every rank r is odd exactly when bit r of
+    A_I ^ A_J ^ σ_I(A_J) ^ σ_J(A_I) is set, σ_c moving bit r to r ^ δ_c.
+    Only when some pair fails are the plaquettes walked for the report."""
     signs = checked_signs(adinkra)
     if signs is None:
         raise InputError("adinkra has no dashing to verify")
     ranks = _rank_planes(adinkra)
-    if ranks is not None:
-        a, swaps = ranks.dashed(signs), ranks.swaps()
-        full = (1 << ranks.size) - 1
-        if all(a[i] ^ a[j] ^ _moved(a[j], swaps[i]) ^ _moved(a[i], swaps[j])
-               == full for i, j in combinations(range(1, len(a)), 2)):
-            return VerificationReport("odd-dashing", ())
+    a, swaps = ranks.dashed(signs), ranks.swaps()
+    full = (1 << ranks.size) - 1
+    if all(a[i] ^ a[j] ^ _moved(a[j], swaps[i]) ^ _moved(a[i], swaps[j])
+           == full for i, j in combinations(range(1, len(a)), 2)):
+        return VerificationReport("odd-dashing", ())
     dashing = adinkra.dashing
     bad = []
     for p in plaquettes(adinkra):

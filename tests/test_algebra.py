@@ -576,16 +576,14 @@ def test_gamma_matches_one_color_at_a_time_oracle(n, gens):
     for adk in VALID[(n, gens)]:
         assert gamma_outcome(adinkra_to_gamma(adk)) == gamma_outcome(
             oracles.naive_adinkra_to_gamma(adk))
-        # signs a dashing verifier would reject: zero, two, a bool, a float
-        edges = adk.edges
-        for bad in (0, 2, True, 1.0):
-            for dashing in ({**adk.dashing, edges[0]: bad},
-                            {**adk.dashing, edges[-1]: bad}):
-                odd = adk.with_dashing(dashing)
-                assert outcome(
-                    lambda: gamma_outcome(adinkra_to_gamma(odd, False))
-                ) == outcome(
-                    lambda: gamma_outcome(oracles.naive_adinkra_to_gamma(odd)))
+        # signs a dashing verifier rejects: zero, two, a bool, a float;
+        # Γ refuses them too, unvalidated
+        for e in (adk.edges[0], adk.edges[-1]):
+            for bad in (0, 2, True, 1.0):
+                odd = adk.with_dashing({**adk.dashing, e: bad})
+                assert outcome(adinkra_to_gamma, odd, False) == (
+                    InputError, f"dashing sign for {e} must be +1 or -1, "
+                    f"got {bad}")
 
 
 RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",

@@ -241,6 +241,16 @@ def test_extremal_nodes_and_pins_match_the_dict_walk():
                 oracles.naive_choose_pinned_arrows(adk).items())
 
 
+def test_node_zeros_first_tree_edge_is_read_in_closed_form():
+    # the node list deposits a counter into the non-pivot bits, so its
+    # middle entry holds only the highest one; the pins above read this
+    # edge for a straggling node 0
+    for a, _ in structure_corpus():
+        nodes = a.nodes
+        assert baobab._tree_edge(nodes[len(nodes) // 2], a.length) == (
+            skeleton_tree(a)[0])
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_pins_match_the_dict_walk_on_arbitrary_heights(data):

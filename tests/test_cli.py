@@ -403,6 +403,16 @@ def test_a_header_with_a_4000_digit_n_exits_two_with_one_short_line(
         "the limit\n")
 
 
+def test_a_header_with_a_non_ascii_digit_n_exits_two_with_one_line(
+        capsys, monkeypatch):
+    family = "n=\u0663;code=;scheme=dashing"  # an Arabic-Indic three
+    code, out, err = invoke(capsys, monkeypatch,
+                            ["encode", "--family", family, "--message",
+                             "1010101"])
+    assert (code, out) == (2, "")
+    assert err == "error: input: family n must be an integer: '\u0663'\n"
+
+
 @pytest.mark.skipif(
     shutil.which("adinkra") is None,
     reason="no 'adinkra' executable on PATH; the console script exists "

@@ -17,6 +17,7 @@ from test_baobab import E8_CODE, odd_word_quotients, structure_corpus
 from adinkra import (
     Adinkra,
     ContradictionError,
+    InputError,
     InsufficientPinningError,
     build_chromotopology,
     choose_pinned_arrows,
@@ -149,7 +150,7 @@ def every_pin_set(a):
 def test_odd_word_quotients_never_close():
     # the quaternion skeleton and the quotient by 111 (6 edges) on all
     # 729 pin sets; the quotient by 1110 (16 edges) on 400 drawn ones.
-    # Their edges are exact translates, so they have rank planes, but
+    # They are their codes' quotients, so they have rank planes, but
     # no orientation satisfies DXOR on all their plaquettes: the sweep
     # contradicts or leaves edges unknown
     q111, q1110 = odd_word_quotients()
@@ -164,16 +165,20 @@ def test_odd_word_quotients_never_close():
             assert baobab._swept_up(a, pins) is None
 
 
-def test_a_graph_without_rank_planes_takes_the_engine():
-    # the cube n=4 with its node list reversed: ranks are positions, so
-    # no color moves rank r to r ^ δ and the graph has no planes
+def test_a_graph_off_its_quotient_is_refused():
+    # the cube n=4 with its node list reversed: not the node list of its
+    # code's quotient, so neither the planes nor the engine read it
     a, signs = dashed(4, ())
     b = Adinkra(a.n, a.code, a.nodes[::-1], a.edges)
-    assert _rank_planes(b) is None
+    refused = (InputError, "graph is not the quotient of its code",
+               None, None)
+    assert failure(_rank_planes, b) == refused
     pinned = choose_pinned_arrows(a.with_heights(weight_heights(a)))
-    assert baobab._swept_up(b, pinned) is None
+    assert failure(baobab._swept_up, b, pinned) == refused
+    assert failure(propagate_directions, b, pinned) == refused
     adk = b.with_dashing(signs).with_heights(weight_heights(a))
-    assert failure(extract_baobab, adk) == failure(engine_extract, adk)
+    assert failure(extract_baobab, adk) == refused
+    assert failure(engine_extract, adk) == refused
 
 
 def raised(a, h, rng, moves):

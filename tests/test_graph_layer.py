@@ -7,6 +7,7 @@ import gc
 import json
 import random
 import threading
+from functools import partial
 
 import pytest
 
@@ -14,6 +15,7 @@ import oracles
 from adinkra import (
     GateTrace,
     InputError,
+    adinkra_to_gamma,
     build_chromotopology,
     from_json,
     plaquettes,
@@ -21,6 +23,7 @@ from adinkra import (
     skeleton_baobab_edges,
     to_json,
     valise_heights,
+    verify_odd_dashing,
     weight_heights,
 )
 from adinkra.codes import LinearBinaryCode, gf2_rref, parse_bit_string
@@ -87,12 +90,17 @@ def test_plaquettes_match_oracle_at_length_16(seed):
 def test_plaquettes_refuse_colors_without_a_four_cycle():
     # the weight-2 word 110 makes colors 1 and 2 step alike
     sk = build_quotient_skeleton(2, LinearBinaryCode(3, (0b110,)))
+    # the plane readers refuse it with the same text, Γ unvalidated too
+    adk = sk.with_dashing(dict.fromkeys(sk.edges, 1)).with_heights(
+        valise_heights(sk))
     errors = []
-    for build in (plaquettes, oracles.naive_build_plaquettes):
+    for build in (plaquettes, oracles.naive_build_plaquettes,
+                  verify_odd_dashing, partial(adinkra_to_gamma,
+                                              validate=False)):
         with pytest.raises(InputError) as info:
-            build(sk)
+            build(adk)
         errors.append(str(info.value))
-    assert errors == ["colors (1, 2) do not span a four-cycle at 000"] * 2
+    assert errors == ["colors (1, 2) do not span a four-cycle at 000"] * 4
 
 
 # ---------- JSON ----------

@@ -432,6 +432,28 @@ def test_every_family_reader_raises_the_same_header_errors(
         2, f"error: {line}: {message}\n")
 
 
+@pytest.mark.parametrize("field", [
+    "1_1", "+3", "-3", "03", "00", "3.0", "0x3", "3e0",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE
+    "\uff13",  # FULLWIDTH DIGIT THREE
+])
+def test_family_n_takes_only_ascii_decimal_digits(field):
+    # int() reads each of these; the header would then render another n
+    with pytest.raises(InputError) as info:
+        parse_family(f"n={field};code=;scheme=dashing")
+    assert str(info.value) == f"family n must be an integer: {field!r}"
+
+
+@pytest.mark.parametrize("header", [
+    "n=1;code=;scheme=dashing", "n=3;code=1111;scheme=dashing",
+    "n=10;code=;scheme=dashing",
+    "n=4;code=11110000,00001111,11001100,10101010;scheme=dashing",
+    "n=2;code=111;scheme=direction",
+])
+def test_a_family_header_renders_as_it_was_read(header):
+    assert parse_family(header).header() == header
+
+
 @pytest.mark.parametrize("parse", [from_json, Baobab.from_json])
 @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null"])
 def test_non_object_json_is_input_error(parse, text):

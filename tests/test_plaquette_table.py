@@ -146,6 +146,50 @@ def test_replace_starts_with_an_empty_table(builds):
     assert len(builds) == 2
 
 
+@pytest.fixture
+def quotient_builds(monkeypatch):
+    """The n of each `_quotient_nodes_edges` call, in call order: one per
+    builder call, and one per check of a graph no builder made."""
+    calls = []
+    real = graph._quotient_nodes_edges
+
+    def counted(n, code):
+        calls.append(n)
+        return real(n, code)
+
+    monkeypatch.setattr(graph, "_quotient_nodes_edges", counted)
+    return calls
+
+
+def read_everything(adk):
+    """Every reader of the graph's structure, once each, on a valid
+    adinkra and on its skeleton."""
+    sk = adk.skeleton()
+    assert verify_odd_dashing(adk).ok
+    assert check_garden(adinkra_to_gamma(adk, validate=False)).ok
+    bb = extract_baobab(adk)
+    assert reconstruct_adinkra(sk, bb)[0] == adk
+    assert propagate_directions(sk, choose_pinned_arrows(adk))[0]
+    assert propagate_dashing(sk, bb.bits)[0]
+    plaquettes(sk)
+    count_valid_dashings(sk)
+
+
+@pytest.mark.parametrize("n, gens, heights", RUNGS)
+def test_each_table_checks_its_graph_once(quotient_builds, n, gens, heights):
+    adk = dashed(build_chromotopology(n, gens), heights)
+    read_everything(adk)
+    assert quotient_builds == [n]  # the builder's, read as a verdict
+    back = from_json(to_json(adk))
+    read_everything(back)
+    read_everything(back.with_dashing(back.dashing))
+    assert quotient_builds == [n] * 2  # from_json's own build
+    copy = replace(adk)
+    read_everything(copy)
+    read_everything(copy.with_heights(copy.heights))
+    assert quotient_builds == [n] * 3  # the copy, checked once
+
+
 def test_table_is_not_part_of_the_value():
     adk = dashed(build_chromotopology(2, ()), valise_heights)
     plaquettes(adk)

@@ -1,7 +1,8 @@
 """The node-rank planes.  `verify_odd_dashing`, `adinkra_to_gamma` and
 `check_garden` decide on one int per color over the node ranks; they
-must equal the plaquette walk and the Monomial-object oracles, and any
-adinkra off the planes must take the old path to the old outcome."""
+must equal the plaquette walk and the Monomial-object oracles.  Every
+graph that is not its code's quotient is refused by every reader with
+one `InputError`."""
 
 import copy
 import pickle
@@ -20,16 +21,23 @@ from adinkra import (
     build_quotient_skeleton,
     check_block_transpose,
     check_garden,
+    choose_pinned_arrows,
+    extract_baobab,
     from_json,
+    plaquettes,
     reconstruct_dashing,
     skeleton_baobab_edges,
+    skeleton_tree,
     to_json,
     valise_heights,
     verify_odd_dashing,
     weight_heights,
 )
 from adinkra import algebra, graph
+from adinkra.baobab import propagate_dashing, propagate_directions
 from adinkra.codes import LinearBinaryCode
+from adinkra.errors import InputError
+from adinkra.graph import checked_heights, checked_signs
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
@@ -66,7 +74,7 @@ def variants(adk, rng):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except Exception as exc:  # the old path's exception, whatever it is
+    except Exception as exc:  # whatever it is, a KeyError too
         return type(exc), str(exc)
 
 
@@ -203,12 +211,12 @@ def test_plane_backed_sets_copy_and_pickle_as_their_matrices():
         gammas.planes
 
 
-# ---------- adinkras off the planes take the old path ----------
+# ---------- adinkras off their code's quotient are refused ----------
 
 SMALL = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 BASES = {f: valid(*f) for f in SMALL}
-STRUCTURAL = ("another node", "another color", "missing", "repeated",
-              "relabeled", "span")
+OFF_QUOTIENT = ("another node", "another color", "missing", "repeated",
+                "relabeled", "reversed", "color type")
 
 
 @given(st.data())
@@ -244,11 +252,12 @@ def test_any_planes_decide_each_pair_as_their_matrices_do(data):
 def off_plane_adinkras(draw):
     """A valid small adinkra with one thing changed: an edge to another
     node or of another color, a missing edge row or one in place of
-    another, two node labels swapped in place, a sign that is no int
-    ±1, a missing, float or bool height, or a graph with two colors
-    that span no four-cycle."""
+    another, two node labels swapped in place, the node list reversed,
+    a color 1 written as 1.0 or True, a sign that is no int ±1, a
+    missing, float or bool height, or a graph with two colors that span
+    no four-cycle."""
     family = draw(st.sampled_from(SMALL))
-    kinds = STRUCTURAL + ("sign", "height")
+    kinds = OFF_QUOTIENT + ("span", "sign", "height")
     if family == (2, ()):  # one node of the square is off its color steps
         kinds = tuple(k for k in kinds if k != "relabeled")
     kind = draw(st.sampled_from(kinds))
@@ -290,6 +299,14 @@ def off_plane_adinkras(draw):
         adk = Adinkra(base.n, base.code, tuple(map(label, base.nodes)),
                       tuple(edges), dashing, heights)
         return kind, adk
+    elif kind == "reversed":
+        adk = Adinkra(base.n, base.code, base.nodes[::-1], tuple(edges),
+                      dashing, heights)
+        return kind, adk
+    elif kind == "color type":  # equal to the edge, and so its dashing key
+        i = draw(st.sampled_from([i for i, f in enumerate(edges)
+                                  if f.color == 1]))
+        edges[i] = Edge(*edges[i][:2], draw(st.sampled_from((1.0, True))))
     elif kind == "sign":
         dashing[e] = draw(st.sampled_from((0, 2, True, False, 1.0, -1.0)))
     else:
@@ -304,22 +321,54 @@ def off_plane_adinkras(draw):
     return kind, adk
 
 
+# every reader of a graph's structure, each on an adinkra
+READERS = {
+    "plaquettes": plaquettes,
+    "propagate_dashing": lambda a: propagate_dashing(a, {}),
+    "propagate_directions": lambda a: propagate_directions(a, {}),
+    "verify_odd_dashing": verify_odd_dashing,
+    "adinkra_to_gamma": adinkra_to_gamma,
+    "adinkra_to_gamma(validate=False)": lambda a: adinkra_to_gamma(a, False),
+    "extract_baobab": extract_baobab,
+    "skeleton_tree": skeleton_tree,
+    "skeleton_baobab_edges": skeleton_baobab_edges,
+    "choose_pinned_arrows": choose_pinned_arrows,
+}
+# the readers that need four-cycles; the tree needs none
+CYCLE_READERS = ("plaquettes", "propagate_dashing", "propagate_directions",
+                 "verify_odd_dashing", "adinkra_to_gamma",
+                 "adinkra_to_gamma(validate=False)", "extract_baobab")
+
+
 @given(off_plane_adinkras())
 @settings(max_examples=200, deadline=None)
-def test_adinkras_off_the_planes_keep_the_old_outcome(case):
+def test_adinkras_off_the_quotient_are_refused(case):
     kind, adk = case
-    if kind in STRUCTURAL:
-        assert graph._rank_planes(adk) is None
-    assert outcome(verify_odd_dashing, adk) == outcome(
-        oracles.naive_verify_odd_dashing, adk)
-    got = outcome(adinkra_to_gamma, adk, False)
-    want = outcome(oracles.naive_adinkra_to_gamma, adk)
-    if isinstance(want, tuple):  # the exception the old path raised
-        assert got == want
+    if kind in OFF_QUOTIENT:
+        want = (InputError, "graph is not the quotient of its code")
+        for name, read in READERS.items():
+            assert (name, outcome(read, adk)) == (name, want)
         return
-    # a bool height is an int height: only it stays on the planes
+    if kind == "span":  # the quotient of its code, without four-cycles
+        want = (InputError, "colors (1, 2) do not span a four-cycle at 000")
+        for name in CYCLE_READERS:
+            assert (name, outcome(READERS[name], adk)) == (name, want)
+        return
+    # the quotient, with a sign or a height off the rule: Γ refuses them
+    # as the checks do, at validate=False too, and builds on bool heights
+    got = outcome(adinkra_to_gamma, adk, False)
+    if kind == "sign":
+        want = outcome(checked_signs, adk)
+        assert got == want and want[0] is InputError
+        assert outcome(verify_odd_dashing, adk) == want
+        return
     floats = any(type(h) is float for h in adk.heights.values())
-    assert ("_planes" in got.__dict__) == (kind == "height" and not floats)
+    if floats or len(adk.heights) < len(adk.nodes):
+        want = outcome(checked_heights, adk, "")
+        assert got == want and want[0] is InputError
+        return
+    want = oracles.naive_adinkra_to_gamma(adk)
+    assert "_planes" in got.__dict__
     for stop_early in (True, False):
         assert outcome(check_garden, got, stop_early) == outcome(
             oracles.naive_check_garden, want, stop_early)
