@@ -18,6 +18,7 @@ from .graph import (
     Adinkra,
     VerificationReport,
     _moved,
+    _odd_planes,
     _rank_planes,
     _RankPlanes,
     boson_nodes,
@@ -388,18 +389,16 @@ class _GammaPlanes(NamedTuple):
         return out
 
 
-def _gamma_planes(adinkra: Adinkra) -> _GammaPlanes:
-    """Γ as planes, read off `adinkra.edges`, the dashing and the
-    heights, each sign checked by `checked_signs` and each height by
+def _gamma_planes(adinkra: Adinkra, ranks: _RankPlanes,
+                  k1: list[int]) -> _GammaPlanes:
+    """Γ as planes, read off `adinkra.edges`, its dashed-end planes `k1`
+    (`_RankPlanes.dashed`) and the heights, each height checked by
     `checked_heights`."""
-    signs = checked_signs(adinkra)
-    ranks = _rank_planes(adinkra)
     heights = checked_heights(
         adinkra, "gamma matrices need both dashing and heights")
     nodes, size = adinkra.nodes, ranks.size
     # k0: bit r set where rank r is a fermion, the same for every color
     k0 = int(bytes(weight(x) & 1 for x in reversed(nodes)).translate(_BITS), 2)
-    k1 = ranks.dashed(signs)
     # the source of row r's entry sits higher than r
     packed = [k0 | d << size | g << 2 * size
               for d, g in zip(k1, ranks.rising(list(map(heights.get, nodes))))]
@@ -414,17 +413,24 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
     state t along one edge: the edge sign, times i when t is a fermion,
     times d/dt when s sits above t.  The matrices are kept as planes and
     built on first read (see `GammaSet`).
+
+    `validate` decides odd dashing on the dashed-end planes Γ is read
+    from, and runs `verify_odd_dashing` only for a failing adinkra's
+    report; then `verify_heights`.
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("gamma matrices need both dashing and heights")
+    signs = checked_signs(adinkra)
+    ranks = _rank_planes(adinkra)
+    dashed = ranks.dashed(signs)
     if validate:
-        dash_report = verify_odd_dashing(adinkra)
-        if not dash_report:
+        if not _odd_planes(ranks, dashed):
+            dash_report = verify_odd_dashing(adinkra)
             raise InputError(f"invalid adinkra: {dash_report.summary()}")
         height_report = verify_heights(adinkra)
         if not height_report:
             raise InputError(f"invalid adinkra: {height_report.summary()}")
-    planes = _gamma_planes(adinkra)
+    planes = _gamma_planes(adinkra, ranks, dashed)
     bosons = boson_nodes(adinkra)
     out = object.__new__(GammaSet)  # matrices built on first read
     out.__dict__.update(basis=bosons + fermion_nodes(adinkra),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Mapping, NamedTuple
 
 from .codes import (AffineCode, bit_string, check_bit, color_bit,
@@ -30,12 +30,12 @@ from .graph import (
     Edge,
     Plaquette,
     _collector_paused,
-    _color_steps,
     _graph_table,
     _moved,
     _plaquette_ids,
     _rank_planes,
     checked_heights,
+    checked_signs,
     chromotopology_code,
     json_edge,
     json_header,
@@ -207,71 +207,137 @@ class GateTrace:
 
     def replay_dashing(self, seeds: Mapping[Edge, int]) -> dict[Edge, int]:
         """Re-run NDXOR steps from seed bits; every recorded input must
-        already be known and every output must recompute identically."""
+        already be known and every output must recompute identically.
+
+        A step passes on dict lookups and one XOR; one that does not, or
+        is malformed, gets the per-step checks, which name its fault."""
         bits = {e: check_bit(b, "seed", e) for e, b in seeds.items()}
+        get = bits.get
         for num, s in enumerate(self.steps, 1):
-            if s.gate != "NDXOR":
-                raise ReplayError(f"step {num}: expected NDXOR, got {s.gate}")
-            vals = []
-            for e, b in s.inputs:
-                if e not in bits:
-                    raise ReplayError(f"step {num}: input {e} not yet known")
-                if bits[e] != b:
-                    raise ReplayError(
-                        f"step {num}: input {e} is {bits[e]}, trace says {b}"
-                    )
-                vals.append(b)
-            if len(vals) != 3:
-                raise ReplayError(f"step {num}: NDXOR needs 3 inputs")
-            want = ndxor(*vals)
-            e, b = s.output
-            if want != b:
-                raise ReplayError(
-                    f"step {num}: recomputed {want} but trace wrote {b}"
-                )
-            if e in bits and bits[e] != b:
-                raise ReplayError(f"step {num}: output {e} already {bits[e]}")
-            bits[e] = b
+            if s.gate == "NDXOR":
+                try:
+                    (e1, b1), (e2, b2), (e3, b3) = s.inputs
+                    e, b = s.output
+                    # int input bits only: the NDXOR gate refuses a bool
+                    if (int is type(b1) is type(b2) is type(b3)
+                            and get(e1) == b1 and get(e2) == b2
+                            and get(e3) == b3 and b == 1 ^ b1 ^ b2 ^ b3
+                            and get(e, b) == b):
+                        bits[e] = b
+                        continue
+                except (TypeError, ValueError):  # malformed: checks below
+                    pass
+            _replay_ndxor(num, s, bits)
         return bits
 
     def replay_directions(self, seeds: Mapping[Edge, int]) -> dict[Edge, int]:
-        """Re-run DXOR steps from seed arrows (edge -> head node)."""
+        """Re-run DXOR steps from seed arrows (edge -> head node).
+
+        Each step's trail is read once (`_trail_map`), and again only
+        when a step's corners or colors are other objects than the last
+        one's; a step that does not pass on lookups in it, or is
+        malformed, gets the per-step checks, which name its fault."""
         heads = {e: _check_head(e, h) for e, h in seeds.items()}
+        get = heads.get
+        corners = colors = trail = None
         for num, s in enumerate(self.steps, 1):
-            if s.gate != "DXOR":
-                raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
-            vals = []
-            for e, b in s.inputs:
-                ends = _trail_ends(e, s.corners, s.colors)
-                if ends is None:
-                    raise ReplayError(f"step {num}: input {e} not on the cycle")
-                if e not in heads:
-                    raise ReplayError(f"step {num}: input {e} not yet known")
-                got = 0 if heads[e] == ends[1] else 1
-                if got != b:
-                    raise ReplayError(
-                        f"step {num}: input {e} reads {got}, trace says {b}"
-                    )
-                vals.append(b)
-            if len(vals) == 3 and len(set(vals)) == 2:
-                want = dxor(*vals)
-            elif len(vals) == 2 and vals[0] == vals[1]:
-                want = 1 - vals[0]
-            else:
-                raise ReplayError(f"step {num}: DXOR inputs {vals} force no bit")
-            e, b = s.output
-            if want != b:
-                raise ReplayError(
-                    f"step {num}: recomputed {want} but trace wrote {b}"
-                )
-            ends = _trail_ends(e, s.corners, s.colors)
-            if ends is None:
-                raise ReplayError(f"step {num}: output {e} not on the cycle")
-            head = ends[1] if b == 0 else ends[0]
-            if e in heads and heads[e] != head:
-                raise ReplayError(f"step {num}: output {e} already oriented")
-            heads[e] = head
+            if s.gate == "DXOR":
+                try:
+                    if s.corners is not corners or s.colors is not colors:
+                        corners, colors = s.corners, s.colors
+                        trail = _trail_map(corners, colors)
+                    # an input reads 1 where its head is not the end its
+                    # trail steps onto; an edge off the trail or not yet
+                    # known raises KeyError
+                    inputs = s.inputs
+                    if len(inputs) == 3:
+                        (i1, b1), (i2, b2), (i3, b3) = inputs
+                        # int bits only: the DXOR gate refuses a bool
+                        forced = (int is type(b1) is type(b2) is type(b3)
+                                  and not b1 == b2 == b3
+                                  and (heads[i3] != trail[i3][1]) == b3)
+                        want = b1 ^ b2 ^ b3
+                    else:
+                        (i1, b1), (i2, b2) = inputs
+                        forced, want = b1 == b2, 1 - b1
+                    e, b = s.output
+                    if (forced and b == want
+                            and (heads[i1] != trail[i1][1]) == b1
+                            and (heads[i2] != trail[i2][1]) == b2):
+                        frm, to = trail[e]
+                        head = to if b == 0 else frm
+                        if get(e, head) == head:
+                            heads[e] = head
+                            continue
+                except (KeyError, TypeError, ValueError):  # checks below
+                    pass
+            _replay_dxor(num, s, heads)
         return heads
+
+
+def _replay_ndxor(num: int, s: GateStep, bits: dict) -> None:
+    """Check NDXOR step `num` against `bits` and write its output, or
+    raise the ReplayError that names the first fault."""
+    if s.gate != "NDXOR":
+        raise ReplayError(f"step {num}: expected NDXOR, got {s.gate}")
+    vals = []
+    for e, b in s.inputs:
+        if e not in bits:
+            raise ReplayError(f"step {num}: input {e} not yet known")
+        if bits[e] != b:
+            raise ReplayError(
+                f"step {num}: input {e} is {bits[e]}, trace says {b}"
+            )
+        vals.append(b)
+    if len(vals) != 3:
+        raise ReplayError(f"step {num}: NDXOR needs 3 inputs")
+    want = ndxor(*vals)
+    e, b = s.output
+    if want != b:
+        raise ReplayError(
+            f"step {num}: recomputed {want} but trace wrote {b}"
+        )
+    if e in bits and bits[e] != b:
+        raise ReplayError(f"step {num}: output {e} already {bits[e]}")
+    bits[e] = b
+
+
+def _replay_dxor(num: int, s: GateStep, heads: dict) -> None:
+    """Check DXOR step `num` against `heads` and write its output, or
+    raise the ReplayError that names the first fault."""
+    if s.gate != "DXOR":
+        raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
+    vals = []
+    for e, b in s.inputs:
+        ends = _trail_ends(e, s.corners, s.colors)
+        if ends is None:
+            raise ReplayError(f"step {num}: input {e} not on the cycle")
+        if e not in heads:
+            raise ReplayError(f"step {num}: input {e} not yet known")
+        got = 0 if heads[e] == ends[1] else 1
+        if got != b:
+            raise ReplayError(
+                f"step {num}: input {e} reads {got}, trace says {b}"
+            )
+        vals.append(b)
+    if len(vals) == 3 and len(set(vals)) == 2:
+        want = dxor(*vals)
+    elif len(vals) == 2 and vals[0] == vals[1]:
+        want = 1 - vals[0]
+    else:
+        raise ReplayError(f"step {num}: DXOR inputs {vals} force no bit")
+    e, b = s.output
+    if want != b:
+        raise ReplayError(
+            f"step {num}: recomputed {want} but trace wrote {b}"
+        )
+    ends = _trail_ends(e, s.corners, s.colors)
+    if ends is None:
+        raise ReplayError(f"step {num}: output {e} not on the cycle")
+    head = ends[1] if b == 0 else ends[0]
+    if e in heads and heads[e] != head:
+        raise ReplayError(f"step {num}: output {e} already oriented")
+    heads[e] = head
 
 
 class _Labels(dict):
@@ -317,6 +383,17 @@ def _parse_step(row, base: int, length: int) -> GateStep:
     )
 
 
+def _trail_map(corners, colors) -> dict:
+    """`_trail_ends` of every edge on the trail at once: (u, v, color)
+    -> (from, to), the later step winning where two share an edge."""
+    a, b, c, d = corners
+    ci, cj = colors
+    return {(a, b, ci) if a < b else (b, a, ci): (a, b),
+            (b, c, cj) if b < c else (c, b, cj): (b, c),
+            (c, d, ci) if c < d else (d, c, ci): (c, d),
+            (d, a, cj) if d < a else (a, d, cj): (d, a)}
+
+
 def _trail_ends(edge: Edge, corners, colors):
     """(from, to) of `edge` on the trail corners[0] -> ... -> corners[3]
     -> corners[0], whose steps alternate colors[0] and colors[1], or None
@@ -341,29 +418,14 @@ def _contradiction(p: Plaquette, length: int, what: str) -> ContradictionError:
     )
 
 
-# A plaquette's counters form one state s = 5 * unknown + ones: its
-# unknown edges, and its known edges that hold a one.  For NDXOR a one
-# is a dashing bit of 1; for DXOR it is a trail bit of 1, an arrow whose
-# head is not the end its trail steps onto.  _*_READY[s] says whether
-# the rule can force a bit or raise in state s: NDXOR on one unknown bit
-# or a complete plaquette of even parity, DXOR (need = 2 - ones) unless
-# 0 < need < unknown or the plaquette is complete with need 0.
-_NDXOR_READY = tuple(u == 1 or (u == 0 and t % 2 == 0)
-                     for u in range(5) for t in range(5))
+# A DXOR plaquette's counters form one state s = 5 * unknown + ones: its
+# unknown edges, and its known edges whose trail bit is 1, an arrow
+# whose head is not the end its trail steps onto.  _DXOR_READY[s] says
+# whether the rule can force a bit or raise in state s: need = 2 - ones
+# is not strictly between 0 and the unknown count, and the plaquette is
+# not complete with need 0.
 _DXOR_READY = tuple(not (0 < 2 - t < u) and (u, t) != (0, 2)
                     for u in range(5) for t in range(5))
-
-
-def _ndxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
-    """(edge id, bit) for the one unknown dashing bit of a plaquette
-    whose edge ids are `quad`, in the ready counter state `state`."""
-    unknown, ones = divmod(state, 5)
-    if not unknown:  # complete, so of even parity
-        raise _contradiction(p, length, "has even dashing parity")
-    # the fourth bit makes the count of ones odd
-    for i in quad:
-        if vals[i] is None:
-            return ((i, 1 - ones % 2),)
 
 
 def _dxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
@@ -386,46 +448,107 @@ def _dxor_rule(p: Plaquette, quad, vals: list, length: int, state: int):
 
 
 @_collector_paused
-def _gate_steps(gate: str, plaqs, quads, order, when, vals) -> tuple:
+def _gate_steps(gate: str, table, order, vals, writes) -> tuple:
     """The GateSteps of a propagation, rebuilt from its values.
 
-    Firing t fired plaquette `order[t]`; `when[i]` is the firing that
-    wrote edge i (-1 for a given edge).  Every edge of a fired plaquette
-    is known after it fires, so its inputs are the edges written before
-    it and each other edge is the output of one step on those inputs,
-    in traversal order.  NDXOR bits are the dashing bits; DXOR bits are
-    trail bits, 1 when the arrow does not point to the next corner.  An
-    output's trail bit is the one the two-ones rule forced: 0 when the
-    inputs already held two ones, else 1.
+    Firing t fired plaquette `order[t]`.  For NDXOR, `writes[t]` is its
+    (output id, the other three ids in quad order): each firing writes
+    one bit from the three before it, and one (edge, bit) pair per edge
+    id serves every step that reads or writes it.  For DXOR, `writes[i]`
+    is the firing that wrote edge i (-1 for a given edge).  Every edge
+    of a fired plaquette is known after it fires, so its inputs are the
+    edges written before it and each other edge is the output of one
+    step on those inputs, in traversal order.  DXOR bits are trail
+    bits, 1 when the arrow does not point to the next corner: an
+    output's is the one the two-ones rule forced, 0 when the inputs
+    already held two ones, else 1.
     """
+    plaqs = table.plaquettes
     steps = []
     add = steps.append
     new_step = tuple.__new__  # GateStep(...) without its keyword handling
-    trail = gate == "DXOR"
+    if gate == "NDXOR":
+        pairs = list(zip(table.index, vals))  # index lists edges by id
+        for j, (out, a, b, c) in zip(order, writes):
+            base, colors, corners, _ = plaqs[j]
+            add(new_step(GateStep, (gate, colors, base, corners,
+                                    (pairs[a], pairs[b], pairs[c]),
+                                    pairs[out])))
+        return tuple(steps)
+    quads = table.quads
     for t, j in enumerate(order):
         base, colors, c, edges = plaqs[j]
         inputs, outs = [], []
         for e, i, to in zip(edges, quads[j], (c[1], c[2], c[3], c[0])):
-            b = vals[i]
-            if trail:
-                b = 0 if b == to else 1
-            (inputs if when[i] < t else outs).append((e, b))
+            (inputs if writes[i] < t else outs).append(
+                (e, 0 if vals[i] == to else 1))
         inputs = tuple(inputs)
         for out in outs:
             add(new_step(GateStep, (gate, colors, base, c, inputs, out)))
     return tuple(steps)
 
 
-def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
-                length: int):
-    """Fire `rule` over the table's plaquettes from the known ids
-    `fresh` to its fixpoint, writing `vals` (by edge id) in place:
-    dashing bits, or heads of the skeleton's `edges` when given.
+def _ndxor_engine(table, vals: list, fresh, length: int):
+    """NDXOR over the table's plaquettes from the known ids `fresh` to
+    its fixpoint, writing dashing bits into `vals` (by edge id) in
+    place.
 
-    Each plaquette keeps its counters (see `_NDXOR_READY`) and goes on a
+    Each plaquette keeps its count of unknown edges and goes on a
+    min-heap of canonical indices when the count reaches 1.  The least
+    is popped.  With one unknown edge it writes the bit that makes its
+    parity odd; with none, its last edge filled since the push, it
+    raises if its parity is even and is skipped otherwise.  Only a
+    plaquette with one unknown edge, or a complete one of even parity,
+    can act, and every complete plaquette passed one unknown edge on the
+    way, so each pop is the plaquette a scan from plaquette 0 would act
+    on first: runs match a scan restarted after every inference.
+    Returns the fired plaquettes in order and, per firing, its (output
+    id, input ids)."""
+    plaqs, quads, incident = table.plaquettes, table.quads, table.incidence
+    unknown = [4] * len(quads)
+    order, flat = [], []
+    heap = []
+    while True:
+        for i in fresh:
+            for onto in incident[i]:
+                for j in onto:
+                    u = unknown[j] = unknown[j] - 1
+                    if u == 1:
+                        heappush(heap, j)
+        if not heap:
+            return order, flat
+        j = heappop(heap)
+        q0, q1, q2, q3 = quad = quads[j]
+        a, b, c, d = vals[q0], vals[q1], vals[q2], vals[q3]
+        if not unknown[j]:
+            if not a ^ b ^ c ^ d:
+                raise _contradiction(plaqs[j], length,
+                                     "has even dashing parity")
+            fresh = ()
+            continue
+        # the unknown id, then the other three in quad order
+        if a is None:
+            step, vals[q0] = quad, 1 ^ b ^ c ^ d
+        elif b is None:
+            step, vals[q1] = (q1, q0, q2, q3), 1 ^ a ^ c ^ d
+        elif c is None:
+            step, vals[q2] = (q2, q0, q1, q3), 1 ^ a ^ b ^ d
+        else:
+            step, vals[q3] = (q3, q0, q1, q2), 1 ^ a ^ b ^ c
+        order.append(j)
+        flat.append(step)
+        fresh = step[:1]  # the id just written
+
+
+def _dxor_engine(table, vals: list, fresh: list, edges, length: int):
+    """Fire `_dxor_rule` over the table's plaquettes from the known ids
+    `fresh` to its fixpoint, writing the heads of the skeleton's `edges`
+    into `vals` (by edge id) in place.
+
+    Each plaquette keeps its counters (see `_DXOR_READY`) and goes on a
     min-heap of canonical indices when they become ready.  The least is
-    popped, and skipped if an edge filled since left it idle; else `rule`
-    raises or returns the (edge id, value) pairs it forces.  A
+    popped, and skipped if an edge filled since left it idle; else the
+    rule raises or returns the (edge id, head) pairs it forces.  A
     plaquette's verdict changes only when one of its edges becomes
     known, so each pop is the plaquette a scan from plaquette 0 would
     act on first: runs match a scan restarted after every inference,
@@ -433,23 +556,29 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
     in order, per edge id the firing that wrote it (-1 if none), and
     the written ids in write order."""
     plaqs, quads, incident = table.plaquettes, table.quads, table.incidence
+    ready = _DXOR_READY
     state = [20] * len(plaqs)
     when = [-1] * len(vals)
     fired, written = [], []
     heap = []
     while True:
         for i in fresh:
-            value = vals[i]
-            if edges is None:  # a dashing bit of 1 is a one on both sides
-                moves = value - 5, value - 5
-            else:  # an arrow is a one where its trail steps onto its tail
-                moves = (value != edges[i].u) - 5, (value != edges[i].v) - 5
-            for onto, move in zip(incident[i], moves):
-                for j in onto:
-                    old = state[j]
-                    state[j] = new = old + move
-                    if ready[new] and not ready[old]:
-                        heappush(heap, j)
+            # an arrow is a one where its trail steps onto its tail
+            head = vals[i]
+            u, v, _ = edges[i]
+            onto_u, onto_v = incident[i]
+            move = (head != u) - 5
+            for j in onto_u:
+                old = state[j]
+                state[j] = new = old + move
+                if ready[new] and not ready[old]:
+                    heappush(heap, j)
+            move = (head != v) - 5
+            for j in onto_v:
+                old = state[j]
+                state[j] = new = old + move
+                if ready[new] and not ready[old]:
+                    heappush(heap, j)
         while heap and not ready[state[heap[0]]]:
             heappop(heap)
         if not heap:
@@ -457,7 +586,8 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
         j = heappop(heap)
         start = len(written)
         t = len(fired)
-        for i, value in rule(plaqs[j], quads[j], vals, length, state[j]):
+        for i, value in _dxor_rule(plaqs[j], quads[j], vals, length,
+                                   state[j]):
             vals[i] = value
             when[i] = t
             written.append(i)
@@ -465,12 +595,12 @@ def _run_engine(table, vals: list, fresh: list, rule, ready, edges,
         fresh = written[start:]
 
 
-def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
+def _propagate(skeleton: Adinkra, given: Mapping, check,
                directions: bool = False):
-    """`_run_engine` from the given edges or, for dashing bits on
-    exactly the baobab slots, the skeleton's NDXOR program, which fires
-    as the engine would and calls no rule.  Returns the known dict and
-    a trace that builds its steps from the firings when read."""
+    """The engine of the gate from the given edges or, for dashing bits
+    on exactly the baobab slots, the skeleton's NDXOR program, which
+    fires as the engine would.  Returns the known dict and a trace that
+    builds its steps from the firings when read."""
     table = _plaquette_ids(skeleton)
     index, edges = table.index, skeleton.edges
     vals = [None] * len(edges)
@@ -482,21 +612,25 @@ def _propagate(skeleton: Adinkra, given: Mapping, check, rule, ready,
             raise InputError(f"unknown edge {e}")
         known[e] = vals[i] = check(e, value)
         fresh.append(i)
-    gate = "DXOR" if directions else "NDXOR"
-    program = None if directions else _ndxor_program(skeleton, fresh)
-    if program is not None:
-        program.run(vals)
-        fired, when = program.order, program.when
-        written = (out for out, _, _, _ in program.flat)
+    if directions:
+        gate = "DXOR"
+        order, writes, written = _dxor_engine(table, vals, fresh, edges,
+                                              skeleton.length)
     else:
-        fired, when, written = _run_engine(
-            table, vals, fresh, rule, ready, edges if directions else None,
-            skeleton.length)
+        gate = "NDXOR"
+        program = _ndxor_program(skeleton, fresh)
+        if program is not None:
+            program.run(vals)
+            order, writes = program.order, program.flat
+        else:
+            order, writes = _ndxor_engine(table, vals, fresh,
+                                          skeleton.length)
+        written = (out for out, _, _, _ in writes)
     for i in written:
         known[edges[i]] = vals[i]
     trace = object.__new__(GateTrace)  # steps built on first read
-    trace.__dict__.update(length=skeleton.length, _firings=(
-        gate, table.plaquettes, table.quads, fired, when, vals))
+    trace.__dict__.update(length=skeleton.length,
+                          _firings=(gate, table, order, vals, writes))
     return known, trace
 
 
@@ -593,14 +727,12 @@ class _NdxorProgram(NamedTuple):
     NDXOR fires on a plaquette with exactly one unknown edge, so which
     plaquettes fire, in what order, and which edge each one writes
     depend only on which edges are known.  `order` lists the fired
-    plaquettes; `flat` holds, per step, (output id, input ids); `when`
-    gives, per edge id, the step that writes it (-1 for a slot).
+    plaquettes and `flat` holds, per step, (output id, input ids).
     """
 
     slots: frozenset[int]
     order: tuple[int, ...]
     flat: tuple[tuple[int, int, int, int], ...]
-    when: tuple[int, ...]
 
     def run(self, vals: list) -> list:
         """Fill `vals`, which holds a bit on every slot id, in place."""
@@ -628,8 +760,8 @@ def _ndxor_program(skeleton: Adinkra, ids=None) -> _NdxorProgram | None:
 
 def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     """The NDXOR program of the baobab slots: one engine run from
-    all-zero slots, each firing read as (output id, the other three ids
-    in quad order).  False if the run contradicts or leaves an edge
+    all-zero slots, each firing as (output id, the other three ids in
+    quad order).  False if the run contradicts or leaves an edge
     unknown (the quaternion skeleton).
 
     Such a run proves the program exact for every slot assignment.  The
@@ -647,20 +779,12 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     for i in slots:
         vals[i] = 0
     try:
-        order, when, outs = _run_engine(table, vals, slots, _ndxor_rule,
-                                        _NDXOR_READY, None, skeleton.length)
+        order, flat = _ndxor_engine(table, vals, slots, skeleton.length)
     except ContradictionError:
         return False
     if None in vals:
         return False
-    flat = []
-    for j, out in zip(order, outs):
-        q0, q1, q2, q3 = table.quads[j]
-        flat.append((q0, q1, q2, q3) if out == q0 else
-                    (q1, q0, q2, q3) if out == q1 else
-                    (q2, q0, q1, q3) if out == q2 else (q3, q0, q1, q2))
-    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat),
-                         tuple(when))
+    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat))
 
 
 def _check_head(e: Edge, head) -> int:
@@ -678,9 +802,7 @@ def propagate_dashing(
     identical trace.  Known bits on exactly the baobab slots run the
     skeleton's compiled NDXOR program.
     """
-    return _propagate(skeleton, known,
-                      lambda e, b: check_bit(b, "bit", e),
-                      _ndxor_rule, _NDXOR_READY)
+    return _propagate(skeleton, known, lambda e, b: check_bit(b, "bit", e))
 
 
 def propagate_directions(
@@ -693,8 +815,7 @@ def propagate_directions(
     need 0 forces every unknown trail bit to 0 and need equal to their
     number forces them all to 1 (DXOR); anything between forces nothing.
     """
-    return _propagate(skeleton, pinned, _check_head, _dxor_rule,
-                      _DXOR_READY, directions=True)
+    return _propagate(skeleton, pinned, _check_head, directions=True)
 
 
 def heights_from_directions(
@@ -839,12 +960,15 @@ def skeleton_tree(skeleton: Adinkra) -> tuple[Edge, ...]:
 
     A node's ancestors are its labels with leading bits cleared, so its
     depth is its bit count and two nodes meet at the bits below the
-    lowest one where they differ (`_tree_path`)."""
-    _graph_table(skeleton)
-    length = skeleton.length
-    edges = [_tree_edge(x, length) for x in skeleton.nodes[1:]]
-    edges.sort(key=lambda e: (e.u, e.color))
-    return tuple(edges)
+    lowest one where they differ (`_tree_path`).  Built once per graph,
+    like `plaquettes`."""
+    table = _graph_table(skeleton)
+    if table.tree is None:
+        length = skeleton.length
+        edges = [_tree_edge(x, length) for x in skeleton.nodes[1:]]
+        edges.sort(key=lambda e: (e.u, e.color))
+        table.tree = tuple(edges)
+    return table.tree
 
 
 def skeleton_baobab_edges(skeleton: Adinkra):
@@ -869,18 +993,21 @@ def skeleton_baobab_edges(skeleton: Adinkra):
 
 def _extremal_nodes(adinkra: Adinkra):
     """(sources, sinks): nodes below, or above, all their neighbours
-    x ^ d_I."""
-    heights = adinkra.heights
-    steps = _color_steps(adinkra.code)[1:]
-    sources, sinks = [], []
-    for x in adinkra.nodes:
-        h = heights[x]
-        hs = [heights[x ^ d] for d in steps]
-        if all(y > h for y in hs):
-            sources.append(x)
-        elif all(y < h for y in hs):
-            sinks.append(x)
-    return sources, sinks
+    x ^ d_I.  Sources are the ranks on every color's up plane
+    (`_RankPlanes.rising`), and sinks those on every up plane of the
+    negated heights, where each neighbour is strictly lower."""
+    ranks = _rank_planes(adinkra)
+    nodes = adinkra.nodes
+    levels = list(map(adinkra.heights.get, nodes))
+    out = []
+    for planes in (ranks.rising(levels), ranks.rising([-h for h in levels])):
+        common = (1 << ranks.size) - 1
+        for plane in planes[1:]:
+            common &= plane
+        # bit r of `common` is rank r, the binary digits run from the top
+        digits = format(common, f"0{ranks.size}b")[::-1]
+        out.append(list(compress(nodes, map("1".__eq__, digits))))
+    return tuple(out)
 
 
 def _tree_path(a: int, b: int, length: int) -> list[Edge]:
@@ -954,10 +1081,23 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
     The result is verified on the spot: dashing bits must propagate
     back to the full dashing and pinned arrows to the full height
     assignment, otherwise the extraction refuses loudly.
+
+    The skeleton's NDXOR program, run from the adinkra's own slot bits,
+    gives the one valid dashing with those slots (`_compile_ndxor`).
+    When that is the adinkra's dashing, the dashing is odd and
+    propagation would give it back, so neither check runs; else, or
+    without a program, `verify_odd_dashing` reports and propagation
+    checks as before.
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("extraction needs both dashing and heights")
-    for verify in (verify_odd_dashing, verify_heights):
+    dashed = [1 if s == 1 else 0 for s in checked_signs(adinkra)]
+    program = _ndxor_program(adinkra)
+    # the program writes every edge off the slots before reading it
+    rebuilt = program is not None and program.run(dashed.copy()) == dashed
+    checks = (verify_heights,) if rebuilt else (verify_odd_dashing,
+                                                 verify_heights)
+    for verify in checks:
         report = verify(adinkra)
         if not report:
             raise InputError(f"invalid adinkra: {report.summary()}")
@@ -967,19 +1107,19 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
             for e in tree + cycles}
 
     skeleton = adinkra.skeleton()
-    full_bits, _ = propagate_dashing(skeleton, bits)
-    missing = [e for e in adinkra.edges if e not in full_bits]
-    if missing:
-        raise UnderDeterminedError(
-            f"baobab bits leave {len(missing)} edge(s) undetermined",
-            unresolved=missing,
-        )
-    for e in adinkra.edges:
-        want = 1 if adinkra.dashing[e] == 1 else 0
-        if full_bits[e] != want:
-            raise ContradictionError(
-                f"propagated dashing disagrees with the input at {e}"
+    if not rebuilt:
+        full_bits, _ = propagate_dashing(skeleton, bits)
+        missing = [e for e in adinkra.edges if e not in full_bits]
+        if missing:
+            raise UnderDeterminedError(
+                f"baobab bits leave {len(missing)} edge(s) undetermined",
+                unresolved=missing,
             )
+        for e, want in zip(adinkra.edges, dashed):
+            if full_bits[e] != want:
+                raise ContradictionError(
+                    f"propagated dashing disagrees with the input at {e}"
+                )
 
     pinned = choose_pinned_arrows(adinkra)
     heights = adinkra.heights

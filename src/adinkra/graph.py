@@ -103,17 +103,18 @@ class _PlaquetteTable:
     edge i as two ascending lists (onto_u, onto_v): those whose traversal
     steps along edge i onto its end u, and those stepping onto v.
     `program` is the compiled NDXOR schedule of the baobab slots (see
-    `baobab._ndxor_program`).  `ranks` holds the graph's `_RankPlanes`.
+    `baobab._ndxor_program`), and `tree` the canonical spanning tree (see
+    `baobab.skeleton_tree`).  `ranks` holds the graph's `_RankPlanes`.
     `quotient` is the cached verdict of `_graph_table`: set by the
     builders, or once a graph is found to be its code's quotient.
     Adinkras on the same graph share one table."""
 
     __slots__ = ("plaquettes", "index", "quads", "incidence", "program",
-                 "ranks", "quotient", "__weakref__")
+                 "tree", "ranks", "quotient", "__weakref__")
 
     def __init__(self):
         self.plaquettes = self.index = self.quads = self.incidence = None
-        self.program = self.ranks = None
+        self.program = self.tree = self.ranks = None
         self.quotient = False
 
     @_collector_paused
@@ -550,6 +551,15 @@ def checked_signs(adinkra: Adinkra) -> list[int] | None:
     return signs
 
 
+def _odd_planes(ranks: _RankPlanes, a: list[int]) -> bool:
+    """Whether the dashed-end planes `a` (`_RankPlanes.dashed`) put an
+    odd number of dashed edges on every plaquette."""
+    swaps = ranks.swaps()
+    full = (1 << ranks.size) - 1
+    return all(a[i] ^ a[j] ^ _moved(a[j], swaps[i]) ^ _moved(a[i], swaps[j])
+               == full for i, j in combinations(range(1, len(a)), 2))
+
+
 def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
     """Check every plaquette carries an odd number of dashed edges.
 
@@ -561,10 +571,7 @@ def verify_odd_dashing(adinkra: Adinkra) -> VerificationReport:
     if signs is None:
         raise InputError("adinkra has no dashing to verify")
     ranks = _rank_planes(adinkra)
-    a, swaps = ranks.dashed(signs), ranks.swaps()
-    full = (1 << ranks.size) - 1
-    if all(a[i] ^ a[j] ^ _moved(a[j], swaps[i]) ^ _moved(a[i], swaps[j])
-           == full for i, j in combinations(range(1, len(a)), 2)):
+    if _odd_planes(ranks, ranks.dashed(signs)):
         return VerificationReport("odd-dashing", ())
     dashing = adinkra.dashing
     bad = []

@@ -734,11 +734,7 @@ def naive_compile_ndxor(skeleton: Adinkra) -> _NdxorProgram | bool:
     if None in form or any(form[a] ^ form[b] ^ form[c] ^ form[d] != 1
                            for a, b, c, d in quads):
         return False
-    when = [-1] * len(form)
-    for t, (out, *_) in enumerate(flat):
-        when[out] = t
-    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat),
-                         tuple(when))
+    return _NdxorProgram(frozenset(slots), tuple(order), tuple(flat))
 
 
 def plaquette_trail(p: Plaquette):
@@ -798,6 +794,99 @@ def naive_replay_directions(trace: GateTrace,
             raise ReplayError(f"step {num}: output {e} not on the cycle")
         frm, to = by_edge[e]
         head = to if b == 0 else frm
+        if e in heads and heads[e] != head:
+            raise ReplayError(f"step {num}: output {e} already oriented")
+        heads[e] = head
+    return heads
+
+
+def stepwise_replay_dashing(trace: GateTrace,
+                            seeds: Mapping[Edge, int]) -> dict[Edge, int]:
+    """`GateTrace.replay_dashing` as it was before its lookup fast path:
+    every check on every step."""
+    bits = {e: check_bit(b, "seed", e) for e, b in seeds.items()}
+    for num, s in enumerate(trace.steps, 1):
+        if s.gate != "NDXOR":
+            raise ReplayError(f"step {num}: expected NDXOR, got {s.gate}")
+        vals = []
+        for e, b in s.inputs:
+            if e not in bits:
+                raise ReplayError(f"step {num}: input {e} not yet known")
+            if bits[e] != b:
+                raise ReplayError(
+                    f"step {num}: input {e} is {bits[e]}, trace says {b}"
+                )
+            vals.append(b)
+        if len(vals) != 3:
+            raise ReplayError(f"step {num}: NDXOR needs 3 inputs")
+        want = ndxor(*vals)
+        e, b = s.output
+        if want != b:
+            raise ReplayError(
+                f"step {num}: recomputed {want} but trace wrote {b}"
+            )
+        if e in bits and bits[e] != b:
+            raise ReplayError(f"step {num}: output {e} already {bits[e]}")
+        bits[e] = b
+    return bits
+
+
+def stepwise_trail_ends(edge: Edge, corners, colors):
+    """(from, to) of `edge` on the trail corners[0] -> ... -> corners[3]
+    -> corners[0], whose steps alternate colors[0] and colors[1], or None
+    when no step runs along it.  Should two steps share the edge, the
+    last one counts."""
+    u, v, color = edge
+    for i in (3, 2, 1, 0):
+        a, b = corners[i], corners[(i + 1) % 4]
+        if colors[i % 2] == color and (
+                (u == a and v == b) if a < b else (u == b and v == a)):
+            return a, b
+    return None
+
+
+def stepwise_replay_directions(trace: GateTrace,
+                               seeds: Mapping[Edge, int]) -> dict[Edge, int]:
+    """`GateTrace.replay_directions` as it was before its trail map:
+    every check on every step, each input and output located on the
+    trail by `stepwise_trail_ends`."""
+    heads = {}
+    for e, h in seeds.items():
+        if (not isinstance(h, int) or isinstance(h, bool)
+                or h not in (e.u, e.v)):
+            raise InputError(f"head {h} is not an endpoint of {e}")
+        heads[e] = h
+    for num, s in enumerate(trace.steps, 1):
+        if s.gate != "DXOR":
+            raise ReplayError(f"step {num}: expected DXOR, got {s.gate}")
+        vals = []
+        for e, b in s.inputs:
+            ends = stepwise_trail_ends(e, s.corners, s.colors)
+            if ends is None:
+                raise ReplayError(f"step {num}: input {e} not on the cycle")
+            if e not in heads:
+                raise ReplayError(f"step {num}: input {e} not yet known")
+            got = 0 if heads[e] == ends[1] else 1
+            if got != b:
+                raise ReplayError(
+                    f"step {num}: input {e} reads {got}, trace says {b}"
+                )
+            vals.append(b)
+        if len(vals) == 3 and len(set(vals)) == 2:
+            want = dxor(*vals)
+        elif len(vals) == 2 and vals[0] == vals[1]:
+            want = 1 - vals[0]
+        else:
+            raise ReplayError(f"step {num}: DXOR inputs {vals} force no bit")
+        e, b = s.output
+        if want != b:
+            raise ReplayError(
+                f"step {num}: recomputed {want} but trace wrote {b}"
+            )
+        ends = stepwise_trail_ends(e, s.corners, s.colors)
+        if ends is None:
+            raise ReplayError(f"step {num}: output {e} not on the cycle")
+        head = ends[1] if b == 0 else ends[0]
         if e in heads and heads[e] != head:
             raise ReplayError(f"step {num}: output {e} already oriented")
         heads[e] = head

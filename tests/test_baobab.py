@@ -857,21 +857,41 @@ def test_trace_steps_are_built_once_on_first_read(monkeypatch):
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """Every NDXOR and DXOR rule call as (gate, steps forced), or (gate,
-    None) when it raised; a call that forces nothing fails the test."""
+    """Every DXOR rule call as ("DXOR", steps forced), or ("DXOR", None)
+    when it raised; a call that forces nothing fails the test.  NDXOR has
+    no rule: its engine writes the one unknown bit of each plaquette it
+    fires, so each firing shows as ("NDXOR", 1) once the run has checked
+    that it wrote exactly one new edge, and a run that contradicts ends
+    with ("NDXOR", None)."""
     calls = []
-    for gate, name in (("NDXOR", "_ndxor_rule"), ("DXOR", "_dxor_rule")):
-        def counted(p, *args, real=getattr(baobab, name), gate=gate):
-            try:
-                out = real(p, *args)
-            except ContradictionError:
-                calls.append((gate, None))
-                raise
-            assert out, f"idle {gate} rule call on {p}"
-            calls.append((gate, len(out)))
-            return out
 
-        monkeypatch.setattr(baobab, name, counted)
+    def counted_rule(p, *args, real=baobab._dxor_rule):
+        try:
+            out = real(p, *args)
+        except ContradictionError:
+            calls.append(("DXOR", None))
+            raise
+        assert out, f"idle DXOR rule call on {p}"
+        calls.append(("DXOR", len(out)))
+        return out
+
+    def counted_engine(table, vals, fresh, length,
+                       real=baobab._ndxor_engine):
+        unknown = vals.count(None)
+        try:
+            order, flat = real(table, vals, fresh, length)
+        except ContradictionError:
+            calls.extend([("NDXOR", 1)] * (unknown - vals.count(None)))
+            calls.append(("NDXOR", None))
+            raise
+        outs = {out for out, _, _, _ in flat}
+        assert len(order) == len(flat) == len(outs) == (
+            unknown - vals.count(None)), "an NDXOR firing wrote no one edge"
+        calls.extend([("NDXOR", 1)] * len(order))
+        return order, flat
+
+    monkeypatch.setattr(baobab, "_dxor_rule", counted_rule)
+    monkeypatch.setattr(baobab, "_ndxor_engine", counted_engine)
     return calls
 
 
@@ -880,10 +900,11 @@ def rule_calls(monkeypatch):
     [(n, ()) for n in range(2, 9)] + [(3, ("1111",)), (4, E8_CODE)],
 )
 def test_every_rule_call_on_a_baobab_forces_a_bit(rule_calls, n, gens):
-    # slot runs fill the dashing from the compiled program and call no
-    # NDXOR rule; the engine, run on a reordered copy, is checked below.
-    # Compiling the program is one engine run: one forcing call a step.
-    # Extraction checks the arrows by the DXOR sweep and calls no rule
+    # slot runs fill the dashing from the compiled program and run no
+    # NDXOR engine; the engine, run on a reordered copy, is checked below.
+    # Compiling the program is one engine run: one firing a step.
+    # Extraction checks the dashing by the program and the arrows by the
+    # DXOR sweep, and fires neither engine
     a = skeleton_for(n, gens)
     program = baobab._ndxor_program(a)
     assert rule_calls == [("NDXOR", 1)] * len(program.flat)

@@ -3,6 +3,7 @@ same graph reads that one table: the plaquettes, the integer id tables
 propagation reads and the compiled NDXOR program."""
 
 import random
+import sys
 import weakref
 from copy import deepcopy
 from dataclasses import replace
@@ -23,6 +24,7 @@ from adinkra import (
     reconstruct_adinkra,
     reconstruct_dashing,
     skeleton_baobab_edges,
+    skeleton_tree,
     to_json,
     valise_heights,
     verify_odd_dashing,
@@ -239,6 +241,34 @@ def test_trails_are_built_once_per_table(id_builds, n, gens, heights):
     for table in (adk._table, rebuilt._table):
         assert all(f is g for f, g in zip(fields, table_fields(sk)))
         assert table is sk._table
+
+
+@pytest.mark.parametrize("n, gens, heights", RUNGS)
+def test_tree_is_built_once_per_table(monkeypatch, n, gens, heights):
+    # the canonical tree is kept on the table: the caller's
+    # skeleton_baobab_edges, _compile_ndxor and _validate_baobab_fit
+    # (through reconstruct_adinkra) read one tuple object
+    reads = []
+    real = baobab.skeleton_baobab_edges
+
+    def counted(skeleton):
+        out = real(skeleton)
+        reads.append((sys._getframe(1).f_code.co_name, out[0]))
+        return out
+
+    monkeypatch.setattr(baobab, "skeleton_baobab_edges", counted)
+    sk = build_chromotopology(n, gens)
+    adk = dashed(sk, heights)
+    rebuilt, _, _ = reconstruct_adinkra(sk, extract_baobab(adk))
+    assert rebuilt == adk
+    tree = skeleton_tree(sk)
+    assert sk._table.tree is tree
+    assert {caller for caller, _ in reads} == {
+        "_compile_ndxor", "_validate_baobab_fit", "extract_baobab"}
+    assert all(t is tree for _, t in reads)
+    copy = replace(sk)
+    assert skeleton_tree(copy) == tree and skeleton_tree(copy) is not tree
+    assert skeleton_tree(copy) is copy._table.tree
 
 
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
