@@ -35,7 +35,6 @@ from .graph import (
     _plaquette_ids,
     _rank_planes,
     checked_heights,
-    checked_signs,
     chromotopology_code,
     json_edge,
     json_header,
@@ -991,18 +990,18 @@ def skeleton_baobab_edges(skeleton: Adinkra):
 # ---------- extraction ----------
 
 
-def _extremal_nodes(adinkra: Adinkra):
+def _extremal_nodes(adinkra: Adinkra, up: list[int]):
     """(sources, sinks): nodes below, or above, all their neighbours
-    x ^ d_I.  Sources are the ranks on every color's up plane
-    (`_RankPlanes.rising`), and sinks those on every up plane of the
-    negated heights, where each neighbour is strictly lower."""
+    x ^ d_I.  Sources are the ranks on every color's up plane of the
+    heights (`up`, from `_RankPlanes.rising`), and sinks those on every
+    color's fall plane, the delta swap σ_c(up[c]): the edge at rank r
+    falls as it leaves r where the edge at r ^ δ_c rises."""
     ranks = _rank_planes(adinkra)
     nodes = adinkra.nodes
-    levels = list(map(adinkra.heights.get, nodes))
     out = []
-    for planes in (ranks.rising(levels), ranks.rising([-h for h in levels])):
+    for planes in (up[1:], map(_moved, up[1:], ranks.swaps()[1:])):
         common = (1 << ranks.size) - 1
-        for plane in planes[1:]:
+        for plane in planes:
             common &= plane
         # bit r of `common` is rank r, the binary digits run from the top
         digits = format(common, f"0{ranks.size}b")[::-1]
@@ -1035,9 +1034,16 @@ def choose_pinned_arrows(adinkra: Adinkra) -> dict[Edge, int]:
     edge to the parent, or the first tree edge for node 0.
     """
     heights = checked_heights(adinkra, "pinning needs heights")
-    _graph_table(adinkra)
+    return _pinned_arrows(adinkra, _rank_planes(adinkra).rising(
+        list(map(heights.get, adinkra.nodes))))
+
+
+def _pinned_arrows(adinkra: Adinkra, up: list[int]) -> dict[Edge, int]:
+    """`choose_pinned_arrows` for checked heights whose up planes
+    (`_RankPlanes.rising`) are `up`."""
+    heights = adinkra.heights
     length = adinkra.length
-    sources, sinks = _extremal_nodes(adinkra)
+    sources, sinks = _extremal_nodes(adinkra, up)
     extremal = set(sources) | set(sinks)
 
     pinned: dict[Edge, int] = {}
@@ -1082,53 +1088,34 @@ def extract_baobab(adinkra: Adinkra) -> Baobab:
     back to the full dashing and pinned arrows to the full height
     assignment, otherwise the extraction refuses loudly.
 
-    The skeleton's NDXOR program, run from the adinkra's own slot bits,
-    gives the one valid dashing with those slots (`_compile_ndxor`).
-    When that is the adinkra's dashing, the dashing is odd and
-    propagation would give it back, so neither check runs; else, or
-    without a program, `verify_odd_dashing` reports and propagation
-    checks as before.
+    For the dashing, `verify_odd_dashing`'s verdict on the node-rank
+    planes is the whole check.  A skeleton without an NDXOR program has
+    no odd dashing (`count_valid_dashings`), so the verdict refuses every
+    adinkra on it.  With a program, the odd dashings form an affine code
+    whose slots pin each word, and the program rebuilds each of them
+    from its slot bits, which are the baobab bits (`_compile_ndxor`;
+    Doran et al., arXiv:1108.4124; Zhang, arXiv:1111.6055).  For the
+    arrows, the DXOR sweep from the pins (`_swept_up`) is compared with
+    the heights' up planes, read once and shared with the pin selection;
+    only when they differ does the engine run, for its exact error.
     """
     if adinkra.dashing is None or adinkra.heights is None:
         raise InputError("extraction needs both dashing and heights")
-    dashed = [1 if s == 1 else 0 for s in checked_signs(adinkra)]
-    program = _ndxor_program(adinkra)
-    # the program writes every edge off the slots before reading it
-    rebuilt = program is not None and program.run(dashed.copy()) == dashed
-    checks = (verify_heights,) if rebuilt else (verify_odd_dashing,
-                                                 verify_heights)
-    for verify in checks:
+    for verify in (verify_odd_dashing, verify_heights):
         report = verify(adinkra)
         if not report:
             raise InputError(f"invalid adinkra: {report.summary()}")
 
     tree, cycles, odd_sets = skeleton_baobab_edges(adinkra)
-    bits = {e: (1 if adinkra.dashing[e] == 1 else 0)
-            for e in tree + cycles}
+    dashing, heights = adinkra.dashing, adinkra.heights
+    bits = {e: (1 if dashing[e] == 1 else 0) for e in tree + cycles}
 
-    skeleton = adinkra.skeleton()
-    if not rebuilt:
-        full_bits, _ = propagate_dashing(skeleton, bits)
-        missing = [e for e in adinkra.edges if e not in full_bits]
-        if missing:
-            raise UnderDeterminedError(
-                f"baobab bits leave {len(missing)} edge(s) undetermined",
-                unresolved=missing,
-            )
-        for e, want in zip(adinkra.edges, dashed):
-            if full_bits[e] != want:
-                raise ContradictionError(
-                    f"propagated dashing disagrees with the input at {e}"
-                )
-
-    pinned = choose_pinned_arrows(adinkra)
-    heights = adinkra.heights
+    up = _rank_planes(adinkra).rising(list(map(heights.get, adinkra.nodes)))
+    pinned = _pinned_arrows(adinkra, up)
     # the sweep's up planes against the heights': equal, every arrow
-    # agrees; else the heads dict names the first edge that does not
-    up = _swept_up(skeleton, pinned)
-    if up is None or up != _rank_planes(adinkra).rising(
-            list(map(heights.get, adinkra.nodes))):
-        heads, _dtrace = propagate_directions(skeleton, pinned)
+    # agrees; else the engine names the first edge that does not
+    if _swept_up(adinkra, pinned) != up:
+        heads, _dtrace = propagate_directions(adinkra, pinned)
         unresolved = [e for e in adinkra.edges if e not in heads]
         if unresolved:
             raise InsufficientPinningError(
@@ -1259,6 +1246,9 @@ def dashing_code(skeleton: Adinkra) -> AffineCode | None:
 def count_valid_dashings(skeleton: Adinkra) -> int:
     """Number of dashings with odd parity on every plaquette: 2**|slots|
     of the compiled NDXOR program (see `_compile_ndxor`), or 0 without
-    one (the quaternion skeleton)."""
+    one.  A skeleton has a program exactly when that parity system is
+    solvable: the quaternion skeleton and the quotients by 111 and 1110
+    have neither.  `extract_baobab` relies on this too: an odd dashing
+    means a program that rebuilds it from the baobab bits."""
     program = _ndxor_program(skeleton)
     return 0 if program is None else 1 << len(program.slots)

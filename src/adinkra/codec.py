@@ -296,19 +296,11 @@ class PlaquetteCheck:
 def syndrome(vector: EdgeBitVector) -> Syndrome:
     """Every violated check for the given block."""
     family = vector.family
-    skeleton = family_skeleton(family)
     if family.scheme == DASHING:
-        table = _plaquette_ids(skeleton)
-        b = vector.bits
-        violated = tuple(
-            PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length))
-            for p, (w, x, y, z) in zip(table.plaquettes, table.quads)
-            if not b[w] ^ b[x] ^ b[y] ^ b[z]
-        )
-        return Syndrome(family, violated)
+        return Syndrome(family, _violations(vector)[1])
     from .algebra import check_quaternion
     from .quaternion import matrices_from_directions
-    directions = dict(zip(skeleton.edges, vector.bits))
+    directions = dict(zip(family_skeleton(family).edges, vector.bits))
     report = check_quaternion(matrices_from_directions(directions))
     return Syndrome(family, report.violated_relations())
 
@@ -366,10 +358,11 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     )
 
 
-def _violations(vector: EdgeBitVector, shown: int) -> tuple[int, tuple]:
-    """How many checks the block violates, and the first `shown` of the
-    ones `syndrome` lists; a dashing block counts them on the id quads
-    and describes only those it shows."""
+def _violations(vector: EdgeBitVector,
+                shown: int | None = None) -> tuple[int, tuple]:
+    """How many checks the block violates, and the first `shown` (all by
+    default) of the ones `syndrome` lists; a dashing block counts them
+    on the id quads and describes only those it shows."""
     family = vector.family
     if family.scheme != DASHING:
         violated = syndrome(vector).violated

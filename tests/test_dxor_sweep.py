@@ -214,8 +214,10 @@ def test_extract_direction_errors_match_the_engine(monkeypatch):
     # pin sets the selection never makes: one pin dropped or reversed
     # leaves edges unknown, one wrong extra arrow contradicts, and the
     # pins of the heights turned upside down close to every arrow
-    # reversed, which disagrees with the heights
+    # reversed, which disagrees with the heights.  Extract takes its pins
+    # from `_pinned_arrows`, on the heights' up planes that it reads once
     choose = baobab.choose_pinned_arrows
+    pinned_arrows = baobab._pinned_arrows
     kinds = []
     for n, gens in RUNGS:
         a, signs = dashed(n, gens, n)
@@ -229,14 +231,14 @@ def test_extract_direction_errors_match_the_engine(monkeypatch):
                         {**pins, first: first.u + first.v - pins[first]},
                         {**pins, extra: min(extra.u, extra.v, key=h.get)},
                         flipped):
-                monkeypatch.setattr(baobab, "choose_pinned_arrows",
-                                    lambda _, bad=bad: dict(bad))
+                monkeypatch.setattr(baobab, "_pinned_arrows",
+                                    lambda *_, bad=bad: dict(bad))
                 got = failure(extract_baobab, adk)
                 assert got == failure(engine_extract, adk)
                 kinds.append(got[:2])
             assert got[1].startswith(
                 "propagated direction disagrees with the heights at ")
-            monkeypatch.setattr(baobab, "choose_pinned_arrows", choose)
+            monkeypatch.setattr(baobab, "_pinned_arrows", pinned_arrows)
     assert {InsufficientPinningError, ContradictionError} <= {
         kind for kind, _ in kinds}
 

@@ -1,6 +1,8 @@
 """The affine GF(2) code behind counting, codewords and distance, and
 the size guard on its exhaustive walks."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +12,12 @@ from adinkra import (
     InputError,
     SizeGuardError,
     build_chromotopology,
+    build_quotient_skeleton,
     count_valid_dashings,
     plaquettes,
 )
 from adinkra._kernels import check_guard, guard_bits
+from adinkra import baobab
 from adinkra.baobab import dashing_code
 from adinkra.codec import (
     DASHING,
@@ -25,7 +29,7 @@ from adinkra.codec import (
     min_distance,
     parse_family,
 )
-from adinkra.codes import DoublyEvenCode, gf2_rref
+from adinkra.codes import DoublyEvenCode, LinearBinaryCode, gf2_rref
 from adinkra.quaternion import COLOR_UNITS
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -170,6 +174,57 @@ def test_count_is_two_to_the_kernel_dimension(n, gens, edges):
     expected = 2 ** (edges - oracles.gf2_rank(masks))
     assert count_valid_dashings(skeleton) == expected
     assert expected == 2 ** (2 ** n + len(gens) - 1)
+
+
+def spanning_quotients(max_length, max_k):
+    """(skeleton, whether its code is doubly even) for every quotient
+    `build_quotient_skeleton` makes by a code of length at most
+    `max_length` and dimension 1..`max_k` whose colors span four-cycles:
+    a code with no word of weight 1 (refused by the builder) or 2 (two
+    colors would share a step)."""
+    out = []
+    for length in range(1, max_length + 1):
+        codes = set()
+        for k in range(1, max_k + 1):
+            for gens in combinations(range(1, 1 << length), k):
+                codes.add(tuple(gf2_rref(list(gens))))
+        for gens in sorted(codes):
+            words = [0]
+            for g in gens:
+                words += [w ^ g for w in words]
+            weights = list(map(int.bit_count, words[1:]))
+            if len(gens) < length and min(weights) > 2:
+                out.append((build_quotient_skeleton(
+                    length - len(gens), LinearBinaryCode(length, gens)),
+                    all(w % 4 == 0 for w in weights)))
+    return out
+
+
+def test_a_program_exists_exactly_when_the_parity_system_is_solvable():
+    # extraction trusts the planes' odd-dashing verdict alone, and counting
+    # reads the program's slots: both need "no program" to mean "no odd
+    # dashing".  Odd parity on every plaquette is the system whose rows
+    # are the plaquette masks augmented by a 1 beyond the edge bits
+    kinds = {"doubly even": 0, "odd words, odd dashings": 0,
+             "no odd dashing": 0}
+    for skeleton, doubly_even in spanning_quotients(6, 2):
+        edges = len(skeleton.edges)
+        masks = [sum(1 << i for i in quad)
+                 for quad in plaquette_quads(skeleton)]
+        rank = oracles.gf2_rank(masks)
+        solvable = oracles.gf2_rank([m | 1 << edges for m in masks]) == rank
+        assert (baobab._ndxor_program(skeleton) is not None) == solvable
+        assert count_valid_dashings(skeleton) == (
+            2 ** (edges - rank) if solvable else 0)
+        if doubly_even:
+            assert solvable
+            kind = "doubly even"
+        else:
+            kind = ("odd words, odd dashings" if solvable
+                    else "no odd dashing")
+        kinds[kind] += 1
+    assert kinds == {"doubly even": 36, "odd words, odd dashings": 7,
+                     "no odd dashing": 211}
 
 
 def test_dashing_code_on_every_code_up_to_length_8():

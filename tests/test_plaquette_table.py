@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from reorder import reordered
+from test_baobab import E8_CODE, RM14
 from adinkra import (
     adinkra_to_gamma,
     build_chromotopology,
@@ -42,7 +43,6 @@ from adinkra.codec import (
     syndrome,
 )
 
-E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 RUNGS = [(3, (), valise_heights), (4, (), weight_heights),
          (3, ("1111",), valise_heights), (4, E8_CODE, valise_heights)]
 
@@ -125,6 +125,21 @@ def test_from_json_shares_its_own_table(builds):
     assert not builds
     assert plaquettes(back) is plaquettes(back.skeleton())
     assert len(builds) == 1 and builds[0] is back
+
+
+@pytest.mark.parametrize("n, gens, heights", [
+    (8, (), valise_heights), (8, (), weight_heights),
+    (3, ("1111",), valise_heights), (4, E8_CODE, valise_heights),
+    (11, RM14, valise_heights)])
+def test_a_valid_extract_builds_no_table(n, gens, heights):
+    # extraction decides the dashing on the rank planes and reads the
+    # canonical tree: a fresh graph gets no plaquettes, no id tables and
+    # no NDXOR program from it
+    adk = dashed(build_chromotopology(n, gens), heights)
+    back = from_json(to_json(adk))
+    bb = extract_baobab(back)
+    assert back._table.plaquettes is None and ids_unbuilt(back)
+    assert reconstruct_adinkra(back.skeleton(), bb)[0] == adk
 
 
 def test_each_skeleton_of_a_code_builds_its_own_table(builds):

@@ -4,9 +4,9 @@
 lookups and send any step that fails them to the per-step checks.  So
 every corruption of one field of one step must give the same error, or
 the same result in the same order, as the per-step replays kept in
-`tests/oracles.py`.  `extract_baobab` checks the dashing by the compiled
-NDXOR program and runs `verify_odd_dashing` only for a failing
-adinkra's report, so its refusals must keep their texts.
+`tests/oracles.py`.  `extract_baobab` checks the dashing by
+`verify_odd_dashing`'s verdict on the node-rank planes alone, then the
+heights, and its refusals must keep their texts and that order.
 """
 
 import random
