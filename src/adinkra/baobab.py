@@ -960,13 +960,16 @@ def skeleton_tree(skeleton: Adinkra) -> tuple[Edge, ...]:
     A node's ancestors are its labels with leading bits cleared, so its
     depth is its bit count and two nodes meet at the bits below the
     lowest one where they differ (`_tree_path`).  Built once per graph,
-    like `plaquettes`."""
+    like `plaquettes`, from the graph's own edges in their (u, color)
+    order: (u, v, c) is a tree edge exactly when u ^ v is the single
+    bit of color c and u lies below it."""
     table = _graph_table(skeleton)
     if table.tree is None:
         length = skeleton.length
-        edges = [_tree_edge(x, length) for x in skeleton.nodes[1:]]
-        edges.sort(key=lambda e: (e.u, e.color))
-        table.tree = tuple(edges)
+        bit = [0] + [color_bit(c, length) for c in skeleton.colors()]
+        edges = skeleton.edges
+        table.tree = tuple(e for e, (u, v, c) in zip(edges, edges)
+                           if u ^ v == bit[c] > u)
     return table.tree
 
 

@@ -104,17 +104,18 @@ class _PlaquetteTable:
     steps along edge i onto its end u, and those stepping onto v.
     `program` is the compiled NDXOR schedule of the baobab slots (see
     `baobab._ndxor_program`), and `tree` the canonical spanning tree (see
-    `baobab.skeleton_tree`).  `ranks` holds the graph's `_RankPlanes`.
+    `baobab.skeleton_tree`).  `layout` holds the graph's edges over node
+    ranks (`_edge_ranks`), and `ranks` its `_RankPlanes`.
     `quotient` is the cached verdict of `_graph_table`: set by the
     builders, or once a graph is found to be its code's quotient.
     Adinkras on the same graph share one table."""
 
     __slots__ = ("plaquettes", "index", "quads", "incidence", "program",
-                 "tree", "ranks", "quotient", "__weakref__")
+                 "tree", "layout", "ranks", "quotient", "__weakref__")
 
     def __init__(self):
         self.plaquettes = self.index = self.quads = self.incidence = None
-        self.program = self.tree = self.ranks = None
+        self.program = self.tree = self.layout = self.ranks = None
         self.quotient = False
 
     @_collector_paused
@@ -388,39 +389,75 @@ def _spanning_steps(adinkra: Adinkra) -> tuple[int, ...]:
     return steps
 
 
+def _edge_ranks(adinkra: Adinkra) -> tuple[tuple[int, ...], list[array]]:
+    """(deltas, at): the color steps over node ranks and, per color c,
+    the id of the color-c edge at every rank, built once per graph like
+    `plaquettes`.  A node's rank is its position in `nodes`.  Ranks
+    deposit into the non-pivot bits in order, so the rank map is linear
+    and keeps order: color c moves rank r to r ^ δ_c, with δ_c
+    (`deltas[c]`) the rank of d_c, and at[c][r] = at[c][r ^ δ_c].  The
+    steps must be distinct (`_spanning_steps`)."""
+    table = _graph_table(adinkra)
+    if table.layout is None:
+        nodes = adinkra.nodes
+        size = len(nodes)
+        rank = dict(zip(nodes, range(size)))
+        deltas = tuple(map(rank.__getitem__, _spanning_steps(adinkra)))
+        at = [[]] + [[0] * size for _ in deltas[1:]]
+        for i, (u, v, c) in enumerate(adinkra.edges):
+            side = at[c]
+            side[rank[u]] = side[rank[v]] = i
+        # kept at four bytes an id, not an int object per edge
+        table.layout = deltas, [array("I", ids) for ids in at]
+    return table.layout
+
+
+def _gather(ranks: list[int]):
+    """itemgetter(*ranks), returning a tuple for one rank too."""
+    if len(ranks) == 1:
+        (r,) = ranks
+        return lambda items: (items[r],)
+    return itemgetter(*ranks)
+
+
 @_collector_paused
 def _build_plaquettes(adinkra: Adinkra) -> tuple[Plaquette, ...]:
-    steps = _spanning_steps(adinkra)
-    length = adinkra.length
-    nodes = adinkra.nodes
-    # corners are the node list's own ints, not equal new ones
-    own = dict(zip(nodes, nodes))
-    # at[color][x] is the graph's own edge of that color at node x
-    at: list[dict[int, Edge]] = [{} for _ in range(length + 1)]
-    for e in adinkra.edges:
-        side = at[e.color]
-        side[e.u] = side[e.v] = e
+    deltas, at = _edge_ranks(adinkra)
+    nodes, edges = adinkra.nodes, adinkra.edges
+    top = len(nodes).bit_length() - 1  # the number of rank bits
+    # per color, the graph's own edge at each rank
+    on = [()] + [itemgetter(*ids)(edges) for ids in at[1:]]
+    far_end = itemgetter(1)
     new = tuple.__new__  # Plaquette(...) without its Python-level __new__
     out = []
-    for ci, cj in combinations(range(1, length + 1), 2):
-        di, dj = steps[ci], steps[cj]
-        # x < x ^ d exactly when x is zero at the leading bit of d.  Two of
-        # di, dj, di ^ dj share the leading bit of the largest and the
+    bases_for = {}  # pairs with the same two leading bits share their bases
+    for ci, cj in combinations(range(1, len(deltas)), 2):
+        di, dj = deltas[ci], deltas[cj]
+        # r < r ^ δ exactly when r is zero at the leading bit of δ.  Two of
+        # δi, δj, δi ^ δj share the leading bit of the largest and the
         # smallest has a lower one (the pair is an echelon basis of the
-        # span), so x is the least corner of its cycle exactly when it is
-        # zero on both of those bits.
+        # span), so r is the least corner of its cycle exactly when it is
+        # zero on both of those bits; the other bits list the bases.
         span = (di, dj, di ^ dj)
         lead = 1 << (max(span).bit_length() - 1)
         lead |= 1 << (min(span).bit_length() - 1)
-        bases = [x for x in nodes if not x & lead]
-        a = [own[x ^ di] for x in bases]
-        b = [own[x ^ dj] for x in a]
-        c = [own[x ^ dj] for x in bases]
-        on_i, on_j = at[ci].__getitem__, at[cj].__getitem__
+        bases = bases_for.get(lead)
+        if bases is None:
+            bases = bases_for[lead] = [0]
+            for bit in (1 << b for b in range(top)):
+                if not bit & lead:
+                    bases += [*map(bit.__or__, bases)]
+        at_base = _gather(bases)
+        at_far = _gather([*map((di ^ dj).__xor__, bases)])
+        on_i, on_j = on[ci], on[cj]
+        corners = at_base(nodes)
+        # the edges at the base lead up to its neighbours a and c, and the
+        # far corner b = a ^ δj = c ^ δi carries the other two
+        e0, e3 = at_base(on_i), at_base(on_j)
         out += map(new, repeat(Plaquette), zip(
-            bases, repeat((ci, cj)), zip(bases, a, b, c),
-            zip(map(on_i, bases), map(on_j, a), map(on_i, c),
-                map(on_j, bases)),
+            corners, repeat((ci, cj)),
+            zip(corners, map(far_end, e0), at_far(nodes), map(far_end, e3)),
+            zip(e0, at_far(on_j), at_far(on_i), e3),
         ))
     return tuple(out)
 
@@ -503,9 +540,8 @@ def _moved(word: int, swaps) -> int:
 
 def _rank_planes(adinkra: Adinkra) -> _RankPlanes:
     """The graph's node-rank planes, built once per graph like
-    `plaquettes`.  On its code's quotient (`_graph_table`) every edge
-    (u, v, c) has v = u ^ d_c and rank(v) = rank(u) ^ δ_c, one edge on
-    each (color, rank); the steps must be distinct (`_spanning_steps`)."""
+    `plaquettes`, from the edges over ranks of `_edge_ranks`: one edge
+    on each (color, rank)."""
     table = _graph_table(adinkra)
     if table.ranks is None:
         table.ranks = _build_rank_planes(adinkra)
@@ -513,19 +549,17 @@ def _rank_planes(adinkra: Adinkra) -> _RankPlanes:
 
 
 def _build_rank_planes(adinkra: Adinkra) -> _RankPlanes:
-    nodes, edges = adinkra.nodes, adinkra.edges
-    size = len(nodes)
-    rank = dict(zip(nodes, range(size)))
-    deltas = tuple(map(rank.__getitem__, _spanning_steps(adinkra)))
-    # the digit of color c at rank r is c * size - 1 - r
-    slots = [None] * (2 * len(edges))
-    for i, (u, v, c) in enumerate(edges):
-        slots[c * size - 1 - rank[u]] = slots[c * size - 1 - rank[v]] = i
+    deltas, at = _edge_ranks(adinkra)
+    size = len(adinkra.nodes)
+    # the digit of color c at rank r is c * size - 1 - r; each edge id is
+    # one int object, shared by the edge's two digits
+    digits = chain.from_iterable(ids[::-1] for ids in at[1:])
+    slots = itemgetter(*itemgetter(*digits)(tuple(range(len(adinkra.edges)))))
     masks = [int(("0" * s + "1" * s) * (size // (2 * s)), 2)
              for s in (1 << b for b in range(size.bit_length() - 1))]
     across = itemgetter(*[r ^ d for d in deltas[1:]
                           for r in range(size - 1, -1, -1)])
-    return _RankPlanes(size, deltas, masks, itemgetter(*slots), across)
+    return _RankPlanes(size, deltas, masks, slots, across)
 
 
 # ---------- verification ----------
@@ -759,12 +793,17 @@ def from_json(text: str) -> Adinkra:
     length = expect.length
     label = {x: format(x, f"0{length}b") for x in expect.nodes}
 
+    # A row that renders the skeleton's own node is taken as it stands;
+    # any other row is parsed, which raises the same errors in order.
     labels = []
     heights = []
-    for row in json_object_rows(obj, "nodes", ("label",)):
-        x, got = parse_bit_string(row["label"])
-        if got != length:
-            raise InputError(f"label {row['label']!r} is not {length} bits")
+    rows = json_object_rows(obj, "nodes", ("label",))
+    for row, x in zip(rows, chain(expect.nodes, repeat(None))):
+        if x is None or row["label"] != label[x]:
+            x, got = parse_bit_string(row["label"])
+            if got != length:
+                raise InputError(
+                    f"label {row['label']!r} is not {length} bits")
         labels.append(x)
         h = row.get("height")
         if h is not None and not isinstance(h, int):

@@ -212,7 +212,13 @@ def odd_word_quotients():
 def test_tree_and_cycle_edges_match_the_edge_scan():
     for a in [a for a, _ in structure_corpus()] + odd_word_quotients():
         tree, cycles, odd_sets = skeleton_baobab_edges(a)
-        assert set(tree) <= set(a.edges)
+        # the graph's own edges, one per node x > 0, in edge order
+        assert len(tree) == len(a.nodes) - 1
+        own = {e: e for e in a.edges}
+        assert all(own[e] is e for e in tree)
+        assert list(tree) == sorted(tree, key=lambda e: (e.u, e.color))
+        assert sorted(e.v for e in tree) == list(a.nodes[1:])
+        assert all(e == baobab._tree_edge(e.v, a.length) for e in tree)
         assert (cycles, odd_sets) == oracles.naive_cycle_edges(a)
 
 

@@ -8,6 +8,7 @@ import json
 import random
 import threading
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from adinkra import (
     adinkra_to_gamma,
     build_chromotopology,
     from_json,
+    plaquette_count,
     plaquettes,
     reconstruct_dashing,
     skeleton_baobab_edges,
@@ -29,6 +31,7 @@ from adinkra import (
 from adinkra.codes import LinearBinaryCode, gf2_rref, parse_bit_string
 from adinkra import graph
 from adinkra.graph import build_quotient_skeleton
+from adinkra.quaternion import quaternion_skeleton
 
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
 RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
@@ -85,6 +88,25 @@ def test_plaquettes_match_oracle_at_length_16(seed):
     sk = build_chromotopology(11, rm14_permutation(seed))
     assert_plaquettes_match_oracle(sk)
     assert len(plaquettes(sk)) == 120 * 2 ** 9
+
+
+@pytest.mark.parametrize("n, gens", [
+    (1, ()),  # no color pair, so no plaquette
+    (2, ()),  # one base per pair, so one rank to gather
+    (2, ("111",)),  # one base per pair; the quaternion skeleton's code
+    (3, ("1110",)),
+], ids=["n1-no-pairs", "n2-one-base", "n2-111-one-base", "n3-1110"])
+def test_plaquettes_match_oracle_on_quotient_skeletons(n, gens):
+    code = LinearBinaryCode(n + len(gens), tuple(int(g, 2) for g in gens))
+    skeletons = [build_quotient_skeleton(n, code)]
+    if gens == ("111",):
+        skeletons.append(quaternion_skeleton())
+    for sk in skeletons:
+        assert_plaquettes_match_oracle(sk)
+        assert len(plaquettes(sk)) == plaquette_count(sk)
+        if n == 2:
+            assert [p.colors for p in plaquettes(sk)] == list(
+                combinations(sk.colors(), 2))
 
 
 def test_plaquettes_refuse_colors_without_a_four_cycle():
@@ -209,19 +231,17 @@ def parses(monkeypatch):
 
 
 @pytest.mark.parametrize("n, gens", [(3, ("1111",)), (4, E8_CODE)])
-def test_from_json_parses_only_the_node_labels_of_a_canonical_document(
-        parses, n, gens):
+def test_from_json_parses_no_label_of_a_canonical_document(parses, n, gens):
     for adk in json_cases(n, gens):
         parses.clear()
         assert from_json(to_json(adk)) == adk
-        assert parses == [format(x, f"0{adk.length}b") for x in adk.nodes]
+        assert parses == []
 
 
 def test_from_json_parses_only_the_labels_that_differ(parses):
-    # every node label is parsed; of the edge rows, only those that
-    # differ from the skeleton's own rendering
+    # of the node and edge rows, only those that differ from the
+    # skeleton's own rendering
     base = json.loads(to_json(build_chromotopology(3, ())))
-    node_labels = [row["label"] for row in base["nodes"]]
     cases = [
         (("nodes", 2, "label"), "011",
          "node list does not match the canonical quotient order"),
@@ -240,17 +260,55 @@ def test_from_json_parses_only_the_labels_that_differ(parses):
             from_json(json.dumps(doc))
         assert str(info.value) == message
         if rows == "nodes":
-            assert parses == node_labels[:i] + [text] + node_labels[i + 1:]
+            assert parses == [text]
         else:
             row = doc["edges"][i]
-            assert parses == node_labels + [row["u"], row["v"]]
-    # an appended node row is parsed like the rest
+            assert parses == [row["u"], row["v"]]
+    # an appended node row has no own node to match, so it is parsed
     doc = json.loads(json.dumps(base))
     doc["nodes"].append(dict(doc["nodes"][0]))
     parses.clear()
     with pytest.raises(InputError, match="^node list does not match"):
         from_json(json.dumps(doc))
-    assert parses == node_labels + ["000"]
+    assert parses == ["000"]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_from_json_node_row_errors_keep_their_text(parses, where):
+    # a row that differs from the skeleton's own label is parsed as
+    # before, so each fault gives the message the full parse gave
+    base = json.loads(to_json(build_chromotopology(4, E8_CODE)))
+    rows = base["nodes"]
+    i = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+    own = rows[i]["label"]
+    other = rows[(i + 1) % len(rows)]["label"]
+    cases = [
+        (own[:-1] + "x", f"not a bitstring: {own[:-1] + 'x'!r}"),
+        (5, "not a bitstring: 5"),
+        (own + "0", f"label {own + '0'!r} is not 8 bits"),
+        (own[1:], f"label {own[1:]!r} is not 8 bits"),
+        (other, "node list does not match the canonical quotient order"),
+    ]
+    for text, message in cases:
+        doc = json.loads(json.dumps(base))
+        doc["nodes"][i]["label"] = text
+        parses.clear()
+        with pytest.raises(InputError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == message
+        assert parses == [text]
+    # the rows are still read in order: a bad height before the bad
+    # label wins, and one after it does not
+    for j, message in ((i - 1, "height for {!r} must be an integer"),
+                       (i + 1, "not a bitstring: 'x'")):
+        if not 0 <= j < len(rows):
+            continue
+        doc = json.loads(json.dumps(base))
+        doc["nodes"][i]["label"] = "x"
+        doc["nodes"][j]["height"] = "1"
+        with pytest.raises(InputError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == message.format(rows[j]["label"])
 
 
 def test_from_json_keys_heights_by_the_skeletons_own_nodes():

@@ -286,6 +286,33 @@ def test_tree_is_built_once_per_table(monkeypatch, n, gens, heights):
     assert skeleton_tree(copy) is copy._table.tree
 
 
+@pytest.mark.parametrize("first", ["plaquettes", "rank planes"])
+@pytest.mark.parametrize("n, gens", [(1, ()), (2, ()), (3, ("1111",)),
+                                     (4, E8_CODE), (11, RM14)])
+def test_edges_over_ranks_are_laid_out_once_for_both_builders(first, n, gens):
+    sk = build_chromotopology(n, gens)
+    table = sk._table
+    if first == "plaquettes":
+        plaquettes(sk)
+        # the plaquettes read the layout, not the planes built on it
+        assert table.ranks is None
+    ranks = graph._rank_planes(sk)
+    layout = table.layout
+    plaquettes(sk)
+    assert table.layout is layout and table.ranks is ranks
+    # at[c][r] is the color-c edge at rank r, by either of its ends
+    deltas, at = layout
+    rank = {x: r for r, x in enumerate(sk.nodes)}
+    want = [[None] * len(sk.nodes) for _ in deltas]
+    for i, (u, v, c) in enumerate(sk.edges):
+        want[c][rank[u]] = want[c][rank[v]] = i
+        assert rank[v] == rank[u] ^ deltas[c]
+    assert [list(ids) for ids in at[1:]] == want[1:]
+    # and the planes pick the edge of digit (c, r) at c * size - 1 - r
+    digits = ranks.edge_at(range(len(sk.edges)))
+    assert list(digits) == [i for ids in want[1:] for i in reversed(ids)]
+
+
 @pytest.mark.parametrize("n, gens, heights", RUNGS)
 def test_incidence_files_each_plaquette_by_its_landing_end(n, gens, heights):
     sk = build_chromotopology(n, gens)
