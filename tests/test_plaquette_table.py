@@ -292,14 +292,17 @@ def test_tree_is_built_once_per_table(monkeypatch, n, gens, heights):
 def test_edges_over_ranks_are_laid_out_once_for_both_builders(first, n, gens):
     sk = build_chromotopology(n, gens)
     table = sk._table
-    if first == "plaquettes":
-        plaquettes(sk)
-        # the plaquettes read the layout, not the planes built on it
-        assert table.ranks is None
-    ranks = graph._rank_planes(sk)
+    builders = [plaquettes, graph._rank_planes]
+    if first == "rank planes":
+        builders.reverse()
+    builders[0](sk)
     layout = table.layout
-    plaquettes(sk)
-    assert table.layout is layout and table.ranks is ranks
+    # the plaquettes read the layout, not the planes built on it
+    assert layout is not None and (table.ranks is None) == (
+        first == "plaquettes")
+    builders[1](sk)
+    assert table.layout is layout
+    ranks = graph._rank_planes(sk)
     # at[c][r] is the color-c edge at rank r, by either of its ends
     deltas, at = layout
     rank = {x: r for r, x in enumerate(sk.nodes)}
