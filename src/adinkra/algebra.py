@@ -479,63 +479,21 @@ def _compare(relation: str, got: MonomialMatrix, want: MonomialMatrix,
                 out.append(AlgebraViolation(relation, r, c, g, w))
 
 
-def _unit_rows(m: MonomialMatrix):
-    """Each row's one entry as (col, re, im, dpow), or None unless every
-    row of `m` holds exactly one entry."""
-    rows = m._rows
-    if not all(rows) or sum(map(len, rows)) != len(rows):
-        return None
-    return [(c, x.re, x.im, x.dpow) for row in rows for c, x in row.items()]
-
-
-def _unit_pair_holds(a, b, same: bool) -> bool:
-    """Whether {A, B} = 2i·d/dt·1 (`same`, A is B) or {A, B} = 0 for
-    unit rows a and b.  Row t of each product is one two-step walk, so
-    {A, A} holds iff every walk t -> a[t] -> a[a[t]] returns to t with
-    coefficient i and one derivative, and {A, B} iff the A-then-B and
-    B-then-A walks end on one column at one grade with opposite
-    coefficients.  A pair that holds here holds in `anticommutator` too.
-    """
-    if same:
-        for t, (u, re1, im1, p1) in enumerate(a):
-            s, re2, im2, p2 = a[u]
-            if (s != t or p1 + p2 != 1 or re1 * re2 != im1 * im2
-                    or re1 * im2 + im1 * re2 != 1):
-                return False
-        return True
-    for (u, re1, im1, p1), (v, re2, im2, p2) in zip(a, b):
-        s, re3, im3, p3 = b[u]
-        w, re4, im4, p4 = a[v]
-        if (s != w or p1 + p3 != p2 + p4
-                or re1 * re3 - im1 * im3 + re2 * re4 - im2 * im4
-                or re1 * im3 + im1 * re3 + re2 * im4 + im2 * re4):
-            return False
-    return True
-
-
 def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
     """Verify {Gamma_I, Gamma_J} = 2i * d/dt * delta_IJ.
 
     A pair of a plane-backed set (see `GammaSet`) is decided on its
-    planes, all rows at once; a pair of matrices with one entry in every
-    row is decided on unit rows in one pass.  A pair that fails there,
-    and any other pair, goes through `anticommutator`, whose entries
-    give the violations.  A plane-backed set whose `matrices` are not
-    yet built builds only the Γ_c of the failing pairs' colors."""
+    planes, all rows at once.  A pair that fails there, and every pair
+    of a set built from matrices, goes through `anticommutator`, whose
+    entries give the violations.  A plane-backed set whose `matrices`
+    are not yet built builds only the Γ_c of the failing pairs' colors."""
     planes = gammas.__dict__.get("_planes")
-    if planes is not None:
-        colors = list(range(1, len(planes.packed)))
-        holds = planes.holds
-        mats = gammas.__dict__.get("matrices") or {}
-    else:
+    if planes is None:
         mats = gammas.matrices
         colors = sorted(mats)
-        units = {c: _unit_rows(mats[c]) for c in colors}
-
-        def holds(ci, cj):
-            ua, ub = units[ci], units[cj]
-            return (ua is not None and ub is not None and len(ua) == len(ub)
-                    and _unit_pair_holds(ua, ub, ci == cj))
+    else:
+        colors = list(range(1, len(planes.packed)))
+        mats = gammas.__dict__.get("matrices") or {}
 
     def matrix(c):
         if c not in mats:
@@ -545,7 +503,7 @@ def check_garden(gammas: GammaSet, stop_early: bool = True) -> AlgebraReport:
     violations: list[AlgebraViolation] = []
     for i, ci in enumerate(colors):
         for cj in colors[i:]:
-            if holds(ci, cj):
+            if planes is not None and planes.holds(ci, cj):
                 continue
             try:
                 got = anticommutator(matrix(ci), matrix(cj))

@@ -639,11 +639,9 @@ def _propagate(skeleton: Adinkra, given: Mapping, check,
 def _swept_up(skeleton: Adinkra, pinned: Mapping) -> list[int] | None:
     """The up planes (`_dxor_closure`) over the node-rank planes
     (`graph._rank_planes`) that the arrows `pinned` (edge -> head,
-    checked) close to, or None: with fewer than two colors, or when the
-    closure contradicts or leaves an edge unknown."""
+    checked) close to, or None when the closure contradicts or leaves an
+    edge unknown."""
     ranks = _rank_planes(skeleton)
-    if len(ranks.deltas) < 3:
-        return None
     rank = dict(zip(skeleton.nodes, range(ranks.size)))
     up = [0] * len(ranks.deltas)
     for (u, v, color), head in pinned.items():
@@ -850,6 +848,11 @@ def heights_from_directions(
 # ---------- baobab structure ----------
 
 
+def _slot_order(edges) -> tuple[Edge, ...]:
+    """Tree and cycle edges in canonical slot order: by u, then color."""
+    return tuple(sorted(edges, key=lambda e: (e.u, e.color)))
+
+
 @dataclass(frozen=True)
 class Baobab:
     """Spanning tree plus per-generator cycle edges, their dashing bits,
@@ -866,8 +869,7 @@ class Baobab:
 
     def slot_edges(self) -> tuple[Edge, ...]:
         """Tree and cycle edges in canonical order — the bit slots."""
-        return tuple(sorted(self.tree_edges + self.cycle_edges,
-                            key=lambda e: (e.u, e.color)))
+        return _slot_order(self.tree_edges + self.cycle_edges)
 
     def bitstring(self) -> str:
         return "".join(str(self.bits[e]) for e in self.slot_edges())
@@ -919,8 +921,7 @@ class Baobab:
             odd_sets.append(frozenset(colors))
         if not tree and not cycles:
             raise InputError("baobab has no edges")
-        slots = tuple(sorted(tree + tuple(cycles),
-                             key=lambda e: (e.u, e.color)))
+        slots = _slot_order(tree + tuple(cycles))
         bits = dict(zip(slots, read_bits(obj["bits"], len(slots),
                                          "the baobab slots", text=True)))
         pinned = {}

@@ -20,6 +20,7 @@ from operator import xor
 from . import _kernels
 from .baobab import (
     _ndxor_program,
+    _slot_order,
     dashing_code,
     skeleton_baobab_edges,
     skeleton_tree,
@@ -157,7 +158,7 @@ def message_slots(family: Family) -> tuple[int, ...]:
     index = {e: i for i, e in enumerate(skeleton.edges)}
     if family.scheme == DASHING:
         tree, cycles, _ = skeleton_baobab_edges(skeleton)
-        slots = sorted(tree + cycles, key=lambda e: (e.u, e.color))
+        slots = _slot_order(tree + cycles)
     else:
         slots = skeleton_tree(skeleton)
     return tuple(index[e] for e in slots)

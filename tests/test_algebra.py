@@ -462,7 +462,7 @@ def test_quaternion_check_matches_oracle_on_all_64_vectors():
         assert check_quaternion(mats) == oracles.naive_check_quaternion(mats)
 
 
-# ---------- the unit-row verdict ----------
+# ---------- sets built from matrices ----------
 
 NONZERO_ENTRIES = ENTRIES.filter(lambda m: not m.is_zero)
 
@@ -553,7 +553,7 @@ def test_triple_rows_run_only_for_failing_pairs(n, gens, monkeypatch):
     assert counted.calls == len(want)
 
 
-def test_rows_not_holding_one_entry_take_the_triple_path(monkeypatch):
+def test_matrix_built_sets_take_the_triple_path_on_every_pair(monkeypatch):
     gammas = adinkra_to_gamma(VALID[(3, ())][0])
     g2 = gammas.matrices[2]
     (c0, x0), = g2._rows[0].items()
@@ -568,7 +568,11 @@ def test_rows_not_holding_one_entry_take_the_triple_path(monkeypatch):
     report = check_garden(broken, stop_early=False)
     assert report.violated_relations() == ("{G1, G2}", "{G2, G2}",
                                            "{G2, G3}")
-    assert counted.calls == 3
+    assert counted.calls == 6
+    # a valid set built from the same matrices: every pair still runs
+    valid = GammaSet(gammas.matrices, gammas.basis, gammas.boson_count)
+    assert check_garden(valid, stop_early=False).ok
+    assert counted.calls == 12
 
 
 @pytest.mark.parametrize("n, gens", GARDEN_FAMILIES)

@@ -130,7 +130,8 @@ def test_from_json_shares_its_own_table(builds):
 @pytest.mark.parametrize("n, gens, heights", [
     (8, (), valise_heights), (8, (), weight_heights),
     (3, ("1111",), valise_heights), (4, E8_CODE, valise_heights),
-    (11, RM14, valise_heights)])
+    (11, RM14, valise_heights), (1, (), valise_heights),
+    (1, (), weight_heights)])
 def test_a_valid_extract_builds_no_table(n, gens, heights):
     # extraction decides the dashing on the rank planes and reads the
     # canonical tree: a fresh graph gets no plaquettes, no id tables and
