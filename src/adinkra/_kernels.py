@@ -2,10 +2,11 @@
 
 Listing a family's codewords and the quaternion code's minimum-distance
 search walk all 2**dim kernel words, a quotient of the n-cube has 2**n
-nodes, and the correction walk tries comb(bits, size) flip sets of each
-size above 1, so they refuse dim, n or a walk above 2**ADINKRA_SIZE_GUARD
-instead of hanging.  Counting valid dashings and the distance of a
-dashing family are closed forms and never guarded.
+nodes, and the correction search of each size above 1 visits at most
+weight**size leaves, for parity checks of `weight` bits, so they refuse
+dim, n or a search above 2**ADINKRA_SIZE_GUARD instead of hanging.
+Counting valid dashings and the distance of a dashing family are closed
+forms and never guarded.
 """
 
 from __future__ import annotations

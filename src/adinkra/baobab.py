@@ -11,6 +11,7 @@ re-run independently.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, compress
@@ -963,13 +964,17 @@ def skeleton_tree(skeleton: Adinkra) -> tuple[Edge, ...]:
     lowest one where they differ (`_tree_path`).  Built once per graph,
     like `plaquettes`, from the graph's own edges in their (u, color)
     order: (u, v, c) is a tree edge exactly when u ^ v is the single
-    bit of color c and u lies below it."""
+    bit of color c and u lies below it.  That bit is a node's, at most
+    the highest bit of the last node, so only the edges whose u lies
+    below that bit are read."""
     table = _graph_table(skeleton)
     if table.tree is None:
         length = skeleton.length
         bit = [0] + [color_bit(c, length) for c in skeleton.colors()]
         edges = skeleton.edges
-        table.tree = tuple(e for e, (u, v, c) in zip(edges, edges)
+        top = 1 << (skeleton.nodes[-1].bit_length() - 1)
+        head = edges[:bisect_left(edges, (top,))]
+        table.tree = tuple(e for e, (u, v, c) in zip(head, head)
                            if u ^ v == bit[c] > u)
     return table.tree
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations, compress, islice
-from math import comb
-from operator import xor
+from functools import lru_cache
+from itertools import compress, islice
+from operator import itemgetter
 
 from . import _kernels
 from .baobab import (
@@ -34,6 +33,7 @@ from .errors import (
     UnderDeterminedError,
 )
 from .graph import (
+    _BITS,
     Adinkra,
     _plaquette_ids,
     build_chromotopology,
@@ -188,7 +188,17 @@ class EdgeBitVector:
         bits = list(self.bits)
         for p in positions:
             bits[_position(p, len(bits), "flip")] ^= 1
-        return EdgeBitVector(self.family, tuple(bits))
+        return _block(self.family, tuple(bits))
+
+
+def _block(family: Family, bits: tuple[int, ...]) -> EdgeBitVector:
+    """The block of `bits`, a tuple of the ints 0 and 1 of the family's
+    length derived from checked bits (a flip, a program run, a
+    completion), built without rerunning `read_bits` on them."""
+    vector = object.__new__(EdgeBitVector)
+    object.__setattr__(vector, "family", family)
+    object.__setattr__(vector, "bits", bits)
+    return vector
 
 
 def _position(p, n_bits: int, what: str) -> int:
@@ -239,7 +249,7 @@ def encode(message, family: Family) -> EdgeBitVector:
             vals = [None] * block_length(family)
             for i, b in zip(slots, bits):
                 vals[i] = b
-            return EdgeBitVector(family, tuple(program.run(vals)))
+            return _block(family, tuple(program.run(vals)))
     word = sum(b << i for i, b in zip(slots, bits))
     return _complete(family, word, sum(1 << i for i in slots))
 
@@ -259,7 +269,7 @@ def _complete(family: Family, word: int, known_mask: int) -> EdgeBitVector:
             f"the known bits leave positions {unresolved} undetermined",
             unresolved=unresolved,
         )
-    return EdgeBitVector(family, _word_bits(block, code.n_bits))
+    return _block(family, _word_bits(block, code.n_bits))
 
 
 # ---------- syndromes ----------
@@ -318,30 +328,28 @@ class Correction:
 def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     """Smallest flip set that makes the block a codeword.
 
-    Flip sets are tried by size; a set repairs the block when the XOR
-    of its bits' unit residues equals the block's residue in the
-    family's affine code.  All corrections of the winning size are
+    The block's syndrome is the mask of its family's violated parity
+    checks (`_family_checks`); a flip set repairs the block when the
+    masks of the checks through its bits XOR to it.  Sets are sought by
+    size (`_Checks.flip_sets`), and all repairs of the winning size are
     collected: more than one is an ambiguity error, none within the
-    budget is detected-uncorrectable.  A size above 1 whose
-    comb(bits, size) sets exceed 2**guard is refused before its walk.
+    budget is detected-uncorrectable.  A size above 1 whose search
+    bound, weight**size leaves for checks of `weight` bits, exceeds
+    2**guard is refused before its search.
     """
     if not json_int(max_flips):
         raise InputError(f"max_flips must be an integer, got {max_flips!r}")
     if max_flips < 0:
         raise InputError(f"max_flips must be >= 0, got {max_flips}")
-    code = family_code(vector.family)
-    target = code.residue(_bits_word(vector.bits))
-    if not target:
+    checks = _family_checks(vector.family)
+    mask = checks.mask(vector.bits)
+    if not mask:
         return Correction(vector, ())
     for size in range(1, max_flips + 1):
-        if size > 1:  # single flips cost less than building `columns`
-            bits = (comb(code.n_bits, size) - 1).bit_length()
+        if size > 1:  # single flips cost less than reading the guard
+            bits = (checks.weight ** size - 1).bit_length()
             _kernels.check_guard(bits, f"correction walk of {size}-flip sets")
-        columns = code.unit_residues  # built on first use: 10 s at L=16
-        hits = [
-            flips for flips in combinations(range(code.n_bits), size)
-            if reduce(xor, map(columns.__getitem__, flips)) == target
-        ]
+        hits = checks.flip_sets(mask, size)
         if len(hits) == 1:
             return Correction(vector.flip(hits[0]), hits[0])
         if len(hits) > 1:
@@ -351,7 +359,7 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
                 candidates=tuple(hits),
             )
     # the count and the first three: all-zero L=16 violates 61440 checks
-    count, violated = _violations(vector, 3)
+    count, violated = _violations(vector, 3, mask)
     first = ", the first 3" if count > 3 else ""
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
@@ -359,22 +367,122 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     )
 
 
-def _violations(vector: EdgeBitVector,
-                shown: int | None = None) -> tuple[int, tuple]:
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
+
+
+def _violations(vector: EdgeBitVector, shown: int | None = None,
+                mask: int | None = None) -> tuple[int, tuple]:
     """How many checks the block violates, and the first `shown` (all by
-    default) of the ones `syndrome` lists; a dashing block counts them
-    on the id quads and describes only those it shows."""
+    default) of the ones `syndrome` lists; a dashing block reads both
+    off its syndrome mask (`_Checks.mask`, or `mask` if given) and
+    describes only the plaquettes it shows."""
     family = vector.family
     if family.scheme != DASHING:
         violated = syndrome(vector).violated
         return len(violated), violated[:shown]
+    if mask is None:
+        mask = _family_checks(family).mask(vector.bits)
     skeleton = family_skeleton(family)
     table = _plaquette_ids(skeleton)
-    b = vector.bits
-    broken = [not b[w] ^ b[x] ^ b[y] ^ b[z] for w, x, y, z in table.quads]
-    return sum(broken), tuple(
+    # bit j of the mask is plaquette j: its binary digits, lowest first
+    broken = format(mask, "b")[::-1].encode().translate(_FLAGS)
+    return mask.bit_count(), tuple(
         PlaquetteCheck(p.colors, bit_string(p.base, skeleton.length))
         for p in islice(compress(table.plaquettes, broken), shown))
+
+
+class _Checks:
+    """A family's parity checks, of `weight` bits each: check j wants
+    odd parity over the bit positions `supports[j]` where odd[j] is 1,
+    else even.  `through[i]` holds, in one or more lists, the checks
+    through position i, and at most `column_weight` checks pass through
+    any position.  A syndrome is one int, bit j set where check j
+    fails."""
+
+    __slots__ = ("supports", "weight", "through", "column_weight",
+                 "count", "gather", "need", "column")
+
+    def __init__(self, supports, weight, odd, through, column_weight):
+        self.supports, self.weight = supports, weight
+        self.through, self.column_weight = through, column_weight
+        self.count = count = len(supports)
+        # the bits of every check's k-th position, checks from the last
+        # down, for k = 0, 1, ...: one gather, read as `weight` big ints
+        self.gather = count and itemgetter(*[
+            s[k] for k in range(weight) for s in reversed(supports)])
+        self.need = int.from_bytes(bytes(reversed(odd)), "big")
+        # built on first use, the last 4096 kept: an L=16 column spans up
+        # to 61440 bits, and all 16384 of them take about 85 MB
+        self.column = lru_cache(maxsize=4096)(self._column)
+
+    def mask(self, bits) -> int:
+        """The syndrome of `bits`, a tuple of the ints 0 and 1."""
+        count = self.count
+        if not count:
+            return 0
+        picked = bytes(self.gather(bits))
+        wrong = self.need  # a byte per check: 1 where its parity is wrong
+        for k in range(0, len(picked), count):
+            wrong ^= int.from_bytes(picked[k:k + count], "big")
+        return int(wrong.to_bytes(count, "big").translate(_BITS), 2)
+
+    def _column(self, i: int) -> int:
+        """The mask of the checks through position i (`column`)."""
+        return sum(1 << j for side in self.through[i] for j in side)
+
+    def flip_sets(self, mask: int, size: int) -> list[tuple[int, ...]]:
+        """Every set of `size` positions whose columns XOR to `mask`, as
+        ascending tuples in `combinations` order.
+
+        A bounded search tree (Downey and Fellows, *Parameterized
+        Complexity*): such a set holds a position of the lowest failing
+        check, so it branches on that check's positions, at most
+        `weight` of them, and prunes where fewer than `size` more flips
+        could clear the failing checks.  Each leaf lies at depth `size`,
+        so it visits at most weight**size leaves.
+        """
+        supports, column = self.supports, self.column
+        most = self.column_weight
+        hits = set()
+
+        def grow(mask: int, left: int, chosen: tuple[int, ...]) -> None:
+            if not mask:
+                if not left:
+                    hits.add(tuple(sorted(chosen)))
+                return
+            if mask.bit_count() > most * left:
+                return
+            for i in supports[(mask & -mask).bit_length() - 1]:
+                if i not in chosen:
+                    grow(mask ^ column(i), left - 1, chosen + (i,))
+
+        grow(mask, size, ())
+        return sorted(hits)
+
+
+@lru_cache(maxsize=64)
+def _family_checks(family: Family) -> _Checks:
+    """The parity checks of a family's valid blocks.  A dashing family's
+    are its plaquettes, on the edge ids of the plaquette table, each odd.
+    The quaternion's are the triangles of its graph, K4: the edges away
+    from one of nodes 1, 2, 3.  A triangle meets every vertex switch in
+    0 or 2 edges, and the three are independent, so they span the dual
+    of the switches' span (`family_code`); each wants the parity of the
+    canonical orientation."""
+    skeleton = family_skeleton(family)
+    if family.scheme == DASHING:
+        table = _plaquette_ids(skeleton)
+        return _Checks(table.quads, 4, [1] * len(table.quads),
+                       table.incidence, skeleton.length - 1)
+    edges = skeleton.edges
+    rows = [tuple(i for i, e in enumerate(edges) if x not in (e.u, e.v))
+            for x in skeleton.nodes[1:]]
+    offset = family_code(family).offset
+    through = [([j for j, row in enumerate(rows) if i in row],)
+               for i in range(len(edges))]
+    return _Checks(rows, 3, [sum(offset >> i & 1 for i in row) & 1
+                             for row in rows],
+                   through, max(len(js) for (js,) in through))
 
 
 @dataclass(frozen=True)

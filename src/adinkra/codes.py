@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
 
@@ -172,12 +171,6 @@ class AffineCode:
         in `word ^ offset` and zero exactly on codewords; the coset's one
         word that is zero on every pivot, whatever the offset and basis."""
         return _clear_pivots(word ^ self.offset, self.basis)
-
-    @cached_property
-    def unit_residues(self) -> tuple[int, ...]:
-        """Entry i is `residue(offset ^ (1 << i))`: flipping a set of bits
-        changes the residue by the XOR of their entries."""
-        return tuple(self.residue(self.offset ^ 1 << i) for i in range(self.n_bits))
 
     def complete(self, word: int, known_mask: int) -> tuple[int, int] | None:
         """A codeword equal to `word` on `known_mask`, and the mask of

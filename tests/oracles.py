@@ -36,12 +36,15 @@ from adinkra.baobab import (
     skeleton_baobab_edges,
     skeleton_tree,
 )
+from adinkra.codec import DASHING, Correction, family_code, family_skeleton, syndrome
 from adinkra.codes import bit_string, check_bit
 from adinkra.errors import (
+    AmbiguousCorrectionError,
     ContradictionError,
     GradedSumError,
     InputError,
     ReplayError,
+    UncorrectableError,
     UnderDeterminedError,
 )
 from adinkra.graph import (
@@ -546,6 +549,67 @@ def codewords_agreeing(word, erased, codewords):
                if i not in erased)
     ]
 
+
+
+# ---------- the correction walk ----------
+#
+# The decoder as first written: every flip set of each size, in
+# `combinations` order, compared by its per-bit residues in the family's
+# affine code.  No size guard: keep it to small blocks.
+
+
+def unit_residues(code):
+    """Entry i is `code.residue(code.offset ^ 1 << i)`: flipping a set
+    of bits changes the residue by the XOR of their entries."""
+    return tuple(code.residue(code.offset ^ 1 << i)
+                 for i in range(code.n_bits))
+
+
+def naive_violations(vector):
+    """The descriptions of the checks the block violates, in syndrome
+    order: a dashing block's plaquettes of even parity, read off the
+    plaquettes themselves, or the quaternion's broken relations."""
+    family = vector.family
+    if family.scheme != DASHING:
+        return syndrome(vector).describe()
+    skeleton = family_skeleton(family)
+    index = {e: i for i, e in enumerate(skeleton.edges)}
+    return tuple(
+        f"plaquette colors={p.colors} base={bit_string(p.base, skeleton.length)}"
+        for p in plaquettes(skeleton)
+        if not sum(vector.bits[index[e]] for e in p.edges) % 2)
+
+
+def naive_correct(vector, max_flips=1):
+    """`codec.correct` by the walk: the same hits, candidate order,
+    results and error texts for a budget of 0 or more."""
+    code = family_code(vector.family)
+    columns = unit_residues(code)
+    target = code.residue(sum(b << i for i, b in enumerate(vector.bits)))
+    if not target:
+        return Correction(vector, ())
+    for size in range(1, max_flips + 1):
+        hits = []
+        for flips in combinations(range(code.n_bits), size):
+            residue = 0
+            for i in flips:
+                residue ^= columns[i]
+            if residue == target:
+                hits.append(flips)
+        if len(hits) == 1:
+            return Correction(vector.flip(hits[0]), hits[0])
+        if len(hits) > 1:
+            raise AmbiguousCorrectionError(
+                f"{len(hits)} distinct {size}-bit corrections clear the "
+                "syndrome",
+                candidates=tuple(hits),
+            )
+    violated = naive_violations(vector)
+    first = ", the first 3" if len(violated) > 3 else ""
+    raise UncorrectableError(
+        f"detected-uncorrectable: no correction within {max_flips} flip(s); "
+        f"{len(violated)} checks violated{first}: {', '.join(violated[:3])}"
+    )
 
 # ---------- restart-scan propagation ----------
 #

@@ -220,9 +220,10 @@ def damaged_block(capsys, monkeypatch, flips):
 
 def test_correction_walk_is_refused_above_the_size_guard(
         capsys, monkeypatch):
-    # a 16-bit block: its C(16, 2) = 120 pairs are above a guard of 2**6,
-    # so a second flip stops the walk, and a single flip is found first
-    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "6")
+    # plaquettes have 4 edges: a 2-flip search has at most 4**2 leaves,
+    # above a guard of 2**3, so a second flip stops the search, and a
+    # single flip is found first
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "3")
     broken = damaged_block(capsys, monkeypatch, [7, 9])
     code, out, err = invoke(
         capsys, monkeypatch, ["decode", "--max-flips", "2"], stdin=broken)

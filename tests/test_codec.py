@@ -632,8 +632,9 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
     assert [code.residue(w) for w in range(64)] == [
         spanned.residue(w) for w in range(64)]
     assert {w for w in range(64) if not code.residue(w)} == set(words)
-    assert code.unit_residues == spanned.unit_residues
-    assert all(code.residue(w ^ 1 << i) == code.unit_residues[i]
+    units = oracles.unit_residues(code)
+    assert units == oracles.unit_residues(spanned)
+    assert all(code.residue(w ^ 1 << i) == units[i]
                for w in words for i in range(6))
 
 
@@ -706,16 +707,20 @@ def test_length_16_errors_are_one_short_line():
         assert len(text) < (300 if kind is InputError else 1000)
 
 
-def test_no_flip_budget_builds_no_unit_residues():
-    # the per-bit residues cost 10 s at L=16, and a budget of 0 walks none
-    family_code.cache_clear()
+def test_no_flip_budget_builds_no_unit_residues(monkeypatch):
+    # the search reads the checks through the bits it tries, at every
+    # budget: no residue of the family's affine code, per bit or whole
+    assert not hasattr(AffineCode, "unit_residues")
+
+    def refuse(*args):
+        raise AssertionError("AffineCode.residue called")
+
     sent = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
+    monkeypatch.setattr(AffineCode, "residue", refuse)
     for flips, max_flips in (([0, 7, 11], 0), ([0, 5], 1)):
         damaged = sent.flip(flips)
         with pytest.raises(UncorrectableError) as err:
             correct(damaged, max_flips)
-        built = "unit_residues" in family_code(CUBE).__dict__
-        assert built == (max_flips > 0)
         # the count of violated checks and the first three of them
         violated = syndrome(damaged).describe()
         first = ", the first 3" if max_flips == 0 else ""
@@ -723,6 +728,8 @@ def test_no_flip_budget_builds_no_unit_residues():
             f"detected-uncorrectable: no correction within {max_flips} "
             f"flip(s); {len(violated)} checks violated{first}: "
             + ", ".join(violated[:3]))
+    for flips, max_flips in (([5], 1), ([5], 3), ([], 0)):
+        assert correct(sent.flip(flips), max_flips).flips == tuple(flips)
     assert len(syndrome(sent.flip([0, 7, 11])).violated) == 4
 
 
@@ -762,6 +769,154 @@ def test_an_uncorrectable_block_describes_only_the_checks_it_shows(
             f"flip(s); {len(violated)} checks violated{first}: "
             + ", ".join(violated[:3]))
         monkeypatch.undo()
+
+
+# ---------- the bounded search ----------
+
+E8 = Family(4, ("11110000", "00001111", "11001100", "10101010"), DASHING)
+SEARCH_FAMILIES = [Family(1, (), DASHING), SQUARE, CUBE, QUOTIENT31,
+                   Family(4, (), DASHING), Family(5, (), DASHING),
+                   QUATERNION_FAMILY]
+
+
+def outcome(call, *args):
+    """What a correction call gives: its result, or its error's type,
+    text and candidates."""
+    try:
+        return call(*args)
+    except (AmbiguousCorrectionError, UncorrectableError) as err:
+        return type(err), str(err), getattr(err, "candidates", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_equals_the_walk(data):
+    # n1 has no checks, n2 one plaquette, the quaternion its 3 triangles
+    family = data.draw(st.sampled_from(SEARCH_FAMILIES))
+    n_bits = block_length(family)
+    message = data.draw(st.lists(st.integers(0, 1),
+                                 min_size=message_length(family),
+                                 max_size=message_length(family)))
+    flips = data.draw(st.lists(st.integers(0, n_bits - 1), min_size=1,
+                               max_size=5, unique=True))
+    max_flips = data.draw(st.integers(0, 3))
+    received = encode(message, family).flip(flips)
+    want = outcome(oracles.naive_correct, received, max_flips)
+    assert outcome(correct, received, max_flips) == want
+    if isinstance(want, codec.Correction):
+        slots = message_slots(family)
+        want = codec.DecodeResult(
+            tuple(want.vector.bits[i] for i in slots), want.flips)
+    assert outcome(decode, received, max_flips) == want
+
+
+@pytest.mark.parametrize("family", [QUOTIENT31, QUATERNION_FAMILY])
+def test_search_equals_the_walk_on_every_pattern(family):
+    sent = encode((1, 0, 1, 1, 0, 1, 0, 0)[:message_length(family)], family)
+    for size in range(4):
+        for flips in itertools.combinations(range(block_length(family)),
+                                            size):
+            received = sent.flip(flips)
+            for max_flips in (1, 2, 3):
+                assert outcome(correct, received, max_flips) == outcome(
+                    oracles.naive_correct, received, max_flips)
+
+
+def test_syndrome_mask_marks_the_violated_checks():
+    rng = random.Random(33)
+    for family in SEARCH_FAMILIES:
+        checks = codec._family_checks(family)
+        code = family_code(family)
+        n_bits = block_length(family)
+        for _ in range(20):
+            block = EdgeBitVector(family, [rng.randint(0, 1)
+                                           for _ in range(n_bits)])
+            mask = checks.mask(block.bits)
+            word = sum(b << i for i, b in enumerate(block.bits))
+            assert (mask == 0) == (code.residue(word) == 0)
+            if family.scheme == DASHING:
+                assert syndrome(block).describe() == (
+                    oracles.naive_violations(block))
+                assert mask.bit_count() == len(syndrome(block).violated)
+
+
+def rm14_block(seed):
+    family = parse_family(f"n=11;code={','.join(RM14)};scheme=dashing")
+    rng = random.Random(seed)
+    return encode(tuple(rng.randint(0, 1) for _ in range(2052)), family), rng
+
+
+def test_length_16_corrects_up_to_seven_flips():
+    # distance 16: every pattern of up to 7 flips is the one nearest repair
+    sent, rng = rm14_block(33)
+    for count in range(1, 8):
+        flips = tuple(sorted(rng.sample(range(16384), count)))
+        fixed = correct(sent.flip(flips), max_flips=7)
+        assert (fixed.flips, fixed.vector) == (flips, sent)
+
+
+def test_length_16_half_a_vertex_switch_is_ambiguous():
+    # the 16 edges at node 0 are a codeword's difference: flipping 8 of
+    # them lies 8 flips from two codewords
+    sent, rng = rm14_block(34)
+    edges = family_skeleton(sent.family).edges
+    at_zero = [i for i, e in enumerate(edges) if e.u == 0]
+    assert at_zero == list(range(16))
+    flips = tuple(sorted(rng.sample(at_zero, 8)))
+    rest = tuple(i for i in at_zero if i not in flips)
+    with pytest.raises(AmbiguousCorrectionError) as err:
+        correct(sent.flip(flips), max_flips=8)
+    assert err.value.candidates == tuple(sorted((flips, rest)))
+    assert str(err.value) == ("2 distinct 8-bit corrections clear the "
+                              "syndrome")
+
+
+@pytest.mark.parametrize("family, weight, size, flips", [
+    (CUBE, 4, 2, None), (CUBE, 4, 3, None),
+    (QUATERNION_FAMILY, 3, 2, (0, 3)),
+])
+def test_size_guard_refuses_exactly_above_the_search_bound(
+        monkeypatch, family, weight, size, flips):
+    # no repair below `size`: the all-zero cube block violates all six
+    # faces, and the quaternion's opposite pair is one flip from none
+    if flips is None:
+        block = EdgeBitVector(family, (0,) * block_length(family))
+    else:
+        block = encode((1, 0, 1), family).flip(flips)
+    bits = (weight ** size - 1).bit_length()
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", str(bits - 1))
+    with pytest.raises(SizeGuardError) as err:
+        correct(block, size)
+    assert str(err.value) == (
+        f"correction walk of {size}-flip sets needs 2**{bits} words, above "
+        f"the guard of 2**{bits - 1}; set ADINKRA_SIZE_GUARD to raise the "
+        "limit")
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", str(bits))
+    assert outcome(correct, block, size) == outcome(
+        oracles.naive_correct, block, size)
+
+
+def test_library_blocks_equal_their_validated_twins():
+    # flips, program runs, completions and corrections are built without
+    # re-reading their bits; each equals the block the public
+    # constructor makes from the same bits
+    rng = random.Random(35)
+    for family in SEARCH_FAMILIES + [E8]:
+        n_bits = block_length(family)
+        sent = encode([rng.randint(0, 1)
+                       for _ in range(message_length(family))], family)
+        erased = rng.sample(range(n_bits), n_bits > 1)  # n1: no check
+        blocks = [sent, sent.flip([0]), fill_erasures(sent, erased),
+                  inject_errors(sent, 1, seed=35)[0]]
+        try:
+            blocks.append(correct(sent.flip([n_bits - 1])).vector)
+        except AmbiguousCorrectionError:  # the square: distance 2
+            assert family == SQUARE
+        for block in blocks:
+            twin = EdgeBitVector(family, list(block.bits))
+            assert type(block.bits) is tuple
+            assert {int} == set(map(type, block.bits))
+            assert (block, hash(block)) == (twin, hash(twin))
 
 
 def test_inject_errors_is_deterministic():

@@ -140,7 +140,7 @@ def test_residue_is_linear_and_zero_exactly_on_codewords(case):
     o = code.offset
     assert code.residue(o ^ x ^ y) == code.residue(o ^ x) ^ code.residue(o ^ y)
     for i in range(n_bits):
-        assert code.unit_residues[i] == code.residue(o ^ 1 << i)
+        assert oracles.unit_residues(code)[i] == code.residue(o ^ 1 << i)
 
 
 @settings(max_examples=150, deadline=None)
