@@ -437,9 +437,10 @@ class _Checks:
         A bounded search tree (Downey and Fellows, *Parameterized
         Complexity*): such a set holds a position of the lowest failing
         check, so it branches on that check's positions, at most
-        `weight` of them, and prunes where fewer than `size` more flips
-        could clear the failing checks.  Each leaf lies at depth `size`,
-        so it visits at most weight**size leaves.
+        `weight` of them, skipping those already chosen, and prunes where
+        more checks fail than the flips left could clear, `column_weight`
+        each.  Each leaf lies at depth `size`, so it visits at most
+        weight**size leaves.
         """
         supports, column = self.supports, self.column
         most = self.column_weight

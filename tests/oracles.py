@@ -36,7 +36,13 @@ from adinkra.baobab import (
     skeleton_baobab_edges,
     skeleton_tree,
 )
-from adinkra.codec import DASHING, Correction, family_code, family_skeleton, syndrome
+from adinkra.codec import (
+    DASHING,
+    Correction,
+    family_code,
+    family_skeleton,
+    syndrome,
+)
 from adinkra.codes import bit_string, check_bit
 from adinkra.errors import (
     AmbiguousCorrectionError,
@@ -550,7 +556,6 @@ def codewords_agreeing(word, erased, codewords):
     ]
 
 
-
 # ---------- the correction walk ----------
 #
 # The decoder as first written: every flip set of each size, in
@@ -573,9 +578,10 @@ def naive_violations(vector):
     if family.scheme != DASHING:
         return syndrome(vector).describe()
     skeleton = family_skeleton(family)
+    length = skeleton.length
     index = {e: i for i, e in enumerate(skeleton.edges)}
     return tuple(
-        f"plaquette colors={p.colors} base={bit_string(p.base, skeleton.length)}"
+        f"plaquette colors={p.colors} base={bit_string(p.base, length)}"
         for p in plaquettes(skeleton)
         if not sum(vector.bits[index[e]] for e in p.edges) % 2)
 
@@ -610,6 +616,7 @@ def naive_correct(vector, max_flips=1):
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
         f"{len(violated)} checks violated{first}: {', '.join(violated[:3])}"
     )
+
 
 # ---------- restart-scan propagation ----------
 #
