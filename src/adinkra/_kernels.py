@@ -1,12 +1,11 @@
-"""Size guard for exhaustive walks over a code's words and for graphs.
+"""Size guard for graphs and for the correction search.
 
-Listing a family's codewords and the quaternion code's minimum-distance
-search walk all 2**dim kernel words, a quotient of the n-cube has 2**n
-nodes, and the correction search of each size above 1 visits at most
-weight**size leaves, for parity checks of `weight` bits, so they refuse
-dim, n or a search above 2**ADINKRA_SIZE_GUARD instead of hanging.
-Counting valid dashings and the distance of a dashing family are closed
-forms and never guarded.
+A quotient of the n-cube has 2**n nodes, and the correction search of
+each size above 1 visits at most weight**size leaves, for parity checks
+of `weight` bits, so they refuse n or a search above
+2**ADINKRA_SIZE_GUARD instead of hanging.  No codec call walks a
+family's codewords: counting valid dashings and every family's minimum
+distance are closed forms, guarded only through the family's n.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ def active_backend() -> str:
 
 
 def guard_bits() -> int:
-    """Largest exponent allowed: a kernel dimension or a graph's n."""
+    """Largest exponent allowed: a graph's n or a search's leaf bound."""
     raw = os.environ.get("ADINKRA_SIZE_GUARD", "").strip()
     if not raw:
         return DEFAULT_GUARD_BITS

@@ -290,8 +290,9 @@ class GammaSet:
     A set that `adinkra_to_gamma` reads off an adinkra holds its
     matrices as node-rank planes (`_GammaPlanes`), which
     `check_garden` reads, and builds `matrices` from them on first
-    read.  Equality, `repr`, pickling and copies read `matrices`, so
-    such a set behaves as `GammaSet(matrices, basis, boson_count)`.
+    read.  Equality and `repr` read `matrices`, so such a set behaves
+    as `GammaSet(matrices, basis, boson_count)`; pickles and copies
+    keep its planes.
     """
 
     matrices: Mapping[int, MonomialMatrix]
@@ -311,8 +312,10 @@ class GammaSet:
         return matrices
 
     def __reduce__(self):
-        # pickled and copied as `GammaSet(matrices, basis, boson_count)`
-        return GammaSet, (self.matrices, self.basis, self.boson_count)
+        planes = self.__dict__.get("_planes")
+        if planes is None:
+            return GammaSet, (self.matrices, self.basis, self.boson_count)
+        return _planes_gamma_set, (planes, self.basis, self.boson_count)
 
     @property
     def dim(self) -> int:
@@ -430,11 +433,16 @@ def adinkra_to_gamma(adinkra: Adinkra, validate: bool = True) -> GammaSet:
         height_report = verify_heights(adinkra)
         if not height_report:
             raise InputError(f"invalid adinkra: {height_report.summary()}")
-    planes = _gamma_planes(adinkra, ranks, dashed)
     bosons = boson_nodes(adinkra)
-    out = object.__new__(GammaSet)  # matrices built on first read
-    out.__dict__.update(basis=bosons + fermion_nodes(adinkra),
-                        boson_count=len(bosons), _planes=planes)
+    return _planes_gamma_set(_gamma_planes(adinkra, ranks, dashed),
+                             bosons + fermion_nodes(adinkra), len(bosons))
+
+
+def _planes_gamma_set(planes: _GammaPlanes, basis: tuple[int, ...],
+                      boson_count: int) -> GammaSet:
+    """The `GammaSet` held as `planes`, its matrices built on first read."""
+    out = object.__new__(GammaSet)
+    out.__dict__.update(basis=basis, boson_count=boson_count, _planes=planes)
     return out
 
 

@@ -27,6 +27,7 @@ from .errors import (
     UnderDeterminedError,
 )
 from .graph import (
+    _BITS,
     Adinkra,
     Edge,
     Plaquette,
@@ -1241,7 +1242,7 @@ def dashing_code(skeleton: Adinkra) -> AffineCode | None:
         return None
     # the program writes every other edge before it reads it
     bits = program.run([0] * len(skeleton.edges))
-    offset = int("".join(map(str, reversed(bits))), 2)
+    offset = int(bytes(reversed(bits)).translate(_BITS), 2)
     switches = dict.fromkeys(skeleton.nodes, 0)
     flips = [0] * (skeleton.length + 1)
     for i, (u, v, color) in enumerate(skeleton.edges):

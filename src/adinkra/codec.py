@@ -226,14 +226,17 @@ def parse_wire(line: str) -> EdgeBitVector:
 
 # ---------- encoding ----------
 
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
+
 
 def _word_bits(word: int, n_bits: int) -> tuple[int, ...]:
-    return tuple(word >> i & 1 for i in range(n_bits))
+    """The `n_bits` low bits of `word`, bit i at position i."""
+    return tuple(format(word, f"0{n_bits}b")[::-1].encode().translate(_FLAGS))
 
 
 def _bits_word(bits) -> int:
     """Inverse of `_word_bits`: bit i of the word is bits[i]."""
-    return sum(b << i for i, b in enumerate(bits))
+    return int(bytes(reversed(bits)).translate(_BITS), 2)
 
 
 def encode(message, family: Family) -> EdgeBitVector:
@@ -306,14 +309,7 @@ class PlaquetteCheck:
 
 def syndrome(vector: EdgeBitVector) -> Syndrome:
     """Every violated check for the given block."""
-    family = vector.family
-    if family.scheme == DASHING:
-        return Syndrome(family, _violations(vector)[1])
-    from .algebra import check_quaternion
-    from .quaternion import matrices_from_directions
-    directions = dict(zip(family_skeleton(family).edges, vector.bits))
-    report = check_quaternion(matrices_from_directions(directions))
-    return Syndrome(family, report.violated_relations())
+    return Syndrome(vector.family, _violations(vector)[1])
 
 
 # ---------- correction ----------
@@ -367,18 +363,20 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     )
 
 
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
-
-
 def _violations(vector: EdgeBitVector, shown: int | None = None,
                 mask: int | None = None) -> tuple[int, tuple]:
     """How many checks the block violates, and the first `shown` (all by
-    default) of the ones `syndrome` lists; a dashing block reads both
+    default) of the ones `syndrome` lists.  A dashing block reads both
     off its syndrome mask (`_Checks.mask`, or `mask` if given) and
-    describes only the plaquettes it shows."""
+    describes only the plaquettes it shows; a quaternion block names
+    the relations its matrices break."""
     family = vector.family
     if family.scheme != DASHING:
-        violated = syndrome(vector).violated
+        from .algebra import check_quaternion
+        from .quaternion import matrices_from_directions
+        directions = dict(zip(family_skeleton(family).edges, vector.bits))
+        violated = check_quaternion(
+            matrices_from_directions(directions)).violated_relations()
         return len(violated), violated[:shown]
     if mask is None:
         mask = _family_checks(family).mask(vector.bits)
@@ -468,20 +466,20 @@ def _family_checks(family: Family) -> _Checks:
     The quaternion's are the triangles of its graph, K4: the edges away
     from one of nodes 1, 2, 3.  A triangle meets every vertex switch in
     0 or 2 edges, and the three are independent, so they span the dual
-    of the switches' span (`family_code`); each wants the parity of the
-    canonical orientation."""
+    of the switches' span (see `family_code`); each wants the parity of
+    `CANONICAL_DIRECTIONS` on it."""
     skeleton = family_skeleton(family)
     if family.scheme == DASHING:
         table = _plaquette_ids(skeleton)
         return _Checks(table.quads, 4, [1] * len(table.quads),
                        table.incidence, skeleton.length - 1)
+    from .quaternion import CANONICAL_DIRECTIONS
     edges = skeleton.edges
     rows = [tuple(i for i, e in enumerate(edges) if x not in (e.u, e.v))
             for x in skeleton.nodes[1:]]
-    offset = family_code(family).offset
     through = [([j for j, row in enumerate(rows) if i in row],)
                for i in range(len(edges))]
-    return _Checks(rows, 3, [sum(offset >> i & 1 for i in row) & 1
+    return _Checks(rows, 3, [sum(CANONICAL_DIRECTIONS[i] for i in row) & 1
                              for row in rows],
                    through, max(len(js) for (js,) in through))
 
@@ -552,28 +550,21 @@ def family_code(family: Family) -> AffineCode:
 # ---------- distance and channel ----------
 
 
-def codewords(family: Family) -> tuple[tuple[int, ...], ...]:
-    """Every valid block, ascending as integers with bit i = position i
-    (guarded: walks the 2**dim words of the family's code)."""
-    code = family_code(family)
-    _kernels.check_guard(code.dim, "codeword enumeration")
-    return tuple(_word_bits(w, code.n_bits) for w in code.words())
-
-
 def min_distance(family: Family) -> int:
-    """Minimum pairwise Hamming distance between valid blocks.
+    """Minimum pairwise Hamming distance between valid blocks: L = n + k,
+    the degree of every node, for every family.
 
-    A dashing family's distance is L = n + k: a kernel word is even on
-    every plaquette, so with an edge it holds a second edge on each of the
-    L - 1 plaquettes through it, distinct as a doubly even code has no
-    weight-2 word; a vertex switch has weight L.  The quaternion's is walked.
+    A dashing family's kernel word is even on every plaquette, so with
+    an edge it holds a second edge on each of the L - 1 plaquettes
+    through it, distinct as a doubly even code has no weight-2 word; a
+    vertex switch has weight L.  The quaternion's kernel is the span of
+    the four vertex switches of K4 (`family_code`), which sum to zero:
+    one switch, or three, weighs 3 and two weigh 4, so its distance is
+    3 = L.  Only the header is checked, with the guard on a dashing
+    family's n, as `parse_family` checks it.
     """
-    quotient = _guarded_code(family)
-    if quotient is not None:
-        return quotient.length
-    code = family_code(family)
-    _kernels.check_guard(code.dim, "minimum-distance search")
-    return code.min_distance()
+    _guarded_code(family)
+    return family.n + len(family.code_generators)
 
 
 def inject_errors(

@@ -166,12 +166,6 @@ class AffineCode:
     def dim(self) -> int:
         return len(self.basis)
 
-    def residue(self, word: int) -> int:
-        """`word ^ offset` with every kernel pivot cleared: O(dim).  Linear
-        in `word ^ offset` and zero exactly on codewords; the coset's one
-        word that is zero on every pivot, whatever the offset and basis."""
-        return _clear_pivots(word ^ self.offset, self.basis)
-
     def complete(self, word: int, known_mask: int) -> tuple[int, int] | None:
         """A codeword equal to `word` on `known_mask`, and the mask of
         positions where such codewords differ; None when there is none.

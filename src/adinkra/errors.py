@@ -10,11 +10,11 @@ class InputError(AdinkraError, ValueError):
 
 
 class SizeGuardError(AdinkraError):
-    """Instance is too large for exhaustive enumeration.
+    """Instance is too large to build or search.
 
-    The guard caps the dimension of the enumerated code kernel; it
-    defaults to 20 bits and can be raised explicitly via the
-    ADINKRA_SIZE_GUARD environment variable.
+    The guard caps a graph's n (2**n nodes) and the leaf bound of a
+    correction search; it defaults to 20 bits and can be raised
+    explicitly via the ADINKRA_SIZE_GUARD environment variable.
     """
 
 

@@ -537,6 +537,14 @@ def quaternion_direction_words(edges):
     return good
 
 
+def codewords(family):
+    """Every valid block of a family, ascending as integers with bit i =
+    position i: all 2**dim words of its affine code, unguarded."""
+    code = family_code(family)
+    return tuple(tuple(w >> i & 1 for i in range(code.n_bits))
+                 for w in code.words())
+
+
 def codewords_within(word, codewords, radius):
     """The codewords at Hamming distance at most ``radius`` from word."""
     return [
@@ -563,10 +571,22 @@ def codewords_agreeing(word, erased, codewords):
 # affine code.  No size guard: keep it to small blocks.
 
 
+def residue(code, word):
+    """`word ^ code.offset` with every kernel pivot cleared, the basis
+    rows taken from the highest pivot down.  Linear in `word ^ offset`
+    and zero exactly on codewords; the coset's one word that is zero on
+    every pivot, whatever the offset and basis."""
+    word ^= code.offset
+    for row in code.basis:
+        if word >> (row.bit_length() - 1) & 1:
+            word ^= row
+    return word
+
+
 def unit_residues(code):
-    """Entry i is `code.residue(code.offset ^ 1 << i)`: flipping a set
+    """Entry i is `residue(code, code.offset ^ 1 << i)`: flipping a set
     of bits changes the residue by the XOR of their entries."""
-    return tuple(code.residue(code.offset ^ 1 << i)
+    return tuple(residue(code, code.offset ^ 1 << i)
                  for i in range(code.n_bits))
 
 
@@ -591,16 +611,16 @@ def naive_correct(vector, max_flips=1):
     results and error texts for a budget of 0 or more."""
     code = family_code(vector.family)
     columns = unit_residues(code)
-    target = code.residue(sum(b << i for i, b in enumerate(vector.bits)))
+    target = residue(code, sum(b << i for i, b in enumerate(vector.bits)))
     if not target:
         return Correction(vector, ())
     for size in range(1, max_flips + 1):
         hits = []
         for flips in combinations(range(code.n_bits), size):
-            residue = 0
+            got = 0
             for i in flips:
-                residue ^= columns[i]
-            if residue == target:
+                got ^= columns[i]
+            if got == target:
                 hits.append(flips)
         if len(hits) == 1:
             return Correction(vector.flip(hits[0]), hits[0])

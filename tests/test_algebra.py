@@ -1,6 +1,8 @@
 """Monomial arithmetic, transformation matrices, algebra checks."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -551,6 +553,25 @@ def test_triple_rows_run_only_for_failing_pairs(n, gens, monkeypatch):
                  for c in adk.colors() if c != e.color)
     assert report.violated_relations() == want
     assert counted.calls == len(want)
+
+
+def test_pickles_and_copies_keep_the_planes(monkeypatch):
+    # a clone of a plane-backed set is decided on its planes too: the
+    # triple path runs only for the flipped set's failing pairs
+    adk = VALID[(4, ())][0]
+    e = adk.edges[len(adk.edges) // 2]
+    flipped = adk.with_dashing({**adk.dashing, e: -adk.dashing[e]})
+    counted = CountedAnticommutator(monkeypatch)
+    for gammas in (adinkra_to_gamma(adk),
+                   adinkra_to_gamma(flipped, validate=False)):
+        want = check_garden(gammas, stop_early=False)
+        for clone in (pickle.loads(pickle.dumps(gammas)), copy.copy(gammas)):
+            counted.calls = 0
+            report = check_garden(clone, stop_early=False)
+            assert report.violations == want.violations
+            assert counted.calls == len(want.violated_relations())
+            assert clone == gammas
+    assert counted.calls == 3  # the flipped color against the other three
 
 
 def test_matrix_built_sets_take_the_triple_path_on_every_pair(monkeypatch):

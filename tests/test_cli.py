@@ -368,21 +368,22 @@ def test_malformed_fields_exit_two_with_one_line(capsys, monkeypatch, probe):
 
 
 def test_size_guard_exits_two(capsys, monkeypatch):
-    # the quaternion code's 2**3 kernel words are walked; a dashing
-    # family's distance is closed form
+    # every family's distance is closed form, guarded only by the n of
+    # a dashing family's header: the quaternion's 2**3 kernel words are
+    # not walked
     monkeypatch.setenv("ADINKRA_SIZE_GUARD", "2")
     code, _, err = invoke(
         capsys,
         monkeypatch,
-        ["distance", "--family", "quaternion"],
+        ["distance", "--family", "n=3;code=;scheme=dashing"],
     )
     assert code == 2
     assert err.startswith("error: size-guard:")
-    code, out, _ = invoke(
-        capsys, monkeypatch,
-        ["distance", "--family", "n=2;code=;scheme=dashing"],
-    )
-    assert code == 0 and out == "2\n"
+    for family, want in (("quaternion", "3\n"),
+                         ("n=2;code=;scheme=dashing", "2\n")):
+        code, out, _ = invoke(capsys, monkeypatch,
+                              ["distance", "--family", family])
+        assert code == 0 and out == want
 
 
 def test_oversized_build_exits_two_with_one_line(capsys, monkeypatch):
@@ -524,7 +525,7 @@ MODULE_SETS = {
     "inject": (["inject", "--flips", "1", "--seed", "1"], "wire", _CODEC),
     "decode": (["decode"], "wire", _QUATERNION),
     "decode-dashing": (["decode"], "dashing wire", _CODEC),
-    "distance": (["distance", "--family", "quaternion"], None, _QUATERNION),
+    "distance": (["distance", "--family", "quaternion"], None, _CODEC),
 }
 
 # run the CLI in-process and print its exit code and the loaded modules

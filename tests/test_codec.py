@@ -24,7 +24,6 @@ from adinkra.codec import (
     Family,
     QUATERNION_FAMILY,
     block_length,
-    codewords,
     correct,
     decode,
     encode,
@@ -209,7 +208,7 @@ def test_every_quaternion_message_encodes_uniquely():
         assert decode(v).message == m
         seen.add(v.bits)
     assert len(seen) == 8
-    assert seen == set(codewords(QUATERNION_FAMILY))
+    assert seen == set(oracles.codewords(QUATERNION_FAMILY))
 
 
 @given(bits=st.tuples(*([st.integers(0, 1)] * 8)))
@@ -629,12 +628,13 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
     assert code.words() == tuple(sorted(words)) == spanned.words()
     assert code.basis == (42, 27, 7)
     # residues are canonical, so they equal those of the oracle's span
-    assert [code.residue(w) for w in range(64)] == [
-        spanned.residue(w) for w in range(64)]
-    assert {w for w in range(64) if not code.residue(w)} == set(words)
+    residue = oracles.residue
+    assert [residue(code, w) for w in range(64)] == [
+        residue(spanned, w) for w in range(64)]
+    assert {w for w in range(64) if not residue(code, w)} == set(words)
     units = oracles.unit_residues(code)
     assert units == oracles.unit_residues(spanned)
-    assert all(code.residue(w ^ 1 << i) == units[i]
+    assert all(residue(code, w ^ 1 << i) == units[i]
                for w in words for i in range(6))
 
 
@@ -646,7 +646,7 @@ def test_square_codewords_match_brute_force():
     index = {e: i for i, e in enumerate(skeleton.edges)}
     quads = [tuple(index[e] for e in p.edges) for p in plaquettes(skeleton)]
     brute = set(oracles.brute_force_dashings(4, quads))
-    assert set(codewords(SQUARE)) == brute
+    assert set(oracles.codewords(SQUARE)) == brute
     assert len(brute) == 8
 
 
@@ -656,7 +656,7 @@ def test_square_codewords_match_brute_force():
 )
 def test_min_distances(family, expected):
     assert min_distance(family) == expected
-    assert oracles.naive_min_distance(codewords(family)) == expected
+    assert oracles.naive_min_distance(oracles.codewords(family)) == expected
 
 
 RM14 = ("1111111111111111", "0000000011111111", "0000111100001111",
@@ -711,12 +711,13 @@ def test_no_flip_budget_builds_no_unit_residues(monkeypatch):
     # the search reads the checks through the bits it tries, at every
     # budget: no residue of the family's affine code, per bit or whole
     assert not hasattr(AffineCode, "unit_residues")
+    assert not hasattr(AffineCode, "residue")
 
     def refuse(*args):
-        raise AssertionError("AffineCode.residue called")
+        raise AssertionError("residue called")
 
     sent = encode((1, 0, 1, 1, 0, 1, 0), CUBE)
-    monkeypatch.setattr(AffineCode, "residue", refuse)
+    monkeypatch.setattr(oracles, "residue", refuse)
     for flips, max_flips in (([0, 7, 11], 0), ([0, 5], 1)):
         damaged = sent.flip(flips)
         with pytest.raises(UncorrectableError) as err:
@@ -833,11 +834,38 @@ def test_syndrome_mask_marks_the_violated_checks():
                                            for _ in range(n_bits)])
             mask = checks.mask(block.bits)
             word = sum(b << i for i, b in enumerate(block.bits))
-            assert (mask == 0) == (code.residue(word) == 0)
+            assert (mask == 0) == (oracles.residue(code, word) == 0)
             if family.scheme == DASHING:
                 assert syndrome(block).describe() == (
                     oracles.naive_violations(block))
                 assert mask.bit_count() == len(syndrome(block).violated)
+
+
+def test_quaternion_checks_come_from_its_graph(monkeypatch):
+    # the triangles want the parities of CANONICAL_DIRECTIONS and the
+    # syndrome names the broken relations, so correcting, decoding and
+    # the distance read no affine code
+    def results():
+        out = []
+        for word in range(64):
+            block = EdgeBitVector(QUATERNION_FAMILY,
+                                  [word >> i & 1 for i in range(6)])
+            out.append((syndrome(block), min_distance(QUATERNION_FAMILY),
+                        *(outcome(call, block, max_flips)
+                          for call in (correct, decode)
+                          for max_flips in range(3))))
+        return out
+
+    def refuse(family):
+        raise AssertionError("family_code called")
+
+    want = results()
+    for cached in (codec._family_checks, codec.family_code,
+                   codec.message_slots, codec._family_skeleton,
+                   codec._quotient_code):
+        cached.cache_clear()
+    monkeypatch.setattr(codec, "family_code", refuse)
+    assert results() == want
 
 
 def rm14_block(seed):

@@ -1,5 +1,5 @@
 """The affine GF(2) code behind counting, codewords and distance, and
-the size guard on its exhaustive walks."""
+the size guard on graphs."""
 
 from itertools import combinations
 
@@ -17,13 +17,12 @@ from adinkra import (
     plaquettes,
 )
 from adinkra._kernels import check_guard, guard_bits
-from adinkra import baobab
+from adinkra import baobab, codec
 from adinkra.baobab import dashing_code
 from adinkra.codec import (
     DASHING,
     Family,
     QUATERNION_FAMILY,
-    codewords,
     family_code,
     family_skeleton,
     min_distance,
@@ -135,12 +134,14 @@ def test_residue_is_linear_and_zero_exactly_on_codewords(case):
     if not brute:
         return
     code = AffineCode.from_words(brute, n_bits)
-    assert {w for w in range(1 << n_bits) if not code.residue(w)} == brute
+    residue = oracles.residue
+    assert {w for w in range(1 << n_bits) if not residue(code, w)} == brute
     # linear in the distance from the offset, one column per unit vector
     o = code.offset
-    assert code.residue(o ^ x ^ y) == code.residue(o ^ x) ^ code.residue(o ^ y)
+    assert residue(code, o ^ x ^ y) == (
+        residue(code, o ^ x) ^ residue(code, o ^ y))
     for i in range(n_bits):
-        assert oracles.unit_residues(code)[i] == code.residue(o ^ 1 << i)
+        assert oracles.unit_residues(code)[i] == residue(code, o ^ 1 << i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,20 +266,37 @@ def test_dashing_code_on_every_code_up_to_length_8():
         assert count_valid_dashings(skeleton) == 2 ** code.dim
 
 
+def refuse_family_code(family):
+    raise AssertionError("family_code called")
+
+
 @pytest.mark.parametrize(
     "family",
     [Family(n, (), DASHING) for n in range(1, 6)]
     + [Family(3, ("1111",), DASHING), E8],
     ids=["n1", "n2", "n3", "n4", "n5", "n3k1", "e8"],
 )
-def test_dashing_distance_is_n_plus_k(family):
+def test_dashing_distance_is_n_plus_k(family, monkeypatch):
     want = family.n + len(family.code_generators)
-    assert min_distance(family) == want
+    monkeypatch.setattr(codec, "family_code", refuse_family_code)
+    assert min_distance(family) == want  # read off the header alone
     code = family_code(family)
     quads = plaquette_quads(family_skeleton(family))
     assert oracles.min_even_set_by_branching(code.n_bits, quads, want) == want
     if code.dim <= 19:  # the walk over n5's 2**31 kernel words is too long
         assert code.min_distance() == want
+
+
+def test_quaternion_distance_is_its_degree(monkeypatch):
+    # L = 3: the kernel, the span of K4's vertex switches, weighs
+    # 3, 3, 3, 3, 4, 4, 4 off zero
+    code = family_code(QUATERNION_FAMILY)
+    assert sorted((w ^ code.offset).bit_count() for w in code.words()) == [
+        0, 3, 3, 3, 3, 4, 4, 4]
+    words = oracles.codewords(QUATERNION_FAMILY)
+    monkeypatch.setattr(codec, "family_code", refuse_family_code)
+    assert min_distance(QUATERNION_FAMILY) == 3
+    assert oracles.naive_min_distance(words) == 3
 
 
 def test_n4_min_distance_matches_naive_search():
@@ -301,7 +319,7 @@ def test_dashing_codewords_match_brute_force(family):
     brute = oracles.brute_force_dashings(
         len(skeleton.edges), plaquette_quads(skeleton)
     )
-    assert codewords(family) == tuple(sorted(brute, key=as_int))
+    assert oracles.codewords(family) == tuple(sorted(brute, key=as_int))
 
 
 def test_quaternion_codewords_match_oracle():
@@ -311,7 +329,8 @@ def test_quaternion_codewords_match_oracle():
             for e in family_skeleton(QUATERNION_FAMILY).edges
         ]
     )
-    assert codewords(QUATERNION_FAMILY) == tuple(sorted(words, key=as_int))
+    assert oracles.codewords(QUATERNION_FAMILY) == tuple(
+        sorted(words, key=as_int))
 
 
 # ---------- size guard ----------
@@ -372,13 +391,12 @@ def test_guard_errors_count_the_digits_of_a_long_exponent(monkeypatch):
 
 
 def test_distance_walk_is_guarded(monkeypatch):
-    # only the quaternion code's kernel is walked; a dashing family's
-    # distance is closed form, guarded only by its n like any header
+    # no family's code is walked: the distance is closed form, guarded
+    # only by a dashing family's n like any header
     monkeypatch.setenv("ADINKRA_SIZE_GUARD", "2")
-    with pytest.raises(SizeGuardError):
-        min_distance(QUATERNION_FAMILY)  # kernel dimension 3
-    with pytest.raises(SizeGuardError):
+    assert min_distance(QUATERNION_FAMILY) == 3  # kernel dimension 3
+    with pytest.raises(SizeGuardError) as err:
         min_distance(N4)
+    assert str(err.value).startswith("quotient construction needs 2**4 ")
     monkeypatch.setenv("ADINKRA_SIZE_GUARD", "4")
     assert min_distance(N4) == 4  # kernel dimension 15
-    assert min_distance(QUATERNION_FAMILY) == 3

@@ -203,7 +203,7 @@ def test_plane_backed_sets_copy_and_pickle_as_their_matrices():
     for other in (pickle.loads(pickle.dumps(gammas)), copy.copy(gammas),
                   copy.deepcopy(gammas)):
         assert other == gammas == want
-        assert "_planes" not in other.__dict__
+        assert "_planes" in other.__dict__  # a clone keeps the planes
         assert check_garden(other) == check_garden(gammas)
     assert repr(gammas) == repr(want)
     assert check_block_transpose(gammas) == check_block_transpose(want)
