@@ -311,12 +311,6 @@ class GammaSet:
         self.__dict__["matrices"] = matrices
         return matrices
 
-    def __reduce__(self):
-        planes = self.__dict__.get("_planes")
-        if planes is None:
-            return GammaSet, (self.matrices, self.basis, self.boson_count)
-        return _planes_gamma_set, (planes, self.basis, self.boson_count)
-
     @property
     def dim(self) -> int:
         return len(self.basis)

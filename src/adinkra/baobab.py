@@ -820,30 +820,28 @@ def propagate_directions(
 def heights_from_directions(
     skeleton: Adinkra, heads: Mapping[Edge, int]
 ) -> dict[int, int]:
-    """Integrate arrows into heights (head = tail + 1), minimum at 0."""
-    # per node, (neighbour, rise to it, edge): each head read once
-    steps: dict[int, list] = {x: [] for x in skeleton.nodes}
-    for e in skeleton.edges:
+    """Integrate arrows into heights (head = tail + 1), minimum at 0,
+    keyed in node order.
+
+    Heights are the potential of the arrows, so the canonical tree
+    (`skeleton_tree`) sets them, parent before child in its (u, color)
+    order, and one pass checks every edge; the first edge, in edge
+    order, whose arrow disagrees is the one a ContradictionError names."""
+    edges = skeleton.edges
+    for e in edges:
         if e not in heads:
             raise InputError(f"direction missing for edge {e}")
+        _check_head(e, heads[e])
+    heights = dict.fromkeys(skeleton.nodes, 0)
+    for e in skeleton_tree(skeleton):
         u, v, _ = e
-        rise = 1 if _check_head(e, heads[e]) == v else -1
-        steps[u].append((v, rise, e))
-        steps[v].append((u, -rise, e))
-    heights = {skeleton.nodes[0]: 0}
-    queue = [skeleton.nodes[0]]
-    for x in queue:  # breadth first: the loop reads what it appends
-        base = heights[x]
-        for other, rise, e in steps[x]:
-            h = base + rise
-            if other in heights:
-                if heights[other] != h:
-                    raise ContradictionError(
-                        f"arrows around {e} close a loop with nonzero rise"
-                    )
-            else:
-                heights[other] = h
-                queue.append(other)
+        heights[v] = heights[u] + (1 if heads[e] == v else -1)
+    for e in edges:
+        u, v, _ = e
+        head = heads[e]
+        if heights[head] != heights[u ^ v ^ head] + 1:
+            raise ContradictionError(
+                f"arrows around {e} close a loop with nonzero rise")
     return normalize_heights(heights)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .baobab import Baobab
 from .codes import bit_string, weight
-from .graph import Adinkra
+from .graph import Adinkra, _graph_table, checked_heights, checked_signs
 
 _PALETTE = [
     "red", "blue", "green", "orange",
@@ -26,31 +26,35 @@ def _node_line(label: str, filled: bool) -> str:
 
 def adinkra_to_dot(adinkra: Adinkra) -> str:
     """Render nodes (fermions filled), colored edges, dashes, and
-    heights as same-rank rows when present."""
+    heights as same-rank rows when present.  A graph that is not its
+    code's quotient, a missing or bad sign and a missing or bad height
+    each raise one InputError."""
+    _graph_table(adinkra)
     length = adinkra.length
+    signs = checked_signs(adinkra) or [1] * len(adinkra.edges)
+    heights = adinkra.heights
+    if heights is not None:
+        heights = checked_heights(adinkra, "adinkra has no heights")
     lines = ["graph adinkra {"]
     append = lines.append
     append("  rankdir=BT;")
     for x in adinkra.nodes:
         append(_node_line(bit_string(x, length), weight(x) % 2 == 1))
-    if adinkra.heights is not None:
+    if heights is not None:
         by_height: dict[int, list[int]] = {}
         for x in adinkra.nodes:
-            by_height.setdefault(adinkra.heights[x], []).append(x)
+            by_height.setdefault(heights[x], []).append(x)
         for h in sorted(by_height):
             row = " ".join(f'"{bit_string(x, length)}"'
                            for x in sorted(by_height[h]))
             append(f"  {{ rank=same; {row} }}")
-    for e in adinkra.edges:
+    for e, sign in zip(adinkra.edges, signs):
         attrs = [f"color={color_name(e.color)}"]
-        if adinkra.dashing is not None and adinkra.dashing[e] == -1:
+        if sign == -1:
             attrs.append("style=dashed")
         u, v = bit_string(e.u, length), bit_string(e.v, length)
-        if adinkra.heights is not None:
-            lo, hi = (
-                (u, v) if adinkra.heights[e.u] < adinkra.heights[e.v]
-                else (v, u)
-            )
+        if heights is not None:
+            lo, hi = (u, v) if heights[e.u] < heights[e.v] else (v, u)
             attrs.append("dir=forward")
             append(f'  "{lo}" -- "{hi}" [{", ".join(attrs)}];')
         else:

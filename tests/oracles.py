@@ -31,6 +31,7 @@ from adinkra.baobab import (
     GateStep,
     GateTrace,
     _NdxorProgram,
+    _check_head,
     dxor,
     ndxor,
     skeleton_baobab_edges,
@@ -61,6 +62,7 @@ from adinkra.graph import (
     _color_steps,
     boson_nodes,
     fermion_nodes,
+    normalize_heights,
     plaquettes,
 )
 
@@ -772,6 +774,39 @@ def naive_propagate_directions(
                 break
     trace = GateTrace(skeleton.length, tuple(steps))
     return heads, trace
+
+
+def naive_heights_from_directions(
+    skeleton: Adinkra, heads: Mapping[Edge, int]
+) -> dict[int, int]:
+    """`baobab.heights_from_directions` as first written: a BFS from the
+    first node over per-node (neighbour, rise, edge) steps, keyed in the
+    order it reaches the nodes.  Its loop error names the first edge the
+    walk finds disagreeing, and it reads the graph without the graph
+    rule."""
+    steps: dict[int, list] = {x: [] for x in skeleton.nodes}
+    for e in skeleton.edges:
+        if e not in heads:
+            raise InputError(f"direction missing for edge {e}")
+        u, v, _ = e
+        rise = 1 if _check_head(e, heads[e]) == v else -1
+        steps[u].append((v, rise, e))
+        steps[v].append((u, -rise, e))
+    heights = {skeleton.nodes[0]: 0}
+    queue = [skeleton.nodes[0]]
+    for x in queue:  # breadth first: the loop reads what it appends
+        base = heights[x]
+        for other, rise, e in steps[x]:
+            h = base + rise
+            if other in heights:
+                if heights[other] != h:
+                    raise ContradictionError(
+                        f"arrows around {e} close a loop with nonzero rise"
+                    )
+            else:
+                heights[other] = h
+                queue.append(other)
+    return normalize_heights(heights)
 
 
 def naive_compile_ndxor(skeleton: Adinkra) -> _NdxorProgram | bool:

@@ -51,7 +51,8 @@ from adinkra.baobab import (
     propagate_directions,
 )
 from adinkra.codes import DoublyEvenCode, LinearBinaryCode, gf2_rref
-from adinkra.graph import _plaquette_ids, _rank_planes
+from adinkra.graph import (
+    _color_steps, _plaquette_ids, _rank_planes, normalize_heights)
 
 FAMILIES = [(2, ()), (3, ()), (3, ("1111",)), (4, ())]
 E8_CODE = ("11110000", "00001111", "11001100", "10101010")
@@ -198,6 +199,23 @@ def structure_corpus():
     return tuple(
         (a, (valise_heights(a),) + (() if a.code.k else (weight_heights(a),)))
         for a in skeletons)
+
+
+def uppers(skeleton, heights):
+    return {e: e.u if heights[e.u] > heights[e.v] else e.v
+            for e in skeleton.edges}
+
+
+def raised(a, h, rng, moves):
+    """`h` with random sources raised by two, `moves` times: a random
+    valid height assignment with more local extremes."""
+    h = dict(h)
+    steps = _color_steps(a.code)[1:]
+    for _ in range(moves):
+        low = [x for x in a.nodes if all(h[x ^ d] > h[x] for d in steps)]
+        x = rng.choice(low)
+        h[x] += 2
+    return normalize_heights(h)
 
 
 def odd_word_quotients():
@@ -502,6 +520,69 @@ def test_heights_from_directions_integrates_unit_steps():
     loop[Edge(2, 3, 2)] = 2
     with pytest.raises(ContradictionError):
         heights_from_directions(a, loop)
+
+
+def test_heights_match_the_bfs_oracle_on_the_structure_corpus():
+    # valise, weight and seeded raised heights; the tree keys them in
+    # node order, the oracle in the order its walk reaches the nodes
+    rng = random.Random(35)
+    for a, profiles in structure_corpus():
+        for h in profiles + (raised(a, profiles[0], rng, 3),):
+            heads = uppers(a, h)
+            got = heights_from_directions(a, heads)
+            assert got == oracles.naive_heights_from_directions(a, heads) == h
+            assert list(got) == list(a.nodes)
+
+
+def heights_outcome(fn, skeleton, heads):
+    """(type, text) of the error `fn` raises on `heads`, or its heights."""
+    try:
+        return fn(skeleton, heads)
+    except (InputError, ContradictionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_heights_errors_match_the_bfs_oracle_on_the_structure_corpus():
+    # heads are checked in edge order, so the first missing or bad one
+    # names the same edge on both; a flipped arrow off the tree is the
+    # one edge the tree's heights disagree with, so its loop error names
+    # it, where the oracle names the edge its walk reaches first
+    rng = random.Random(36)
+    for a, profiles in structure_corpus():
+        heads = uppers(a, profiles[0])
+        tree = set(skeleton_tree(a))
+        edges = a.edges
+        for _ in range(2):
+            e, f = rng.choice(edges), rng.choice(edges)
+            for head in (-1, True):  # never a node
+                bad = {**heads, e: head}
+                # f's head missing too, before or after e
+                for case in (bad, {x: h for x, h in bad.items() if x != f}):
+                    want = heights_outcome(
+                        oracles.naive_heights_from_directions, a, case)
+                    assert want[0] is InputError
+                    assert heights_outcome(
+                        heights_from_directions, a, case) == want
+        _, cycles, _ = skeleton_baobab_edges(a)
+        off_tree = [e for e in edges if e not in tree]
+        flips = rng.sample(off_tree, min(2, len(off_tree))) + list(cycles)
+        for e in flips:
+            case = {**heads, e: e.u ^ e.v ^ heads[e]}
+            assert heights_outcome(
+                oracles.naive_heights_from_directions, a, case)[0] is (
+                ContradictionError)
+            assert heights_outcome(heights_from_directions, a, case) == (
+                ContradictionError,
+                f"arrows around {e} close a loop with nonzero rise")
+
+
+def test_heights_refuse_a_graph_that_is_not_its_codes_quotient():
+    for a, profiles in structure_corpus()[:8] + structure_corpus()[-3:]:
+        heads = uppers(a, profiles[0])
+        shuffled = dataclasses.replace(a, nodes=a.nodes[::-1])
+        with pytest.raises(InputError,
+                           match="^graph is not the quotient of its code$"):
+            heights_from_directions(shuffled, heads)
 
 
 @pytest.mark.parametrize("head", [True, False, 1.0, "1", 99])

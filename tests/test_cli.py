@@ -1,5 +1,6 @@
 """Command line interface: pipes, exit codes, error lines."""
 
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from adinkra import Edge, InputError, from_json
 from adinkra.cli import run
+from adinkra.dot import adinkra_to_dot
 
 
 def invoke(capsys, monkeypatch, argv, stdin=""):
@@ -295,6 +298,31 @@ def test_export_dot_output_is_pinned(capsys, monkeypatch):
         assert code == 0 and err == ""
         got = hashlib.sha256(dot.encode()).hexdigest(), dot.count("\n")
         assert (name, got) == (name, EXPORT_DOT[name])
+
+
+def drop(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda a: a.with_dashing(drop(a.dashing, Edge(6, 7, 3))),
+     "dashing missing for edges: [Edge(u=6, v=7, color=3)]"),
+    (lambda a: a.with_dashing({**a.dashing, Edge(0, 1, 3): 0}),
+     "dashing sign for Edge(u=0, v=1, color=3) must be +1 or -1, got 0"),
+    (lambda a: a.with_heights(drop(a.heights, 1)),
+     "heights missing for nodes: [1]"),
+    (lambda a: a.with_heights({**a.heights, 1: 0.5}),
+     "height for '001' must be an integer"),
+    (lambda a: dataclasses.replace(a, nodes=a.nodes[::-1]),
+     "graph is not the quotient of its code"),
+], ids=["partial dashing", "zero sign", "partial heights", "float height",
+        "not the quotient"])
+def test_export_dot_refuses_a_damaged_adinkra(damage, message, capsys,
+                                              monkeypatch):
+    _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "3"])
+    with pytest.raises(InputError) as got:
+        adinkra_to_dot(damage(from_json(built)))
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("command", ["export-dot", "reconstruct"])

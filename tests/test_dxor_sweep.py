@@ -13,7 +13,8 @@ import random
 import pytest
 
 import oracles
-from test_baobab import E8_CODE, odd_word_quotients, structure_corpus
+from test_baobab import (
+    E8_CODE, odd_word_quotients, raised, structure_corpus, uppers)
 from adinkra import (
     Adinkra,
     ContradictionError,
@@ -30,7 +31,7 @@ from adinkra import (
 from adinkra import baobab
 from adinkra.baobab import propagate_directions
 from adinkra.errors import AdinkraError
-from adinkra.graph import _color_steps, _rank_planes, normalize_heights
+from adinkra.graph import _rank_planes
 from adinkra.quaternion import quaternion_skeleton
 
 RUNGS = [(n, ()) for n in range(2, 9)] + [(3, ("1111",)), (4, E8_CODE)]
@@ -52,11 +53,6 @@ def failure(fn, *args):
     except AdinkraError as exc:
         return (type(exc), str(exc), getattr(exc, "plaquette", None),
                 getattr(exc, "unresolved", None))
-
-
-def uppers(skeleton, heights):
-    return {e: e.u if heights[e.u] > heights[e.v] else e.v
-            for e in skeleton.edges}
 
 
 def swept_heads(skeleton, pinned):
@@ -176,18 +172,6 @@ def test_a_graph_off_its_quotient_is_refused():
     adk = b.with_dashing(signs).with_heights(weight_heights(a))
     assert failure(extract_baobab, adk) == refused
     assert failure(engine_extract, adk) == refused
-
-
-def raised(a, h, rng, moves):
-    """`h` with random sources raised by two, `moves` times: a random
-    valid height assignment with more local extremes."""
-    h = dict(h)
-    steps = _color_steps(a.code)[1:]
-    for _ in range(moves):
-        low = [x for x in a.nodes if all(h[x ^ d] > h[x] for d in steps)]
-        x = rng.choice(low)
-        h[x] += 2
-    return normalize_heights(h)
 
 
 def test_extract_gives_the_engine_result_or_error():
