@@ -315,8 +315,8 @@ def drop(mapping, key):
      "height for '001' must be an integer"),
     (lambda a: dataclasses.replace(a, nodes=a.nodes[::-1]),
      "graph is not the quotient of its code"),
-], ids=["partial dashing", "zero sign", "partial heights", "float height",
-        "not the quotient"])
+], ids=["partial-dashing", "zero-sign", "partial-heights", "float-height",
+        "not-the-quotient"])
 def test_export_dot_refuses_a_damaged_adinkra(damage, message, capsys,
                                               monkeypatch):
     _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "3"])
