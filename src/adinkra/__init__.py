@@ -16,8 +16,8 @@ import importlib
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "codes": """AffineCode DoublyEvenCode LinearBinaryCode bit_string
-        canonical_representative color_bit gf2_rref gf2_span
-        is_doubly_even parse_bit_string weight""",
+        canonical_representative color_bit gf2_rref is_doubly_even
+        parse_bit_string weight""",
     "errors": """AdinkraError AmbiguousCorrectionError ContradictionError
         GradedSumError InputError InsufficientPinningError ReplayError
         SizeGuardError UncorrectableError UnderDeterminedError""",

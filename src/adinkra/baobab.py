@@ -17,8 +17,8 @@ from heapq import heappop, heappush
 from itertools import combinations, compress
 from typing import Mapping, NamedTuple
 
-from .codes import (AffineCode, bit_string, check_bit, color_bit,
-                    parse_bit_string, read_bits)
+from .codes import (bit_string, check_bit, color_bit, parse_bit_string,
+                    read_bits)
 from .errors import (
     ContradictionError,
     InputError,
@@ -27,7 +27,6 @@ from .errors import (
     UnderDeterminedError,
 )
 from .graph import (
-    _BITS,
     Adinkra,
     Edge,
     Plaquette,
@@ -767,7 +766,7 @@ def _compile_ndxor(skeleton: Adinkra, table) -> _NdxorProgram | bool:
     NDXOR schedule does not depend on the values.  The run's output is
     a valid dashing (the engine raises on any complete even plaquette),
     so the valid dashings form an affine code of dimension
-    2**n + k - 1, the slot count (see `dashing_code`).  Each step writes
+    2**n + k - 1, the slot count (see `codec.family_code`).  Each step writes
     the only bit that keeps its plaquette odd, so the program rebuilds
     every valid dashing from its slot bits: restriction to the slots is
     injective, so with 2**|slots| dashings it is onto, and every slot
@@ -1225,30 +1224,6 @@ def reconstruct_adinkra(
 
 
 # ---------- counting ----------
-
-
-def dashing_code(skeleton: Adinkra) -> AffineCode | None:
-    """The valid dashings as an affine code over edge ids (bit 1 plain),
-    or None when the skeleton has no compiled NDXOR program.  The offset
-    is the program run from all-zero slots.  The kernel, the words even
-    on every plaquette, is spanned by the 2**n vertex switches and the L
-    color flips: the coboundaries plus the first cohomology of the
-    quotient's cubical complex, of dimension k (Zhang, arXiv:1111.6055).
-    """
-    program = _ndxor_program(skeleton)
-    if program is None:
-        return None
-    # the program writes every other edge before it reads it
-    bits = program.run([0] * len(skeleton.edges))
-    offset = int(bytes(reversed(bits)).translate(_BITS), 2)
-    switches = dict.fromkeys(skeleton.nodes, 0)
-    flips = [0] * (skeleton.length + 1)
-    for i, (u, v, color) in enumerate(skeleton.edges):
-        switches[u] |= 1 << i
-        switches[v] |= 1 << i
-        flips[color] |= 1 << i
-    return AffineCode(len(skeleton.edges), offset,
-                      (*switches.values(), *flips))
 
 
 def count_valid_dashings(skeleton: Adinkra) -> int:

@@ -20,7 +20,6 @@ from . import _kernels
 from .baobab import (
     _ndxor_program,
     _slot_order,
-    dashing_code,
     skeleton_baobab_edges,
     skeleton_tree,
 )
@@ -526,25 +525,35 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
 def family_code(family: Family) -> AffineCode:
     """The valid blocks as an affine GF(2) code; bit i is position i.
 
-    Dashing blocks form the skeleton's `dashing_code`.  Reversing every
-    arrow at one node conjugates i, j and k by a diagonal sign matrix,
-    which keeps the relations, so the valid quaternion orientations are
-    the canonical one plus the span of the four vertex switches: 8 words.
+    The kernel holds every vertex switch (the edges at one node).  With
+    the L color flips, the 2**n switches span a dashing family's kernel,
+    the words even on every plaquette: the coboundaries plus the first
+    cohomology of the quotient's cubical complex, of dimension k (Zhang,
+    arXiv:1111.6055); the offset is the NDXOR program run from all-zero
+    slots.  Reversing every arrow at one node conjugates i, j and k by a
+    diagonal sign matrix, which keeps the quaternion relations: the
+    valid orientations are the canonical one plus the switches' span.
     """
     skeleton = family_skeleton(family)
-    if family.scheme == DASHING:
-        code = dashing_code(skeleton)
-        if code is None:
-            raise ContradictionError(
-                f"no block of {family.header()} satisfies every plaquette"
-            )
-        return code
-    from .quaternion import CANONICAL_DIRECTIONS
     edges = skeleton.edges
-    switches = (sum(1 << i for i, e in enumerate(edges) if x in (e.u, e.v))
-                for x in skeleton.nodes)
-    return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
-                      gf2_rref(switches))
+    switches = dict.fromkeys(skeleton.nodes, 0)
+    flips = [0] * (skeleton.length + 1)
+    for i, (u, v, color) in enumerate(edges):
+        switches[u] |= 1 << i
+        switches[v] |= 1 << i
+        flips[color] |= 1 << i
+    if family.scheme == DIRECTION:
+        from .quaternion import CANONICAL_DIRECTIONS
+        return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
+                          gf2_rref(switches.values()))
+    program = _ndxor_program(skeleton)
+    if program is None:
+        raise ContradictionError(
+            f"no block of {family.header()} satisfies every plaquette"
+        )
+    # the program writes every other edge before it reads it
+    return AffineCode(len(edges), _bits_word(program.run([0] * len(edges))),
+                      (*switches.values(), *flips))
 
 
 # ---------- distance and channel ----------

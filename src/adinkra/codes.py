@@ -135,8 +135,8 @@ class AffineCode:
     """The affine GF(2) code offset + span(basis) over n_bits-wide words.
 
     Word bit i is coordinate i.  Valid dashings of a skeleton form such a
-    code (see `baobab.dashing_code`), and so do the valid quaternion
-    orientations.  `basis`, any rows spanning the kernel (the differences
+    code, and so do the valid quaternion orientations; `codec.family_code`
+    builds both.  `basis`, any rows spanning the kernel (the differences
     between codewords), is kept in echelon form.
     """
 
@@ -184,35 +184,6 @@ class AffineCode:
             if not row >> n:
                 varying |= row
         return self.offset ^ left, varying
-
-    def words(self) -> tuple[int, ...]:
-        """All 2**dim codewords, ascending."""
-        return tuple(sorted(self.offset ^ w for w in gf2_span(self.basis)))
-
-    def min_distance(self) -> int:
-        """Least weight of a nonzero kernel word, which for an affine
-        code is the minimum distance between distinct codewords.
-
-        Walks the 2**dim kernel words in Gray-code order, one XOR each.
-        """
-        if not self.basis:
-            raise InputError("a 0-dimensional code has no two distinct words")
-        best = self.n_bits + 1
-        word = 0
-        for i in range(1, 1 << self.dim):
-            word ^= self.basis[(i & -i).bit_length() - 1]
-            w = word.bit_count()
-            if w < best:
-                best = w
-        return best
-
-
-def gf2_span(generators) -> tuple[int, ...]:
-    """All XOR combinations of the generators (2**rank words, sorted)."""
-    words = {0}
-    for g in generators:
-        words |= {w ^ int(g) for w in words}
-    return tuple(sorted(words))
 
 
 def _doubly_even_witness(generators) -> int | None:
@@ -295,10 +266,6 @@ class LinearBinaryCode:
     def k(self) -> int:
         """Code dimension."""
         return len(self.generators)
-
-    def span(self) -> tuple[int, ...]:
-        """All 2**k codewords, ascending (exhaustive; for small codes)."""
-        return gf2_span(self.generators)
 
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(bit_string(g, self.length) for g in self.generators)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from .baobab import Baobab
-from .codes import bit_string, weight
+from .baobab import Baobab, _check_head
+from .codes import bit_string, read_bits, weight
+from .errors import InputError
 from .graph import Adinkra, _graph_table, checked_heights, checked_signs
 
 _PALETTE = [
@@ -65,14 +66,21 @@ def adinkra_to_dot(adinkra: Adinkra) -> str:
 
 def baobab_to_dot(baobab: Baobab) -> str:
     """Render the determining subgraph: tree edges solid, cycle edges
-    bold, pinned arrows directed, with the carried bit on each label."""
+    bold, pinned arrows directed, with the carried bit on each label.
+    Bits off the slot edges, a bit not 0 or 1 and a pinned head off its
+    edge each raise one InputError."""
+    slots = baobab.slot_edges()
+    if baobab.bits.keys() != set(slots):
+        raise InputError(
+            f"baobab bits must cover exactly its {len(slots)} slot edges")
+    read_bits(map(baobab.bits.__getitem__, slots), len(slots),
+              "the baobab slots")
+    for e, head in baobab.pinned.items():
+        _check_head(e, head)
     length = baobab.length
     lines = ["graph baobab {"]
     append = lines.append
-    nodes = sorted(
-        {e.u for e in baobab.slot_edges()} | {e.v for e in baobab.slot_edges()}
-    )
-    for x in nodes:
+    for x in sorted({e.u for e in slots} | {e.v for e in slots}):
         append(_node_line(bit_string(x, length), weight(x) % 2 == 1))
 
     def edge_line(e, attrs: list[str]) -> None:
@@ -85,7 +93,7 @@ def baobab_to_dot(baobab: Baobab) -> str:
         tail, head = (bit_string(x, length) for x in ends)
         append(f'  "{tail}" -- "{head}" [{", ".join(attrs)}];')
 
-    for e in baobab.slot_edges():
+    for e in slots:
         attrs = [f"color={color_name(e.color)}", f'label="{baobab.bits[e]}"']
         if e in baobab.cycle_edges:
             attrs.append("penwidth=2")

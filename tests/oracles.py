@@ -77,6 +77,11 @@ def xor_span(generators):
     return sorted(words)
 
 
+def code_words(code):
+    """Every word of an affine code, ascending: all 2**dim of them."""
+    return sorted(code.offset ^ w for w in xor_span(code.basis))
+
+
 def doubly_even(generators):
     return all(bin(w).count("1") % 4 == 0 for w in xor_span(generators) if w)
 
@@ -544,7 +549,7 @@ def codewords(family):
     position i: all 2**dim words of its affine code, unguarded."""
     code = family_code(family)
     return tuple(tuple(w >> i & 1 for i in range(code.n_bits))
-                 for w in code.words())
+                 for w in code_words(code))
 
 
 def codewords_within(word, codewords, radius):

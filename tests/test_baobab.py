@@ -45,7 +45,6 @@ from adinkra import (
 from adinkra import baobab
 from adinkra.baobab import (
     cycle_color_set,
-    dashing_code,
     heights_from_directions,
     propagate_dashing,
     propagate_directions,
@@ -830,11 +829,11 @@ def test_compiled_program_equals_the_affine_form_oracle():
     for a, _ in structure_corpus():
         program = baobab._compile_ndxor(a, _plaquette_ids(a))
         assert program and program == oracles.naive_compile_ndxor(a)
-        assert dashing_code(a).dim == len(a.nodes) - 1 + a.code.k
+        assert count_valid_dashings(a) == 2 ** (len(a.nodes) - 1 + a.code.k)
     for a in odd_word_quotients():
         assert baobab._compile_ndxor(a, _plaquette_ids(a)) is False
         assert oracles.naive_compile_ndxor(a) is False
-        assert dashing_code(a) is None
+        assert count_valid_dashings(a) == 0
 
 
 # ---------- deferred traces ----------

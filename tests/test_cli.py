@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from adinkra import Edge, InputError, from_json
+from adinkra import Baobab, Edge, InputError, from_json
 from adinkra.cli import run
-from adinkra.dot import adinkra_to_dot
+from adinkra.dot import adinkra_to_dot, baobab_to_dot
 
 
 def invoke(capsys, monkeypatch, argv, stdin=""):
@@ -325,6 +325,28 @@ def test_export_dot_refuses_a_damaged_adinkra(damage, message, capsys,
     assert str(got.value) == message
 
 
+SLOT = Edge(0, 4, 1)  # the first slot of the n=3 baobab, pinned toward 4
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda b: dataclasses.replace(b, bits=drop(b.bits, SLOT)),
+     "baobab bits must cover exactly its 7 slot edges"),
+    (lambda b: dataclasses.replace(b, bits={**b.bits, Edge(5, 7, 2): 1}),
+     "baobab bits must cover exactly its 7 slot edges"),
+    (lambda b: dataclasses.replace(b, bits={**b.bits, SLOT: 7}),
+     "bit 0 of the baobab slots must be 0 or 1, got 7"),
+    (lambda b: dataclasses.replace(b, pinned={**b.pinned, SLOT: 2}),
+     "head 2 is not an endpoint of Edge(u=0, v=4, color=1)"),
+], ids=["dropped-slot", "extra-bit", "bit-seven", "head-off-edge"])
+def test_export_dot_refuses_a_damaged_baobab(damage, message, capsys,
+                                             monkeypatch):
+    _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "3"])
+    _, text, _ = invoke(capsys, monkeypatch, ["baobab"], stdin=built)
+    with pytest.raises(InputError) as got:
+        baobab_to_dot(damage(Baobab.from_json(text)))
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("command", ["export-dot", "reconstruct"])
 def test_baobab_with_a_long_generator_exits_two_with_one_line(
         command, capsys, monkeypatch):
@@ -501,7 +523,8 @@ def test_cli_import_pulls_in_no_numeric_stack():
 
 # ---------- import surface ----------
 
-# `adinkra.__all__` when the package imported every submodule eagerly
+# `adinkra.__all__` when the package imported every submodule eagerly,
+# less the since removed `gf2_span`
 PACKAGE_ALL = [
     "Adinkra", "AdinkraError", "AffineCode", "AmbiguousCorrectionError",
     "Baobab", "ContradictionError", "Correction", "DT", "DecodeResult",
@@ -519,7 +542,7 @@ PACKAGE_ALL = [
     "count_valid_dashings", "dashing_dof", "decode", "directed_dof_bounds",
     "dxor", "edge_between", "encode", "errors", "extract_baobab",
     "family_code", "fermion_nodes", "fill_erasures", "format_wire",
-    "from_json", "gf2_rref", "gf2_span", "graph", "inject_errors",
+    "from_json", "gf2_rref", "graph", "inject_errors",
     "is_boson", "is_doubly_even", "mat_add", "mat_mul", "mat_neg",
     "message_length", "min_distance", "ndxor", "neighbor",
     "normalize_heights", "parse_bit_string", "parse_family", "parse_wire",

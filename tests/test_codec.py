@@ -625,7 +625,8 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
     words = [sum(b << i for i, b in enumerate(w))
              for w in ORACLE_WORDS[QUATERNION_FAMILY]]
     spanned = AffineCode.from_words(words, 6)
-    assert code.words() == tuple(sorted(words)) == spanned.words()
+    assert oracles.code_words(code) == sorted(words) == oracles.code_words(
+        spanned)
     assert code.basis == (42, 27, 7)
     # residues are canonical, so they equal those of the oracle's span
     residue = oracles.residue

@@ -2,6 +2,7 @@
 headers end in InputError, never a raw KeyError or TypeError."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -10,11 +11,16 @@ from hypothesis import given, settings, strategies as st
 from adinkra import (
     AdinkraError,
     Baobab,
+    DoublyEvenCode,
     GateTrace,
     InputError,
+    LinearBinaryCode,
     ReplayError,
     SizeGuardError,
+    adinkra_to_gamma,
     build_chromotopology,
+    build_quotient_skeleton,
+    directed_dof_bounds,
     extract_baobab,
     from_json,
     parse_family,
@@ -27,7 +33,7 @@ from adinkra import (
 )
 from adinkra.cli import run
 from adinkra.codec import EdgeBitVector, encode
-from adinkra.graph import Edge
+from adinkra.graph import Edge, chromotopology_code
 from adinkra.quaternion import (
     directions_from_vector,
     matrices_from_directions,
@@ -745,3 +751,132 @@ def test_wire_line_length_is_checked_without_building_the_graph(monkeypatch):
     monkeypatch.setattr("adinkra.codec.build_chromotopology", refuse)
     with pytest.raises(InputError, match="need 524288 bits"):
         parse_wire("n=16;code=;scheme=dashing 0101")
+
+
+# ---------- library refusals, each with its documented text ----------
+
+
+def damaged_doc(doc, damage):
+    doc = copy.deepcopy(doc)
+    damage(doc)
+    return json.dumps(doc)
+
+
+def empty_baobab(doc):
+    doc.update(tree_edges=[], cycle_edges=[], bits="")
+
+
+def bad_head(doc):
+    doc["pinned"][0]["toward"] = "1111"
+
+
+FULL = full_adinkra(3, ("1111",))
+SKELETON = build_chromotopology(3, ("1111",))
+
+
+def off_heights(adinkra):
+    """`adinkra` with node 0 lifted to height 5: four edges then span
+    more than one level."""
+    return adinkra.with_heights({**adinkra.heights, 0: 5})
+
+
+# case -> (a call that raises InputError, its text)
+REFUSALS = {
+    "baobab without edges": (
+        lambda: Baobab.from_json(damaged_doc(BAOBAB_DOCS[1], empty_baobab)),
+        "baobab has no edges"),
+    "baobab pin off its edge": (
+        lambda: Baobab.from_json(damaged_doc(BAOBAB_DOCS[1], bad_head)),
+        "pinned arrow {'u': '0000', 'v': '0100', 'color': 2, "
+        "'toward': '1111'} has a bad head"),
+    "baobab of other generators": (
+        lambda: reconstruct_dashing(SKELETON, dataclasses.replace(
+            BAOBAB, code_generators=("1110",))),
+        "baobab code generators do not match the skeleton"),
+    "baobab of other odd colors": (
+        lambda: reconstruct_dashing(SKELETON, dataclasses.replace(
+            BAOBAB, odd_color_sets=(frozenset({1, 2}),))),
+        "baobab cycle color sets do not match the skeleton"),
+    "extraction without heights": (
+        lambda: extract_baobab(SKELETON.with_dashing(FULL.dashing)),
+        "extraction needs both dashing and heights"),
+    "heights on some nodes": (
+        lambda: from_json(damaged_doc(
+            ADINKRA_DOCS[1], lambda d: d["nodes"][0].update(height=None))),
+        "heights must be given for all nodes or none"),
+    "plain code, not doubly even": (
+        lambda: chromotopology_code(3, LinearBinaryCode(4, (0b1110,))),
+        "codeword 1110 has weight 3, not divisible by 4"),
+    "quotient of n = 0": (
+        lambda: build_quotient_skeleton(0, LinearBinaryCode(3, (0b111,))),
+        "n must be positive, got 0"),
+    "gamma of bad heights": (
+        lambda: adinkra_to_gamma(off_heights(FULL)),
+        "invalid adinkra: heights: 4 violation(s)"),
+    "code of length 0": (
+        lambda: LinearBinaryCode(0, ()),
+        "code length must be positive, got 0"),
+    "generators of mixed lengths": (
+        lambda: LinearBinaryCode.from_strings(["1111", "111"]),
+        "generator '111' has length 3, expected 4"),
+    "no generators and no length": (
+        lambda: LinearBinaryCode.from_strings([]),
+        "length is required when no generators are given"),
+    "directed bounds of n = 0": (
+        lambda: directed_dof_bounds(0),
+        "invalid n=0"),
+    "quaternion edge without direction": (
+        lambda: matrices_from_directions(
+            dict.fromkeys(quaternion_edges()[1:], 1)),
+        "direction missing for edge Edge(u=0, v=3, color=1)"),
+    "quaternion completion of an unknown edge": (
+        lambda: quaternion_baobab_completions({Edge(0, 1, 4): 1}),
+        "unknown edge Edge(u=0, v=1, color=4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refusals_name_their_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_plain_linear_code_passes_the_doubly_even_gate():
+    code = chromotopology_code(3, LinearBinaryCode(4, (0b1111,)))
+    assert type(code) is DoublyEvenCode and code.generators == (0b1111,)
+
+
+def test_verify_reports_heights_and_reads_a_file(tmp_path, capsys):
+    # from a file path: a bad height lists its edges and exits 1, an
+    # adinkra with no heights says so and exits 0, a non-integer height
+    # is refused as input
+    cases = {
+        "off": (to_json(off_heights(FULL)), 1, (
+            "odd-dashing: ok\nheights: 4 violation(s)\n"
+            "  edge Edge(u=0, v=7, color=1)\n  edge Edge(u=0, v=4, color=2)\n"
+            "  edge Edge(u=0, v=2, color=3)\n  edge Edge(u=0, v=1, color=4)\n"),
+            ""),
+        "absent": (to_json(SKELETON.with_dashing(FULL.dashing)), 0,
+                   "odd-dashing: ok\nheights: absent\n", ""),
+        "float": (damaged_doc(ADINKRA_DOCS[1], lambda d: d["nodes"][1].update(
+            height=0.5)), 2, "",
+            "error: input: height for '0001' must be an integer\n"),
+    }
+    for name, (text, code, out, err) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        got = run(["verify", str(path)]), *capsys.readouterr()
+        assert (name, got) == (name, (code, out, err))
+
+
+def test_export_dot_of_a_bare_skeleton(tmp_path, capsys):
+    # no dashing and no heights: plain edges, no rank rows or arrows
+    path = tmp_path / "skeleton.json"
+    path.write_text(to_json(build_chromotopology(2, ())))
+    assert run(["export-dot", str(path)]) == 0
+    dot, err = capsys.readouterr()
+    assert err == "" and dot.startswith("graph adinkra {\n")
+    assert "rank=same" not in dot and "dir=forward" not in dot
+    assert "style=dashed" not in dot and dot.count(" -- ") == 4
