@@ -50,13 +50,6 @@ from .graph import (
 )
 
 
-def __getattr__(name):  # the quaternion completions, re-exported on first use
-    if name not in ("QuaternionCompletion", "quaternion_baobab_completions"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import quaternion
-    return getattr(quaternion, name)
-
-
 # ---------- gates ----------
 
 

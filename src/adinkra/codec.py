@@ -219,7 +219,7 @@ def parse_wire(line: str) -> EdgeBitVector:
         raise InputError("wire line must be '<family-header> <bits>', "
                          f"got {len(parts)} fields")
     family = parse_family(parts[0])
-    return EdgeBitVector(family, read_bits(
+    return _block(family, read_bits(
         parts[1], block_length(family), family, text=True))
 
 
@@ -241,23 +241,26 @@ def _bits_word(bits) -> int:
 def encode(message, family: Family) -> EdgeBitVector:
     """Spread message bits over the baobab slots and complete the rest:
     by the family skeleton's compiled NDXOR program for dashing
-    families, by the affine code otherwise."""
+    families, by the affine code for the quaternion.  Every dashing
+    family has a program: its quotient code passed the doubly-even gate
+    of `graph.chromotopology_code`, and every doubly even quotient has
+    an odd dashing, which the program rebuilds from its slot bits."""
     slots = message_slots(family)
     bits = read_bits(message, len(slots), "the message",
                      text=isinstance(message, str), of=family)
     if family.scheme == DASHING:
         program = _ndxor_program(family_skeleton(family))
-        if program is not None:
-            vals = [None] * block_length(family)
-            for i, b in zip(slots, bits):
-                vals[i] = b
-            return _block(family, tuple(program.run(vals)))
+        vals = [None] * block_length(family)
+        for i, b in zip(slots, bits):
+            vals[i] = b
+        return _block(family, tuple(program.run(vals)))
     word = sum(b << i for i, b in zip(slots, bits))
     return _complete(family, word, sum(1 << i for i in slots))
 
 
 def _complete(family: Family, word: int, known_mask: int) -> EdgeBitVector:
-    """The one valid block agreeing with `word` on `known_mask`."""
+    """The one valid block agreeing with `word` on `known_mask`: the
+    quaternion's `encode` and `fill_erasures` of any family."""
     code = family_code(family)
     fill = code.complete(word, known_mask)
     if fill is None:
@@ -530,9 +533,12 @@ def family_code(family: Family) -> AffineCode:
     the words even on every plaquette: the coboundaries plus the first
     cohomology of the quotient's cubical complex, of dimension k (Zhang,
     arXiv:1111.6055); the offset is the NDXOR program run from all-zero
-    slots.  Reversing every arrow at one node conjugates i, j and k by a
-    diagonal sign matrix, which keeps the quaternion relations: the
-    valid orientations are the canonical one plus the switches' span.
+    slots.  Every dashing family has that program: its quotient code
+    passed the doubly-even gate of `graph.chromotopology_code`, and every
+    doubly even quotient has an odd dashing.  Reversing every arrow at
+    one node conjugates i, j and k by a diagonal sign matrix, which keeps
+    the quaternion relations: the valid orientations are the canonical
+    one plus the switches' span.
     """
     skeleton = family_skeleton(family)
     edges = skeleton.edges
@@ -547,10 +553,6 @@ def family_code(family: Family) -> AffineCode:
         return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
                           gf2_rref(switches.values()))
     program = _ndxor_program(skeleton)
-    if program is None:
-        raise ContradictionError(
-            f"no block of {family.header()} satisfies every plaquette"
-        )
     # the program writes every other edge before it reads it
     return AffineCode(len(edges), _bits_word(program.run([0] * len(edges))),
                       (*switches.values(), *flips))

@@ -136,8 +136,10 @@ class AffineCode:
 
     Word bit i is coordinate i.  Valid dashings of a skeleton form such a
     code, and so do the valid quaternion orientations; `codec.family_code`
-    builds both.  `basis`, any rows spanning the kernel (the differences
-    between codewords), is kept in echelon form.
+    builds both, from an offset and kernel rows, never from a list of
+    words.  `basis`, any rows spanning the kernel (the differences
+    between codewords), is kept in echelon form.  `complete` is the one
+    operation: filling a block in from its known bits.
     """
 
     n_bits: int
@@ -146,21 +148,6 @@ class AffineCode:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _echelon(self.basis))
-
-    @classmethod
-    def from_words(cls, words, n_bits: int) -> "AffineCode":
-        """The affine code whose words are exactly `words`."""
-        words = [int(w) for w in words]
-        if not words:
-            raise InputError("an affine code needs at least one word")
-        offset = words[0]
-        basis = gf2_rref(w ^ offset for w in words)
-        if 1 << len(basis) != len(set(words)):
-            raise InputError(
-                f"{len(words)} words do not form an affine space "
-                f"(their differences have rank {len(basis)})"
-            )
-        return cls(n_bits, offset, basis)
 
     @property
     def dim(self) -> int:

@@ -44,7 +44,7 @@ from adinkra.codec import (
     family_skeleton,
     syndrome,
 )
-from adinkra.codes import bit_string, check_bit
+from adinkra.codes import AffineCode, bit_string, check_bit
 from adinkra.errors import (
     AmbiguousCorrectionError,
     ContradictionError,
@@ -80,6 +80,22 @@ def xor_span(generators):
 def code_words(code):
     """Every word of an affine code, ascending: all 2**dim of them."""
     return sorted(code.offset ^ w for w in xor_span(code.basis))
+
+
+def affine_code_from_words(words, n_bits):
+    """The affine code whose words are exactly `words`: the first word
+    plus the span of the differences, refused unless that span has as
+    many words as `words` has distinct ones."""
+    words = [int(w) for w in words]
+    if not words:
+        raise InputError("an affine code needs at least one word")
+    code = AffineCode(n_bits, words[0], tuple(w ^ words[0] for w in words))
+    if 1 << code.dim != len(set(words)):
+        raise InputError(
+            f"{len(words)} words do not form an affine space "
+            f"(their differences have rank {code.dim})"
+        )
+    return code
 
 
 def doubly_even(generators):

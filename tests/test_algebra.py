@@ -89,6 +89,29 @@ def test_drop_phase_and_derivative():
         Monomial(1, 1, 0).drop_phase_and_derivative()
 
 
+def refusal(call, kind=InputError):
+    """The text of the `kind` error that `call()` raises."""
+    with pytest.raises(kind) as err:
+        call()
+    return str(err.value)
+
+
+def test_monomial_refuses_bad_parts():
+    assert refusal(lambda: Monomial(1.5)) == (
+        "monomial parts must be integers, got 1.5")
+    assert refusal(lambda: Monomial(1, 0, -1)) == (
+        "derivative power must be >= 0, got -1")
+
+
+def test_zero_passes_through_add_neg_and_drop():
+    # zero carries no derivative power, so it adds to any grade, and the
+    # zero monomial is the one ZERO
+    assert ONE.add(ZERO) is ONE
+    assert DT.add(ZERO) is DT
+    assert ZERO.neg() is ZERO
+    assert ZERO.drop_phase_and_derivative() is ZERO
+
+
 # ---------- matrices ----------
 
 
@@ -98,6 +121,26 @@ def test_matrix_from_integer_rows_and_multiplication():
     assert rot.entry(1, 0) == MINUS_ONE
     assert mat_mul(rot, rot) == MonomialMatrix.identity(2, MINUS_ONE)
     assert rot.transpose() == MonomialMatrix.from_rows(((0, -1), (1, 0)))
+
+
+def test_matrix_refuses_bad_entries_and_short_rows():
+    m = MonomialMatrix(2)
+    assert refusal(lambda: m.set_entry(2, 0, ONE)) == (
+        "entry (2, 0) outside dim 2")
+    assert refusal(lambda: m.set_entry(0, 0, 1)) == (
+        "entry must be a Monomial, got 1")
+    assert refusal(lambda: MonomialMatrix.from_rows([[1, 0], [1]])) == (
+        "row 1 has length 1, expected 2")
+    assert m.is_zero and MonomialMatrix(2) == m
+    assert not MonomialMatrix.identity(2).is_zero
+
+
+def test_matrix_equals_only_matrices_and_is_unhashable():
+    m = MonomialMatrix(2)
+    assert m.__eq__(0) is NotImplemented
+    assert not m == 0 and m != 0
+    assert refusal(lambda: hash(m), TypeError) == (
+        "MonomialMatrix is unhashable")
 
 
 def test_anticommutator_of_commuting_reflection_is_two_identity():
@@ -305,6 +348,9 @@ def test_check_quaternion_rejects_malformed_inputs():
     bad["k"] = MonomialMatrix.identity(4, DT)
     with pytest.raises(InputError):
         check_quaternion(bad)
+    small = dict.fromkeys("ijk", MonomialMatrix.identity(2, MINUS_ONE))
+    assert refusal(lambda: check_quaternion(small)) == (
+        "quaternion matrices must be 4x4, got dims {2}")
 
 
 # ---------- library arithmetic against the Monomial-object oracles ----------

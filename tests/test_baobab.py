@@ -334,6 +334,11 @@ def test_trace_jsonl_roundtrip_and_replay():
     parsed = GateTrace.from_jsonl(trace.to_jsonl())
     assert parsed == trace
     assert parsed.replay_dashing(seed) == bits
+    # blank lines, anywhere, are skipped
+    first, *rest = trace.to_jsonl().splitlines()
+    assert rest
+    spaced = "\n".join(["", first, "  ", *rest, "\t", ""])
+    assert GateTrace.from_jsonl(spaced) == trace
 
 
 def test_trace_rows_equal_the_encoder_oracle():
@@ -610,6 +615,9 @@ def test_pinning_refuses_partial_heights():
     a = skeleton_for(3, ())
     with pytest.raises(InputError, match=r"heights missing for nodes: \[1, 2,"):
         choose_pinned_arrows(a.with_heights({0: 0}))
+    with pytest.raises(InputError) as err:
+        choose_pinned_arrows(a)
+    assert str(err.value) == "pinning needs heights"
 
 
 def test_insufficient_pinning_reports_whole_color_classes():

@@ -54,6 +54,14 @@ def test_verify_accepts_built_adinkra(capsys, monkeypatch):
     assert "heights: ok" in out
 
 
+def test_verify_reports_a_missing_file(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = invoke(capsys, monkeypatch, ["verify", missing])
+    assert code == 2 and out == ""
+    assert err == ("error: io: [Errno 2] No such file or directory: "
+                   f"{missing!r}\n")
+
+
 def test_verify_flags_bad_dashing(capsys, monkeypatch):
     _, built, _ = invoke(capsys, monkeypatch, ["build", "--n", "2"])
     doc = json.loads(built)
@@ -627,7 +635,7 @@ def test_each_subcommand_loads_only_what_it_runs(
 
 def test_package_exports_resolve_on_first_access():
     import adinkra
-    from adinkra import baobab, quaternion
+    from adinkra import baobab
 
     assert adinkra.__all__ == PACKAGE_ALL
     assert set(PACKAGE_ALL) <= set(dir(adinkra))
@@ -640,8 +648,5 @@ def test_package_exports_resolve_on_first_access():
                for name in PACKAGE_ALL)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         adinkra.no_such_name
-    assert (baobab.quaternion_baobab_completions
-            is quaternion.quaternion_baobab_completions)
-    assert baobab.QuaternionCompletion is quaternion.QuaternionCompletion
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         baobab.no_such_name

@@ -276,6 +276,7 @@ def test_clean_syndrome_is_empty():
     syn = syndrome(v)
     assert syn.ok and not syn.violated
     assert syn.describe() == ()
+    assert bool(syn) is True
 
 
 def test_single_flip_violates_exactly_the_checks_on_that_edge():
@@ -283,7 +284,7 @@ def test_single_flip_violates_exactly_the_checks_on_that_edge():
     skeleton = family_skeleton(CUBE)
     for pos, edge in enumerate(skeleton.edges):
         syn = syndrome(v.flip([pos]))
-        assert not syn.ok
+        assert not syn.ok and bool(syn) is False
         hit = [
             f"plaquette colors={p.colors} base={p.base:03b}"
             for p in plaquettes(skeleton) if edge in p.edges
@@ -624,7 +625,7 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
     code = family_code.__wrapped__(QUATERNION_FAMILY)
     words = [sum(b << i for i, b in enumerate(w))
              for w in ORACLE_WORDS[QUATERNION_FAMILY]]
-    spanned = AffineCode.from_words(words, 6)
+    spanned = oracles.affine_code_from_words(words, 6)
     assert oracles.code_words(code) == sorted(words) == oracles.code_words(
         spanned)
     assert code.basis == (42, 27, 7)
