@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress, islice
+from functools import cached_property, lru_cache
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 from . import _kernels
@@ -100,20 +100,19 @@ def parse_family(text: str) -> Family:
     n = int(fields["n"])
     gens = tuple(g for g in fields["code"].split(",") if g)
     family = Family(n, gens, fields["scheme"])
-    _guarded_code(family)  # validate eagerly, without building the graph
+    _resolve(family)  # validate eagerly, without building the graph
     return family
 
 
-def _guarded_code(family: Family) -> DoublyEvenCode | None:
-    """`_quotient_code`, with the size guard applied on every call: the
-    guard reads the environment, so a cached answer must not skip it."""
-    code = _quotient_code(family)
-    if code is not None:
+def _resolve(family: Family) -> "_Record":
+    """The family's record, with the size guard read on every call: the
+    guard reads the environment, so a cached record must not skip it."""
+    record = _record(family)
+    if record.quotient is not None:
         _kernels.check_guard(family.n, "quotient construction")
-    return code
+    return record
 
 
-@lru_cache(maxsize=64)
 def _quotient_code(family: Family) -> DoublyEvenCode | None:
     """The quotient code of a dashing family (None for the quaternion
     family), after every check that building its graph would make."""
@@ -129,38 +128,104 @@ def _quotient_code(family: Family) -> DoublyEvenCode | None:
     return chromotopology_code(family.n, family.code_generators)
 
 
+class _Record:
+    """One family's parts.  The quotient code and the block length (the
+    graph's edges: 2**n nodes of degree L = n + k) are set at once, which
+    builds no graph; the skeleton, slots, program, checks and affine
+    code are each built on first read and kept.  `_record` keeps the
+    records of the last 64 families, so a call resolves its family with
+    one lookup."""
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.quotient = _quotient_code(family)
+        self.n_bits = (family.n + len(family.code_generators)) << (
+            family.n - 1)
+
+    @cached_property
+    def skeleton(self) -> Adinkra:
+        if self.quotient is None:
+            from .quaternion import quaternion_skeleton
+            return quaternion_skeleton()
+        return build_chromotopology(self.family.n, self.quotient)
+
+    @cached_property
+    def slots(self) -> tuple[int, ...]:
+        skeleton = self.skeleton
+        index = {e: i for i, e in enumerate(skeleton.edges)}
+        if self.quotient is not None:
+            tree, cycles, _ = skeleton_baobab_edges(skeleton)
+            slots = _slot_order(tree + cycles)
+        else:
+            slots = skeleton_tree(skeleton)
+        return tuple(index[e] for e in slots)
+
+    @cached_property
+    def program(self):
+        """A dashing family's compiled NDXOR program."""
+        return _ndxor_program(self.skeleton)
+
+    @cached_property
+    def checks(self) -> "_Checks":
+        """The parity checks of the family's valid blocks.  A dashing
+        family's are its plaquettes, on the edge ids of the plaquette
+        table, each odd.  The quaternion's are the triangles of its
+        graph, K4: the edges away from one of nodes 1, 2, 3.  A triangle
+        meets every vertex switch in 0 or 2 edges, and the three are
+        independent, so they span the dual of the switches' span (see
+        `code`); each wants the parity of `CANONICAL_DIRECTIONS` on it."""
+        skeleton = self.skeleton
+        if self.quotient is not None:
+            table = _plaquette_ids(skeleton)
+            return _Checks(table.quads, 4, [1] * len(table.quads),
+                           table.incidence, skeleton.length - 1)
+        from .quaternion import CANONICAL_DIRECTIONS
+        edges = skeleton.edges
+        rows = [tuple(i for i, e in enumerate(edges) if x not in (e.u, e.v))
+                for x in skeleton.nodes[1:]]
+        through = [([j for j, row in enumerate(rows) if i in row],)
+                   for i in range(len(edges))]
+        return _Checks(rows, 3, [sum(CANONICAL_DIRECTIONS[i] for i in row) & 1
+                                 for row in rows],
+                       through, max(len(js) for (js,) in through))
+
+    @cached_property
+    def code(self) -> AffineCode:
+        """The affine code of the valid blocks (see `family_code`)."""
+        skeleton = self.skeleton
+        edges = skeleton.edges
+        switches = dict.fromkeys(skeleton.nodes, 0)
+        flips = [0] * (skeleton.length + 1)
+        for i, (u, v, color) in enumerate(edges):
+            switches[u] |= 1 << i
+            switches[v] |= 1 << i
+            flips[color] |= 1 << i
+        if self.quotient is None:
+            from .quaternion import CANONICAL_DIRECTIONS
+            return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
+                              gf2_rref(switches.values()))
+        # the program writes every other edge before it reads it
+        return AffineCode(len(edges),
+                          _bits_word(self.program.run([0] * len(edges))),
+                          (*switches.values(), *flips))
+
+
+_record = lru_cache(maxsize=64)(_Record)
+
+
 def family_skeleton(family: Family) -> Adinkra:
     """The graph a family's bit vectors live on."""
-    _guarded_code(family)
-    return _family_skeleton(family)
-
-
-@lru_cache(maxsize=64)
-def _family_skeleton(family: Family) -> Adinkra:
-    code = _quotient_code(family)
-    if code is None:
-        from .quaternion import quaternion_skeleton
-        return quaternion_skeleton()
-    return build_chromotopology(family.n, code)
+    return _resolve(family).skeleton
 
 
 def block_length(family: Family) -> int:
     """Edges of the family's graph: 2**n nodes of degree L = n + k."""
-    _quotient_code(family)
-    return (family.n + len(family.code_generators)) << (family.n - 1)
+    return _record(family).n_bits
 
 
-@lru_cache(maxsize=64)
 def message_slots(family: Family) -> tuple[int, ...]:
     """Edge positions carrying the free bits, in canonical order."""
-    skeleton = family_skeleton(family)
-    index = {e: i for i, e in enumerate(skeleton.edges)}
-    if family.scheme == DASHING:
-        tree, cycles, _ = skeleton_baobab_edges(skeleton)
-        slots = _slot_order(tree + cycles)
-    else:
-        slots = skeleton_tree(skeleton)
-    return tuple(index[e] for e in slots)
+    return _record(family).slots
 
 
 def message_length(family: Family) -> int:
@@ -185,7 +250,7 @@ class EdgeBitVector:
 
     def flip(self, positions) -> "EdgeBitVector":
         bits = list(self.bits)
-        for p in positions:
+        for p in _iterable(positions, "flip"):
             bits[_position(p, len(bits), "flip")] ^= 1
         return _block(self.family, tuple(bits))
 
@@ -198,6 +263,16 @@ def _block(family: Family, bits: tuple[int, ...]) -> EdgeBitVector:
     object.__setattr__(vector, "family", family)
     object.__setattr__(vector, "bits", bits)
     return vector
+
+
+def _iterable(positions, what: str):
+    """An iterator over a caller's `positions`; InputError naming the
+    type of an argument that is not iterable."""
+    try:
+        return iter(positions)
+    except TypeError:
+        raise InputError(f"need an iterable of {what} positions, got "
+                         f"{type(positions).__name__}") from None
 
 
 def _position(p, n_bits: int, what: str) -> int:
@@ -241,32 +316,38 @@ def _bits_word(bits) -> int:
 def encode(message, family: Family) -> EdgeBitVector:
     """Spread message bits over the baobab slots and complete the rest:
     by the family skeleton's compiled NDXOR program for dashing
-    families, by the affine code for the quaternion.  Every dashing
-    family has a program: its quotient code passed the doubly-even gate
-    of `graph.chromotopology_code`, and every doubly even quotient has
-    an odd dashing, which the program rebuilds from its slot bits."""
-    slots = message_slots(family)
+    families, by peeling on the triangles for the quaternion, whose
+    slots are a spanning tree of K4.  Every dashing family has a
+    program: its quotient code passed the doubly-even gate of
+    `graph.chromotopology_code`, and every doubly even quotient has an
+    odd dashing, which the program rebuilds from its slot bits."""
+    record = _resolve(family)
+    slots = record.slots
     bits = read_bits(message, len(slots), "the message",
                      text=isinstance(message, str), of=family)
-    if family.scheme == DASHING:
-        program = _ndxor_program(family_skeleton(family))
-        vals = [None] * block_length(family)
-        for i, b in zip(slots, bits):
-            vals[i] = b
-        return _block(family, tuple(program.run(vals)))
-    word = sum(b << i for i, b in zip(slots, bits))
-    return _complete(family, word, sum(1 << i for i in slots))
+    vals = [None] * record.n_bits
+    for i, b in zip(slots, bits):
+        vals[i] = b
+    if record.quotient is None:
+        _peel(record.checks, vals, set(range(record.n_bits)).difference(slots))
+    else:
+        record.program.run(vals)
+    return _block(family, tuple(vals))
+
+
+def _contradiction(family: Family) -> ContradictionError:
+    return ContradictionError(
+        f"no valid block of {family.header()} agrees with the known bits")
 
 
 def _complete(family: Family, word: int, known_mask: int) -> EdgeBitVector:
-    """The one valid block agreeing with `word` on `known_mask`: the
-    quaternion's `encode` and `fill_erasures` of any family."""
-    code = family_code(family)
+    """The one valid block agreeing with `word` on `known_mask`, solved
+    over the family's affine code: `fill_erasures` of L or more
+    erasures, or of a pattern the peel leaves."""
+    code = _record(family).code
     fill = code.complete(word, known_mask)
     if fill is None:
-        raise ContradictionError(
-            f"no valid block of {family.header()} agrees with the known bits"
-        )
+        raise _contradiction(family)
     block, varying = fill
     if varying:
         unresolved = [i for i in range(code.n_bits) if varying >> i & 1]
@@ -311,7 +392,8 @@ class PlaquetteCheck:
 
 def syndrome(vector: EdgeBitVector) -> Syndrome:
     """Every violated check for the given block."""
-    return Syndrome(vector.family, _violations(vector)[1])
+    return Syndrome(vector.family,
+                    _violations(_resolve(vector.family), vector)[1])
 
 
 # ---------- correction ----------
@@ -327,7 +409,7 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     """Smallest flip set that makes the block a codeword.
 
     The block's syndrome is the mask of its family's violated parity
-    checks (`_family_checks`); a flip set repairs the block when the
+    checks (`_Record.checks`); a flip set repairs the block when the
     masks of the checks through its bits XOR to it.  Sets are sought by
     size (`_Checks.flip_sets`), and all repairs of the winning size are
     collected: more than one is an ambiguity error, none within the
@@ -335,21 +417,28 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     bound, weight**size leaves for checks of `weight` bits, exceeds
     2**guard is refused before its search.
     """
+    return _correct(vector, max_flips)[0]
+
+
+def _correct(vector: EdgeBitVector,
+             max_flips: int) -> tuple[Correction, "_Record"]:
+    """`correct`, and the record of the block's family."""
     if not json_int(max_flips):
         raise InputError(f"max_flips must be an integer, got {max_flips!r}")
     if max_flips < 0:
         raise InputError(f"max_flips must be >= 0, got {max_flips}")
-    checks = _family_checks(vector.family)
+    record = _resolve(vector.family)
+    checks = record.checks
     mask = checks.mask(vector.bits)
     if not mask:
-        return Correction(vector, ())
+        return Correction(vector, ()), record
     for size in range(1, max_flips + 1):
         if size > 1:  # single flips cost less than reading the guard
             bits = (checks.weight ** size - 1).bit_length()
             _kernels.check_guard(bits, f"correction walk of {size}-flip sets")
         hits = checks.flip_sets(mask, size)
         if len(hits) == 1:
-            return Correction(vector.flip(hits[0]), hits[0])
+            return Correction(vector.flip(hits[0]), hits[0]), record
         if len(hits) > 1:
             raise AmbiguousCorrectionError(
                 f"{len(hits)} distinct {size}-bit corrections clear the "
@@ -357,7 +446,7 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
                 candidates=tuple(hits),
             )
     # the count and the first three: all-zero L=16 violates 61440 checks
-    count, violated = _violations(vector, 3, mask)
+    count, violated = _violations(record, vector, 3, mask)
     first = ", the first 3" if count > 3 else ""
     raise UncorrectableError(
         f"detected-uncorrectable: no correction within {max_flips} flip(s); "
@@ -365,24 +454,24 @@ def correct(vector: EdgeBitVector, max_flips: int = 1) -> Correction:
     )
 
 
-def _violations(vector: EdgeBitVector, shown: int | None = None,
+def _violations(record: "_Record", vector: EdgeBitVector,
+                shown: int | None = None,
                 mask: int | None = None) -> tuple[int, tuple]:
     """How many checks the block violates, and the first `shown` (all by
     default) of the ones `syndrome` lists.  A dashing block reads both
     off its syndrome mask (`_Checks.mask`, or `mask` if given) and
     describes only the plaquettes it shows; a quaternion block names
     the relations its matrices break."""
-    family = vector.family
-    if family.scheme != DASHING:
+    skeleton = record.skeleton
+    if record.quotient is None:
         from .algebra import check_quaternion
         from .quaternion import matrices_from_directions
-        directions = dict(zip(family_skeleton(family).edges, vector.bits))
+        directions = dict(zip(skeleton.edges, vector.bits))
         violated = check_quaternion(
             matrices_from_directions(directions)).violated_relations()
         return len(violated), violated[:shown]
     if mask is None:
-        mask = _family_checks(family).mask(vector.bits)
-    skeleton = family_skeleton(family)
+        mask = record.checks.mask(vector.bits)
     table = _plaquette_ids(skeleton)
     # bit j of the mask is plaquette j: its binary digits, lowest first
     broken = format(mask, "b")[::-1].encode().translate(_FLAGS)
@@ -399,11 +488,11 @@ class _Checks:
     any position.  A syndrome is one int, bit j set where check j
     fails."""
 
-    __slots__ = ("supports", "weight", "through", "column_weight",
+    __slots__ = ("supports", "weight", "odd", "through", "column_weight",
                  "count", "gather", "need", "column")
 
     def __init__(self, supports, weight, odd, through, column_weight):
-        self.supports, self.weight = supports, weight
+        self.supports, self.weight, self.odd = supports, weight, odd
         self.through, self.column_weight = through, column_weight
         self.count = count = len(supports)
         # the bits of every check's k-th position, checks from the last
@@ -461,31 +550,6 @@ class _Checks:
         return sorted(hits)
 
 
-@lru_cache(maxsize=64)
-def _family_checks(family: Family) -> _Checks:
-    """The parity checks of a family's valid blocks.  A dashing family's
-    are its plaquettes, on the edge ids of the plaquette table, each odd.
-    The quaternion's are the triangles of its graph, K4: the edges away
-    from one of nodes 1, 2, 3.  A triangle meets every vertex switch in
-    0 or 2 edges, and the three are independent, so they span the dual
-    of the switches' span (see `family_code`); each wants the parity of
-    `CANONICAL_DIRECTIONS` on it."""
-    skeleton = family_skeleton(family)
-    if family.scheme == DASHING:
-        table = _plaquette_ids(skeleton)
-        return _Checks(table.quads, 4, [1] * len(table.quads),
-                       table.incidence, skeleton.length - 1)
-    from .quaternion import CANONICAL_DIRECTIONS
-    edges = skeleton.edges
-    rows = [tuple(i for i, e in enumerate(edges) if x not in (e.u, e.v))
-            for x in skeleton.nodes[1:]]
-    through = [([j for j, row in enumerate(rows) if i in row],)
-               for i in range(len(edges))]
-    return _Checks(rows, 3, [sum(CANONICAL_DIRECTIONS[i] for i in row) & 1
-                             for row in rows],
-                   through, max(len(js) for (js,) in through))
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     message: tuple[int, ...]
@@ -497,11 +561,9 @@ class DecodeResult:
 
 def decode(vector: EdgeBitVector, max_flips: int = 1) -> DecodeResult:
     """Correct the block, then read the message off the baobab slots."""
-    fixed = correct(vector, max_flips)
-    slots = message_slots(vector.family)
-    return DecodeResult(
-        tuple(fixed.vector.bits[i] for i in slots), fixed.flips
-    )
+    fixed, record = _correct(vector, max_flips)
+    bits = fixed.vector.bits
+    return DecodeResult(tuple(bits[i] for i in record.slots), fixed.flips)
 
 
 # ---------- erasures ----------
@@ -513,18 +575,74 @@ def fill_erasures(vector: EdgeBitVector, erased) -> EdgeBitVector:
     No valid block agrees with the survivors: ContradictionError.
     Several do: UnderDeterminedError, whose `unresolved` lists the
     positions where they differ.  Exactly one: that block.
+
+    Fewer erasures than L = n + k, the code's distance, leave at most
+    one agreeing block, and the baobab circuit finds it: NDXOR run on
+    the survivors (`_peel`), kept only if it is a valid block.  L or
+    more erasures, or a peel that stalls, are solved over the family's
+    affine code (`_complete`): a peel's passes read every check through
+    every erased position, while one row reduction costs about the same
+    at any count, so from L up it is the cheaper path.
     """
     n_bits = len(vector.bits)
-    erased = {_position(p, n_bits, "erased") for p in erased}
+    erased = {_position(p, n_bits, "erased")
+              for p in _iterable(erased, "erased")}
+    family = vector.family
+    record = _resolve(family)
+    if len(erased) < family.n + len(family.code_generators):
+        vals = list(vector.bits)
+        for i in erased:
+            vals[i] = None
+        if _peel(record.checks, vals, erased):
+            if record.quotient is None:  # valid when no triangle fails
+                valid = not record.checks.mask(vals)
+            else:  # valid when the program rebuilds it from its slots
+                valid = record.program.run(vals.copy()) == vals
+            if not valid:
+                raise _contradiction(family)
+            return _block(family, tuple(vals))
     # the positions are distinct, so their sum is their mask
     known_mask = ((1 << n_bits) - 1) ^ sum(1 << i for i in erased)
-    return _complete(vector.family, _bits_word(vector.bits), known_mask)
+    return _complete(family, _bits_word(vector.bits), known_mask)
+
+
+def _peel(checks: _Checks, vals: list, erased) -> bool:
+    """Fill the `erased` positions of `vals` (None there) by peeling: a
+    check whose other positions are all known gets the parity it wants
+    at its erased one, until no erased position has such a check.  True
+    when every position is filled; False when the peel stalls on a
+    stopping set, which no check meets exactly once.  A valid block
+    agreeing with the survivors satisfies every check, so it agrees
+    with every filled bit (Luby, Mitzenmacher, Shokrollahi and
+    Spielman, IEEE Trans. IT 47(2), 2001).  A pass over the erased
+    positions reads up to the L - 1 checks through each, so it suits
+    patterns below the distance L, which one pass mostly clears."""
+    supports, through, odd = checks.supports, checks.through, checks.odd
+    left = list(erased)
+    while left:
+        stalled = []
+        for i in left:
+            for j in chain.from_iterable(through[i]):
+                bit = odd[j]
+                for k in supports[j]:
+                    if k != i:
+                        if vals[k] is None:
+                            break
+                        bit ^= vals[k]
+                else:
+                    vals[i] = bit
+                    break
+            else:
+                stalled.append(i)
+        if len(stalled) == len(left):
+            return False
+        left = stalled
+    return True
 
 
 # ---------- the family's affine code ----------
 
 
-@lru_cache(maxsize=64)
 def family_code(family: Family) -> AffineCode:
     """The valid blocks as an affine GF(2) code; bit i is position i.
 
@@ -540,22 +658,7 @@ def family_code(family: Family) -> AffineCode:
     the quaternion relations: the valid orientations are the canonical
     one plus the switches' span.
     """
-    skeleton = family_skeleton(family)
-    edges = skeleton.edges
-    switches = dict.fromkeys(skeleton.nodes, 0)
-    flips = [0] * (skeleton.length + 1)
-    for i, (u, v, color) in enumerate(edges):
-        switches[u] |= 1 << i
-        switches[v] |= 1 << i
-        flips[color] |= 1 << i
-    if family.scheme == DIRECTION:
-        from .quaternion import CANONICAL_DIRECTIONS
-        return AffineCode(len(edges), _bits_word(CANONICAL_DIRECTIONS),
-                          gf2_rref(switches.values()))
-    program = _ndxor_program(skeleton)
-    # the program writes every other edge before it reads it
-    return AffineCode(len(edges), _bits_word(program.run([0] * len(edges))),
-                      (*switches.values(), *flips))
+    return _record(family).code
 
 
 # ---------- distance and channel ----------
@@ -574,7 +677,7 @@ def min_distance(family: Family) -> int:
     3 = L.  Only the header is checked, with the guard on a dashing
     family's n, as `parse_family` checks it.
     """
-    _guarded_code(family)
+    _resolve(family)
     return family.n + len(family.code_generators)
 
 

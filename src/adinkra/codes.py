@@ -50,10 +50,10 @@ def check_bit(value, what: str, edge=None) -> int:
 def read_bits(values, n: int, what, text: bool = False,
               of=None) -> tuple[int, ...]:
     """The `n` bits of `values` as a tuple of ints: a string of 0s and 1s
-    if `text`, else a sequence of `check_bit` bits.  Another length is
-    refused with its length, then a bad entry with its position, so no
-    error quotes the run; `what` names the run and `of`, if given, its
-    owner, both formatted only then.  Success costs C-level passes only;
+    if `text`, else an iterable of `check_bit` bits.  A non-iterable is
+    refused with its type, another length with its length, then a bad
+    entry with its position, so no error quotes the run; `what` names
+    the run and `of`, if given, its owner, both formatted only then.  Success costs C-level passes only;
     the scan runs after a failure."""
     if text:
         if not isinstance(values, str):
@@ -64,13 +64,21 @@ def read_bits(values, n: int, what, text: bool = False,
             return tuple(map(int, values))
         bits = tuple({"0": 0, "1": 1}.get(c, c) for c in values)
     else:
-        bits = tuple(values)
-        # types first: a bool, a float or an unhashable entry fails there
-        if (len(bits) == n and {int}.issuperset(map(type, bits))
-                and {0, 1}.issuperset(bits)):
-            return bits
+        try:
+            bits = tuple(values)
+        except TypeError:
+            bits = None
+        else:
+            # types first: a bool, a float or an unhashable entry
+            # fails there
+            if (len(bits) == n and {int}.issuperset(map(type, bits))
+                    and {0, 1}.issuperset(bits)):
+                return bits
     if of is not None:
         what = f"{what} of {of}"
+    if bits is None:
+        raise InputError(f"need an iterable of bits for {what}, "
+                         f"got {type(values).__name__}")
     if len(bits) != n:
         raise InputError(f"need {n} bits for {what}, got {len(bits)}")
     for k, b in enumerate(bits):  # some entry is no bit: check_bit raises

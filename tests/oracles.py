@@ -369,6 +369,34 @@ def min_even_set_by_branching(n_edges, quads, max_weight):
     return None
 
 
+def stopping_sets(n_bits, supports, max_size):
+    """Stopping sets of at most `max_size` positions, among them every
+    minimal one: sets that no support meets exactly once, on which
+    peeling stalls.  Grow a set from its least position: while some
+    support meets it once, any stopping superset holds one more of that
+    support's positions, so branch on those above the least.  Sorted
+    tuples, in order."""
+    through = [[] for _ in range(n_bits)]
+    for s in supports:
+        for i in s:
+            through[i].append(s)
+    found = set()
+
+    def grow(chosen, least):
+        once = next((s for i in chosen for s in through[i]
+                     if len(chosen.intersection(s)) == 1), None)
+        if once is None:
+            found.add(tuple(sorted(chosen)))
+        elif len(chosen) < max_size:
+            for j in once:
+                if j > least and j not in chosen:
+                    grow(chosen | {j}, least)
+
+    for e in range(n_bits):
+        grow({e}, e)
+    return sorted(found)
+
+
 def naive_min_distance(words):
     best = None
     for a, b in combinations(words, 2):

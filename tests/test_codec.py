@@ -522,6 +522,28 @@ def test_positions_must_be_plain_integers(position):
             f"{what} position {position!r} is not an integer")
 
 
+def test_a_non_iterable_argument_gives_one_input_error():
+    v = encode((1, 1, 0), SQUARE)
+    header = SQUARE.header()
+    for call, text in (
+            (lambda: encode(None, SQUARE), "need an iterable of bits for "
+                                           f"the message of {header}, got "
+                                           "NoneType"),
+            (lambda: encode(5, SQUARE), "need an iterable of bits for the "
+                                        f"message of {header}, got int"),
+            (lambda: EdgeBitVector(SQUARE, None), "need an iterable of bits "
+                                                  f"for {header}, got "
+                                                  "NoneType"),
+            (lambda: fill_erasures(v, None),
+             "need an iterable of erased positions, got NoneType"),
+            (lambda: fill_erasures(v, 5),
+             "need an iterable of erased positions, got int"),
+            (lambda: v.flip(3), "need an iterable of flip positions, got int")):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == text
+
+
 # ---------- bits and counts of the wrong type ----------
 
 
@@ -622,7 +644,7 @@ def test_quaternion_code_is_built_without_checking_orientations(monkeypatch):
 
     for module in (algebra, quaternion):
         monkeypatch.setattr(module, "check_quaternion", refuse)
-    code = family_code.__wrapped__(QUATERNION_FAMILY)
+    code = codec._Record(QUATERNION_FAMILY).code  # a fresh build
     words = [sum(b << i for i, b in enumerate(w))
              for w in ORACLE_WORDS[QUATERNION_FAMILY]]
     spanned = oracles.affine_code_from_words(words, 6)
@@ -828,7 +850,7 @@ def test_search_equals_the_walk_on_every_pattern(family):
 def test_syndrome_mask_marks_the_violated_checks():
     rng = random.Random(33)
     for family in SEARCH_FAMILIES:
-        checks = codec._family_checks(family)
+        checks = codec._record(family).checks
         code = family_code(family)
         n_bits = block_length(family)
         for _ in range(20):
@@ -858,15 +880,12 @@ def test_quaternion_checks_come_from_its_graph(monkeypatch):
                           for max_flips in range(3))))
         return out
 
-    def refuse(family):
+    def refuse(record):
         raise AssertionError("family_code called")
 
     want = results()
-    for cached in (codec._family_checks, codec.family_code,
-                   codec.message_slots, codec._family_skeleton,
-                   codec._quotient_code):
-        cached.cache_clear()
-    monkeypatch.setattr(codec, "family_code", refuse)
+    codec._record.cache_clear()
+    monkeypatch.setattr(codec._Record, "code", property(refuse))
     assert results() == want
 
 
@@ -960,3 +979,131 @@ def test_inject_errors_is_deterministic():
     assert other != pos1  # different draw for a different seed
     with pytest.raises(InputError):
         inject_errors(v, 99, seed=1)
+
+
+# ---------- erasures by peeling ----------
+
+
+N4 = Family(4, (), DASHING)
+
+
+def peeled(family, sent, erased):
+    """The block after peeling the erased positions of `sent` on the
+    family's checks, or None if the peel stalls."""
+    vals = list(sent.bits)
+    for i in erased:
+        vals[i] = None
+    return vals if codec._peel(codec._record(family).checks, vals,
+                               erased) else None
+
+
+@pytest.mark.parametrize("family, count", [
+    (SQUARE, 6), (CUBE, 8), (N4, 16), (QUOTIENT31, 12),
+    (Family(4, ("11110",), DASHING), 16), (QUATERNION_FAMILY, 4),
+])
+def test_peeling_stalls_on_no_pattern_below_the_distance(family, count):
+    # the stopping distance is L: every pattern of fewer erasures peels
+    # to the sent block, and the stalls of size L are kernel supports
+    # (vertex stars and color flips), so the survivors do not fix them
+    sent = encode(tuple(i % 2 for i in range(message_length(family))),
+                  family)
+    n_bits, distance = block_length(family), min_distance(family)
+    for size in range(distance):
+        for erased in itertools.combinations(range(n_bits), size):
+            assert peeled(family, sent, erased) == list(sent.bits)
+    stalls = oracles.stopping_sets(
+        n_bits, codec._record(family).checks.supports, distance)
+    assert len(stalls) == count
+    assert {len(s) for s in stalls} == {distance}
+    if n_bits <= 32:  # all of that size, else the oracle's list alone
+        assert stalls == [
+            erased for erased in itertools.combinations(range(n_bits),
+                                                        distance)
+            if peeled(family, sent, erased) is None]
+    code = family_code(family)
+    for erased in stalls:
+        assert peeled(family, sent, erased) is None
+        support = sum(1 << i for i in erased)
+        assert oracles.gf2_rank([*code.basis, support]) == code.dim
+
+
+@pytest.mark.parametrize("family", [SQUARE, CUBE, N4, QUOTIENT31, E8,
+                                    QUATERNION_FAMILY])
+def test_fills_below_the_distance_need_no_affine_solve(family, monkeypatch):
+    # below L erasures every fill is a peel; the quaternion's encode
+    # peels its three other edges.  On the oracle's families a flipped
+    # survivor is judged as the agreeing codewords judge it
+    sent = encode(tuple(i % 2 for i in range(message_length(family))),
+                  family)
+    want = {w for m in range(8) for w in [encode(
+        (m & 1, m >> 1 & 1, m >> 2), family).bits]} if (
+        family == QUATERNION_FAMILY) else None
+    monkeypatch.setattr(codec, "_complete", None)
+    n_bits, distance = block_length(family), min_distance(family)
+    rng = random.Random(n_bits)
+    if n_bits <= 32:
+        patterns = [erased for size in range(distance)
+                    for erased in itertools.combinations(range(n_bits), size)]
+    else:  # e8: 64 bits, L = 8
+        patterns = [rng.sample(range(n_bits), size)
+                    for size in range(distance) for _ in range(40)]
+    for erased in patterns:
+        assert fill_erasures(sent.flip(erased), erased) == sent
+        if family in ORACLE_WORDS:
+            survivor = rng.choice([i for i in range(n_bits)
+                                   if i not in erased])
+            assert_fill_matches_oracle(sent.flip([survivor]), erased)
+    if want is not None:
+        assert want == set(ORACLE_WORDS[family])
+
+
+def test_length_16_fills_equal_the_affine_solve(monkeypatch):
+    # below L = 16 erasures a fill peels; from L up, and where a peel
+    # stalls, it is solved over the affine code, as AffineCode.complete
+    # answers alone
+    sent, rng = rm14_block(38)
+    family, n_bits = sent.family, 16384
+    code = family_code(family)
+
+    def solve(block, erased):
+        known = ((1 << n_bits) - 1) ^ sum(1 << i for i in erased)
+        return code.complete(sum(b << i for i, b in enumerate(block.bits)),
+                             known)
+
+    solved = []
+    complete = codec._complete
+
+    def counted(*args):
+        solved.append(args[2])
+        return complete(*args)
+
+    monkeypatch.setattr(codec, "_complete", counted)
+    for count, peels in ((3, True), (15, True), (16, False), (1638, False),
+                         (8192, False)):
+        erased = rng.sample(range(n_bits), count)
+        want, varying = solve(sent, erased)
+        assert varying == 0
+        got = fill_erasures(sent.flip(erased), erased)
+        assert got == sent and got.bits == tuple(
+            want >> i & 1 for i in range(n_bits))
+        assert len(solved) == (0 if peels else 1)
+        solved.clear()
+    # one whole color class: every block with the other bits differs
+    # from this one by the color flip
+    edges = family_skeleton(family).edges
+    erased = [i for i, e in enumerate(edges) if e.color == 1]
+    with pytest.raises(UnderDeterminedError) as err:
+        fill_erasures(sent, erased)
+    _, varying = solve(sent, erased)
+    assert err.value.unresolved == tuple(
+        i for i in range(n_bits) if varying >> i & 1) == tuple(erased)
+    assert len(solved) == 1
+    solved.clear()
+    # three erasures beside a flipped survivor: no block agrees
+    *erased, survivor = rng.sample(range(n_bits), 4)
+    with pytest.raises(ContradictionError) as err:
+        fill_erasures(sent.flip([survivor]), erased)
+    assert str(err.value) == (f"no valid block of {family.header()} agrees "
+                              "with the known bits")
+    assert solve(sent.flip([survivor]), erased) is None
+    assert solved == []

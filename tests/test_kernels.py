@@ -108,8 +108,8 @@ def test_no_code_is_walked():
     calls = {p.name: p.read_text().count("AffineCode(")
              for p in Path(adinkra.__file__).parent.glob("*.py")}
     assert {name for name, count in calls.items() if count} == {"codec.py"}
-    assert calls["codec.py"] == inspect.getsource(family_code).count(
-        "AffineCode(")
+    assert calls["codec.py"] == inspect.getsource(
+        codec._Record.code.func).count("AffineCode(")
 
 
 def test_from_words_rejects_non_affine_sets():
@@ -264,7 +264,7 @@ def test_family_code_on_every_code_up_to_length_8():
     assert len(families) == 8 + 1107
     for family in families:
         skeleton = family_skeleton(family)
-        code = family_code.__wrapped__(family)
+        code = family_code(family)
         quads = plaquette_quads(skeleton)
         edges = len(skeleton.edges)
         assert code.n_bits == edges
@@ -291,7 +291,7 @@ def test_family_code_on_every_code_up_to_length_8():
         assert count_valid_dashings(skeleton) == 2 ** code.dim
 
 
-def refuse_family_code(family):
+def refuse_family_code(record):
     raise AssertionError("family_code called")
 
 
@@ -303,9 +303,10 @@ def refuse_family_code(family):
 )
 def test_dashing_distance_is_n_plus_k(family, monkeypatch):
     want = family.n + len(family.code_generators)
-    monkeypatch.setattr(codec, "family_code", refuse_family_code)
-    assert min_distance(family) == want  # read off the header alone
     code = family_code(family)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec._Record, "code", property(refuse_family_code))
+        assert min_distance(family) == want  # read off the header alone
     quads = plaquette_quads(family_skeleton(family))
     assert oracles.min_even_set_by_branching(code.n_bits, quads, want) == want
 
@@ -318,7 +319,7 @@ def test_quaternion_distance_is_its_degree(monkeypatch):
     assert sorted(w.bit_count() for w in oracles.xor_span(code.basis)) == [
         0, 3, 3, 3, 3, 4, 4, 4]
     words = oracles.codewords(QUATERNION_FAMILY)
-    monkeypatch.setattr(codec, "family_code", refuse_family_code)
+    monkeypatch.setattr(codec._Record, "code", property(refuse_family_code))
     assert min_distance(QUATERNION_FAMILY) == 3
     assert oracles.naive_min_distance(words) == 3
 
@@ -389,6 +390,24 @@ def test_size_guard_applies_to_cached_family_headers(monkeypatch):
     with pytest.raises(SizeGuardError) as skeleton:
         family_skeleton(Family(12, (), DASHING))
     assert str(skeleton.value) == str(want.value)
+
+
+def test_codec_calls_read_the_guard_on_a_cached_family(monkeypatch):
+    # each call resolves its family's cached record, then reads the guard
+    monkeypatch.delenv("ADINKRA_SIZE_GUARD", raising=False)
+    family = Family(3, (), DASHING)
+    sent = codec.encode((1, 0, 1, 1, 0, 1, 0), family)
+    monkeypatch.setenv("ADINKRA_SIZE_GUARD", "2")
+    with pytest.raises(SizeGuardError) as want:
+        check_guard(3, "quotient construction")
+    for call, args in ((codec.encode, ((1,) * 7, family)),
+                       (codec.correct, (sent,)), (codec.decode, (sent,)),
+                       (codec.syndrome, (sent,)),
+                       (codec.fill_erasures, (sent, [0, 5])),
+                       (min_distance, (family,))):
+        with pytest.raises(SizeGuardError) as err:
+            call(*args)
+        assert str(err.value) == str(want.value)
 
 
 def test_guard_errors_count_the_digits_of_a_long_exponent(monkeypatch):

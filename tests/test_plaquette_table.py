@@ -420,5 +420,5 @@ def test_codec_reads_the_family_skeleton_table(builds):
     skeleton = family_skeleton(family)
     block = encode((1,) * message_length(family), family).flip([0])
     assert len(syndrome(block).violated) == skeleton.length - 1
-    assert family_code.__wrapped__(family).dim == message_length(family)
+    assert family_code(family).dim == message_length(family)
     assert len(builds) <= 1
