@@ -1033,12 +1033,9 @@ def test_fills_below_the_distance_need_no_affine_solve(family, monkeypatch):
     # below L erasures every fill is a peel; the quaternion's encode
     # peels its three other edges.  On the oracle's families a flipped
     # survivor is judged as the agreeing codewords judge it
+    monkeypatch.setattr(codec, "_complete", None)
     sent = encode(tuple(i % 2 for i in range(message_length(family))),
                   family)
-    want = {w for m in range(8) for w in [encode(
-        (m & 1, m >> 1 & 1, m >> 2), family).bits]} if (
-        family == QUATERNION_FAMILY) else None
-    monkeypatch.setattr(codec, "_complete", None)
     n_bits, distance = block_length(family), min_distance(family)
     rng = random.Random(n_bits)
     if n_bits <= 32:
@@ -1053,8 +1050,9 @@ def test_fills_below_the_distance_need_no_affine_solve(family, monkeypatch):
             survivor = rng.choice([i for i in range(n_bits)
                                    if i not in erased])
             assert_fill_matches_oracle(sent.flip([survivor]), erased)
-    if want is not None:
-        assert want == set(ORACLE_WORDS[family])
+    if family == QUATERNION_FAMILY:
+        assert {encode((m & 1, m >> 1 & 1, m >> 2), family).bits
+                for m in range(8)} == set(ORACLE_WORDS[family])
 
 
 def test_length_16_fills_equal_the_affine_solve(monkeypatch):
@@ -1074,7 +1072,7 @@ def test_length_16_fills_equal_the_affine_solve(monkeypatch):
     complete = codec._complete
 
     def counted(*args):
-        solved.append(args[2])
+        solved.append(args)
         return complete(*args)
 
     monkeypatch.setattr(codec, "_complete", counted)
@@ -1088,8 +1086,7 @@ def test_length_16_fills_equal_the_affine_solve(monkeypatch):
             want >> i & 1 for i in range(n_bits))
         assert len(solved) == (0 if peels else 1)
         solved.clear()
-    # one whole color class: every block with the other bits differs
-    # from this one by the color flip
+    # one whole color class: the agreeing blocks differ by its flip
     edges = family_skeleton(family).edges
     erased = [i for i, e in enumerate(edges) if e.color == 1]
     with pytest.raises(UnderDeterminedError) as err:
